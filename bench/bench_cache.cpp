@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/artifact_serialize.hpp"
 #include "compiler/emit.hpp"
 #include "compiler/pipeline.hpp"
 #include "models/mlperf_tiny.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -48,15 +48,10 @@ double SweepMs(const std::vector<SweepModel>& models, int workers,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-// Byte-identity of the hit path: serialized report and emitted C sources of
-// a cache hit must equal the cold compile's. Pass wall-clock times are
-// measurement noise, never content — normalize them before diffing.
-std::string CanonicalSerialization(const compiler::Artifact& a) {
-  compiler::Artifact copy = a;
-  for (compiler::PassStat& p : copy.pass_timeline) p.wall_ns = 0;
-  return cache::SerializeArtifact(copy);
-}
-
+// Byte-identity of the hit path: the canonical HAB bytes and emitted C
+// sources of a cache hit must equal the cold compile's. Pass wall-clock
+// times are measurement noise, never content — SerializeHabForDiff zeroes
+// them before diffing.
 bool HitIsByteIdentical(const SweepModel& m) {
   auto cold = compiler::HtvmCompiler{m.options}.Compile(m.network);
   HTVM_CHECK(cold.ok());
@@ -70,7 +65,7 @@ bool HitIsByteIdentical(const SweepModel& m) {
   HTVM_CHECK(hit.ok());
   HTVM_CHECK_MSG(cache.stats().hits == 1, "second compile did not hit");
 
-  if (CanonicalSerialization(*hit) != CanonicalSerialization(*cold)) {
+  if (vm::SerializeHabForDiff(*hit) != vm::SerializeHabForDiff(*cold)) {
     return false;
   }
   auto cold_c = compiler::EmitArtifactC(*cold, m.name);

@@ -8,7 +8,7 @@
 // cheap enough for CI, so per-pass compile-time regressions are visible in
 // every run. It also recompiles every case with 8 CompileKernels lanes and
 // asserts the artifact is byte-identical to the sequential compile
-// (SerializeArtifactForDiff), so CI enforces the parallel-pass determinism
+// (vm::SerializeHabForDiff), so CI enforces the parallel-pass determinism
 // contract on every push.
 //
 // `--threads` sweeps CompileKernels lane counts {1, 2, 4, 8} on the
@@ -27,12 +27,12 @@
 #include <cstring>
 #include <vector>
 
-#include "cache/artifact_serialize.hpp"
 #include "compiler/pass_manager.hpp"
 #include "compiler/pipeline.hpp"
 #include "dory/schedule_search.hpp"
 #include "models/mlperf_tiny.hpp"
 #include "support/thread_pool.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -88,8 +88,7 @@ int RunSmoke() {
                    par.status().ToString().c_str());
       return 1;
     }
-    if (cache::SerializeArtifactForDiff(*par) !=
-        cache::SerializeArtifactForDiff(*art)) {
+    if (vm::SerializeHabForDiff(*par) != vm::SerializeHabForDiff(*art)) {
       std::fprintf(stderr,
                    "parallel compile %s diverged from sequential artifact\n",
                    c.name);
@@ -146,7 +145,7 @@ int RunThreadsSweep() {
         s.timeline = art->pass_timeline;
       }
       if (rep == 0) {
-        const std::string diff = cache::SerializeArtifactForDiff(*art);
+        const std::string diff = vm::SerializeHabForDiff(*art);
         if (threads == 1) {
           baseline_diff = diff;
           s.identical = true;

@@ -3,15 +3,15 @@
 #include <filesystem>
 #include <utility>
 
-#include "cache/artifact_serialize.hpp"
 #include "vm/hab.hpp"
+#include "vm/loaded_artifact.hpp"
 
 namespace htvm::cache {
 namespace {
 
 // Resident-size estimate for LRU accounting. Dominated by the constant
 // payloads (exact); graph/kernel/plan bookkeeping is charged per record.
-// Deliberately not SerializeArtifact().size(): serializing on every Store
+// Deliberately not SerializeHab().size(): serializing on every Store
 // would cost more than many of the compiles being cached.
 i64 EstimateArtifactBytes(const compiler::Artifact& a) {
   i64 bytes = 4096;
@@ -92,11 +92,12 @@ std::shared_ptr<const compiler::Artifact> ArtifactCache::Lookup(
   }
   // Disk probe happens outside the lock: file I/O and parsing must not
   // serialize unrelated lookups.
+  bool unreadable = false;
   if (!options_.dir.empty()) {
-    Result<compiler::Artifact> loaded = LoadArtifact(DiskPath(key));
+    Result<vm::LoadedArtifact> loaded =
+        vm::LoadedArtifact::FromFile(DiskPath(key));
     if (loaded.ok()) {
-      auto artifact =
-          std::make_shared<const compiler::Artifact>(std::move(*loaded));
+      auto artifact = loaded->shared_artifact();
       const i64 bytes = EstimateArtifactBytes(*artifact);
       std::lock_guard<std::mutex> lock(mu_);
       stats_.hits += 1;
@@ -106,9 +107,13 @@ std::shared_ptr<const compiler::Artifact> ArtifactCache::Lookup(
       InsertLocked(key, artifact, bytes);
       return artifact;
     }
+    // A file that exists but does not load (corrupt, foreign format, version
+    // skew) is a miss whose next Store must overwrite it.
+    unreadable = loaded.status().code() != StatusCode::kNotFound;
   }
   std::lock_guard<std::mutex> lock(mu_);
   stats_.misses += 1;
+  if (unreadable) unreadable_.insert(key);
   return nullptr;
 }
 
@@ -123,13 +128,12 @@ void ArtifactCache::Store(const std::string& key,
         compiler::PassTimelineTotalNs(artifact.pass_timeline);
     InsertLocked(key, std::move(shared), EstimateArtifactBytes(artifact));
     persist = !options_.dir.empty() &&
-              !std::filesystem::exists(DiskPath(key));
+              (unreadable_.erase(key) > 0 ||
+               !std::filesystem::exists(DiskPath(key)));
     if (persist) stats_.disk_writes += 1;
   }
   if (persist) {
-    // Best-effort: a failed write degrades to memory-only caching. New
-    // entries are written in the v2 binary format (the reader still accepts
-    // v1 text left by older builds — see docs/artifact_cache.md).
+    // Best-effort: a failed write degrades to memory-only caching.
     vm::HabMeta meta;
     meta.model_name = key;
     meta.producer = "artifact-cache";
@@ -191,6 +195,7 @@ void ArtifactCache::Reset() {
   index_.clear();
   schedules_.clear();
   plans_.clear();
+  unreadable_.clear();
   stats_ = CacheStats{};
 }
 
@@ -200,6 +205,7 @@ void ArtifactCache::Reset(const ArtifactCacheOptions& new_options) {
   index_.clear();
   schedules_.clear();
   plans_.clear();
+  unreadable_.clear();
   stats_ = CacheStats{};
   options_ = new_options;
   if (!options_.dir.empty()) {

@@ -9,8 +9,10 @@
 //   - byte-budgeted LRU: entry cost is the artifact's estimated resident
 //     size (exact for the dominant constant payloads);
 //   - optionally persistent: with a non-empty `dir`, every store also writes
-//     <dir>/<key>.htvmart (atomic tmp+rename) and a memory miss falls back
-//     to disk — a second process serving the same models compiles nothing.
+//     <dir>/<key>.htvmart as a HAB file (vm::SaveHab, atomic tmp+rename) and
+//     a memory miss falls back to disk through vm::LoadedArtifact — a second
+//     process serving the same models compiles nothing. A file that fails to
+//     load is a miss, and the Store that follows rewrites it.
 //
 // PassManager::Run consults the cache through the compiler-side
 // ArtifactCacheHook interface (dependency arrow: cache -> compiler, never
@@ -23,6 +25,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "cache/cache_key.hpp"
 #include "compiler/pass_manager.hpp"
@@ -119,6 +122,9 @@ class ArtifactCache final : public compiler::ArtifactCacheHook {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   std::unordered_map<std::string, dory::TileSolution> schedules_;
   std::unordered_map<std::string, dory::GraphPlan> plans_;
+  // Keys whose disk entry exists but failed to load; their next Store
+  // overwrites the file instead of trusting that it exists.
+  std::unordered_set<std::string> unreadable_;
   CacheStats stats_;
 };
 

@@ -70,9 +70,9 @@ struct Artifact {
   MemoryPlan memory_plan;
   tvmgen::BinarySizeReport size;
   hw::DianaConfig hw_config;
-  // Name of the SocDescription this artifact was compiled for. Soc-less
-  // serialized artifacts (v1 text / HAB without a kSoc section, i.e.
-  // everything pre-dating SoC families) load as "diana".
+  // Name of the SocDescription this artifact was compiled for. HABs
+  // without a kSoc section (default-SoC artifacts and everything
+  // pre-dating SoC families) load as "diana".
   std::string soc_name = "diana";
   // The graph-level fusion/dispatch plan the compile deployed
   // (dory/graph_plan.hpp). Empty on the default heuristic path — and an

@@ -12,8 +12,8 @@
 //     intermediate activation map never round-trips through L2.
 //
 // A GraphPlan is one decision per composite, in kernel (node-id) order. It
-// is recorded in the compiled artifact — and in the v1 text / HAB binary
-// serializations — so `htvm-run`, the artifact cache, and a warm serve
+// is recorded in the compiled artifact — and in its HAB serialization —
+// so `htvm-run`, the artifact cache, and a warm serve
 // fleet replay the searched mapping instead of re-deriving it. The plan's
 // text form doubles as the golden format pinning the default heuristic
 // partitioning (tests/golden/plan/).

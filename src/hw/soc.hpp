@@ -16,7 +16,7 @@
 // Everything downstream keys on the description: the compiler threads it
 // through dispatch/tiling/planning (CompileOptions::soc), the artifact
 // cache folds Fingerprint() into the key so two SoCs can never collide on
-// one entry, artifacts record their SoC name (v1 text + HAB section), and
+// one entry, artifacts record their SoC name (a HAB section), and
 // the serve fleet mixes instances of several SoCs with model-aware
 // placement.
 #pragma once

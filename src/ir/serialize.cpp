@@ -33,8 +33,8 @@ std::string UnescapeString(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
+// One attribute value as a single token ("b:1", "i:3", "f:0x1.8p+1",
+// "s:a\x20b", "v:2:1:2").
 std::string EncodeAttrValue(const AttrValue& v) {
   if (const bool* b = std::get_if<bool>(&v)) {
     return std::string("b:") + (*b ? "1" : "0");
@@ -87,6 +87,8 @@ Result<AttrValue> DecodeAttrValue(const std::string& token) {
       return Status::InvalidArgument("unknown attr tag: " + token);
   }
 }
+
+}  // namespace
 
 namespace detail_serialize {
 Result<Graph> DeserializeGraphImpl(const std::string& text);

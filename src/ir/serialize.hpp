@@ -19,14 +19,6 @@
 
 namespace htvm {
 
-// One attribute value as a single token ("b:1", "i:3", "f:0x1.8p+1",
-// "s:a\x20b", "v:2:1:2"). Doubles print as C99 hex-floats: exact
-// bit-for-bit round-trip, independent of printf decimal precision, so
-// serialized graphs (and the cache keys derived from them) are stable
-// across platforms. Shared with the artifact serializer (src/cache).
-std::string EncodeAttrValue(const AttrValue& value);
-Result<AttrValue> DecodeAttrValue(const std::string& token);
-
 std::string SerializeGraph(const Graph& graph);
 
 Result<Graph> DeserializeGraph(const std::string& text);

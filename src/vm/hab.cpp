@@ -13,8 +13,8 @@
 namespace htvm::vm {
 namespace {
 
-// Sanity caps shared with the v1 text reader: a corrupted length field must
-// produce a typed error, never a multi-gigabyte allocation.
+// Sanity caps: a corrupted length field must produce a typed error, never a
+// multi-gigabyte allocation.
 constexpr i64 kMaxNodes = i64{1} << 20;
 constexpr i64 kMaxKernels = i64{1} << 16;
 constexpr i64 kMaxSteps = i64{1} << 20;
@@ -969,6 +969,12 @@ bool LooksLikeHab(const std::string& data) {
       reinterpret_cast<const u8*>(data.data()), data.size()));
 }
 
+std::string SerializeHabForDiff(const compiler::Artifact& artifact) {
+  compiler::Artifact scrubbed = artifact;
+  for (compiler::PassStat& p : scrubbed.pass_timeline) p.wall_ns = 0;
+  return SerializeHab(scrubbed);
+}
+
 std::string SerializeHab(const compiler::Artifact& a, const HabMeta& meta) {
   struct Section {
     HabSection id;
@@ -1176,15 +1182,18 @@ Result<ParsedHab> ParseHab(std::span<const u8> data) {
     HTVM_RETURN_IF_ERROR(ReadKernels(r, a.kernel_graph, a.kernels));
   }
   // kSoc is optional: absent in every "diana" HAB (and everything produced
-  // before SoC families existed), where the member default applies.
+  // before SoC families existed), where the member default applies. An
+  // explicit "diana" is non-canonical — two encodings of one artifact would
+  // break content addressing — so it is rejected like an empty name.
   {
     const Span s = by_id[static_cast<u32>(HabSection::kSoc)];
     if (s.data != nullptr) {
       Reader r(s.data, s.size, "soc");
       HTVM_ASSIGN_OR_RETURN(name, r.Str());
       HTVM_RETURN_IF_ERROR(r.ExpectEnd());
-      if (name.empty()) {
-        return Status::InvalidArgument("hab: soc section names an empty SoC");
+      if (name.empty() || name == "diana") {
+        return Status::InvalidArgument(
+            "hab: soc section must name a non-default SoC");
       }
       a.soc_name = name;
     }
@@ -1215,8 +1224,8 @@ Result<ParsedHab> ParseHab(std::span<const u8> data) {
 
 Status SaveHab(const compiler::Artifact& artifact, const HabMeta& meta,
                const std::string& path) {
-  // Atomic publish, mirroring cache::SaveArtifact: concurrent writers race
-  // on the same path; rename makes readers see nothing or a complete file.
+  // Atomic publish: concurrent writers race on the same path; rename makes
+  // readers see nothing or a complete file.
   const std::string tmp =
       path + StrFormat(".tmp.%d", static_cast<int>(::getpid()));
   {

@@ -10,10 +10,11 @@
 // binary-size report and the DianaConfig. The layout is documented in
 // docs/deployable_artifact.md.
 //
-// Round-trip contract (mirrors the v1 text format in cache/
-// artifact_serialize.hpp): parsing a serialized artifact reconstructs
-// bit-identical state, so a runner executing a HAB is byte-exact with the
-// in-process compile that produced it.
+// Round-trip contract: SerializeHab(ParseHab(x)) == x, and parsing
+// reconstructs bit-identical state, so a runner executing a HAB is
+// byte-exact with the in-process compile that produced it. HAB is the only
+// artifact encoding: the artifact cache persists it, and differential tests
+// compare its canonical form (SerializeHabForDiff).
 //
 // Failure model: every malformed input — truncation, bit flip, wrong magic,
 // future format version, foreign endianness, oversized section lengths —
@@ -98,23 +99,32 @@ struct ParsedHab {
 // FNV-1a 64 over a byte range — the per-section checksum.
 u64 HabChecksum(const u8* data, size_t size);
 
-// True when `data` starts with the HAB magic (format sniffing; the artifact
-// cache uses it to route v2 binaries vs. v1 text through the right reader).
+// True when `data` starts with the HAB magic (cheap format sniffing).
 bool LooksLikeHab(std::span<const u8> data);
 bool LooksLikeHab(const std::string& data);
 
 // Serializes an artifact to the flat v2 binary image. Deterministic: two
-// identical artifacts produce identical bytes (pass wall-times included, as
-// in v1 — use SerializeArtifactForDiff-style scrubbing upstream if needed).
+// identical artifacts produce identical bytes (pass wall-times included —
+// compare SerializeHabForDiff when those must not matter).
 std::string SerializeHab(const compiler::Artifact& artifact,
                          const HabMeta& meta = {});
+
+// The canonical diff form: SerializeHab of a copy with every
+// pass_timeline[].wall_ns zeroed and an empty HabMeta. Two compiles of the
+// same (network, options) produce identical bytes regardless of thread
+// count or machine load, so differential tests (parallel vs sequential
+// compile, cache hit vs cold compile) compare this form: kernels, order,
+// schedules, memory plan, size report and the timeline's pass/node-delta
+// shape are all still covered byte-for-byte.
+std::string SerializeHabForDiff(const compiler::Artifact& artifact);
 
 // Validates header, version, endianness, section table and checksums, then
 // reconstructs the artifact. Parses straight out of `data` (the loader
 // hands in an mmap'd file), copying only into the artifact's own storage.
 Result<ParsedHab> ParseHab(std::span<const u8> data);
 
-// Atomic file write (tmp + rename), like cache::SaveArtifact.
+// Atomic file write (tmp + rename): concurrent writers of one path leave
+// readers seeing nothing or a complete file.
 Status SaveHab(const compiler::Artifact& artifact, const HabMeta& meta,
                const std::string& path);
 

@@ -28,6 +28,11 @@ class LoadedArtifact {
   const compiler::Artifact& artifact() const { return parsed_->artifact; }
   // Stable across moves: VmExecutor holds this pointer.
   const compiler::Artifact* artifact_ptr() const { return &parsed_->artifact; }
+  // Shares ownership of the parsed state without copying the artifact (an
+  // aliasing shared_ptr): the artifact cache hands this out on a disk hit.
+  std::shared_ptr<const compiler::Artifact> shared_artifact() const {
+    return {parsed_, &parsed_->artifact};
+  }
   const HabMeta& meta() const { return parsed_->meta; }
   const std::vector<HabSectionInfo>& sections() const {
     return parsed_->sections;

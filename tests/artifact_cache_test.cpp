@@ -1,11 +1,11 @@
-// cache::ArtifactCache + SaveArtifact/LoadArtifact round-trip tests.
+// cache::ArtifactCache tests.
 //
-// Covers the tentpole guarantees of docs/artifact_cache.md: the text
-// serialization round-trips byte-identically for every example model, the
-// LRU respects its byte budget with correct recency order, on-disk
-// persistence survives a process restart (modeled as a fresh cache on the
-// same dir), corrupted files degrade to a miss, and concurrent compiles
-// through one cache are safe and compile-once.
+// Covers the tentpole guarantees of docs/artifact_cache.md: the LRU
+// respects its byte budget with correct recency order, on-disk persistence
+// survives a process restart (modeled as a fresh cache on the same dir),
+// corrupted files degrade to a miss and are rewritten by the next store,
+// and concurrent compiles through one cache are safe and compile-once.
+// The HAB round trip the cache persists with is covered in vm_hab_test.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,9 +14,10 @@
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/artifact_serialize.hpp"
 #include "compiler/pipeline.hpp"
+#include "hab_diff.hpp"
 #include "models/mlperf_tiny.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -35,53 +36,6 @@ std::string FreshDir(const char* name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
-}
-
-TEST(ArtifactSerialize, RoundTripsAllExampleModels) {
-  // Every model x a heterogeneous and a digital-only config: serialize,
-  // parse back, re-serialize — the two texts must be byte-identical and
-  // the parsed kernel graph must validate (LoadArtifact enforces this).
-  for (const auto& m : models::MlperfTinySuite()) {
-    for (const auto& [cfg, opt] :
-         {std::pair<const char*, compiler::CompileOptions>{
-              "mixed", compiler::CompileOptions{}},
-          {"digital", compiler::CompileOptions::DigitalOnly()}}) {
-      const Graph net = m.build(models::PrecisionPolicy::kMixed);
-      const compiler::Artifact artifact = CompileOrDie(net, opt);
-      const std::string text = cache::SerializeArtifact(artifact);
-      auto parsed = cache::DeserializeArtifact(text);
-      ASSERT_TRUE(parsed.ok())
-          << m.name << "/" << cfg << ": " << parsed.status().ToString();
-      EXPECT_EQ(cache::SerializeArtifact(*parsed), text)
-          << m.name << "/" << cfg;
-    }
-  }
-}
-
-TEST(ArtifactSerialize, SaveAndLoadFile) {
-  const std::string dir = FreshDir("/artifact_save_load");
-  const compiler::Artifact artifact = CompileOrDie(
-      models::BuildDsCnn(models::PrecisionPolicy::kInt8),
-      compiler::CompileOptions::DigitalOnly());
-  const std::string path = dir + "/a.htvmart";
-  ASSERT_TRUE(cache::SaveArtifact(artifact, path).ok());
-  auto loaded = cache::LoadArtifact(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(cache::SerializeArtifact(*loaded),
-            cache::SerializeArtifact(artifact));
-}
-
-TEST(ArtifactSerialize, RejectsGarbageAndTruncation) {
-  EXPECT_FALSE(cache::DeserializeArtifact("not an artifact").ok());
-  const compiler::Artifact artifact = CompileOrDie(
-      models::BuildToyAdmosDae(models::PrecisionPolicy::kInt8));
-  const std::string text = cache::SerializeArtifact(artifact);
-  // Truncation anywhere (drop the `end` terminator and then some) fails
-  // cleanly instead of crashing or returning a half-parsed artifact.
-  EXPECT_FALSE(cache::DeserializeArtifact(
-                   text.substr(0, text.size() / 2)).ok());
-  EXPECT_FALSE(cache::DeserializeArtifact(
-                   text.substr(0, text.rfind("end"))).ok());
 }
 
 TEST(ArtifactCache, HitReturnsStoredArtifactAndCountsStats) {
@@ -105,8 +59,8 @@ TEST(ArtifactCache, HitReturnsStoredArtifactAndCountsStats) {
   EXPECT_GT(s.saved_ns, 0);
   // The hit is the stored artifact, not a re-compile: identical kernels,
   // identical memory plan, identical pass timeline (timings included).
-  EXPECT_EQ(cache::SerializeArtifact(*second),
-            cache::SerializeArtifact(*first));
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHab(*second),
+                      vm::SerializeHab(*first));
 }
 
 TEST(ArtifactCache, DifferentOptionsMissEachOther) {
@@ -204,7 +158,8 @@ TEST(ArtifactCache, DiskPersistenceServesAFreshCache) {
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.disk_hits, 1);
   EXPECT_EQ(s.compiles, 0);
-  EXPECT_EQ(cache::SerializeArtifact(warm), cache::SerializeArtifact(cold));
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHab(warm),
+                      vm::SerializeHab(cold));
 }
 
 TEST(ArtifactCache, CorruptedDiskEntryDegradesToMiss) {
@@ -229,7 +184,16 @@ TEST(ArtifactCache, CorruptedDiskEntryDegradesToMiss) {
   EXPECT_EQ(reader.stats().hits, 0);
   EXPECT_EQ(reader.stats().misses, 1);
   EXPECT_EQ(reader.stats().compiles, 1);
+  // The unreadable file is rewritten, not trusted because it exists...
+  EXPECT_EQ(reader.stats().disk_writes, 1);
   EXPECT_FALSE(artifact.kernels.empty());
+
+  // ...so the next restart serves from disk again instead of recompiling.
+  cache::ArtifactCache healed(disk);
+  opt.cache = &healed;
+  CompileOrDie(net, opt);
+  EXPECT_EQ(healed.stats().disk_hits, 1);
+  EXPECT_EQ(healed.stats().compiles, 0);
 }
 
 TEST(ArtifactCache, ConcurrentCompilesAreSafeAndEqual) {
@@ -242,14 +206,8 @@ TEST(ArtifactCache, ConcurrentCompilesAreSafeAndEqual) {
   constexpr int kThreads = 8;
 
   // Threads racing on the initial miss each run their own pipeline, so
-  // pass wall-clock differs between their artifacts; zero it (timings are
-  // measurement, not content) before comparing.
-  const auto canonical = [](const compiler::Artifact& a) {
-    compiler::Artifact copy = a;
-    for (compiler::PassStat& p : copy.pass_timeline) p.wall_ns = 0;
-    return cache::SerializeArtifact(copy);
-  };
-
+  // pass wall-clock differs between their artifacts: compare the canonical
+  // form, which zeroes it (timings are measurement, not content).
   std::vector<std::string> serialized(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -259,7 +217,7 @@ TEST(ArtifactCache, ConcurrentCompilesAreSafeAndEqual) {
       opt.cache = &cache;
       auto artifact = compiler::HtvmCompiler{opt}.Compile(net);
       HTVM_CHECK(artifact.ok());
-      serialized[t] = canonical(*artifact);
+      serialized[t] = vm::SerializeHabForDiff(*artifact);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -269,7 +227,8 @@ TEST(ArtifactCache, ConcurrentCompilesAreSafeAndEqual) {
   EXPECT_GE(s.compiles, 1);
   EXPECT_EQ(s.entries, 1);
   for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(serialized[t], serialized[0]) << "thread " << t;
+    EXPECT_PRED_FORMAT2(test::HabBytesEq, serialized[t], serialized[0])
+        << "thread " << t;
   }
 }
 

@@ -16,9 +16,9 @@
 //      a dispatch decision the SoC cannot execute, and decisions the search
 //      must not touch (analog composites, whose bodies the clamp pass
 //      rewrites) are pinned to the heuristic choice.
-//   5. The plan survives both artifact serializations (v1 text, HAB), and
-//      a HAB whose embedded plan names a different SoC than the artifact is
-//      refused with a typed error.
+//   5. The plan survives the HAB round trip (and a heuristic compile writes
+//      no plan section), and a HAB whose embedded plan names a different SoC
+//      than the artifact is refused with a typed error.
 //   6. The default heuristic partitioning for the layer zoo, the MLPerf
 //      Tiny suite and the TinyTransformer is pinned as goldens under
 //      tests/golden/plan/ (regenerate with --update-golden or
@@ -32,12 +32,12 @@
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/artifact_serialize.hpp"
 #include "compiler/emit.hpp"
 #include "compiler/pipeline.hpp"
 #include "compiler/plan_search.hpp"
 #include "dory/graph_plan.hpp"
 #include "dory/schedule_search.hpp"
+#include "hab_diff.hpp"
 #include "hw/soc.hpp"
 #include "ir/builder.hpp"
 #include "models/layer_zoo.hpp"
@@ -248,8 +248,8 @@ TEST(GraphPlan, FiftySeedSearchProperty) {
       compiler::CompileOptions par = opt;
       par.compile_threads = 4;
       const compiler::Artifact parallel = MustCompile(net, par);
-      EXPECT_EQ(cache::SerializeArtifactForDiff(searched),
-                cache::SerializeArtifactForDiff(parallel))
+      EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(searched),
+                          vm::SerializeHabForDiff(parallel))
           << "seed " << seed;
       EXPECT_EQ(parallel.plan, searched.plan) << "seed " << seed;
     }
@@ -287,8 +287,8 @@ TEST(GraphPlan, MemoizedSecondCompilePerformsZeroEvaluations) {
   EXPECT_GT(dory::ScheduleSearchStats::Global().memo_hits(), 0);
   EXPECT_GT(cache.stats().plan_hits, 0);
   EXPECT_EQ(second.plan, first.plan);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(first),
-            cache::SerializeArtifactForDiff(second));
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(first),
+                      vm::SerializeHabForDiff(second));
 }
 
 // ---------------------------------------------------------------------------
@@ -342,24 +342,8 @@ TEST(GraphPlan, AnalogDecisionsArePinnedToTheHeuristic) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Serialization: v1 text, HAB, cross-SoC refusal
+// 5. Serialization: HAB round trip, cross-SoC refusal
 // ---------------------------------------------------------------------------
-
-TEST(GraphPlan, PlanSurvivesTextArtifactRoundTrip) {
-  const Graph net = models::BuildDsCnn(models::PrecisionPolicy::kMixed);
-  compiler::CompileOptions opt;
-  opt.schedule_search.kind = dory::ScheduleSearchKind::kGraphBeam;
-  const compiler::Artifact art = MustCompile(net, opt);
-  ASSERT_FALSE(art.plan.empty());
-  auto back = cache::DeserializeArtifact(cache::SerializeArtifact(art));
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->plan, art.plan);
-
-  // A heuristic artifact serializes with no plan record at all.
-  const compiler::Artifact plain = MustCompile(net, compiler::CompileOptions{});
-  EXPECT_EQ(cache::SerializeArtifact(plain).find("\nplan "),
-            std::string::npos);
-}
 
 TEST(GraphPlan, PlanSurvivesHabRoundTrip) {
   const Graph net = models::BuildDsCnn(models::PrecisionPolicy::kMixed);
@@ -372,6 +356,18 @@ TEST(GraphPlan, PlanSurvivesHabRoundTrip) {
       {reinterpret_cast<const u8*>(image.data()), image.size()});
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->artifact.plan, art.plan);
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHab(parsed->artifact),
+                      image);
+
+  // A heuristic compile writes no plan: its HAB has no kPlan section.
+  const compiler::Artifact plain = MustCompile(net, compiler::CompileOptions{});
+  const std::string plain_image = vm::SerializeHab(plain, {});
+  auto plain_parsed = vm::ParseHab(
+      {reinterpret_cast<const u8*>(plain_image.data()), plain_image.size()});
+  ASSERT_TRUE(plain_parsed.ok()) << plain_parsed.status().ToString();
+  for (const vm::HabSectionInfo& section : plain_parsed->sections) {
+    EXPECT_NE(section.id, static_cast<u32>(vm::HabSection::kPlan));
+  }
 }
 
 TEST(GraphPlan, HabWithCrossSocPlanIsRefused) {

@@ -3,10 +3,10 @@
 // CompileKernels").
 //
 // The contract under test: compile_threads changes wall-clock only. For
-// every model x config, the artifact_serialize text form at thread counts
-// {2, 4, 8} is byte-identical to compile_threads=1 (kernel names, order,
-// schedules, size report and pass-timeline shape; wall-clock fields
-// excluded via SerializeArtifactForDiff), and ParallelFor returns the same
+// every model x config, the canonical HAB form at thread counts {2, 4, 8}
+// is byte-identical to compile_threads=1 (kernel names, order, schedules,
+// size report and pass-timeline shape; wall-clock fields excluded via
+// vm::SerializeHabForDiff), and ParallelFor returns the same
 // error the sequential loop would. The stress test runs N compiler threads
 // over one shared PassManager + ArtifactCache while M threads hammer the
 // cache — the TSan CI job runs this file to prove the pass is race-free.
@@ -16,14 +16,15 @@
 #include <thread>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/artifact_serialize.hpp"
 #include "compiler/compile_passes.hpp"
 #include "compiler/pipeline.hpp"
+#include "hab_diff.hpp"
 #include "models/layer_zoo.hpp"
 #include "models/mlperf_tiny.hpp"
 #include "support/rng.hpp"
 #include "support/string_utils.hpp"
 #include "support/thread_pool.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -67,7 +68,7 @@ std::string CompileDiffText(const Graph& network,
   options.compile_threads = threads;
   auto artifact = compiler::HtvmCompiler{options}.Compile(network);
   if (!artifact.ok()) return "ERROR: " + artifact.status().ToString();
-  return cache::SerializeArtifactForDiff(*artifact);
+  return vm::SerializeHabForDiff(*artifact);
 }
 
 TEST(ParallelCompile, LayerZooDifferentialAcrossThreadCounts) {
@@ -76,8 +77,8 @@ TEST(ParallelCompile, LayerZooDifferentialAcrossThreadCounts) {
       const std::string sequential =
           CompileDiffText(network, config.options, 1);
       for (const int threads : {2, 4, 8}) {
-        EXPECT_EQ(sequential,
-                  CompileDiffText(network, config.options, threads))
+        EXPECT_PRED_FORMAT2(test::HabBytesEq, sequential,
+                            CompileDiffText(network, config.options, threads))
             << model_name << " x " << config.name << " @ " << threads
             << " threads";
       }
@@ -92,7 +93,9 @@ TEST(ParallelCompile, MlperfNetworksDifferential) {
     const Graph net = model.build(models::PrecisionPolicy::kMixed);
     const compiler::CompileOptions options;  // mixed
     const std::string sequential = CompileDiffText(net, options, 1);
-    EXPECT_EQ(sequential, CompileDiffText(net, options, 8)) << model.name;
+    EXPECT_PRED_FORMAT2(test::HabBytesEq, sequential,
+                        CompileDiffText(net, options, 8))
+        << model.name;
   }
 }
 
@@ -279,7 +282,7 @@ TEST(ParallelCompile, StressSharedPassManagerAndCache) {
       failures.fetch_add(1);
       return;
     }
-    if (cache::SerializeArtifactForDiff(state.artifact) !=
+    if (vm::SerializeHabForDiff(state.artifact) !=
         reference[static_cast<size_t>(model)]) {
       mismatches.fetch_add(1);
     }

@@ -6,10 +6,10 @@
 //   4. requantization and ternary packing round-trip for arbitrary values.
 #include <gtest/gtest.h>
 
-#include "cache/artifact_serialize.hpp"
 #include "compiler/memory_planner.hpp"
 #include "compiler/pipeline.hpp"
 #include "dory/tiled_exec.hpp"
+#include "hab_diff.hpp"
 #include "ir/builder.hpp"
 #include "models/layer_zoo.hpp"
 #include "nn/interpreter.hpp"
@@ -17,6 +17,7 @@
 #include "support/string_utils.hpp"
 #include "tensor/quantize.hpp"
 #include "tvmgen/fusion.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -115,7 +116,7 @@ TEST(Property, PartitioningPreservesSemanticsOnRandomNetworks) {
 
 // Parallel CompileKernels is invisible in the artifact: for random
 // networks, compiling with lanes on the shared pool produces byte-identical
-// artifact_serialize text (wall-clock excluded) and, on failure, the
+// canonical HAB bytes (wall-clock excluded) and, on failure, the
 // identical first error. A failing seed is printed for reproduction: seed
 // RandomNetwork's Rng with it directly.
 TEST(Property, ParallelCompileMatchesSequentialOnRandomNetworks) {
@@ -141,8 +142,8 @@ TEST(Property, ParallelCompileMatchesSequentialOnRandomNetworks) {
           << std::hex << seed;
       continue;
     }
-    EXPECT_EQ(cache::SerializeArtifactForDiff(*a),
-              cache::SerializeArtifactForDiff(*b))
+    EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(*a),
+                        vm::SerializeHabForDiff(*b))
         << "trial " << trial << ": reproduce with RandomNetwork seed 0x"
         << std::hex << seed;
   }

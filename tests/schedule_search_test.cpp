@@ -21,14 +21,15 @@
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/artifact_serialize.hpp"
 #include "compiler/pipeline.hpp"
 #include "dory/schedule_search.hpp"
 #include "dory/tiled_exec.hpp"
+#include "hab_diff.hpp"
 #include "hw/cost_model.hpp"
 #include "models/layer_zoo.hpp"
 #include "models/mlperf_tiny.hpp"
 #include "support/rng.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm::dory {
 namespace {
@@ -295,8 +296,8 @@ TEST(ScheduleSearch, CompileThreadCountDoesNotChangeSearchedArtifact) {
     opt.compile_threads = 8;
     auto par = compiler::HtvmCompiler{opt}.Compile(net);
     ASSERT_TRUE(par.ok()) << par.status().ToString();
-    EXPECT_EQ(cache::SerializeArtifactForDiff(*seq),
-              cache::SerializeArtifactForDiff(*par))
+    EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(*seq),
+                        vm::SerializeHabForDiff(*par))
         << ScheduleSearchKindName(kind);
   }
 }
@@ -327,8 +328,8 @@ TEST(ScheduleSearch, MemoizedSecondCompilePerformsZeroEvaluations) {
   EXPECT_GT(ScheduleSearchStats::Global().memo_hits(), 0);
   EXPECT_GT(cache.stats().schedule_hits, 0);
   // And the memoized schedules produce the same kernels.
-  EXPECT_EQ(cache::SerializeArtifactForDiff(*first),
-            cache::SerializeArtifactForDiff(*second));
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(*first),
+                      vm::SerializeHabForDiff(*second));
 }
 
 // ---------------------------------------------------------------------------

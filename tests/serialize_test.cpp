@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "cache/artifact_serialize.hpp"
-#include "compiler/pipeline.hpp"
-#include "hw/soc.hpp"
 #include "ir/builder.hpp"
 #include "ir/serialize.hpp"
 #include "models/mlperf_tiny.hpp"
@@ -86,65 +83,6 @@ TEST(Serialize, RejectsTruncatedConstant) {
   const std::string text =
       "htvm-graph v1\nconst w int8 1 4 1 2 3\noutput 1 0\n";
   EXPECT_FALSE(DeserializeGraph(text).ok());
-}
-
-TEST(Serialize, ArtifactVersionSkewIsTypedAndSpecific) {
-  // A well-formed header for a future (or past) format version must produce
-  // an Unsupported status naming the version seen — not the generic
-  // "missing header" corruption message.
-  auto future = cache::DeserializeArtifact("htvm-artifact v9\nhw 1 2\n");
-  ASSERT_FALSE(future.ok());
-  EXPECT_EQ(future.status().code(), StatusCode::kUnsupported);
-  EXPECT_NE(future.status().ToString().find("htvm-artifact v9"),
-            std::string::npos);
-  EXPECT_NE(future.status().ToString().find("version skew"),
-            std::string::npos);
-
-  // Garbage that never was an artifact header stays InvalidArgument.
-  auto garbage = cache::DeserializeArtifact("definitely not an artifact");
-  ASSERT_FALSE(garbage.ok());
-  EXPECT_EQ(garbage.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(garbage.status().ToString().find("missing htvm-artifact v1"),
-            std::string::npos);
-}
-
-TEST(Serialize, ArtifactSocNameRoundTripsAndDefaultsToDiana) {
-  GraphBuilder b(3);
-  NodeId x = b.Input("x", Shape{1, 16});
-  const Graph g = b.Finish(b.DenseBlock(x, 4, /*relu=*/true));
-
-  // Default-SoC artifacts serialize with no soc record at all — the text is
-  // byte-identical to what pre-SoC-family writers produced — and soc-less
-  // text loads as "diana".
-  auto diana = compiler::HtvmCompiler{{}}.Compile(g);
-  ASSERT_TRUE(diana.ok());
-  const std::string diana_text = cache::SerializeArtifact(*diana);
-  EXPECT_EQ(diana_text.find("\nsoc "), std::string::npos);
-  auto diana_back = cache::DeserializeArtifact(diana_text);
-  ASSERT_TRUE(diana_back.ok());
-  EXPECT_EQ(diana_back->soc_name, "diana");
-
-  // Non-default SoCs write one soc record after the header and round-trip.
-  compiler::CompileOptions options;
-  options.soc = *hw::FindSoc("diana-l2x2");
-  auto variant = compiler::HtvmCompiler{options}.Compile(g);
-  ASSERT_TRUE(variant.ok());
-  const std::string variant_text = cache::SerializeArtifact(*variant);
-  EXPECT_NE(variant_text.find("soc diana-l2x2\n"), std::string::npos);
-  auto variant_back = cache::DeserializeArtifact(variant_text);
-  ASSERT_TRUE(variant_back.ok()) << variant_back.status().ToString();
-  EXPECT_EQ(variant_back->soc_name, "diana-l2x2");
-  EXPECT_EQ(cache::SerializeArtifact(*variant_back), variant_text);
-
-  // An explicit "soc diana" record is non-canonical (two spellings of the
-  // same artifact would break content addressing) and is rejected.
-  const size_t header_end = diana_text.find('\n') + 1;
-  const std::string non_canonical = diana_text.substr(0, header_end) +
-                                    "soc diana\n" +
-                                    diana_text.substr(header_end);
-  auto rejected = cache::DeserializeArtifact(non_canonical);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/artifact_serialize.hpp"
 #include "cache/cache_key.hpp"
 #include "compiler/pipeline.hpp"
 #include "dory/tiler.hpp"
@@ -66,7 +65,7 @@ models::PrecisionPolicy ConfigPolicy(const std::string& config) {
 // Wall-clock-scrubbed artifact hash: equal iff the artifacts are
 // semantically byte-identical (kernels, schedules, memory plan, hw config).
 u64 DiffHash(const compiler::Artifact& a) {
-  const std::string diff = cache::SerializeArtifactForDiff(a);
+  const std::string diff = vm::SerializeHabForDiff(a);
   return vm::HabChecksum(reinterpret_cast<const u8*>(diff.data()),
                          diff.size());
 }
@@ -191,8 +190,8 @@ TEST(SocFamily, DefaultDianaMatchesPreRefactorGolden) {
   const std::string path =
       std::string(HTVM_GOLDEN_DIR) + "/soc/diana_reference.txt";
   std::string report =
-      "# Pre-refactor (PR 6) DIANA artifact reference: per case, the FNV-1a\n"
-      "# 64 hash of cache::SerializeArtifactForDiff plus summary fields.\n"
+      "# Pre-refactor DIANA artifact reference: per case, the FNV-1a 64 hash\n"
+      "# of vm::SerializeHabForDiff plus summary fields.\n"
       "# Regenerate with: soc_family_test --update-golden\n";
   std::vector<std::string> lines;
   for (const GoldenCase& c : GoldenCases()) {

@@ -21,15 +21,16 @@
 #include <string>
 #include <vector>
 
-#include "cache/artifact_serialize.hpp"
 #include "compiler/emit.hpp"
 #include "compiler/pipeline.hpp"
+#include "hab_diff.hpp"
 #include "hw/soc.hpp"
 #include "models/transformer.hpp"
 #include "nn/interpreter.hpp"
 #include "nn/kernels.hpp"
 #include "runtime/verify.hpp"
 #include "support/rng.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -148,8 +149,8 @@ TEST(TransformerDeterminism, ArtifactIdenticalAcrossCompileThreads) {
   parallel.compile_threads = 4;
   const auto a = MustCompile(net, sequential);
   const auto b = MustCompile(net, parallel);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(a),
-            cache::SerializeArtifactForDiff(b));
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(a),
+                      vm::SerializeHabForDiff(b));
 }
 
 TEST(TransformerDeterminism, OutputsBitExactAcrossScheduleStrategies) {

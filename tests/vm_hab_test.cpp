@@ -4,16 +4,18 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/artifact_serialize.hpp"
 #include "compiler/pipeline.hpp"
+#include "hab_diff.hpp"
 #include "hw/soc.hpp"
 #include "models/mlperf_tiny.hpp"
 #include "runtime/executor.hpp"
 #include "vm/hab.hpp"
+#include "vm/loaded_artifact.hpp"
 #include "vm/vm_executor.hpp"
 
 namespace htvm::vm {
@@ -39,6 +41,10 @@ struct TempDir {
   }
 };
 
+std::span<const u8> AsSpan(const std::string& bytes) {
+  return {reinterpret_cast<const u8*>(bytes.data()), bytes.size()};
+}
+
 compiler::Artifact CompileDsCnn() {
   Graph g = models::BuildDsCnn(models::PrecisionPolicy::kMixed);
   auto artifact = compiler::HtvmCompiler{{}}.Compile(g);
@@ -60,12 +66,12 @@ TEST(Hab, RoundTripIsBitIdentical) {
   EXPECT_EQ(parsed->meta.model_name, "dscnn");
   EXPECT_EQ(parsed->meta.producer, "test");
 
-  // The strongest identity check the repo has: the v1 diff form of the
-  // reparsed artifact matches the original field for field.
-  EXPECT_EQ(cache::SerializeArtifactForDiff(parsed->artifact),
-            cache::SerializeArtifactForDiff(a));
-  // And the binary form itself is deterministic + stable across a cycle.
-  EXPECT_EQ(SerializeHab(parsed->artifact, parsed->meta), bytes);
+  // The reparsed artifact's canonical form matches the original's...
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, SerializeHabForDiff(parsed->artifact),
+                      SerializeHabForDiff(a));
+  // ...and the binary form itself is deterministic + stable across a cycle.
+  EXPECT_PRED_FORMAT2(test::HabBytesEq,
+                      SerializeHab(parsed->artifact, parsed->meta), bytes);
 }
 
 TEST(Hab, SectionTableIsComplete) {
@@ -104,8 +110,31 @@ TEST(Hab, SocIdentityRoundTrips) {
             static_cast<u32>(HabSection::kSoc));
   EXPECT_EQ(parsed->artifact.soc_name, "diana-l1half");
   EXPECT_EQ(SerializeHab(parsed->artifact, parsed->meta), bytes);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(parsed->artifact),
-            cache::SerializeArtifactForDiff(*compiled));
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, SerializeHabForDiff(parsed->artifact),
+                      SerializeHabForDiff(*compiled));
+}
+
+TEST(Hab, RoundTripsAllExampleModels) {
+  // Every MLPerf Tiny model x a heterogeneous and a digital-only config:
+  // parse the image back and re-serialize — the bytes must be identical
+  // (ParseHab also validates the kernel graph).
+  for (const auto& m : models::MlperfTinySuite()) {
+    for (const auto& [cfg, opt] :
+         {std::pair<const char*, compiler::CompileOptions>{
+              "mixed", compiler::CompileOptions{}},
+          {"digital", compiler::CompileOptions::DigitalOnly()}}) {
+      auto compiled = compiler::HtvmCompiler{opt}.Compile(
+          m.build(models::PrecisionPolicy::kMixed));
+      ASSERT_TRUE(compiled.ok()) << m.name << "/" << cfg;
+      const std::string bytes = SerializeHab(*compiled);
+      auto parsed = ParseHab(AsSpan(bytes));
+      ASSERT_TRUE(parsed.ok())
+          << m.name << "/" << cfg << ": " << parsed.status().ToString();
+      EXPECT_PRED_FORMAT2(test::HabBytesEq,
+                          SerializeHab(parsed->artifact, parsed->meta), bytes)
+          << m.name << "/" << cfg;
+    }
+  }
 }
 
 TEST(Hab, FileRoundTripThroughLoader) {
@@ -120,8 +149,8 @@ TEST(Hab, FileRoundTripThroughLoader) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->zero_copy_source());
   EXPECT_GT(loaded->file_bytes(), 0);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(loaded->artifact()),
-            cache::SerializeArtifactForDiff(a));
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, SerializeHabForDiff(loaded->artifact()),
+                      SerializeHabForDiff(a));
 }
 
 TEST(Hab, MissingFileIsNotFound) {
@@ -175,7 +204,7 @@ TEST(Hab, TensorFileRoundTrip) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(Hab, CacheWritesV2AndStillReadsV1) {
+TEST(Hab, CacheWritesHabAndRepairsV1Text) {
   TempDir dir;
   const compiler::Artifact a = CompileDsCnn();
 
@@ -190,17 +219,64 @@ TEST(Hab, CacheWritesV2AndStillReadsV1) {
     EXPECT_TRUE(LooksLikeHab(head));
   }
 
-  // ...and a v1 text file left by an older build still loads (migration).
-  ASSERT_TRUE(cache::SaveArtifact(a, dir.file("model-b.htvmart")).ok());
+  // ...while a v1 text file left by an older build fails the magic check:
+  // it is a miss, and the Store after the recompile replaces it with HAB.
+  std::ofstream(dir.file("model-b.htvmart")) << "htvm-artifact v1\nend\n";
   cache::ArtifactCache reader({.dir = dir.path.string()});
-  auto from_v2 = reader.Lookup("model-a");
-  auto from_v1 = reader.Lookup("model-b");
-  ASSERT_NE(from_v2, nullptr);
-  ASSERT_NE(from_v1, nullptr);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(*from_v2),
-            cache::SerializeArtifactForDiff(a));
-  EXPECT_EQ(cache::SerializeArtifactForDiff(*from_v1),
-            cache::SerializeArtifactForDiff(a));
+  auto from_hab = reader.Lookup("model-a");
+  ASSERT_NE(from_hab, nullptr);
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, SerializeHabForDiff(*from_hab),
+                      SerializeHabForDiff(a));
+  EXPECT_EQ(reader.Lookup("model-b"), nullptr);
+  reader.Store("model-b", a);
+  EXPECT_EQ(reader.stats().disk_writes, 1);
+  auto repaired = LoadedArtifact::FromFile(dir.file("model-b.htvmart"));
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_PRED_FORMAT2(test::HabBytesEq,
+                      SerializeHabForDiff(repaired->artifact()),
+                      SerializeHabForDiff(a));
+}
+
+// A HAB whose kSoc section names "diana", with its checksum fixed up so
+// only the SoC rule can reject it. The writer spells "diana" by omitting
+// the section, so this encoding never comes from a real producer.
+std::string ForgeExplicitDianaSoc() {
+  compiler::Artifact a = CompileDsCnn();
+  a.soc_name = "dianX";  // as long as "diana": the layout is unchanged
+  std::string bytes = SerializeHab(a);
+  auto parsed = ParseHab(AsSpan(bytes));
+  HTVM_CHECK(parsed.ok());
+  for (size_t i = 0; i < parsed->sections.size(); ++i) {
+    const HabSectionInfo& s = parsed->sections[i];
+    if (s.id != static_cast<u32>(HabSection::kSoc)) continue;
+    // Payload: u32 length, then the name bytes.
+    bytes.replace(static_cast<size_t>(s.offset) + 4, 5, "diana");
+    const u64 sum = HabChecksum(AsSpan(bytes).data() + s.offset,
+                                static_cast<size_t>(s.bytes));
+    // Section-table entry: id @0, offset @8, bytes @16, checksum @24.
+    std::memcpy(bytes.data() + kHabHeaderBytes + i * kHabSectionEntryBytes + 24,
+                &sum, sizeof sum);
+  }
+  return bytes;
+}
+
+TEST(Hab, ExplicitDianaSocSectionIsRejected) {
+  // Two encodings of one artifact would break content addressing, so the
+  // non-canonical one is a typed error...
+  const std::string forged = ForgeExplicitDianaSoc();
+  auto parsed = ParseHab(AsSpan(forged));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().ToString().find("non-default SoC"),
+            std::string::npos)
+      << parsed.status().ToString();
+
+  // ...and the same file in a cache dir is a miss, never a crash.
+  TempDir dir;
+  std::ofstream(dir.file("forged.htvmart"), std::ios::binary) << forged;
+  cache::ArtifactCache reader({.dir = dir.path.string()});
+  EXPECT_EQ(reader.Lookup("forged"), nullptr);
+  EXPECT_EQ(reader.stats().misses, 1);
 }
 
 TEST(Hab, CorruptCacheFileDegradesToMiss) {
