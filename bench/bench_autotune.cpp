@@ -1,20 +1,18 @@
 // Schedule-search autotuner evaluation: MLPerf Tiny suite + TinyTransformer
-// x every registered SoC family x {heuristic, beam, evolutionary,
-// graph-beam, graph-evolutionary}.
+// x every registered SoC family x {heuristic, graph-beam}.
 //
-// For each (model, SoC) cell the network is compiled once per strategy and
-// the simulated end-to-end latency (Artifact::TotalFullCycles, the same
-// number Table I reports) is compared against the DORY Eq. 1-5 heuristic
-// baseline. The table reports per-cell deltas plus each strategy's geomean
-// ratio and search cost (cost-model + simulator evaluations). For the
-// graph-level strategies each row also shows the searched-vs-heuristic
-// plan delta: how many adjacent digital pairs the winning GraphPlan fused
-// ("f") and how many dispatch decisions it flipped away from the
-// heuristic partitioning ("c").
+// For each (model, SoC) cell the network is compiled once per kind and the
+// simulated end-to-end latency (Artifact::TotalFullCycles, the same number
+// Table I reports) of graph-beam is compared against the DORY Eq. 1-5
+// heuristic baseline. The table reports per-cell deltas plus the geomean
+// ratio and search cost (cost-model + simulator evaluations). Each row also
+// shows the searched-vs-heuristic plan delta: how many adjacent digital
+// pairs the winning GraphPlan fused ("f") and how many dispatch decisions
+// it flipped away from the heuristic partitioning ("c").
 //
-// `--check` is the CI contract: every cost-guided strategy must match or
-// beat the heuristic on EVERY cell (they always include the heuristic pick
-// as a finalist, so a regression means the argmin tie-breaking broke).
+// `--check` is the CI contract: graph-beam must match or beat the
+// heuristic on EVERY cell (it always includes the heuristic pick and plan
+// as finalists, so a regression means the argmin tie-breaking broke).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -33,20 +31,12 @@
 namespace htvm {
 namespace {
 
-constexpr dory::ScheduleSearchKind kSearched[] = {
-    dory::ScheduleSearchKind::kBeam,
-    dory::ScheduleSearchKind::kEvolutionary,
-    dory::ScheduleSearchKind::kGraphBeam,
-    dory::ScheduleSearchKind::kGraphEvolutionary,
-};
-constexpr int kNumSearched = 4;
-
 struct StrategyRun {
   i64 full_cycles = 0;
   i64 cost_model_evals = 0;
   i64 simulator_evals = 0;
-  // Graph-level strategies only: the winning plan's delta against the
-  // heuristic plan for the same cell.
+  // The winning plan's delta against the heuristic plan for the same cell
+  // (absent for the heuristic run itself).
   bool has_plan = false;
   i64 plan_fused = 0;      // fused pairs (heuristic never fuses)
   i64 plan_cpu_flips = 0;  // dispatch decisions changed vs heuristic
@@ -89,14 +79,13 @@ int Run(bool check) {
                                             /*d_model=*/32, /*seq_len=*/16));
 
   bench::PrintHeader("schedule-search autotuner vs DORY heuristic");
-  std::printf("%-10s %-14s %14s %12s %12s %16s %16s\n", "model", "soc",
-              "heuristic", "beam", "evolution", "graph-beam", "graph-evo");
-  bench::PrintRule(100);
+  std::printf("%-10s %-14s %14s %16s\n", "model", "soc", "heuristic",
+              "graph-beam");
+  bench::PrintRule(60);
 
-  // Per-strategy accumulators across all cells.
-  double log_ratio_sum[kNumSearched] = {};
-  i64 evals[kNumSearched] = {};
-  i64 sim_evals[kNumSearched] = {};
+  double log_ratio_sum = 0.0;
+  i64 evals = 0;
+  i64 sim_evals = 0;
   int cells = 0;
   int regressions = 0;
 
@@ -110,54 +99,43 @@ int Run(bool check) {
       HTVM_CHECK_MSG(heuristic_plan.ok(), "heuristic plan extraction failed");
       const StrategyRun base = CompileWith(
           net, soc, dory::ScheduleSearchKind::kHeuristic, *heuristic_plan);
-      StrategyRun searched[kNumSearched];
-      for (int s = 0; s < kNumSearched; ++s) {
-        searched[s] = CompileWith(net, soc, kSearched[s], *heuristic_plan);
-        log_ratio_sum[s] +=
-            std::log(static_cast<double>(searched[s].full_cycles) /
-                     static_cast<double>(base.full_cycles));
-        evals[s] += searched[s].cost_model_evals;
-        sim_evals[s] += searched[s].simulator_evals;
-        if (searched[s].full_cycles > base.full_cycles) {
-          ++regressions;
-          std::printf("REGRESSION: %s on %s: %s %lld > heuristic %lld\n",
-                      name.c_str(), soc_name.c_str(),
-                      dory::ScheduleSearchKindName(kSearched[s]),
-                      static_cast<long long>(searched[s].full_cycles),
-                      static_cast<long long>(base.full_cycles));
-        }
+      const StrategyRun searched = CompileWith(
+          net, soc, dory::ScheduleSearchKind::kGraphBeam, *heuristic_plan);
+      log_ratio_sum += std::log(static_cast<double>(searched.full_cycles) /
+                                static_cast<double>(base.full_cycles));
+      evals += searched.cost_model_evals;
+      sim_evals += searched.simulator_evals;
+      if (searched.full_cycles > base.full_cycles) {
+        ++regressions;
+        std::printf("REGRESSION: %s on %s: graph-beam %lld > heuristic %lld\n",
+                    name.c_str(), soc_name.c_str(),
+                    static_cast<long long>(searched.full_cycles),
+                    static_cast<long long>(base.full_cycles));
       }
       ++cells;
-      const auto delta_pct = [&](const StrategyRun& r) {
-        return 100.0 * (static_cast<double>(r.full_cycles) /
-                            static_cast<double>(base.full_cycles) -
-                        1.0);
-      };
-      const auto plan_delta = [](const StrategyRun& r) -> std::string {
-        if (!r.has_plan) return "-";
-        return StrFormat("f%lldc%lld", static_cast<long long>(r.plan_fused),
-                         static_cast<long long>(r.plan_cpu_flips));
-      };
-      std::printf(
-          "%-10s %-14s %14lld %+7.2f%% %+7.2f%% %+7.2f%% %-7s %+7.2f%% %-7s\n",
-          name.c_str(), soc_name.c_str(),
-          static_cast<long long>(base.full_cycles), delta_pct(searched[0]),
-          delta_pct(searched[1]), delta_pct(searched[2]),
-          plan_delta(searched[2]).c_str(), delta_pct(searched[3]),
-          plan_delta(searched[3]).c_str());
+      const double delta_pct =
+          100.0 * (static_cast<double>(searched.full_cycles) /
+                       static_cast<double>(base.full_cycles) -
+                   1.0);
+      const std::string plan_delta =
+          searched.has_plan
+              ? StrFormat("f%lldc%lld",
+                          static_cast<long long>(searched.plan_fused),
+                          static_cast<long long>(searched.plan_cpu_flips))
+              : "-";
+      std::printf("%-10s %-14s %14lld %+7.2f%% %-7s\n", name.c_str(),
+                  soc_name.c_str(), static_cast<long long>(base.full_cycles),
+                  delta_pct, plan_delta.c_str());
     }
   }
 
-  bench::PrintRule(100);
-  for (int s = 0; s < kNumSearched; ++s) {
-    const double geomean = std::exp(log_ratio_sum[s] / cells);
-    std::printf(
-        "%-18s geomean latency ratio %.4f (%+.2f%%) over %d cells | "
-        "%lld cost-model + %lld simulator evals\n",
-        dory::ScheduleSearchKindName(kSearched[s]), geomean,
-        100.0 * (geomean - 1.0), cells, static_cast<long long>(evals[s]),
-        static_cast<long long>(sim_evals[s]));
-  }
+  bench::PrintRule(60);
+  const double geomean = std::exp(log_ratio_sum / cells);
+  std::printf(
+      "graph-beam geomean latency ratio %.4f (%+.2f%%) over %d cells | "
+      "%lld cost-model + %lld simulator evals\n",
+      geomean, 100.0 * (geomean - 1.0), cells, static_cast<long long>(evals),
+      static_cast<long long>(sim_evals));
 
   if (check) {
     if (regressions > 0) {
@@ -167,7 +145,7 @@ int Run(bool check) {
                    regressions);
       return 1;
     }
-    std::printf("check: searched <= heuristic on all %d model x SoC cells\n",
+    std::printf("check: graph-beam <= heuristic on all %d model x SoC cells\n",
                 cells);
   }
   return 0;

@@ -17,7 +17,7 @@
 //
 // `--search` accounts the cost of the cost-guided schedule search
 // (docs/schedule_search.md): compile wall time and cost-model/simulator
-// evaluation counts per strategy vs the free heuristic, on every MLPerf
+// evaluation counts of graph-beam vs the free heuristic, on every MLPerf
 // Tiny model.
 #include <benchmark/benchmark.h>
 
@@ -186,16 +186,15 @@ int RunThreadsSweep() {
 }
 
 // `--search`: how much compile time the cost-guided schedule search adds.
-// Each MLPerf Tiny model is compiled per strategy (best of kReps wall
-// times) with the per-strategy evaluation counters from
+// Each MLPerf Tiny model is compiled per kind (best of kReps wall times)
+// with the per-kind evaluation counters from
 // dory::ScheduleSearchStats, so "search cost" is reported both in wall
 // milliseconds and in cost-model/simulator evaluations.
 int RunSearchCost() {
   constexpr int kReps = 3;
   const dory::ScheduleSearchKind kinds[] = {
       dory::ScheduleSearchKind::kHeuristic,
-      dory::ScheduleSearchKind::kBeam,
-      dory::ScheduleSearchKind::kEvolutionary,
+      dory::ScheduleSearchKind::kGraphBeam,
   };
   std::printf("schedule-search compile cost (digital config, best of %d)\n",
               kReps);
@@ -203,7 +202,7 @@ int RunSearchCost() {
               "compile[ms]", "vs heur", "cm evals", "sim evals");
   for (const auto& model : models::MlperfTinySuite()) {
     // Digital-only: every offloaded layer actually tiles (analog layers
-    // mostly take the untiled fast path, which no strategy searches).
+    // mostly take the untiled fast path, which no search kind searches).
     const Graph net = model.build(models::PrecisionPolicy::kInt8);
     double heuristic_ms = 0.0;
     for (dory::ScheduleSearchKind kind : kinds) {

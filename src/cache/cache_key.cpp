@@ -7,14 +7,16 @@ namespace {
 // fingerprint. The geometry (HashHwConfig) was always hashed, but two
 // registered SoCs with identical geometry would previously collide on one
 // entry — and a wrong-SoC artifact would be served as a hit.
-// v3: schedule-search options joined (kind + beam/evolutionary knobs) — a
+// v3: schedule-search options joined (kind + per-strategy knobs) — a
 // cost-guided-search artifact carries different tile schedules than the
 // heuristic one, so the two must never cross-hit.
-// v4: graph-level search joined (plan_finalists knob; the kind enum grew
-// graph-beam/graph-evolutionary) — a graph-planned artifact carries a
+// v4: graph-level search joined (plan-finalist knob; the kind enum grew
+// graph-level kinds) — a graph-planned artifact carries a
 // different partitioning (fusions, dispatch flips) than a tile-only-tuned
 // one, and the searched GraphPlan is memoized next to the TileSolutions.
-constexpr u64 kOptionsFingerprintVersion = 4;
+// v5: the hashed search fields shrank to the kind alone (the search knobs
+// became constants; only heuristic and graph-beam remain).
+constexpr u64 kOptionsFingerprintVersion = 5;
 
 void HashDmaConfig(ir::Hasher& h, const hw::DmaConfig& c) {
   h.Add(c.setup_cycles).Add(c.bytes_per_cycle).Add(c.row_setup_cycles);
@@ -76,13 +78,7 @@ void HashTilerOptions(ir::Hasher& h, const dory::TilerOptions& t) {
 }
 
 void HashScheduleSearch(ir::Hasher& h, const dory::ScheduleSearchOptions& s) {
-  h.Add(static_cast<i64>(s.kind))
-      .Add(s.beam_width)
-      .Add(s.population)
-      .Add(s.generations)
-      .Add(s.elites)
-      .Add(s.seed)
-      .Add(s.plan_finalists);
+  h.Add(static_cast<i64>(s.kind));
   // eval_lanes is absent for the same reason compile_threads is: the
   // evaluation fan-out never changes which schedule wins (deterministic
   // argmin over a fixed finalist list).

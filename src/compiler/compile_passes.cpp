@@ -54,7 +54,7 @@ class ConstantFoldPass final : public Pass {
 
 // Accelerator-aware dispatch (Sec. III-A): matched chains become composite
 // nodes annotated with their target; decisions land in the dispatch log.
-// With a graph-level search kind the fixed-priority partitioning becomes
+// With graph-beam search the fixed-priority partitioning becomes
 // the *heuristic plan* of a fusion/dispatch search (plan_search.hpp): the
 // searched GraphPlan retargets composites and merges depth-first pairs,
 // and is recorded in the artifact so the cache, the serializers, and
@@ -73,7 +73,8 @@ class PartitionGraphPass final : public Pass {
         state.options.dispatch, state.options.soc, state.options.tiler,
         &state.artifact.dispatch_log);
     state.graph = PartitionGraph(state.graph, rules);
-    if (!dory::IsGraphSearchKind(state.options.schedule_search.kind)) {
+    if (state.options.schedule_search.kind !=
+        dory::ScheduleSearchKind::kGraphBeam) {
       return Status::Ok();
     }
 

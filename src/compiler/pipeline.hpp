@@ -50,9 +50,10 @@ struct CompileOptions {
   dory::TilerOptions tiler;
   // How CompileKernels picks each accelerator layer's tile schedule
   // (docs/schedule_search.md): the default `heuristic` is the DORY Eq. 1-5
-  // picker, byte-identical to pre-framework artifacts; `beam` and
-  // `evolutionary` search the feasible candidates with hw::CostModel
-  // scoring + simulator validation. Part of cache::OptionsFingerprint —
+  // picker, byte-identical to pre-framework artifacts; `graph-beam`
+  // searches the feasible candidates with hw::CostModel scoring +
+  // simulator validation, and the fusion/dispatch plan one level up
+  // (compiler/plan_search.hpp). Part of cache::OptionsFingerprint —
   // tuned and heuristic artifacts never share a cache entry. Winning
   // per-layer schedules are additionally memoized through
   // ArtifactCacheHook::{Lookup,Store}Schedule, so re-tuning a seen layer

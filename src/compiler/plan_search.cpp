@@ -11,13 +11,16 @@
 #include "ir/passes.hpp"
 #include "ir/structural_hash.hpp"
 #include "nn/interpreter.hpp"
-#include "support/rng.hpp"
 #include "tvmgen/cost_model.hpp"
 
 namespace htvm::compiler {
 namespace {
 
 constexpr const char* kFusedCompositeName = "diana.fused2";
+
+// Distinct candidate GraphPlans (beyond the always-included heuristic
+// plan) graduated to exact composite-chain scoring.
+constexpr size_t kPlanFinalists = 4;
 
 // A candidate decision vector, one entry per unit.
 enum class Choice : u8 {
@@ -27,35 +30,6 @@ enum class Choice : u8 {
   kFuseFollow = 3  // absorbed into the previous unit's fused kernel
 };
 using ChoiceVec = std::vector<Choice>;
-
-// Screening cost (the hw::CostModel composite-chain view): exact per-unit
-// cycles for the chosen decision, plus the L2 transfer of every fusable
-// boundary the candidate left unfused. Graduation (PlanChainCycles) drops
-// the boundary terms — per-unit full cycles already internalize their own
-// DMA — so the winner is argmin of the metric the artifact reports.
-i64 ScreeningCost(const std::vector<PlanUnit>& units, const ChoiceVec& c,
-                  const hw::CostModel& cost) {
-  i64 total = 0;
-  for (size_t i = 0; i < units.size(); ++i) {
-    switch (c[i]) {
-      case Choice::kKeep:
-        total += units[i].keep_cycles;
-        break;
-      case Choice::kCpu:
-        total += units[i].cpu_cycles;
-        break;
-      case Choice::kFuseLead:
-        total += units[i].fused_cycles;
-        break;
-      case Choice::kFuseFollow:
-        break;  // charged on the leader
-    }
-    if (units[i].fusable_with_next && c[i] != Choice::kFuseLead) {
-      total += cost.L2TransferCycles(units[i].boundary_bytes);
-    }
-  }
-  return total;
-}
 
 dory::GraphPlan PlanFromChoices(const std::vector<PlanUnit>& units,
                                 const ChoiceVec& c,
@@ -75,17 +49,22 @@ dory::GraphPlan PlanFromChoices(const std::vector<PlanUnit>& units,
 
 // Deterministic beam over the unit sequence: at unit i every surviving
 // partial vector branches into keep / cpu-flip / fuse-with-next (where
-// legal), scored incrementally by the screening cost; ties break on the
-// lexicographically smallest decision vector, so the result is independent
-// of container iteration order and thread count.
+// legal), scored incrementally by the screening cost (the hw::CostModel
+// composite-chain view: exact per-unit cycles for the chosen decision,
+// plus the L2 transfer of every fusable boundary left unfused). Ties break
+// on the lexicographically smallest decision vector, so the result is
+// independent of container iteration order and thread count. Graduation
+// (PlanChainCycles) drops the boundary terms — per-unit full cycles
+// already internalize their own DMA — so the winner is argmin of the
+// metric the artifact reports.
 std::vector<ChoiceVec> BeamPlanCandidates(const std::vector<PlanUnit>& units,
                                           const hw::CostModel& cost,
-                                          int beam_width, i64* scored) {
+                                          i64* scored) {
   struct State {
     i64 cost = 0;
     ChoiceVec choices;
   };
-  const size_t width = static_cast<size_t>(std::max(1, beam_width));
+  constexpr size_t width = size_t{dory::kBeamWidth};
   std::vector<State> beam{State{}};
   for (size_t i = 0; i < units.size(); ++i) {
     std::vector<State> next;
@@ -126,101 +105,6 @@ std::vector<ChoiceVec> BeamPlanCandidates(const std::vector<PlanUnit>& units,
   std::vector<ChoiceVec> out;
   out.reserve(beam.size());
   for (State& s : beam) out.push_back(std::move(s.choices));
-  return out;
-}
-
-// Repairs an arbitrary (flip, fuse) bit pair into a legal decision vector:
-// flips only on searchable units, fuse bits only on fusable boundaries
-// whose two sides stayed digital, no overlapping pairs (first-wins, in
-// unit order — deterministic).
-ChoiceVec RepairedChoices(const std::vector<PlanUnit>& units,
-                          const std::vector<bool>& flip,
-                          const std::vector<bool>& fuse) {
-  const size_t n = units.size();
-  ChoiceVec c(n, Choice::kKeep);
-  for (size_t i = 0; i < n; ++i) {
-    if (flip[i] && units[i].searchable_cpu) c[i] = Choice::kCpu;
-  }
-  for (size_t i = 0; i + 1 < n; ++i) {
-    if (!fuse[i] || !units[i].fusable_with_next) continue;
-    if (c[i] != Choice::kKeep || c[i + 1] != Choice::kKeep) continue;
-    c[i] = Choice::kFuseLead;
-    c[i + 1] = Choice::kFuseFollow;
-    ++i;  // pairs cannot overlap
-  }
-  return c;
-}
-
-// Seeded genetic search over the flip/fuse bitvectors. The population is
-// screened with the chain cost; elites graduate. Seeded per problem (plan
-// fingerprint of the heuristic plan x search seed), so the result is
-// deterministic and independent of where the compile runs.
-std::vector<ChoiceVec> EvolutionaryPlanCandidates(
-    const std::vector<PlanUnit>& units, const hw::CostModel& cost,
-    const dory::ScheduleSearchOptions& search, u64 problem_seed, i64* scored) {
-  const size_t n = units.size();
-  struct Genome {
-    std::vector<bool> flip, fuse;
-    ChoiceVec choices;
-    i64 cost = 0;
-  };
-  Rng rng(search.seed ^ problem_seed);
-  const auto materialize = [&](Genome& g) {
-    g.choices = RepairedChoices(units, g.flip, g.fuse);
-    g.cost = ScreeningCost(units, g.choices, cost);
-    ++*scored;
-  };
-  const size_t pop_size = static_cast<size_t>(std::max(4, search.population));
-  std::vector<Genome> pop(pop_size);
-  for (size_t p = 0; p < pop_size; ++p) {
-    pop[p].flip.resize(n);
-    pop[p].fuse.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      // The first genome is the heuristic identity plan.
-      pop[p].flip[i] = p > 0 && (rng.NextU64() & 3) == 0;
-      pop[p].fuse[i] = p > 0 && (rng.NextU64() & 1) == 0;
-    }
-    materialize(pop[p]);
-  }
-  const auto by_fitness = [](const Genome& a, const Genome& b) {
-    return a.cost != b.cost ? a.cost < b.cost : a.choices < b.choices;
-  };
-  const int generations = std::max(1, search.generations);
-  const size_t elites =
-      std::min(pop_size, static_cast<size_t>(std::max(1, search.elites)));
-  for (int gen = 0; gen < generations; ++gen) {
-    std::sort(pop.begin(), pop.end(), by_fitness);
-    std::vector<Genome> next(pop.begin(),
-                             pop.begin() + static_cast<std::ptrdiff_t>(elites));
-    while (next.size() < pop_size) {
-      const Genome& pa = pop[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<i64>(elites) - 1))];
-      const Genome& pb = pop[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<i64>(pop.size()) - 1))];
-      Genome child;
-      child.flip.resize(n);
-      child.fuse.resize(n);
-      for (size_t i = 0; i < n; ++i) {  // uniform crossover
-        child.flip[i] = (rng.NextU64() & 1) ? pa.flip[i] : pb.flip[i];
-        child.fuse[i] = (rng.NextU64() & 1) ? pa.fuse[i] : pb.fuse[i];
-      }
-      if (n > 0 && rng.UniformDouble() < 0.6) {  // point mutation
-        const size_t at =
-            static_cast<size_t>(rng.UniformInt(0, static_cast<i64>(n) - 1));
-        if (rng.NextU64() & 1) {
-          child.flip[at] = !child.flip[at];
-        } else {
-          child.fuse[at] = !child.fuse[at];
-        }
-      }
-      materialize(child);
-      next.push_back(std::move(child));
-    }
-    pop = std::move(next);
-  }
-  std::sort(pop.begin(), pop.end(), by_fitness);
-  std::vector<ChoiceVec> out;
-  for (Genome& g : pop) out.push_back(std::move(g.choices));
   return out;
 }
 
@@ -341,26 +225,20 @@ bool PlanMatchesUnits(const dory::GraphPlan& plan,
 
 Result<dory::GraphPlan> SearchGraphPlan(const std::vector<PlanUnit>& units,
                                         const CompileOptions& options) {
-  const dory::ScheduleSearchOptions& search = options.schedule_search;
   const hw::CostModel cost(options.soc.config);
   const std::string& soc_name = options.soc.name;
   const dory::GraphPlan heuristic = HeuristicPlanForUnits(units, soc_name);
 
   i64 scored = 0;
-  std::vector<ChoiceVec> candidates =
-      search.kind == dory::ScheduleSearchKind::kGraphEvolutionary
-          ? EvolutionaryPlanCandidates(units, cost, search,
-                                       heuristic.Fingerprint(), &scored)
-          : BeamPlanCandidates(units, cost, search.beam_width, &scored);
+  const std::vector<ChoiceVec> candidates =
+      BeamPlanCandidates(units, cost, &scored);
   dory::ScheduleSearchStats::Global().RecordCostEvals(scored);
 
   // Finalists: the heuristic plan always leads; then the screening-best
-  // distinct candidates, up to plan_finalists.
+  // distinct candidates, up to kPlanFinalists.
   std::vector<dory::GraphPlan> finalists{heuristic};
-  const size_t cap =
-      1 + static_cast<size_t>(std::max(1, search.plan_finalists));
   for (const ChoiceVec& c : candidates) {
-    if (finalists.size() >= cap) break;
+    if (finalists.size() > kPlanFinalists) break;
     dory::GraphPlan plan = PlanFromChoices(units, c, soc_name);
     if (std::find(finalists.begin(), finalists.end(), plan) !=
         finalists.end()) {

@@ -12,13 +12,13 @@
 //                             per-decision costs pre-simulated (heuristic
 //                             tile schedule / CPU cost model / depth-first
 //                             fused schedule)
-//     -> SearchGraphPlan      beam or evolutionary search over the
-//                             decision vector, screened by the
-//                             hw::CostModel composite-chain cost (unit
-//                             cycles + inter-composite L2 transfer terms),
-//                             finalists graduated to the exact chain sum —
-//                             the heuristic plan always graduates first,
-//                             so the winner matches-or-beats it
+//     -> SearchGraphPlan      beam search over the decision vector,
+//                             screened by the hw::CostModel composite-
+//                             chain cost (unit cycles + inter-composite
+//                             L2 transfer terms), finalists graduated to
+//                             the exact chain sum — the heuristic plan
+//                             always graduates first, so the winner
+//                             matches-or-beats it
 //     -> ApplyGraphPlan       graph surgery: retarget flipped composites,
 //                             merge fused pairs into "diana.fused2"
 //                             composites
@@ -77,10 +77,10 @@ Result<std::vector<PlanUnit>> ExtractPlanUnits(const Graph& partitioned,
 dory::GraphPlan HeuristicPlanForUnits(const std::vector<PlanUnit>& units,
                                       const std::string& soc_name);
 
-// Beam (kGraphBeam) or evolutionary (kGraphEvolutionary) search over the
-// decision vector. Deterministic in (units, options) — independent of
-// compile-thread count. Returns the graduated winner; never worse than the
-// heuristic plan on the exact chain cost.
+// Beam search (kGraphBeam) over the decision vector. Deterministic in
+// (units, options) — independent of compile-thread count. Returns the
+// graduated winner; never worse than the heuristic plan on the exact chain
+// cost.
 Result<dory::GraphPlan> SearchGraphPlan(const std::vector<PlanUnit>& units,
                                         const CompileOptions& options);
 

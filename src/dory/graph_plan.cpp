@@ -112,25 +112,6 @@ Result<GraphPlan> GraphPlan::Deserialize(std::string_view text) {
   return plan;
 }
 
-u64 GraphPlan::Fingerprint() const {
-  u64 h = 14695981039346656037ull;
-  const auto fold = [&h](std::string_view s) {
-    for (const char c : s) {
-      h ^= static_cast<u8>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= 0xff;  // delimiter
-    h *= 1099511628211ull;
-  };
-  fold(soc_name);
-  for (const PlanDecision& d : decisions) {
-    fold(d.pattern);
-    fold(d.target);
-    fold(d.fuse_with_next ? "1" : "0");
-  }
-  return h;
-}
-
 i64 GraphPlan::FusedPairs() const {
   i64 n = 0;
   for (const PlanDecision& d : decisions) n += d.fuse_with_next ? 1 : 0;

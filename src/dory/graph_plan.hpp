@@ -65,10 +65,6 @@ struct GraphPlan {
   // corrupted HAB plan sections (fuzz-tested).
   static Result<GraphPlan> Deserialize(std::string_view text);
 
-  // FNV-1a 64 over the full decision vector; seeds the evolutionary plan
-  // search and keys diagnostics.
-  u64 Fingerprint() const;
-
   i64 FusedPairs() const;
   i64 CpuDecisions() const;
 };

@@ -1,34 +1,28 @@
-// Pluggable schedule search over the DORY tile-candidate space
+// Schedule search over the DORY tile-candidate space
 // (docs/schedule_search.md; the TVM autotuning direction of PAPERS.md).
 //
-// The tiler (dory/tiler.hpp) now exposes its three layers — untiled fast
-// path, feasible-candidate enumerator, Eq. 1-5 heuristic picker — and a
-// ScheduleSearch strategy decides which feasible candidate a layer deploys:
+// The tiler (dory/tiler.hpp) exposes its three layers — untiled fast path,
+// feasible-candidate enumerator, Eq. 1-5 heuristic picker — and the search
+// kind decides which feasible candidate a layer deploys:
 //
-//   heuristic     the DORY Eq. 1-5 picker, byte-identical to the legacy
-//                 SolveTiling (the default; golden artifacts are pinned on
-//                 this path, and it performs zero cost evaluations);
-//   beam          score every candidate with the O(1) hw::CostModel, keep
-//                 the best `beam_width`, evaluate the shortlist (plus the
-//                 heuristic pick) on the ground-truth DIANA simulator and
-//                 deploy the fastest;
-//   evolutionary  a seeded genetic search over the 4-D tile-shape space
-//                 (per-axis mutation + uniform crossover with feasibility
-//                 repair), elites graduated to the simulator.
+//   heuristic   the DORY Eq. 1-5 picker, byte-identical to the legacy
+//               SolveTiling (the default; golden artifacts are pinned on
+//               this path, and it performs zero cost evaluations);
+//   graph-beam  score every candidate with the O(1) hw::CostModel, keep
+//               the best kBeamWidth, evaluate the shortlist (plus the
+//               heuristic pick) on the ground-truth DIANA simulator and
+//               deploy the fastest — and, one level up, beam-search the
+//               fusion/dispatch plan (compiler/plan_search.hpp).
 //
-// Both cost-guided strategies always simulator-evaluate the heuristic pick
-// too, so a searched schedule is never slower than the heuristic one on
-// the simulated latency the benches report (`bench_autotune --check`).
-// Simulator evaluations fan out on SharedCompilePool; every strategy is
-// deterministic in (layer, options) — independent of thread count and,
-// for `evolutionary`, seeded per layer so results do not depend on the
-// order layers are searched in.
+// graph-beam always simulator-evaluates the heuristic pick too, so a
+// searched schedule is never slower than the heuristic one on the
+// simulated latency the benches report (`bench_autotune --check`).
+// Simulator evaluations fan out on SharedCompilePool; the search is
+// deterministic in (layer, options), independent of thread count.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <string_view>
-#include <vector>
 
 #include "dory/schedule.hpp"
 
@@ -36,45 +30,27 @@ namespace htvm::dory {
 
 enum class ScheduleSearchKind : u8 {
   kHeuristic = 0,
-  kBeam = 1,
-  kEvolutionary = 2,
-  // Graph-level search (docs/schedule_search.md "Graph-level search"): on
-  // top of per-layer tile tuning, search depth-first fusion pairings and
-  // per-composite dispatch (compiler/plan_search.hpp). graph-beam tunes
-  // tiles with the beam strategy, graph-evolutionary with the evolutionary
-  // one, so per-layer schedules keep the match-or-beat property.
-  kGraphBeam = 3,
-  kGraphEvolutionary = 4,
+  // Per-layer tile beam plus the graph-level search over depth-first
+  // fusion pairings and per-composite dispatch (docs/schedule_search.md
+  // "Graph-level search").
+  kGraphBeam = 1,
 };
 
-// True for the kinds that additionally search fusion/dispatch plans.
-bool IsGraphSearchKind(ScheduleSearchKind kind);
+// Width of both beams: cost-model-ranked tile candidates graduated to the
+// simulator per layer, and partial decision vectors kept per unit by the
+// plan search.
+inline constexpr int kBeamWidth = 8;
 
 const char* ScheduleSearchKindName(ScheduleSearchKind kind);
-// Parses "heuristic" | "beam" | "evolutionary" | "graph-beam" |
-// "graph-evolutionary"; InvalidArgument (listing the valid names)
-// otherwise.
+// Parses "heuristic" | "graph-beam"; InvalidArgument (listing the valid
+// names) otherwise.
 Result<ScheduleSearchKind> ParseScheduleSearchKind(std::string_view name);
 
 struct ScheduleSearchOptions {
   ScheduleSearchKind kind = ScheduleSearchKind::kHeuristic;
-  // Beam: cost-model-ranked candidates graduated to simulator evaluation.
-  int beam_width = 8;
-  // Evolutionary knobs: population per generation, generations, and the
-  // elite count graduated to the simulator at the end.
-  int population = 24;
-  int generations = 8;
-  int elites = 6;
-  // Base seed of the evolutionary RNG; XORed with a per-layer fingerprint
-  // so a layer's search is independent of its position in the network.
-  u64 seed = 0x5EEDull;
   // Concurrent simulator evaluations per layer (nested ParallelFor on
   // SharedCompilePool; 1 = inline).
   int eval_lanes = 4;
-  // Graph-level kinds: how many distinct candidate GraphPlans (beyond the
-  // always-included heuristic plan) graduate to exact composite-chain
-  // scoring (compiler/plan_search.hpp).
-  int plan_finalists = 4;
 };
 
 // Process-wide search-effort counters (reset by tests/benches; reported by
@@ -104,27 +80,11 @@ class ScheduleSearchStats {
   std::atomic<i64> layers_searched_{0};
 };
 
-// One search strategy: picks the candidate to deploy from a non-empty
-// feasible set. Implementations must be deterministic functions of their
-// arguments and safe to call concurrently (the parallel CompileKernels
-// lanes share one instance per compile).
-class ScheduleSearch {
- public:
-  virtual ~ScheduleSearch() = default;
-  virtual ScheduleSearchKind kind() const = 0;
-  virtual Result<TileSolution> Select(
-      const AccelLayerSpec& spec, const hw::DianaConfig& cfg,
-      AccelTarget target, const TilerOptions& tiler,
-      const ScheduleSearchOptions& search,
-      const std::vector<TileSolution>& candidates) const = 0;
-};
-
-std::unique_ptr<ScheduleSearch> MakeScheduleSearch(ScheduleSearchKind kind);
-
-// The search-aware BuildSchedule: untiled fast path first (all strategies
-// take it unconditionally), then the configured strategy over the feasible
-// candidates, then the full simulator schedule of the winner. With the
-// default heuristic kind this is byte-for-byte BuildSchedule.
+// The search-aware BuildSchedule: untiled fast path first (both kinds
+// take it unconditionally), then the heuristic pick or the beam selection
+// over the feasible candidates, then the full simulator schedule of the
+// winner. With the default heuristic kind this is byte-for-byte
+// BuildSchedule.
 Result<AccelSchedule> SearchSchedule(const AccelLayerSpec& spec,
                                      const hw::DianaConfig& cfg,
                                      AccelTarget target,
@@ -132,8 +92,8 @@ Result<AccelSchedule> SearchSchedule(const AccelLayerSpec& spec,
                                      const ScheduleSearchOptions& search);
 
 // Deterministic identity of one layer search problem: layer geometry x
-// target x tiler knobs x search knobs. XORs into the evolutionary seed and
-// keys the schedule memo (with the SoC fingerprint joined by the caller).
+// target x tiler knobs x search kind. Keys the schedule and plan memos
+// (with the SoC fingerprint joined by the caller).
 u64 ScheduleSearchProblemFingerprint(const AccelLayerSpec& spec,
                                      AccelTarget target,
                                      const TilerOptions& tiler,

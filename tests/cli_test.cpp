@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ir/builder.hpp"
 #include "ir/serialize.hpp"
@@ -142,6 +145,24 @@ TEST(Cli, BadL1ValueFails) {
   std::string out;
   EXPECT_NE(RunTool("--model resnet --l1 0", &out), 0);
   EXPECT_NE(ReadAll(out).find("bad --l1 value"), std::string::npos);
+}
+
+// A numeric flag value must parse whole: trailing junk or a non-number is
+// the typed "bad --<flag> value" error, never a silently truncated prefix
+// (atoi("12abc") == 12) or 0.
+using FlagValues = std::vector<std::pair<std::string, std::string>>;
+
+TEST(Cli, NumericFlagsRejectPartialNumbers) {
+  if (!ToolExists()) GTEST_SKIP();
+  for (const auto& [flag, v] :
+       FlagValues{{"--input-seed", "abc"}, {"--l1", "12abc"},
+                  {"--compile-threads", "2x"}, {"--compile-threads", "-1"}}) {
+    std::string out;
+    EXPECT_NE(RunTool("--model dscnn " + flag + " " + v, &out), 0) << flag;
+    EXPECT_NE(ReadAll(out).find("INVALID_ARGUMENT: bad " + flag + " value"),
+              std::string::npos)
+        << flag << " " << v;
+  }
 }
 
 TEST(Cli, L1OverrideChangesTiling) {
@@ -360,6 +381,41 @@ TEST(ServeCli, HeterogeneousFleetServesWithPerKindMetrics) {
   EXPECT_NE(text.find("\"kind\": \"diana-pe32\""), std::string::npos);
   EXPECT_NE(text.find("\"cache_by_kind\""), std::string::npos);
   EXPECT_NE(text.find("\"output_mismatches\": 0"), std::string::npos);
+}
+
+TEST(ServeCli, NumericFlagsRejectPartialNumbers) {
+  if (!BinaryExists(kServeTool)) GTEST_SKIP();
+  for (const auto& [flag, v] :
+       FlagValues{{"--seed", "abc"}, {"--qps", "10x"}, {"--duration-s", "1s"},
+                  {"--queue-cap", "4.5"}, {"--batch", "2b"},
+                  {"--threads", "t"}, {"--compile-threads", "2x"},
+                  {"--crash-frac", "0.3z"}, {"--transient-rate", "nan"},
+                  {"--slow-frac", "2"}}) {
+    std::string out;
+    EXPECT_NE(RunServe("--model dscnn " + flag + " " + v, &out,
+                       "/serve_badnum.txt"),
+              0)
+        << flag;
+    EXPECT_NE(ReadAll(out).find("bad " + flag + " value"), std::string::npos)
+        << flag << " " << v;
+  }
+  std::string out;
+  EXPECT_NE(RunServe("--model dscnn --fleet diana:2x", &out,
+                     "/serve_badnum.txt"),
+            0);
+  EXPECT_NE(ReadAll(out).find("bad --fleet count in 'diana:2x'"),
+            std::string::npos);
+}
+
+TEST(RunCli, InputSeedRejectsPartialNumbers) {
+  if (!BinaryExists(kRunTool)) GTEST_SKIP();
+  for (const char* v : {"abc", "7x", "-1"}) {
+    std::string out;
+    EXPECT_NE(RunRun(std::string("model.hab --input-seed ") + v, &out), 0)
+        << v;
+    EXPECT_NE(ReadAll(out).find("bad --input-seed value"), std::string::npos)
+        << v;
+  }
 }
 
 TEST(ServeCli, BadFleetSpecFails) {

@@ -2,10 +2,10 @@
 //
 //   1. `heuristic` is byte-identical to the legacy SolveTiling/BuildSchedule
 //      path — the golden-pinned default costs nothing and changes nothing.
-//   2. Cost-guided strategies (`beam`, `evolutionary`) only ever deploy
-//      L1-feasible schedules, never lose to the heuristic on simulated
-//      latency (the heuristic pick is always a finalist), execute bit-exact
-//      with the heuristic schedule on real tensors, and are deterministic —
+//   2. The cost-guided `graph-beam` search only ever deploys L1-feasible
+//      schedules, never loses to the heuristic on simulated latency (the
+//      heuristic pick is always a finalist), executes bit-exact with the
+//      heuristic schedule on real tensors, and is deterministic —
 //      including across CompileKernels thread counts.
 //   3. The hw::CostModel ranks candidates in (nearly) simulator order —
 //      pinned as a Spearman rank correlation over the candidate set.
@@ -50,7 +50,7 @@ ScheduleSearchOptions WithKind(ScheduleSearchKind kind) {
 
 // The schedule_search.cpp candidate -> hw::TiledLayerGeom flattening,
 // reproduced here so the rank-correlation test scores candidates exactly
-// the way the strategies do.
+// the way the beam does.
 hw::TiledLayerGeom ToGeom(const AccelLayerSpec& spec, const TilerOptions& opt,
                           const TileSolution& sol) {
   hw::TiledLayerGeom g;
@@ -92,15 +92,21 @@ bool SameSolution(const TileSolution& a, const TileSolution& b) {
 
 TEST(ScheduleSearchKind, ParseRoundTrip) {
   for (ScheduleSearchKind kind :
-       {ScheduleSearchKind::kHeuristic, ScheduleSearchKind::kBeam,
-        ScheduleSearchKind::kEvolutionary}) {
+       {ScheduleSearchKind::kHeuristic, ScheduleSearchKind::kGraphBeam}) {
     auto parsed = ParseScheduleSearchKind(ScheduleSearchKindName(kind));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, kind);
   }
-  auto bad = ParseScheduleSearchKind("simulated-annealing");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  // Deleted kinds are unknown names, not aliases.
+  for (const char* name : {"simulated-annealing", "beam", "evolutionary",
+                           "graph-evolutionary"}) {
+    auto bad = ParseScheduleSearchKind(name);
+    ASSERT_FALSE(bad.ok()) << name;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.status().ToString().find("heuristic|graph-beam"),
+              std::string::npos)
+        << bad.status().ToString();
+  }
 }
 
 TEST(ScheduleSearch, HeuristicIsByteIdenticalToSolveTiling) {
@@ -168,37 +174,30 @@ TEST(ScheduleSearch, FiftySeedSearchProperty) {
                              &bias);
     ASSERT_TRUE(href.ok()) << href.status().ToString();
 
-    for (ScheduleSearchKind kind :
-         {ScheduleSearchKind::kBeam, ScheduleSearchKind::kEvolutionary}) {
-      auto sched = SearchSchedule(spec, kCfg, AccelTarget::kDigital, tiler,
-                                  WithKind(kind));
-      ASSERT_TRUE(sched.ok())
-          << ScheduleSearchKindName(kind) << " seed " << seed << ": "
-          << sched.status().ToString();
-      // L1-feasible: the deployed buffer set respects the Eq. 2 bound.
-      if (sched->solution.needs_tiling) {
-        EXPECT_LT(sched->solution.l1_bytes, EffectiveL1Budget(kCfg, tiler))
-            << ScheduleSearchKindName(kind) << " seed " << seed;
-      }
-      // Match-or-beat: the heuristic pick is always a finalist, so a
-      // searched schedule can never simulate slower.
-      EXPECT_LE(sched->full_cycles, heuristic->full_cycles)
-          << ScheduleSearchKindName(kind) << " seed " << seed;
-      // Bit-exact execution: a different tile shape must not change a
-      // single output byte.
-      auto out =
-          ExecuteTiled(*sched, std::vector<Tensor>{data}, &weight, &bias);
-      ASSERT_TRUE(out.ok()) << out.status().ToString();
-      EXPECT_TRUE(out->SameAs(*href))
-          << ScheduleSearchKindName(kind) << " seed " << seed
-          << ": searched schedule diverged from heuristic outputs";
-      // Deterministic: the same search problem picks the same schedule.
-      auto again = SearchSchedule(spec, kCfg, AccelTarget::kDigital, tiler,
-                                  WithKind(kind));
-      ASSERT_TRUE(again.ok());
-      EXPECT_TRUE(SameSolution(sched->solution, again->solution))
-          << ScheduleSearchKindName(kind) << " seed " << seed;
+    const ScheduleSearchOptions beam = WithKind(ScheduleSearchKind::kGraphBeam);
+    auto sched = SearchSchedule(spec, kCfg, AccelTarget::kDigital, tiler, beam);
+    ASSERT_TRUE(sched.ok())
+        << "seed " << seed << ": " << sched.status().ToString();
+    // L1-feasible: the deployed buffer set respects the Eq. 2 bound.
+    if (sched->solution.needs_tiling) {
+      EXPECT_LT(sched->solution.l1_bytes, EffectiveL1Budget(kCfg, tiler))
+          << "seed " << seed;
     }
+    // Match-or-beat: the heuristic pick is always a finalist, so a
+    // searched schedule can never simulate slower.
+    EXPECT_LE(sched->full_cycles, heuristic->full_cycles) << "seed " << seed;
+    // Bit-exact execution: a different tile shape must not change a
+    // single output byte.
+    auto out = ExecuteTiled(*sched, std::vector<Tensor>{data}, &weight, &bias);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE(out->SameAs(*href))
+        << "seed " << seed
+        << ": searched schedule diverged from heuristic outputs";
+    // Deterministic: the same search problem picks the same schedule.
+    auto again = SearchSchedule(spec, kCfg, AccelTarget::kDigital, tiler, beam);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(SameSolution(sched->solution, again->solution))
+        << "seed " << seed;
   }
   // The sweep must actually exercise tiling, not just the untiled path.
   EXPECT_GE(tiled_cases, 20);
@@ -283,30 +282,26 @@ TEST(ScheduleSearch, CostModelTracksSimulatorRanking) {
 
 TEST(ScheduleSearch, CompileThreadCountDoesNotChangeSearchedArtifact) {
   const Graph net = models::BuildResNet8(models::PrecisionPolicy::kInt8);
-  for (ScheduleSearchKind kind :
-       {ScheduleSearchKind::kBeam, ScheduleSearchKind::kEvolutionary}) {
-    compiler::CompileOptions opt = compiler::CompileOptions::DigitalOnly();
-    opt.schedule_search.kind = kind;
-    // Tighten the budget so layers really tile and the strategies really
-    // search (at the full 256 kB every ResNet8 layer fits untiled).
-    opt.tiler.l1_budget_bytes = 8 * 1024;
-    opt.compile_threads = 1;
-    auto seq = compiler::HtvmCompiler{opt}.Compile(net);
-    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-    opt.compile_threads = 8;
-    auto par = compiler::HtvmCompiler{opt}.Compile(net);
-    ASSERT_TRUE(par.ok()) << par.status().ToString();
-    EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(*seq),
-                        vm::SerializeHabForDiff(*par))
-        << ScheduleSearchKindName(kind);
-  }
+  compiler::CompileOptions opt = compiler::CompileOptions::DigitalOnly();
+  opt.schedule_search.kind = ScheduleSearchKind::kGraphBeam;
+  // Tighten the budget so layers really tile and the beam really searches
+  // (at the full 256 kB every ResNet8 layer fits untiled).
+  opt.tiler.l1_budget_bytes = 8 * 1024;
+  opt.compile_threads = 1;
+  auto seq = compiler::HtvmCompiler{opt}.Compile(net);
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  opt.compile_threads = 8;
+  auto par = compiler::HtvmCompiler{opt}.Compile(net);
+  ASSERT_TRUE(par.ok()) << par.status().ToString();
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(*seq),
+                      vm::SerializeHabForDiff(*par));
 }
 
 TEST(ScheduleSearch, MemoizedSecondCompilePerformsZeroEvaluations) {
   const Graph net = models::BuildToyAdmosDae(models::PrecisionPolicy::kInt8);
   cache::ArtifactCache cache;
   compiler::CompileOptions opt = compiler::CompileOptions::DigitalOnly();
-  opt.schedule_search.kind = ScheduleSearchKind::kBeam;
+  opt.schedule_search.kind = ScheduleSearchKind::kGraphBeam;
   opt.cache = &cache;
 
   ScheduleSearchStats::Global().Reset();
@@ -346,8 +341,7 @@ TEST(ScheduleSearch, PathologicallySmallBudgetIsTypedResourceExhausted) {
   // nothing fits 16 bytes.
   const TilerOptions tiler = WithBudget(16);
   for (ScheduleSearchKind kind :
-       {ScheduleSearchKind::kHeuristic, ScheduleSearchKind::kBeam,
-        ScheduleSearchKind::kEvolutionary}) {
+       {ScheduleSearchKind::kHeuristic, ScheduleSearchKind::kGraphBeam}) {
     auto sched =
         SearchSchedule(spec, kCfg, AccelTarget::kDigital, tiler, WithKind(kind));
     ASSERT_FALSE(sched.ok()) << ScheduleSearchKindName(kind);

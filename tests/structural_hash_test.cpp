@@ -223,6 +223,9 @@ TEST(OptionsFingerprint, ArtifactAffectingFieldsAreIncluded) {
   compiler::CompileOptions tiled;
   tiled.tiler.alpha = 2.0;
   EXPECT_NE(cache::OptionsFingerprint(tiled), base);
+  compiler::CompileOptions searched;
+  searched.schedule_search.kind = dory::ScheduleSearchKind::kGraphBeam;
+  EXPECT_NE(cache::OptionsFingerprint(searched), base);
 }
 
 TEST(CacheKey, TextFormIsStable) {

@@ -131,6 +131,23 @@ TEST(StringUtils, HumanBytes) {
   EXPECT_EQ(HumanBytes(256 * 1024), "256.0 kB");
 }
 
+TEST(StringUtils, ParseNumberTakesTheWholeString) {
+  EXPECT_EQ(ParseNumber<int>("12"), 12);
+  EXPECT_EQ(ParseNumber<int>("-3"), -3);
+  EXPECT_EQ(ParseNumber<u64>("18446744073709551615"), ~u64{0});
+  EXPECT_EQ(ParseNumber<double>("0.25"), 0.25);
+  EXPECT_EQ(ParseNumber<double>("1e3"), 1000.0);
+  for (const char* bad : {"", "abc", "12abc", "2x", " 1", "1 ", "+1"}) {
+    EXPECT_FALSE(ParseNumber<int>(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseNumber<u64>("-1").has_value());
+  EXPECT_FALSE(ParseNumber<int>("99999999999").has_value());  // overflow
+  EXPECT_FALSE(ParseNumber<int>("4.5").has_value());
+  for (const char* bad : {"1s", "0.3z", "nan", "inf", "-inf", "."}) {
+    EXPECT_FALSE(ParseNumber<double>(bad).has_value()) << bad;
+  }
+}
+
 // --------------------------------------------------------- LatencyHistogram
 
 TEST(Histogram, EmptyHistogramReportsZeros) {

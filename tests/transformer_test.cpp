@@ -159,8 +159,7 @@ TEST(TransformerDeterminism, OutputsBitExactAcrossScheduleStrategies) {
   auto ref = nn::RunGraph(net, std::vector<Tensor>{input});
   ASSERT_TRUE(ref.ok());
   for (const auto kind : {dory::ScheduleSearchKind::kHeuristic,
-                          dory::ScheduleSearchKind::kBeam,
-                          dory::ScheduleSearchKind::kEvolutionary}) {
+                          dory::ScheduleSearchKind::kGraphBeam}) {
     compiler::CompileOptions opt;
     opt.schedule_search.kind = kind;
     const auto art = MustCompile(net, opt);

@@ -12,6 +12,7 @@
 //   htvm-run model.hab --meta                   header / section inspection
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "hw/soc.hpp"
 #include "runtime/timeline.hpp"
@@ -69,12 +70,22 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
+    // Reads the flag's value as a whole-string number into `*out` when
+    // `valid` accepts it.
+    const auto number = [&]<typename T>(T* out, auto valid) -> Status {
+      HTVM_ASSIGN_OR_RETURN(v, value());
+      const std::optional<T> n = ParseNumber<T>(v);
+      if (!n || !valid(*n)) {
+        return Status::InvalidArgument("bad " + arg + " value");
+      }
+      *out = *n;
+      return Status::Ok();
+    };
     if (arg == "--input") {
       HTVM_ASSIGN_OR_RETURN(v, value());
       opt.input_path = v;
     } else if (arg == "--input-seed") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.input_seed = static_cast<u64>(std::atoll(v.c_str()));
+      HTVM_RETURN_IF_ERROR(number(&opt.input_seed, [](u64) { return true; }));
     } else if (arg == "--dump-outputs") {
       HTVM_ASSIGN_OR_RETURN(v, value());
       opt.dump_outputs = v;

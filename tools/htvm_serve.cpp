@@ -10,11 +10,10 @@
 //   htvm-serve --model resnet,dscnn --config digital --qps 500 --fleet 2 \
 //              --batch 4 --queue-cap 32
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include "cache/artifact_cache.hpp"
 #include "compiler/pipeline.hpp"
@@ -77,11 +76,11 @@ options:
                              misses overlap kernel compilation instead of
                              serializing behind one compile
   --seed <n>                 trace seed (metrics are deterministic in it)
-  --schedule-search <heuristic|beam|evolutionary|graph-beam|graph-evolutionary>
-                             tile-schedule search strategy for compiles
-                             (default heuristic; beam/evolutionary search
-                             with the hw cost model — pair with --cache-dir
-                             so restarts replay memoized schedules)
+  --schedule-search <heuristic|graph-beam>
+                             schedule search for compiles (default
+                             heuristic; graph-beam searches with the hw
+                             cost model — pair with --cache-dir so
+                             restarts replay memoized schedules)
   --cache-dir <dir>          persist compiled artifacts to a content-
                              addressed cache; a restarted fleet serving the
                              same models compiles nothing ("compiles": 0 in
@@ -107,10 +106,9 @@ options:
 // name a registered SocDescription). Returns one kind per fleet index.
 Result<std::vector<std::string>> ParseFleetSpec(const std::string& spec) {
   if (spec.empty()) return Status::InvalidArgument("bad --fleet value");
-  if (spec.find_first_not_of("0123456789") == std::string::npos) {
-    const int n = std::atoi(spec.c_str());
-    if (n <= 0) return Status::InvalidArgument("bad --fleet value");
-    return std::vector<std::string>(static_cast<size_t>(n), "diana");
+  if (const std::optional<int> n = ParseNumber<int>(spec)) {
+    if (*n <= 0) return Status::InvalidArgument("bad --fleet value");
+    return std::vector<std::string>(static_cast<size_t>(*n), "diana");
   }
   std::vector<std::string> kinds;
   std::string entry;
@@ -125,10 +123,12 @@ Result<std::vector<std::string>> ParseFleetSpec(const std::string& spec) {
     const size_t colon = entry.find(':');
     if (colon != std::string::npos) {
       name = entry.substr(0, colon);
-      count = std::atoi(entry.c_str() + colon + 1);
-      if (count <= 0) {
+      const std::optional<int> n =
+          ParseNumber<int>(std::string_view(entry).substr(colon + 1));
+      if (!n || *n <= 0) {
         return Status::InvalidArgument("bad --fleet count in '" + entry + "'");
       }
+      count = *n;
     }
     // Validate against the registry so a typo fails at parse time with the
     // list of known families instead of deep inside compilation.
@@ -140,6 +140,8 @@ Result<std::vector<std::string>> ParseFleetSpec(const std::string& spec) {
   return kinds;
 }
 
+bool IsFraction(double f) { return f >= 0 && f <= 1; }
+
 Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
   ServeCliOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -149,6 +151,17 @@ Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument(arg + " needs a value");
       }
       return std::string(argv[++i]);
+    };
+    // Reads the flag's value as a whole-string number into `*out` when
+    // `valid` accepts it.
+    const auto number = [&]<typename T>(T* out, auto valid) -> Status {
+      HTVM_ASSIGN_OR_RETURN(v, value());
+      const std::optional<T> n = ParseNumber<T>(v);
+      if (!n || !valid(*n)) {
+        return Status::InvalidArgument("bad " + arg + " value");
+      }
+      *out = *n;
+      return Status::Ok();
     };
     if (arg == "--model") {
       HTVM_ASSIGN_OR_RETURN(v, value());
@@ -165,15 +178,10 @@ Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
       HTVM_ASSIGN_OR_RETURN(v, value());
       opt.config = v;
     } else if (arg == "--qps") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.qps = std::atof(v.c_str());
-      if (opt.qps <= 0) return Status::InvalidArgument("bad --qps value");
+      HTVM_RETURN_IF_ERROR(number(&opt.qps, [](double q) { return q > 0; }));
     } else if (arg == "--duration-s") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.duration_s = std::atof(v.c_str());
-      if (opt.duration_s <= 0) {
-        return Status::InvalidArgument("bad --duration-s value");
-      }
+      HTVM_RETURN_IF_ERROR(
+          number(&opt.duration_s, [](double s) { return s > 0; }));
     } else if (arg == "--fleet") {
       HTVM_ASSIGN_OR_RETURN(v, value());
       HTVM_ASSIGN_OR_RETURN(kinds, ParseFleetSpec(v));
@@ -192,31 +200,16 @@ Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
             "' (want model-aware|round-robin|earliest-free)");
       }
     } else if (arg == "--queue-cap") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.queue_cap = std::atoi(v.c_str());
-      if (opt.queue_cap <= 0) {
-        return Status::InvalidArgument("bad --queue-cap value");
-      }
+      HTVM_RETURN_IF_ERROR(number(&opt.queue_cap, [](int n) { return n > 0; }));
     } else if (arg == "--batch") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.batch = std::atoi(v.c_str());
-      if (opt.batch <= 0) return Status::InvalidArgument("bad --batch value");
+      HTVM_RETURN_IF_ERROR(number(&opt.batch, [](int n) { return n > 0; }));
     } else if (arg == "--threads") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.threads = std::atoi(v.c_str());
-      if (opt.threads < 0) {
-        return Status::InvalidArgument("bad --threads value");
-      }
+      HTVM_RETURN_IF_ERROR(number(&opt.threads, [](int n) { return n >= 0; }));
     } else if (arg == "--compile-threads") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.compile_threads = std::atoi(v.c_str());
-      if (opt.compile_threads < 0 ||
-          (opt.compile_threads == 0 && v != "0")) {
-        return Status::InvalidArgument("bad --compile-threads value");
-      }
+      HTVM_RETURN_IF_ERROR(
+          number(&opt.compile_threads, [](int n) { return n >= 0; }));
     } else if (arg == "--seed") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.seed = static_cast<u64>(std::atoll(v.c_str()));
+      HTVM_RETURN_IF_ERROR(number(&opt.seed, [](u64) { return true; }));
     } else if (arg == "--schedule-search") {
       HTVM_ASSIGN_OR_RETURN(v, value());
       HTVM_RETURN_IF_ERROR(dory::ParseScheduleSearchKind(v).status());
@@ -232,23 +225,12 @@ Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--chaos") {
       opt.chaos = true;
     } else if (arg == "--crash-frac") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.crash_frac = std::atof(v.c_str());
-      if (opt.crash_frac < 0 || opt.crash_frac > 1) {
-        return Status::InvalidArgument("bad --crash-frac value");
-      }
+      HTVM_RETURN_IF_ERROR(number(&opt.crash_frac, IsFraction));
     } else if (arg == "--transient-rate") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.transient_rate = std::atof(v.c_str());
-      if (opt.transient_rate < 0) {
-        return Status::InvalidArgument("bad --transient-rate value");
-      }
+      HTVM_RETURN_IF_ERROR(
+          number(&opt.transient_rate, [](double r) { return r >= 0; }));
     } else if (arg == "--slow-frac") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.slow_frac = std::atof(v.c_str());
-      if (opt.slow_frac < 0 || opt.slow_frac > 1) {
-        return Status::InvalidArgument("bad --slow-frac value");
-      }
+      HTVM_RETURN_IF_ERROR(number(&opt.slow_frac, IsFraction));
     } else if (arg == "--help" || arg == "-h") {
       opt.help = true;
     } else {

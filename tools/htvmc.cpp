@@ -11,8 +11,8 @@
 //   htvmc --help
 #include <cstdio>
 #include <cstring>
-#include <cctype>
 #include <fstream>
+#include <optional>
 #include <sys/stat.h>
 
 #include "cache/artifact_cache.hpp"
@@ -102,12 +102,11 @@ options:
                                               concurrency, 1 = sequential;
                                               artifacts are byte-identical
                                               for every value)
-  --schedule-search <heuristic|beam|evolutionary|graph-beam|graph-evolutionary>
-                                              tile-schedule search strategy
-                                              (default heuristic = DORY
-                                              Eq. 1-5 picker; beam and
-                                              evolutionary search candidate
-                                              schedules with the hw cost
+  --schedule-search <heuristic|graph-beam>    schedule search (default
+                                              heuristic = DORY Eq. 1-5
+                                              picker; graph-beam searches
+                                              tile shapes, fusion pairs and
+                                              dispatch with the hw cost
                                               model, match-or-beat latency)
   --print-pass-times                          per-pass compile-time breakdown
                                               (no-change passes show skipped)
@@ -125,6 +124,17 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument(arg + " needs a value");
       }
       return std::string(argv[++i]);
+    };
+    // Reads the flag's value as a whole-string number into `*out` when
+    // `valid` accepts it.
+    const auto number = [&]<typename T>(T* out, auto valid) -> Status {
+      HTVM_ASSIGN_OR_RETURN(v, value());
+      const std::optional<T> n = ParseNumber<T>(v);
+      if (!n || !valid(*n)) {
+        return Status::InvalidArgument("bad " + arg + " value");
+      }
+      *out = *n;
+      return Status::Ok();
     };
     if (arg == "--model") {
       HTVM_ASSIGN_OR_RETURN(v, value());
@@ -161,15 +171,10 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       HTVM_ASSIGN_OR_RETURN(v, value());
       opt.run_outputs = v;
     } else if (arg == "--input-seed") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.input_seed = static_cast<u64>(std::atoll(v.c_str()));
+      HTVM_RETURN_IF_ERROR(number(&opt.input_seed, [](u64) { return true; }));
     } else if (arg == "--compile-threads") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.compile_threads = std::atoi(v.c_str());
-      if (opt.compile_threads < 0 ||
-          (opt.compile_threads == 0 && v != "0")) {
-        return Status::InvalidArgument("bad --compile-threads value");
-      }
+      HTVM_RETURN_IF_ERROR(
+          number(&opt.compile_threads, [](int n) { return n >= 0; }));
     } else if (arg == "--schedule-search") {
       HTVM_ASSIGN_OR_RETURN(v, value());
       HTVM_RETURN_IF_ERROR(dory::ParseScheduleSearchKind(v).status());
@@ -179,9 +184,7 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--list-models") {
       opt.list_models = true;
     } else if (arg == "--l1") {
-      HTVM_ASSIGN_OR_RETURN(v, value());
-      opt.l1_kb = std::atoll(v.c_str());
-      if (opt.l1_kb <= 0) return Status::InvalidArgument("bad --l1 value");
+      HTVM_RETURN_IF_ERROR(number(&opt.l1_kb, [](i64 kb) { return kb > 0; }));
     } else if (arg == "--report") {
       opt.report = true;
     } else if (arg == "--timeline") {
