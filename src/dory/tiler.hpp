@@ -54,6 +54,20 @@ struct TilerOptions {
   i64 l1_budget_bytes = -1;   // -1 = full configured L1
 };
 
+// The one field list of TilerOptions, in its canonical order: HAB kernel
+// schedules and the artifact-cache options fingerprint both walk it. `io`
+// takes F64, Bool and I64 calls.
+template <typename Io, RecordOf<TilerOptions> T>
+void VisitFields(Io& io, T& t) {
+  io.F64(t.alpha);
+  io.F64(t.beta_pe);
+  io.F64(t.beta_dma);
+  io.Bool(t.enable_pe_heuristics);
+  io.Bool(t.enable_dma_heuristic);
+  io.Bool(t.double_buffer);
+  io.I64(t.l1_budget_bytes);
+}
+
 struct TileSolution {
   // Tile sizes (<= layer dims). For conv kinds iy_t/ix_t derive from the
   // output tile via iy_t = (oy_t-1)*sy + kh.

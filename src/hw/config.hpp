@@ -103,4 +103,44 @@ struct DianaConfig {
   }
 };
 
+// The one field list of DianaConfig, in its canonical order. The HAB
+// hw-config section, the artifact-cache options fingerprint and
+// SocDescription::Fingerprint all walk it, so a field added here reaches
+// every encoding and key. `io` takes I64 and F64 calls.
+template <typename Io, RecordOf<DianaConfig> C>
+void VisitFields(Io& io, C& c) {
+  io.I64(c.l1_bytes);
+  io.I64(c.l2_bytes);
+  io.F64(c.freq_mhz);
+  io.I64(c.runtime_call_overhead);
+  io.I64(c.dma.setup_cycles);
+  io.I64(c.dma.bytes_per_cycle);
+  io.I64(c.dma.row_setup_cycles);
+  io.I64(c.digital.pe_rows);
+  io.I64(c.digital.pe_cols);
+  io.I64(c.digital.weight_mem_bytes);
+  io.I64(c.digital.dw_mac_num);
+  io.I64(c.digital.dw_mac_den);
+  io.I64(c.digital.tile_setup_cycles);
+  io.I64(c.digital.post_simd_lanes);
+  io.F64(c.digital.dw_marshal_cycles_per_elem);
+  io.I64(c.analog.array_rows);
+  io.I64(c.analog.array_cols);
+  io.I64(c.analog.weight_mem_bytes);
+  io.I64(c.analog.layer_setup_cycles);
+  io.I64(c.analog.row_write_cycles);
+  io.I64(c.analog.cycles_per_pixel);
+  io.I64(c.analog.tile_setup_cycles);
+  io.I64(c.analog.input_bits);
+  io.F64(c.cpu.conv_cycles_per_mac);
+  io.F64(c.cpu.dwconv_cycles_per_mac);
+  io.F64(c.cpu.dense_cycles_per_mac);
+  io.F64(c.cpu.elemwise_cycles_per_elem);
+  io.F64(c.cpu.pool_cycles_per_elem);
+  io.F64(c.cpu.softmax_cycles_per_elem);
+  io.F64(c.cpu.requant_cycles_per_elem);
+  io.I64(c.cpu.kernel_overhead_cycles);
+  io.F64(c.cpu.tuned_library_speedup);
+}
+
 }  // namespace htvm::hw

@@ -91,39 +91,7 @@ u64 SocDescription::Fingerprint() const {
   f.I64(has_digital ? 1 : 0);
   f.I64(has_analog ? 1 : 0);
   f.I64(static_cast<i64>(simd));
-  const DianaConfig& c = config;
-  f.I64(c.l1_bytes);
-  f.I64(c.l2_bytes);
-  f.F64(c.freq_mhz);
-  f.I64(c.runtime_call_overhead);
-  f.I64(c.dma.setup_cycles);
-  f.I64(c.dma.bytes_per_cycle);
-  f.I64(c.dma.row_setup_cycles);
-  f.I64(c.digital.pe_rows);
-  f.I64(c.digital.pe_cols);
-  f.I64(c.digital.weight_mem_bytes);
-  f.I64(c.digital.dw_mac_num);
-  f.I64(c.digital.dw_mac_den);
-  f.I64(c.digital.tile_setup_cycles);
-  f.I64(c.digital.post_simd_lanes);
-  f.F64(c.digital.dw_marshal_cycles_per_elem);
-  f.I64(c.analog.array_rows);
-  f.I64(c.analog.array_cols);
-  f.I64(c.analog.weight_mem_bytes);
-  f.I64(c.analog.layer_setup_cycles);
-  f.I64(c.analog.row_write_cycles);
-  f.I64(c.analog.cycles_per_pixel);
-  f.I64(c.analog.tile_setup_cycles);
-  f.I64(c.analog.input_bits);
-  f.F64(c.cpu.conv_cycles_per_mac);
-  f.F64(c.cpu.dwconv_cycles_per_mac);
-  f.F64(c.cpu.dense_cycles_per_mac);
-  f.F64(c.cpu.elemwise_cycles_per_elem);
-  f.F64(c.cpu.pool_cycles_per_elem);
-  f.F64(c.cpu.softmax_cycles_per_elem);
-  f.F64(c.cpu.requant_cycles_per_elem);
-  f.I64(c.cpu.kernel_overhead_cycles);
-  f.F64(c.cpu.tuned_library_speedup);
+  VisitFields(f, config);
   return f.state;
 }
 

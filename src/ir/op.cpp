@@ -42,12 +42,35 @@ Status ExpectRank(const TensorType& t, i64 rank, const char* what) {
 
 // Normalizes padding attr: accepts [p] (all sides), [py, px], or
 // [pt, pl, pb, pr]; returns the 4-element form.
-std::vector<i64> NormalizePadding(const AttrMap& attrs) {
+Result<std::vector<i64>> NormalizePadding(const AttrMap& attrs,
+                                          const char* op) {
   std::vector<i64> p = attrs.GetIntVec("padding", {0, 0, 0, 0});
-  if (p.size() == 1) return {p[0], p[0], p[0], p[0]};
-  if (p.size() == 2) return {p[0], p[1], p[0], p[1]};
-  HTVM_CHECK_MSG(p.size() == 4, "padding must have 1, 2 or 4 entries");
+  for (i64 v : p) {
+    if (v < 0) {
+      return Status::InvalidArgument(StrFormat("%s: negative padding", op));
+    }
+  }
+  if (p.size() == 1) return std::vector<i64>{p[0], p[0], p[0], p[0]};
+  if (p.size() == 2) return std::vector<i64>{p[0], p[1], p[0], p[1]};
+  if (p.size() != 4) {
+    return Status::InvalidArgument(
+        StrFormat("%s: padding must have 1, 2 or 4 entries", op));
+  }
   return p;
+}
+
+// A [y, x] window attr (strides, pool_size): exactly two values, both > 0.
+// ConvOutDim and the kernels index it unguarded, so anything else is a
+// typed error here.
+Result<std::vector<i64>> WindowPair(const AttrMap& attrs, const char* key,
+                                    std::vector<i64> fallback,
+                                    const char* op) {
+  std::vector<i64> v = attrs.GetIntVec(key, std::move(fallback));
+  if (v.size() != 2 || v[0] <= 0 || v[1] <= 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s: %s must be 2 values > 0", op, key));
+  }
+  return v;
 }
 
 Result<TensorType> InferConv2d(std::span<const TensorType> in,
@@ -66,8 +89,12 @@ Result<TensorType> InferConv2d(std::span<const TensorType> in,
         static_cast<long long>(w[1]), static_cast<long long>(d[1]),
         static_cast<long long>(groups)));
   }
-  const std::vector<i64> strides = attrs.GetIntVec("strides", {1, 1});
-  const std::vector<i64> pad = NormalizePadding(attrs);
+  if (w[2] <= 0 || w[3] <= 0) {
+    return Status::InvalidArgument("conv2d: kernel dims must be > 0");
+  }
+  HTVM_ASSIGN_OR_RETURN(strides,
+                        WindowPair(attrs, "strides", {1, 1}, "conv2d"));
+  HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(attrs, "conv2d"));
   const i64 oh = ConvOutDim(d[2], w[2], pad[0], pad[2], strides[0]);
   const i64 ow = ConvOutDim(d[3], w[3], pad[1], pad[3], strides[1]);
   if (oh <= 0 || ow <= 0) {
@@ -203,9 +230,11 @@ Result<TensorType> InferPool2d(std::span<const TensorType> in,
                                const AttrMap& attrs) {
   HTVM_RETURN_IF_ERROR(ExpectRank(in[0], 4, "pool data"));
   const Shape& d = in[0].shape;
-  const std::vector<i64> pool = attrs.GetIntVec("pool_size", {2, 2});
-  const std::vector<i64> strides = attrs.GetIntVec("strides", pool);
-  const std::vector<i64> pad = NormalizePadding(attrs);
+  HTVM_ASSIGN_OR_RETURN(pool,
+                        WindowPair(attrs, "pool_size", {2, 2}, "pool2d"));
+  HTVM_ASSIGN_OR_RETURN(strides,
+                        WindowPair(attrs, "strides", pool, "pool2d"));
+  HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(attrs, "pool2d"));
   const i64 oh = ConvOutDim(d[2], pool[0], pad[0], pad[2], strides[0]);
   const i64 ow = ConvOutDim(d[3], pool[1], pad[1], pad[3], strides[1]);
   if (oh <= 0 || ow <= 0) {

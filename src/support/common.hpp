@@ -3,8 +3,10 @@
 // dedicated header (status, logging, ...).
 #pragma once
 
-#include <cstdint>
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
 
 namespace htvm {
 
@@ -16,6 +18,12 @@ using u8 = std::uint8_t;
 using u16 = std::uint16_t;
 using u32 = std::uint32_t;
 using u64 = std::uint64_t;
+
+// `R` is `T` or `const T`: constrains a record's one field walk
+// (`VisitFields(io, record)`), which reads a const record and fills a
+// mutable one through the same field list.
+template <typename R, typename T>
+concept RecordOf = std::same_as<std::remove_const_t<R>, T>;
 
 }  // namespace htvm
 

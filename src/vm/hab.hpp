@@ -8,7 +8,8 @@
 // constant payloads, every compiled kernel with perf counters and DORY tile
 // schedule, the dispatch log, the pass timeline, the L2 memory plan, the
 // binary-size report and the DianaConfig. The layout is documented in
-// docs/deployable_artifact.md.
+// docs/deployable_artifact.md; in code, each record's layout is one field
+// list that both SerializeHab and ParseHab walk (vm/codec.hpp).
 //
 // Round-trip contract: SerializeHab(ParseHab(x)) == x, and parsing
 // reconstructs bit-identical state, so a runner executing a HAB is

@@ -1,18 +1,17 @@
 #include "vm/vm_executor.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 
 #include "support/rng.hpp"
-#include "support/string_utils.hpp"
+#include "vm/codec.hpp"
 
 namespace htvm::vm {
 namespace {
 
 constexpr char kTensorMagic[8] = {'H', 'T', 'V', 'M', 'T', 'E', 'N', '1'};
-constexpr u32 kMaxTensors = 256;
-constexpr u8 kMaxRank = 8;
+constexpr i64 kMaxTensors = 256;
 
 }  // namespace
 
@@ -37,22 +36,16 @@ std::vector<Tensor> SyntheticInputs(const compiler::Artifact& artifact,
 }
 
 Status SaveTensors(std::span<const Tensor> tensors, const std::string& path) {
+  Encoder e;
+  e.Raw(kTensorMagic, sizeof kTensorMagic);
+  e.U32(static_cast<u32>(tensors.size()));
+  for (const Tensor& t : tensors) {
+    EncodeTensorType(e, t.dtype(), t.shape());
+    e.Raw(t.raw(), static_cast<size_t>(t.SizeBytes()));
+  }
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Internal("cannot open " + path);
-  out.write(kTensorMagic, sizeof kTensorMagic);
-  const u32 count = static_cast<u32>(tensors.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof count);
-  for (const Tensor& t : tensors) {
-    const u8 dtype = static_cast<u8>(t.dtype());
-    const u8 rank = static_cast<u8>(t.shape().rank());
-    out.write(reinterpret_cast<const char*>(&dtype), 1);
-    out.write(reinterpret_cast<const char*>(&rank), 1);
-    for (i64 d : t.shape().dims()) {
-      out.write(reinterpret_cast<const char*>(&d), sizeof d);
-    }
-    out.write(reinterpret_cast<const char*>(t.raw()),
-              static_cast<std::streamsize>(t.SizeBytes()));
-  }
+  out.write(e.bytes().data(), static_cast<std::streamsize>(e.bytes().size()));
   if (!out.good()) return Status::Internal("cannot write " + path);
   return Status::Ok();
 }
@@ -60,48 +53,28 @@ Status SaveTensors(std::span<const Tensor> tensors, const std::string& path) {
 Result<std::vector<Tensor>> LoadTensors(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open tensor file: " + path);
-  char magic[8];
-  if (!in.read(magic, sizeof magic) ||
-      std::memcmp(magic, kTensorMagic, sizeof magic) != 0) {
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  if (bytes.size() < sizeof kTensorMagic ||
+      std::memcmp(bytes.data(), kTensorMagic, sizeof kTensorMagic) != 0) {
     return Status::InvalidArgument("not an HTVM tensor file: " + path);
   }
-  u32 count = 0;
-  if (!in.read(reinterpret_cast<char*>(&count), sizeof count) ||
-      count > kMaxTensors) {
-    return Status::InvalidArgument("tensor file: bad tensor count");
-  }
+  Decoder d(std::span<const u8>(reinterpret_cast<const u8*>(bytes.data()),
+                                bytes.size())
+                .subspan(sizeof kTensorMagic),
+            "tensor file");
+  static const i64 min_tensor_bytes = EncodedSize(
+      [](Encoder& e) { EncodeTensorType(e, DType::kInt8, Shape{}); });
+  const i64 count = d.Count(kMaxTensors, min_tensor_bytes, "tensor");
   std::vector<Tensor> tensors;
-  tensors.reserve(count);
-  for (u32 i = 0; i < count; ++i) {
-    u8 dtype_raw = 0, rank = 0;
-    if (!in.read(reinterpret_cast<char*>(&dtype_raw), 1) ||
-        !in.read(reinterpret_cast<char*>(&rank), 1) ||
-        dtype_raw > static_cast<u8>(DType::kTernary) || rank > kMaxRank) {
-      return Status::InvalidArgument(
-          StrFormat("tensor file: bad header for tensor %u", i));
-    }
-    std::vector<i64> dims(rank);
-    i64 elems = 1;
-    for (i64& d : dims) {
-      if (!in.read(reinterpret_cast<char*>(&d), sizeof d) || d < 0 ||
-          d > (i64{1} << 24)) {
-        return Status::InvalidArgument(
-            StrFormat("tensor file: bad shape for tensor %u", i));
-      }
-      elems *= std::max<i64>(d, 1);
-      if (elems > (i64{1} << 26)) {
-        return Status::InvalidArgument(
-            StrFormat("tensor file: tensor %u too large", i));
-      }
-    }
-    Tensor t(Shape(dims), static_cast<DType>(dtype_raw));
-    if (!in.read(reinterpret_cast<char*>(t.raw()),
-                 static_cast<std::streamsize>(t.SizeBytes()))) {
-      return Status::InvalidArgument(
-          StrFormat("tensor file: truncated payload for tensor %u", i));
-    }
+  for (i64 i = 0; i < count && d.ok(); ++i) {
+    const TensorType type = DecodeTensorType(d);
+    if (!d.ok()) break;
+    Tensor t(type.shape, type.dtype);
+    d.Raw(t.raw(), static_cast<size_t>(t.SizeBytes()));
     tensors.push_back(std::move(t));
   }
+  HTVM_RETURN_IF_ERROR(d.Finish());
   return tensors;
 }
 

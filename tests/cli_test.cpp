@@ -2,6 +2,8 @@
 // runs tests from build/tests, so the tool sits at ../tools/htvmc).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -131,6 +133,22 @@ TEST(Cli, UnreadableGraphFailsWithMessage) {
             0);
   EXPECT_NE(ReadAll(out).find("cannot open /nonexistent/dir/net.htvm"),
             std::string::npos);
+}
+
+TEST(Cli, ZeroStrideGraphIsTypedError) {
+  if (!ToolExists()) GTEST_SKIP();
+  // A zero stride used to abort the process in ConvOutDim (exit 134).
+  const std::string path = ::testing::TempDir() + "/cli_zero_stride.htvm";
+  std::ofstream(path) << "htvm-graph v1\n"
+                         "input x int8 4 1 1 4 4\n"
+                         "op nn.max_pool2d 1 0 2 pool_size v:2:2:2 "
+                         "strides v:2:0:0\n"
+                         "output 1 1\n";
+  std::string out;
+  const int rc = RunTool("--graph " + path, &out);
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 1);
+  EXPECT_NE(ReadAll(out).find("INVALID_ARGUMENT"), std::string::npos);
 }
 
 TEST(Cli, MissingFlagValueFails) {

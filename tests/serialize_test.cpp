@@ -85,6 +85,32 @@ TEST(Serialize, RejectsTruncatedConstant) {
   EXPECT_FALSE(DeserializeGraph(text).ok());
 }
 
+TEST(Serialize, BadWindowAttrsAreTypedErrors) {
+  // Zero or negative strides and pool sizes, windows that are not exactly
+  // two values, bad padding and zero-size conv kernels must fail type
+  // inference with a status, not reach an invariant abort.
+  const std::string pool_prefix =
+      "htvm-graph v1\ninput x int8 4 1 1 4 4\nop nn.max_pool2d 1 0 ";
+  for (const char* attrs :
+       {"2 pool_size v:2:2:2 strides v:2:0:0", "1 strides v:2:-1:1",
+        "1 pool_size v:2:0:2", "1 pool_size v:1:2", "1 strides v:3:1:1:1",
+        "1 padding v:3:0:0:0", "1 padding v:1:-1"}) {
+    auto g = DeserializeGraph(pool_prefix + attrs + "\noutput 1 1\n");
+    ASSERT_FALSE(g.ok()) << attrs;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument) << attrs;
+  }
+  const std::string conv_prefix =
+      "htvm-graph v1\ninput x int8 4 1 1 4 4\n";
+  for (const char* rest :
+       {"const w int8 4 1 1 0 2\nop nn.conv2d 2 0 1 0\n",
+        "const w int8 4 1 1 1 1 3\nop nn.conv2d 2 0 1 1 strides v:2:1:0\n",
+        "const w int8 4 1 1 1 1 3\nop nn.conv2d 2 0 1 1 strides v:1:1\n"}) {
+    auto g = DeserializeGraph(conv_prefix + rest + "output 1 2\n");
+    ASSERT_FALSE(g.ok()) << rest;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument) << rest;
+  }
+}
+
 TEST(Serialize, FileRoundTrip) {
   GraphBuilder b(2);
   NodeId x = b.Input("x", Shape{1, 16});

@@ -23,6 +23,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cache/cache_key.hpp"
@@ -159,6 +160,115 @@ TEST(SocRegistry, FingerprintsArePairwiseDistinct) {
   hw::SocDescription twin = hw::SocDescription::Diana();
   twin.name = "diana-twin";
   EXPECT_NE(twin.Fingerprint(), hw::SocDescription::Diana().Fingerprint());
+}
+
+TEST(SocRegistry, KeysArePinned) {
+  // Both keys address persisted state (placement, on-disk cache entries),
+  // so their values must not drift when the code computing them is
+  // restructured. A reordered, dropped or re-typed field changes them.
+  struct Pin {
+    const char* soc;
+    u64 fingerprint;
+    const char* options;
+  };
+  const Pin pins[] = {
+      {"diana", 0x22aa73ab30fc7cdcull, "bcdb0e634066556c3d518a2c25c44a65"},
+      {"diana-l1half", 0xbd0a0c76e0a10698ull,
+       "4895d53b1ad320d1630cf209f4597841"},
+      {"diana-l2x2", 0x7d529ff4da5c1956ull,
+       "66b78c6aca7a276976d9d3056b71088f"},
+      {"diana-noanalog", 0x530ef8ba9e084450ull,
+       "b0f5d32255c0c9feb5410178b10e4d4e"},
+      {"diana-pe32", 0x0bd7cb2e84f6db5full,
+       "43c153159b6fc384d8a5af4dd91b24f8"},
+      {"diana-scalar", 0x694070612d68971eull,
+       "c028d0e25865b4fa1d05515ea71f430d"},
+  };
+  for (const Pin& pin : pins) {
+    auto desc = hw::FindSoc(pin.soc);
+    ASSERT_TRUE(desc.ok()) << pin.soc;
+    EXPECT_EQ(desc->Fingerprint(), pin.fingerprint) << pin.soc;
+    compiler::CompileOptions options;
+    options.soc = *desc;
+    EXPECT_EQ(cache::OptionsFingerprint(options).ToHex(), pin.options)
+        << pin.soc;
+  }
+}
+
+// Every DianaConfig field, listed independently of hw::VisitFields so a
+// field the shared walk misses fails the test below.
+std::vector<std::variant<i64*, double*>> DianaConfigFields(
+    hw::DianaConfig& c) {
+  return {&c.l1_bytes,
+          &c.l2_bytes,
+          &c.freq_mhz,
+          &c.runtime_call_overhead,
+          &c.dma.setup_cycles,
+          &c.dma.bytes_per_cycle,
+          &c.dma.row_setup_cycles,
+          &c.digital.pe_rows,
+          &c.digital.pe_cols,
+          &c.digital.weight_mem_bytes,
+          &c.digital.dw_mac_num,
+          &c.digital.dw_mac_den,
+          &c.digital.tile_setup_cycles,
+          &c.digital.post_simd_lanes,
+          &c.digital.dw_marshal_cycles_per_elem,
+          &c.analog.array_rows,
+          &c.analog.array_cols,
+          &c.analog.weight_mem_bytes,
+          &c.analog.layer_setup_cycles,
+          &c.analog.row_write_cycles,
+          &c.analog.cycles_per_pixel,
+          &c.analog.tile_setup_cycles,
+          &c.analog.input_bits,
+          &c.cpu.conv_cycles_per_mac,
+          &c.cpu.dwconv_cycles_per_mac,
+          &c.cpu.dense_cycles_per_mac,
+          &c.cpu.elemwise_cycles_per_elem,
+          &c.cpu.pool_cycles_per_elem,
+          &c.cpu.softmax_cycles_per_elem,
+          &c.cpu.requant_cycles_per_elem,
+          &c.cpu.kernel_overhead_cycles,
+          &c.cpu.tuned_library_speedup};
+}
+
+TEST(SocRegistry, EveryDianaConfigFieldReachesHabAndBothKeys) {
+  hw::DianaConfig probe;
+  ASSERT_EQ(DianaConfigFields(probe).size() * 8, sizeof(hw::DianaConfig))
+      << "a DianaConfig field is missing from the list above";
+  const hw::SocDescription base = hw::SocDescription::Diana();
+  compiler::CompileOptions base_options;
+  base_options.soc = base;
+  const ir::Hash128 base_key = cache::OptionsFingerprint(base_options);
+  compiler::Artifact artifact =
+      MustCompile(models::MakeDenseLayerGraph(64, 16), base_options);
+  for (size_t i = 0; i < DianaConfigFields(probe).size(); ++i) {
+    hw::SocDescription soc = base;
+    std::visit([](auto* field) { *field += 1; },
+               DianaConfigFields(soc.config)[i]);
+    EXPECT_NE(soc.Fingerprint(), base.Fingerprint()) << "field " << i;
+    compiler::CompileOptions options;
+    options.soc = soc;
+    EXPECT_FALSE(cache::OptionsFingerprint(options) == base_key)
+        << "field " << i;
+
+    artifact.hw_config = soc.config;
+    const std::string bytes = vm::SerializeHab(artifact);
+    auto parsed = vm::ParseHab(
+        {reinterpret_cast<const u8*>(bytes.data()), bytes.size()});
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const auto want = DianaConfigFields(soc.config);
+    const auto got = DianaConfigFields(parsed->artifact.hw_config);
+    for (size_t j = 0; j < want.size(); ++j) {
+      std::visit(
+          [&](auto* w) {
+            EXPECT_EQ(*std::get<decltype(w)>(got[j]), *w)
+                << "field " << j << " after perturbing field " << i;
+          },
+          want[j]);
+    }
+  }
 }
 
 TEST(SocRegistry, DuplicateAndEmptyRegistrationsFail) {

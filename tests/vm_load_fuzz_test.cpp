@@ -182,11 +182,12 @@ TEST(VmLoadFuzz, HugeSectionCountRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-section corruption battery: a HAB carrying a searched GraphPlan
-// (HabSection::kPlan) with a mutated plan payload must come back as a typed
-// error (or, for mutations the plan grammar cannot see, still parse) —
-// never crash. The checksum is recomputed after each mutation so the bytes
-// actually reach GraphPlan::Deserialize instead of being rejected upstream.
+// Checksum-fixed corruption: a HAB carrying a searched GraphPlan
+// (HabSection::kPlan) or a plain one with a mutated section payload must
+// come back as a typed error (or, for mutations the decoder cannot see,
+// still parse) — never crash. The checksum is recomputed after each
+// mutation so the bytes actually reach the section decoder instead of
+// being rejected upstream.
 // ---------------------------------------------------------------------------
 
 // One graph-beam compiled artifact (plan section present), shared by the
@@ -210,36 +211,42 @@ const std::string& PlanImage() {
 // Section-table entry layout (see hab.cpp): id @0, offset @8, bytes @16,
 // checksum @24.
 struct SectionEntry {
+  u32 id = 0;
   size_t entry_pos = 0;
   u64 offset = 0;
   u64 bytes = 0;
 };
 
-SectionEntry FindSectionEntry(const std::string& image, HabSection id) {
+std::vector<SectionEntry> SectionEntries(const std::string& image) {
   u32 section_count;
   std::memcpy(&section_count, image.data() + kHabSectionCountOffset,
               sizeof section_count);
+  std::vector<SectionEntry> entries;
   for (u32 i = 0; i < section_count; ++i) {
-    const size_t entry = kHabHeaderBytes + size_t{i} * kHabSectionEntryBytes;
-    u32 sid;
-    std::memcpy(&sid, image.data() + entry, sizeof sid);
-    if (sid != static_cast<u32>(id)) continue;
-    SectionEntry found;
-    found.entry_pos = entry;
-    std::memcpy(&found.offset, image.data() + entry + 8, sizeof found.offset);
-    std::memcpy(&found.bytes, image.data() + entry + 16, sizeof found.bytes);
-    return found;
+    SectionEntry e;
+    e.entry_pos = kHabHeaderBytes + size_t{i} * kHabSectionEntryBytes;
+    std::memcpy(&e.id, image.data() + e.entry_pos, sizeof e.id);
+    std::memcpy(&e.offset, image.data() + e.entry_pos + 8, sizeof e.offset);
+    std::memcpy(&e.bytes, image.data() + e.entry_pos + 16, sizeof e.bytes);
+    entries.push_back(e);
+  }
+  return entries;
+}
+
+SectionEntry FindSectionEntry(const std::string& image, HabSection id) {
+  for (const SectionEntry& e : SectionEntries(image)) {
+    if (e.id == static_cast<u32>(id)) return e;
   }
   return {};
 }
 
-// Rewrites the plan section's checksum to match its (mutated) payload, so
-// the corruption is seen by the plan parser, not the checksum verifier.
-void FixPlanChecksum(std::string& image, const SectionEntry& plan) {
+// Rewrites a section's checksum to match its (mutated) payload, so the
+// corruption is seen by the section decoder, not the checksum verifier.
+void FixChecksum(std::string& image, const SectionEntry& entry) {
   const u64 sum = HabChecksum(
-      reinterpret_cast<const u8*>(image.data()) + plan.offset,
-      static_cast<size_t>(plan.bytes));
-  std::memcpy(image.data() + plan.entry_pos + 24, &sum, sizeof sum);
+      reinterpret_cast<const u8*>(image.data()) + entry.offset,
+      static_cast<size_t>(entry.bytes));
+  std::memcpy(image.data() + entry.entry_pos + 24, &sum, sizeof sum);
 }
 
 TEST(VmLoadFuzz, PlanImageParsesAndCarriesThePlan) {
@@ -264,7 +271,7 @@ TEST(VmLoadFuzz, CorruptedPlanSectionsAreTypedErrors) {
       mutated[pos] = static_cast<char>(
           static_cast<u8>(mutated[pos]) ^ (u8{1} << (rng.NextU64() % 8)));
     }
-    FixPlanChecksum(mutated, plan);
+    FixChecksum(mutated, plan);
     auto parsed = ParseHab(AsSpan(mutated));
     if (!parsed.ok()) {
       ++rejected;
@@ -280,6 +287,36 @@ TEST(VmLoadFuzz, CorruptedPlanSectionsAreTypedErrors) {
   EXPECT_GT(rejected, 100);
 }
 
+TEST(VmLoadFuzz, ChecksumFixedMutationsOfEverySectionAreTypedErrors) {
+  // 1-8 random bytes overwritten inside one section, 300 seeded trials per
+  // section of both corpora. Parse-only: executing a HAB whose
+  // checksum-consistent payload lies about its schedules is a separate,
+  // semantic-validation problem.
+  for (const std::string* image : {&ValidImage(), &PlanImage()}) {
+    for (const SectionEntry& entry : SectionEntries(*image)) {
+      ASSERT_GT(entry.bytes, 0u) << "section " << entry.id;
+      Rng rng(0x5EC7u + entry.id);
+      for (int trial = 0; trial < 300; ++trial) {
+        std::string mutated = *image;
+        const int bytes = 1 + static_cast<int>(rng.NextU64() % 8);
+        for (int b = 0; b < bytes; ++b) {
+          const size_t pos = static_cast<size_t>(
+              entry.offset + rng.NextU64() % entry.bytes);
+          mutated[pos] = static_cast<char>(rng.NextU64());
+        }
+        FixChecksum(mutated, entry);
+        auto parsed = ParseHab(AsSpan(mutated));
+        // NotFound is the op registry's answer to a mangled op name.
+        const StatusCode code = parsed.status().code();
+        EXPECT_TRUE(parsed.ok() || code == StatusCode::kInvalidArgument ||
+                    code == StatusCode::kUnsupported ||
+                    code == StatusCode::kNotFound)
+            << "section " << entry.id << ": " << parsed.status().ToString();
+      }
+    }
+  }
+}
+
 TEST(VmLoadFuzz, GarbagePlanPayloadIsTypedError) {
   std::string mutated = PlanImage();
   const SectionEntry plan = FindSectionEntry(mutated, HabSection::kPlan);
@@ -289,7 +326,7 @@ TEST(VmLoadFuzz, GarbagePlanPayloadIsTypedError) {
   for (u64 i = 0; i < plan.bytes; ++i) {
     mutated[static_cast<size_t>(plan.offset + i)] = '\xAB';
   }
-  FixPlanChecksum(mutated, plan);
+  FixChecksum(mutated, plan);
   auto parsed = ParseHab(AsSpan(mutated));
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
