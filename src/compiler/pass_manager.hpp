@@ -141,8 +141,7 @@ class PassManager {
   std::vector<std::unique_ptr<Pass>> passes_;
 };
 
-// Renders a per-pass timing / node-delta table (htvmc --print-pass-times,
-// bench_compile_time --smoke).
+// Renders a per-pass timing / node-delta table (htvmc --print-pass-times).
 std::string PassTimelineToTable(const PassTimeline& timeline);
 
 }  // namespace htvm::compiler

@@ -114,38 +114,11 @@ Result<Tensor> ExecuteConvLike(const AccelSchedule& sched, const Tensor& data,
   return out;
 }
 
-Result<Tensor> ExecuteDense(const AccelSchedule& sched, const Tensor& data,
-                            const Tensor& weight, const Tensor& bias) {
-  const AccelLayerSpec& spec = sched.spec;
-  Tensor out(Shape{1, spec.k}, DType::kInt8);
-  std::vector<i64> psum(static_cast<size_t>(spec.k), 0);
-  for (const TileStep& s : sched.steps) {
-    if (s.first_c) {
-      for (i64 k = 0; k < s.k_t; ++k) psum[static_cast<size_t>(s.k0 + k)] = 0;
-    }
-    for (i64 k = 0; k < s.k_t; ++k) {
-      i64 acc = 0;
-      for (i64 c = 0; c < s.c_t; ++c) {
-        acc += data.GetFlat(s.c0 + c) *
-               weight.GetFlat((s.k0 + k) * spec.c + (s.c0 + c));
-      }
-      psum[static_cast<size_t>(s.k0 + k)] += acc;
-    }
-    if (s.last_c) {
-      for (i64 k = 0; k < s.k_t; ++k) {
-        const i64 acc =
-            psum[static_cast<size_t>(s.k0 + k)] + bias.GetFlat(s.k0 + k);
-        out.SetFlat(s.k0 + k, RequantizeValueAt(acc, spec.requant, s.k0 + k));
-      }
-    }
-  }
-  return out;
-}
-
 Result<Tensor> ExecuteMatmul(const AccelSchedule& sched, const Tensor& data,
                              const Tensor& weight, const Tensor& bias) {
   // data [M, K] x weight [N, K] -> int8 [M, N]; (k, y) output tiles with
-  // the c reduction innermost, mirroring ExecuteDense row by row.
+  // the c reduction innermost. A dense layer is the one-row case: its spec
+  // keeps oy = 1, so every step has y0 = 0 and oy_t = 1.
   const AccelLayerSpec& spec = sched.spec;
   Tensor out(Shape{spec.oy, spec.k}, DType::kInt8);
   std::vector<i64> psum(static_cast<size_t>(spec.k * spec.oy), 0);
@@ -225,21 +198,17 @@ Result<Tensor> ExecuteTiled(const AccelSchedule& schedule,
       }
       return ExecuteConvLike(schedule, data, *weight, *bias);
     }
-    case LayerKind::kDense: {
-      if (weight == nullptr || bias == nullptr) {
-        return Status::InvalidArgument("dense: weight/bias required");
-      }
-      return ExecuteDense(schedule, data, *weight, *bias);
-    }
     case LayerKind::kAdd: {
       if (inputs.size() != 2) {
         return Status::InvalidArgument("add: two inputs required");
       }
       return ExecuteAdd(schedule, data, inputs[1]);
     }
+    case LayerKind::kDense:
     case LayerKind::kMatmul: {
       if (weight == nullptr || bias == nullptr) {
-        return Status::InvalidArgument("matmul: weight/bias required");
+        return Status::InvalidArgument(std::string(LayerKindName(spec.kind)) +
+                                       ": weight/bias required");
       }
       return ExecuteMatmul(schedule, data, *weight, *bias);
     }

@@ -53,14 +53,12 @@ Result<Tensor> EvalOp(const Node& node, std::span<const Tensor> inputs) {
   return Status::Unsupported("no evaluator for op " + op);
 }
 
-Result<std::vector<Tensor>> RunGraph(const Graph& graph,
-                                     std::span<const Tensor> inputs) {
+Status CheckInputs(const Graph& graph, std::span<const Tensor> inputs) {
   if (inputs.size() != graph.inputs().size()) {
     return Status::InvalidArgument(
         StrFormat("graph expects %zu inputs, got %zu", graph.inputs().size(),
                   inputs.size()));
   }
-  std::vector<Tensor> values(static_cast<size_t>(graph.NumNodes()));
   for (size_t i = 0; i < inputs.size(); ++i) {
     const Node& param = graph.node(graph.inputs()[i]);
     if (!(inputs[i].shape() == param.type.shape) ||
@@ -70,7 +68,16 @@ Result<std::vector<Tensor>> RunGraph(const Graph& graph,
           DTypeName(inputs[i].dtype()), inputs[i].shape().ToString().c_str(),
           param.type.ToString().c_str()));
     }
-    values[static_cast<size_t>(param.id)] = inputs[i];
+  }
+  return Status::Ok();
+}
+
+Result<std::vector<Tensor>> RunGraph(const Graph& graph,
+                                     std::span<const Tensor> inputs) {
+  HTVM_RETURN_IF_ERROR(CheckInputs(graph, inputs));
+  std::vector<Tensor> values(static_cast<size_t>(graph.NumNodes()));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    values[static_cast<size_t>(graph.inputs()[i])] = inputs[i];
   }
   for (const Node& n : graph.nodes()) {
     switch (n.kind) {

@@ -15,8 +15,12 @@ namespace htvm::nn {
 // for unknown ops (constant folding leaves those in place).
 Result<Tensor> EvalOp(const Node& node, std::span<const Tensor> inputs);
 
-// Runs a whole graph. `inputs` must match graph.inputs() in order, shape
-// and dtype. Composite nodes are executed by recursing into their body.
+// InvalidArgument unless `inputs` match graph.inputs() in count, order,
+// shape and dtype.
+Status CheckInputs(const Graph& graph, std::span<const Tensor> inputs);
+
+// Runs a whole graph; `inputs` must pass CheckInputs. Composite nodes are
+// executed by recursing into their body.
 Result<std::vector<Tensor>> RunGraph(const Graph& graph,
                                      std::span<const Tensor> inputs);
 

@@ -57,9 +57,9 @@ Result<ExecutionResult> Executor::Run(std::span<const Tensor> inputs,
         static_cast<long long>(art.hw_config.l2_bytes)));
   }
   const Graph& g = art.kernel_graph;
-  if (inputs.size() != g.inputs().size()) {
-    return Status::InvalidArgument("input count mismatch");
-  }
+  // The tiled path indexes its input by the layer geometry, so a wrong
+  // shape must stop here rather than inside a tile.
+  HTVM_RETURN_IF_ERROR(nn::CheckInputs(g, inputs));
 
   std::vector<Tensor> values(static_cast<size_t>(g.NumNodes()));
   for (size_t i = 0; i < inputs.size(); ++i) {

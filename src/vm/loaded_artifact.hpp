@@ -26,7 +26,8 @@ class LoadedArtifact {
   static Result<LoadedArtifact> FromBuffer(std::span<const u8> data);
 
   const compiler::Artifact& artifact() const { return parsed_->artifact; }
-  // Stable across moves: VmExecutor holds this pointer.
+  // Stable across moves, so a runtime::Executor built on it stays valid
+  // however the caller moves this LoadedArtifact around.
   const compiler::Artifact* artifact_ptr() const { return &parsed_->artifact; }
   // Shares ownership of the parsed state without copying the artifact (an
   // aliasing shared_ptr): the artifact cache hands this out on a disk hit.

@@ -15,15 +15,6 @@ constexpr i64 kMaxTensors = 256;
 
 }  // namespace
 
-VmExecutor::VmExecutor(LoadedArtifact loaded, runtime::ExecutorOptions options)
-    : loaded_(std::move(loaded)),
-      executor_(loaded_.artifact_ptr(), options) {}
-
-Result<runtime::ExecutionResult> VmExecutor::Run(
-    std::span<const Tensor> inputs, const runtime::RunContext* ctx) const {
-  return executor_.Run(inputs, ctx);
-}
-
 std::vector<Tensor> SyntheticInputs(const compiler::Artifact& artifact,
                                     u64 seed) {
   Rng rng(seed);

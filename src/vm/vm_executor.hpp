@@ -1,37 +1,21 @@
-// vm::VmExecutor — inference over a loaded HAB, no compiler linked.
+// Runner-side I/O for a loaded HAB, no compiler linked.
 //
-// Wraps runtime::Executor around LoadedArtifact and adds what a standalone
-// runner process needs: deterministic synthetic inputs derived from the
-// artifact's own graph signature (the same seed → Tensor::Random scheme the
-// serving layer uses, so `htvm-run` and an in-process run agree bit for
-// bit), and a tensor-list file format for piping inputs/outputs between
-// processes and asserting byte identity in CI.
+// A runner executes a vm::LoadedArtifact through runtime::Executor
+// (`runtime::Executor(loaded.artifact_ptr(), options)`). This header adds
+// what a standalone runner process needs on top: deterministic synthetic
+// inputs derived from the artifact's own graph signature (the same seed ->
+// Tensor::Random scheme the serving layer uses, so `htvm-run` and an
+// in-process run agree bit for bit), and a tensor-list file format for
+// piping inputs/outputs between processes and asserting byte identity in CI.
 #pragma once
 
-#include "runtime/executor.hpp"
-#include "vm/loaded_artifact.hpp"
+#include <span>
+#include <string>
+#include <vector>
+
+#include "compiler/artifact.hpp"
 
 namespace htvm::vm {
-
-class VmExecutor {
- public:
-  // The LoadedArtifact's parsed state is shared (and immutable), so the
-  // executor stays valid however the caller moves `loaded` around.
-  explicit VmExecutor(LoadedArtifact loaded,
-                      runtime::ExecutorOptions options = {});
-
-  const LoadedArtifact& loaded() const { return loaded_; }
-  const compiler::Artifact& artifact() const { return loaded_.artifact(); }
-
-  // Thread-safe, like runtime::Executor.
-  Result<runtime::ExecutionResult> Run(std::span<const Tensor> inputs,
-                                       const runtime::RunContext* ctx =
-                                           nullptr) const;
-
- private:
-  LoadedArtifact loaded_;
-  runtime::Executor executor_;
-};
 
 // One tensor per graph input, filled by Tensor::Random from `seed`. Both
 // htvmc --run-outputs and htvm-run synthesize inputs through this exact

@@ -4,16 +4,21 @@
 // respects its byte budget with correct recency order, on-disk persistence
 // survives a process restart (modeled as a fresh cache on the same dir),
 // corrupted files degrade to a miss and are rewritten by the next store,
-// and concurrent compiles through one cache are safe and compile-once.
-// The HAB round trip the cache persists with is covered in vm_hab_test.
+// concurrent compiles through one cache are safe and compile-once, and the
+// compile-once fleet sweep is at least 10x faster than compiling every
+// worker cold, with a hit byte-identical to a cache-less compile (HAB and
+// emitted C). The HAB round trip the cache persists with is covered in
+// vm_hab_test.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
+#include "compiler/emit.hpp"
 #include "compiler/pipeline.hpp"
 #include "hab_diff.hpp"
 #include "models/mlperf_tiny.hpp"
@@ -230,6 +235,70 @@ TEST(ArtifactCache, ConcurrentCompilesAreSafeAndEqual) {
     EXPECT_PRED_FORMAT2(test::HabBytesEq, serialized[t], serialized[0])
         << "thread " << t;
   }
+}
+
+// The htvm-serve startup path: a fleet of identical workers each registers
+// the same model set. Without the cache every worker runs the full pass
+// pipeline; through one shared cache the first worker compiles and the rest
+// hit. One cold and one warm sweep, each timed once.
+TEST(ArtifactCache, FleetSweepCompilesOnceAndIsTenTimesFaster) {
+  constexpr int kWorkers = 32;
+  struct SweepModel {
+    Graph network;
+    compiler::CompileOptions options;
+  };
+  const SweepModel fleet[] = {
+      {models::BuildResNet8(models::PrecisionPolicy::kMixed),
+       compiler::CompileOptions{}},
+      {models::BuildDsCnn(models::PrecisionPolicy::kInt8),
+       compiler::CompileOptions::DigitalOnly()},
+  };
+  const auto sweep_ms = [&](cache::ArtifactCache* cache) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int w = 0; w < kWorkers; ++w) {
+      for (const SweepModel& m : fleet) {
+        compiler::CompileOptions options = m.options;
+        options.cache = cache;
+        CompileOrDie(m.network, options);
+      }
+    }
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+
+  const double cold_ms = sweep_ms(/*cache=*/nullptr);
+  cache::ArtifactCache cache;
+  const double warm_ms = sweep_ms(&cache);
+  const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0.0;
+
+  EXPECT_EQ(cache.stats().compiles, 2);
+  EXPECT_EQ(cache.stats().hits, 2 * kWorkers - 2);
+  EXPECT_GE(speedup, 10.0) << "cold " << cold_ms << " ms, cached " << warm_ms
+                           << " ms";
+}
+
+// A hit must be trustworthy: its canonical HAB bytes and emitted C sources
+// equal a cold, cache-less compile's. SerializeHabForDiff zeroes pass
+// wall-clock times, which are measurement, not content.
+TEST(ArtifactCache, HitIsByteIdenticalToColdCompile) {
+  const Graph net = models::BuildResNet8(models::PrecisionPolicy::kMixed);
+  const compiler::Artifact cold = CompileOrDie(net);
+
+  cache::ArtifactCache cache;
+  compiler::CompileOptions opt;
+  opt.cache = &cache;
+  CompileOrDie(net, opt);
+  const compiler::Artifact hit = CompileOrDie(net, opt);
+  ASSERT_EQ(cache.stats().hits, 1);
+
+  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(hit),
+                      vm::SerializeHabForDiff(cold));
+  auto cold_c = compiler::EmitArtifactC(cold, "resnet");
+  auto hit_c = compiler::EmitArtifactC(hit, "resnet");
+  ASSERT_TRUE(cold_c.ok()) << cold_c.status().ToString();
+  ASSERT_TRUE(hit_c.ok()) << hit_c.status().ToString();
+  EXPECT_EQ(hit_c->files, cold_c->files);
 }
 
 TEST(ArtifactCache, ResetClearsEntriesAndStats) {

@@ -436,6 +436,25 @@ TEST(RunCli, InputSeedRejectsPartialNumbers) {
   }
 }
 
+TEST(RunCli, WrongShapeInputIsTypedErrorWhenSimulatingTiles) {
+  if (!ToolExists() || !BinaryExists(kRunTool)) GTEST_SKIP();
+  // The model's outputs are not a valid input: both paths reject them as a
+  // typed error, never an abort.
+  const std::string hab = ::testing::TempDir() + "/cli_wrong_input.hab";
+  const std::string outputs = ::testing::TempDir() + "/cli_wrong_input.bin";
+  ASSERT_EQ(RunTool("--model dscnn --config mixed --emit-artifact " + hab +
+                    " --run-outputs " + outputs),
+            0);
+  for (const char* mode : {"", " --simulate-tiles"}) {
+    std::string out;
+    const int rc = RunRun(hab + " --input " + outputs + mode, &out);
+    ASSERT_TRUE(WIFEXITED(rc)) << mode;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << mode;
+    EXPECT_NE(ReadAll(out).find("INVALID_ARGUMENT"), std::string::npos)
+        << mode;
+  }
+}
+
 TEST(ServeCli, BadFleetSpecFails) {
   if (!BinaryExists(kServeTool)) GTEST_SKIP();
   std::string out;

@@ -88,14 +88,26 @@ TEST(ParallelCompile, LayerZooDifferentialAcrossThreadCounts) {
 
 TEST(ParallelCompile, MlperfNetworksDifferential) {
   // Full multi-layer networks: many composites per compile, so the pool
-  // actually interleaves lanes.
+  // actually interleaves lanes. Mixed precision on both accelerators, and
+  // int8 on the digital array alone (every offloaded layer tiles).
+  struct Variant {
+    const char* name;
+    models::PrecisionPolicy policy;
+    compiler::CompileOptions options;
+  };
+  const Variant variants[] = {
+      {"mixed", models::PrecisionPolicy::kMixed, compiler::CompileOptions{}},
+      {"digital", models::PrecisionPolicy::kInt8,
+       compiler::CompileOptions::DigitalOnly()},
+  };
   for (const auto& model : models::MlperfTinySuite()) {
-    const Graph net = model.build(models::PrecisionPolicy::kMixed);
-    const compiler::CompileOptions options;  // mixed
-    const std::string sequential = CompileDiffText(net, options, 1);
-    EXPECT_PRED_FORMAT2(test::HabBytesEq, sequential,
-                        CompileDiffText(net, options, 8))
-        << model.name;
+    for (const Variant& v : variants) {
+      const Graph net = model.build(v.policy);
+      const std::string sequential = CompileDiffText(net, v.options, 1);
+      EXPECT_PRED_FORMAT2(test::HabBytesEq, sequential,
+                          CompileDiffText(net, v.options, 8))
+          << model.name << "/" << v.name;
+    }
   }
 }
 

@@ -115,13 +115,29 @@ TEST(Executor, EndToEndResNetTiledSimulationBitExact) {
   EXPECT_TRUE(report->bit_exact);
 }
 
-TEST(Executor, InputCountMismatchRejected) {
-  Graph net = models::BuildToyAdmosDae(models::PrecisionPolicy::kInt8);
-  auto art = HtvmCompiler{CompileOptions::DigitalOnly()}.Compile(net);
+// A wrong input count, shape or dtype is a typed error on both paths. The
+// tiled path indexes its input by the layer geometry, so an unchecked shape
+// would abort inside a tile.
+TEST(Executor, InputMismatchRejectedOnBothPaths) {
+  Graph net = models::BuildDsCnn(models::PrecisionPolicy::kMixed);
+  auto art = HtvmCompiler{CompileOptions{}}.Compile(net);
   ASSERT_TRUE(art.ok());
-  Executor ex(&*art);
-  auto result = ex.Run(std::vector<Tensor>{});
-  EXPECT_FALSE(result.ok());
+  const TensorType& param =
+      art->kernel_graph.node(art->kernel_graph.inputs()[0]).type;
+  const std::vector<Tensor> bad_inputs[] = {
+      {},
+      {Tensor(Shape{1, 12}, param.dtype)},
+      {Tensor(param.shape, DType::kInt32)},
+  };
+  for (const bool simulate_tiles : {false, true}) {
+    const Executor ex(&*art, {.simulate_tiles = simulate_tiles});
+    for (const std::vector<Tensor>& inputs : bad_inputs) {
+      auto result = ex.Run(inputs);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << result.status().ToString();
+    }
+  }
 }
 
 }  // namespace

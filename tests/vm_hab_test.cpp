@@ -159,27 +159,35 @@ TEST(Hab, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-TEST(Hab, VmExecutorBitExactWithInProcessExecutor) {
+// The deployment story: compile once, save the HAB, and a fresh runner that
+// loads the file reproduces the in-process run bit for bit, on every MLPerf
+// Tiny model.
+TEST(Hab, LoadedFileRunsBitExactWithInProcessExecutor) {
   TempDir dir;
-  const compiler::Artifact a = CompileDsCnn();
-  const std::string path = dir.file("model.hab");
-  ASSERT_TRUE(SaveHab(a, {}, path).ok());
-  auto loaded = LoadedArtifact::FromFile(path);
-  ASSERT_TRUE(loaded.ok());
+  for (const auto& model : models::MlperfTinySuite()) {
+    SCOPED_TRACE(model.name);
+    auto a = compiler::HtvmCompiler{{}}.Compile(
+        model.build(models::PrecisionPolicy::kMixed));
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    const std::string path = dir.file(std::string(model.name) + ".hab");
+    ASSERT_TRUE(SaveHab(*a, {}, path).ok());
+    auto loaded = LoadedArtifact::FromFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  const VmExecutor vm_exec(std::move(*loaded));
-  const runtime::Executor in_process(&a);
-  const std::vector<Tensor> inputs = SyntheticInputs(a, 42);
+    const runtime::Executor from_file(loaded->artifact_ptr());
+    const runtime::Executor in_process(&*a);
+    const std::vector<Tensor> inputs = SyntheticInputs(*a, 42);
 
-  auto from_vm = vm_exec.Run(inputs);
-  auto from_compile = in_process.Run(inputs);
-  ASSERT_TRUE(from_vm.ok()) << from_vm.status().ToString();
-  ASSERT_TRUE(from_compile.ok());
-  ASSERT_EQ(from_vm->outputs.size(), from_compile->outputs.size());
-  for (size_t i = 0; i < from_vm->outputs.size(); ++i) {
-    EXPECT_TRUE(from_vm->outputs[i].SameAs(from_compile->outputs[i]));
+    auto from_vm = from_file.Run(inputs);
+    auto from_compile = in_process.Run(inputs);
+    ASSERT_TRUE(from_vm.ok()) << from_vm.status().ToString();
+    ASSERT_TRUE(from_compile.ok()) << from_compile.status().ToString();
+    ASSERT_EQ(from_vm->outputs.size(), from_compile->outputs.size());
+    for (size_t i = 0; i < from_vm->outputs.size(); ++i) {
+      EXPECT_TRUE(from_vm->outputs[i].SameAs(from_compile->outputs[i]));
+    }
+    EXPECT_EQ(from_vm->total_cycles, from_compile->total_cycles);
   }
-  EXPECT_EQ(from_vm->total_cycles, from_compile->total_cycles);
 }
 
 TEST(Hab, TensorFileRoundTrip) {

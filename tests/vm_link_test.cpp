@@ -7,12 +7,15 @@
 // compiler symbol dependency, this target stops linking.
 //
 // Functionally it exercises the whole compiler-free path: hand-build an
-// artifact, serialize to HAB bytes, parse, execute through VmExecutor, and
-// check the interpreter semantics survived the trip.
+// artifact, serialize to HAB bytes, parse, execute the loaded artifact
+// through runtime::Executor, and check the interpreter semantics survived
+// the trip.
 #include <gtest/gtest.h>
 
 #include "nn/interpreter.hpp"
+#include "runtime/executor.hpp"
 #include "vm/hab.hpp"
+#include "vm/loaded_artifact.hpp"
 #include "vm/vm_executor.hpp"
 
 namespace htvm::vm {
@@ -64,7 +67,7 @@ TEST(VmLink, HabRoundTripAndExecuteWithoutCompiler) {
   // Serialization is deterministic and parse reconstructs identical state.
   EXPECT_EQ(SerializeHab(loaded->artifact(), loaded->meta()), bytes);
 
-  const VmExecutor executor(std::move(*loaded));
+  const runtime::Executor executor(loaded->artifact_ptr());
   Rng rng(11);
   const Tensor input = Tensor::Random(Shape{1, 8}, DType::kInt8, rng);
   auto result = executor.Run(std::vector<Tensor>{input});

@@ -15,8 +15,10 @@
 #include <optional>
 
 #include "hw/soc.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/timeline.hpp"
 #include "support/string_utils.hpp"
+#include "vm/loaded_artifact.hpp"
 #include "vm/vm_executor.hpp"
 
 using namespace htvm;
@@ -163,9 +165,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  runtime::ExecutorOptions exec_options;
-  exec_options.simulate_tiles = opt.simulate_tiles;
-  const vm::VmExecutor executor(std::move(*loaded), exec_options);
+  const compiler::Artifact& artifact = loaded->artifact();
+  const runtime::Executor executor(
+      loaded->artifact_ptr(),
+      runtime::ExecutorOptions{.simulate_tiles = opt.simulate_tiles});
 
   std::vector<Tensor> inputs;
   if (!opt.input_path.empty()) {
@@ -177,7 +180,7 @@ int main(int argc, char** argv) {
     }
     inputs = std::move(*tensors);
   } else {
-    inputs = vm::SyntheticInputs(executor.artifact(), opt.input_seed);
+    inputs = vm::SyntheticInputs(artifact, opt.input_seed);
   }
 
   auto result = executor.Run(inputs);
@@ -188,19 +191,18 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s: %zu outputs | %lld cycles | %.3f ms\n",
-              executor.loaded().meta().model_name.empty()
+              loaded->meta().model_name.empty()
                   ? opt.artifact_path.c_str()
-                  : executor.loaded().meta().model_name.c_str(),
+                  : loaded->meta().model_name.c_str(),
               result->outputs.size(),
               static_cast<long long>(result->total_cycles),
               result->latency_ms);
 
   if (opt.report) {
-    std::printf("\n%s", executor.artifact().Profile().ToTable().c_str());
+    std::printf("\n%s", artifact.Profile().ToTable().c_str());
   }
   if (opt.timeline) {
-    std::printf("\n%s",
-                runtime::BuildTimeline(executor.artifact()).Render().c_str());
+    std::printf("\n%s", runtime::BuildTimeline(artifact).Render().c_str());
   }
   if (!opt.dump_outputs.empty()) {
     if (auto status = vm::SaveTensors(result->outputs, opt.dump_outputs);
