@@ -1,47 +1,152 @@
 #include "dory/tiled_exec.hpp"
 
-#include <algorithm>
+#include <cstring>
+#include <optional>
 
 #include "nn/kernels.hpp"
+#include "support/string_utils.hpp"
 
 namespace htvm::dory {
 namespace {
 
-// Zero-padded copy of the input plane so tile slicing never needs bounds
+// [origin, origin + extent) is a non-empty sub-range of [0, limit).
+bool InRange(i64 origin, i64 extent, i64 limit) {
+  return origin >= 0 && extent > 0 && extent <= limit &&
+         origin <= limit - extent;
+}
+
+// `t` holds `elems` elements of `dtype` (or ternary, when `or_ternary`).
+Status CheckTensor(const Tensor* t, const char* what, DType dtype, i64 elems,
+                   bool or_ternary = false) {
+  if (t == nullptr) {
+    return Status::InvalidArgument(StrFormat("%s required", what));
+  }
+  const bool dtype_ok =
+      t->dtype() == dtype || (or_ternary && t->dtype() == DType::kTernary);
+  if (!dtype_ok || t->NumElements() != elems) {
+    return Status::InvalidArgument(
+        StrFormat("%s %s%s does not match the layer (%lld elements)", what,
+                  DTypeName(t->dtype()), t->shape().ToString().c_str(),
+                  static_cast<long long>(elems)));
+  }
+  return Status::Ok();
+}
+
+// The layer geometry must be non-degenerate before any extent derived from
+// it sizes a buffer.
+Status CheckSpec(const AccelLayerSpec& spec) {
+  const bool dims_ok = spec.c > 0 && spec.k > 0 && spec.iy > 0 &&
+                       spec.ix > 0 && spec.oy > 0 && spec.ox > 0 &&
+                       spec.kh > 0 && spec.kw > 0 && spec.sy > 0 &&
+                       spec.sx > 0 && spec.pad_t >= 0 && spec.pad_l >= 0 &&
+                       spec.pad_b >= 0 && spec.pad_r >= 0;
+  if (!dims_ok) return Status::InvalidArgument("degenerate layer geometry");
+  if (spec.kind == LayerKind::kDwConv2d && spec.k != spec.c) {
+    return Status::InvalidArgument("depthwise layer with k != c");
+  }
+  const i64 channels = spec.kind == LayerKind::kAdd ? spec.c : spec.k;
+  if (spec.requant.per_channel() &&
+      static_cast<i64>(spec.requant.channel_shifts.size()) != channels) {
+    return Status::InvalidArgument("per-channel shifts do not match the layer");
+  }
+  return Status::Ok();
+}
+
+// Every step stays inside the layer, and a conv step that continues a
+// partial sum (first_c false) continues the output tile that is open.
+Status CheckSteps(const AccelSchedule& sched) {
+  const AccelLayerSpec& spec = sched.spec;
+  const bool conv = spec.kind == LayerKind::kConv2d;
+  const bool dw = spec.kind == LayerKind::kDwConv2d;
+  const bool matmul =
+      spec.kind == LayerKind::kDense || spec.kind == LayerKind::kMatmul;
+  const TileStep* open = nullptr;
+  for (size_t i = 0; i < sched.steps.size(); ++i) {
+    const TileStep& s = sched.steps[i];
+    bool ok = InRange(s.c0, s.c_t, spec.c) &&
+              InRange(s.y0, s.oy_t, spec.oy);
+    if (!matmul) ok = ok && InRange(s.x0, s.ox_t, spec.ox);
+    if (conv || matmul) ok = ok && InRange(s.k0, s.k_t, spec.k);
+    // A depthwise step owns its channels outright: no partial sums.
+    if (dw) ok = ok && s.k_t == s.c_t && s.first_c && s.last_c;
+    if (conv || dw) {
+      // The input window of the tile lies inside the padded input.
+      ok = ok &&
+           (s.y0 + s.oy_t - 1) * spec.sy + spec.kh <=
+               spec.iy + spec.pad_t + spec.pad_b &&
+           (s.x0 + s.ox_t - 1) * spec.sx + spec.kw <=
+               spec.ix + spec.pad_l + spec.pad_r;
+    }
+    if (conv && !s.first_c) {
+      ok = ok && open != nullptr && s.k0 == open->k0 && s.k_t == open->k_t &&
+           s.y0 == open->y0 && s.oy_t == open->oy_t && s.x0 == open->x0 &&
+           s.ox_t == open->ox_t;
+    }
+    if (!ok) {
+      return Status::InvalidArgument(
+          StrFormat("tile step %zu lies outside the layer", i));
+    }
+    if (conv) open = s.last_c ? nullptr : &s;
+  }
+  return Status::Ok();
+}
+
+// Zero-padded copy of the input planes so tile slicing never needs bounds
 // logic — the L2-side "virtual" padded tensor DORY indexes into.
 Tensor PadInput(const Tensor& data, const AccelLayerSpec& spec) {
-  const i64 C = spec.c, H = spec.iy, W = spec.ix;
-  Tensor padded(Shape{1, C, H + spec.pad_t + spec.pad_b,
-                      W + spec.pad_l + spec.pad_r},
-                DType::kInt8);
-  for (i64 c = 0; c < C; ++c) {
-    for (i64 y = 0; y < H; ++y) {
-      for (i64 x = 0; x < W; ++x) {
-        padded.Set4(0, c, y + spec.pad_t, x + spec.pad_l,
-                    data.At4(0, c, y, x));
-      }
+  const i64 ph = spec.iy + spec.pad_t + spec.pad_b;
+  const i64 pw = spec.ix + spec.pad_l + spec.pad_r;
+  Tensor padded(Shape{1, spec.c, ph, pw}, DType::kInt8);
+  const i8* src = data.data<i8>().data();
+  i8* dst = padded.data<i8>().data();
+  for (i64 c = 0; c < spec.c; ++c) {
+    for (i64 y = 0; y < spec.iy; ++y) {
+      std::memcpy(dst + (c * ph + spec.pad_t + y) * pw + spec.pad_l,
+                  src + (c * spec.iy + y) * spec.ix,
+                  static_cast<size_t>(spec.ix));
     }
   }
   return padded;
 }
 
 // Gathers the input tile feeding output rows [y0, y0+oy_t) x [x0, x0+ox_t)
-// and channels [c0, c0+c_t) from the padded input.
+// and channels [c0, c0+c_t) from the padded input, one DMA row at a time.
 Tensor GatherInTile(const Tensor& padded, const AccelLayerSpec& spec,
                     const TileStep& s) {
+  const i64 ph = padded.shape()[2], pw = padded.shape()[3];
   const i64 ih = (s.oy_t - 1) * spec.sy + spec.kh;
   const i64 iw = (s.ox_t - 1) * spec.sx + spec.kw;
-  const i64 oy0 = s.y0 * spec.sy;
-  const i64 ox0 = s.x0 * spec.sx;
   Tensor tile(Shape{1, s.c_t, ih, iw}, DType::kInt8);
+  const i8* src = padded.data<i8>().data() + s.y0 * spec.sy * pw +
+                  s.x0 * spec.sx;
+  i8* dst = tile.data<i8>().data();
   for (i64 c = 0; c < s.c_t; ++c) {
     for (i64 y = 0; y < ih; ++y) {
-      for (i64 x = 0; x < iw; ++x) {
-        tile.Set4(0, c, y, x, padded.At4(0, s.c0 + c, oy0 + y, ox0 + x));
-      }
+      std::memcpy(dst + (c * ih + y) * iw, src + ((s.c0 + c) * ph + y) * pw,
+                  static_cast<size_t>(iw));
     }
   }
   return tile;
+}
+
+// Weight slice of a step: output channels [k0, k0+k_t) x input channels
+// [c0, c0+c_t); for depthwise, channel c0+c is both.
+Tensor SliceWeights(const Tensor& weight, const AccelLayerSpec& spec,
+                    const TileStep& s, bool dw) {
+  const i64 taps = spec.kh * spec.kw;
+  const i64 k_t = dw ? s.c_t : s.k_t;
+  const i64 k0 = dw ? s.c0 : s.k0;
+  const i64 cin = dw ? 1 : spec.c;
+  const i64 c_t = dw ? 1 : s.c_t;
+  const i64 c0 = dw ? 0 : s.c0;
+  Tensor slice(Shape{k_t, c_t, spec.kh, spec.kw}, weight.dtype());
+  const i8* src = weight.data<i8>().data();
+  i8* dst = slice.data<i8>().data();
+  for (i64 k = 0; k < k_t; ++k) {
+    std::memcpy(dst + k * c_t * taps, src + ((k0 + k) * cin + c0) * taps,
+                static_cast<size_t>(c_t * taps));
+  }
+  return slice;
 }
 
 Result<Tensor> ExecuteConvLike(const AccelSchedule& sched, const Tensor& data,
@@ -50,63 +155,42 @@ Result<Tensor> ExecuteConvLike(const AccelSchedule& sched, const Tensor& data,
   const bool dw = spec.kind == LayerKind::kDwConv2d;
   Tensor out(Shape{1, spec.k, spec.oy, spec.ox}, DType::kInt8);
   const Tensor padded = PadInput(data, spec);
+  const i32* b = bias.data<i32>().data();
+  i8* o = out.data<i8>().data();
 
-  // One psum buffer per output tile; keyed by the current (k0, y0, x0) —
-  // the output-stationary loop order guarantees all c-tiles of one output
-  // tile are consecutive.
+  // One psum buffer per output tile: the output-stationary loop order puts
+  // all c-tiles of one output tile consecutively (CheckSteps enforces it).
   Tensor psum;
   for (const TileStep& s : sched.steps) {
-    if (s.first_c) {
-      psum = Tensor::Zeros(Shape{1, s.k_t, s.oy_t, s.ox_t}, DType::kInt32);
-    }
-    // Weight slice: output channels [k0, k0+k_t), input channels
-    // [c0, c0+c_t) (for depthwise, channel c is both).
-    Tensor in_tile = GatherInTile(padded, spec, s);
-    Tensor w_tile;
-    if (dw) {
-      w_tile = Tensor(Shape{s.c_t, 1, spec.kh, spec.kw}, weight.dtype());
-      for (i64 c = 0; c < s.c_t; ++c) {
-        for (i64 fy = 0; fy < spec.kh; ++fy) {
-          for (i64 fx = 0; fx < spec.kw; ++fx) {
-            w_tile.Set4(c, 0, fy, fx, weight.At4(s.c0 + c, 0, fy, fx));
-          }
-        }
-      }
-    } else {
-      w_tile = Tensor(Shape{s.k_t, s.c_t, spec.kh, spec.kw}, weight.dtype());
-      for (i64 k = 0; k < s.k_t; ++k) {
-        for (i64 c = 0; c < s.c_t; ++c) {
-          for (i64 fy = 0; fy < spec.kh; ++fy) {
-            for (i64 fx = 0; fx < spec.kw; ++fx) {
-              w_tile.Set4(k, c, fy, fx,
-                          weight.At4(s.k0 + k, s.c0 + c, fy, fx));
-            }
-          }
-        }
-      }
-    }
-    auto partial = nn::Conv2d(in_tile, w_tile, {spec.sy, spec.sx},
-                              {0, 0, 0, 0}, dw ? s.c_t : 1);
+    auto partial =
+        nn::Conv2d(GatherInTile(padded, spec, s),
+                   SliceWeights(weight, spec, s, dw), {spec.sy, spec.sx},
+                   {0, 0, 0, 0}, dw ? s.c_t : 1);
     if (!partial.ok()) return partial.status();
-    const Tensor& p = partial.value();
-    HTVM_CHECK(p.shape()[2] == s.oy_t && p.shape()[3] == s.ox_t);
-    for (i64 k = 0; k < s.k_t; ++k) {
-      for (i64 y = 0; y < s.oy_t; ++y) {
-        for (i64 x = 0; x < s.ox_t; ++x) {
-          psum.Set4(0, k, y, x, psum.At4(0, k, y, x) + p.At4(0, k, y, x));
-        }
+    HTVM_CHECK(partial->shape()[2] == s.oy_t && partial->shape()[3] == s.ox_t);
+    if (s.first_c) {
+      psum = std::move(partial.value());
+    } else {
+      // int32 partial sums add with wrap-around, like the accelerator's.
+      const auto p = partial->data<i32>();
+      const auto acc = psum.data<i32>();
+      for (size_t i = 0; i < acc.size(); ++i) {
+        acc[i] = static_cast<i32>(static_cast<u32>(acc[i]) +
+                                  static_cast<u32>(p[i]));
       }
     }
-    if (s.last_c) {
-      // Bias + requant + scatter (the accelerator output stage).
-      const i64 kbase = dw ? s.c0 : s.k0;
-      for (i64 k = 0; k < s.k_t; ++k) {
-        for (i64 y = 0; y < s.oy_t; ++y) {
-          for (i64 x = 0; x < s.ox_t; ++x) {
-            const i64 acc = psum.At4(0, k, y, x) + bias.GetFlat(kbase + k);
-            out.Set4(0, kbase + k, s.y0 + y, s.x0 + x,
-                     RequantizeValueAt(acc, spec.requant, kbase + k));
-          }
+    if (!s.last_c) continue;
+    // Bias + requant + scatter (the accelerator output stage).
+    const i64 kbase = dw ? s.c0 : s.k0;
+    const i32* acc = psum.data<i32>().data();
+    for (i64 k = 0; k < s.k_t; ++k) {
+      const i64 ch = kbase + k;
+      for (i64 y = 0; y < s.oy_t; ++y) {
+        const i32* arow = acc + (k * s.oy_t + y) * s.ox_t;
+        i8* orow = o + (ch * spec.oy + s.y0 + y) * spec.ox + s.x0;
+        for (i64 x = 0; x < s.ox_t; ++x) {
+          orow[x] = RequantizeValueAt(static_cast<i64>(arow[x]) + b[ch],
+                                      spec.requant, ch);
         }
       }
     }
@@ -122,32 +206,23 @@ Result<Tensor> ExecuteMatmul(const AccelSchedule& sched, const Tensor& data,
   const AccelLayerSpec& spec = sched.spec;
   Tensor out(Shape{spec.oy, spec.k}, DType::kInt8);
   std::vector<i64> psum(static_cast<size_t>(spec.k * spec.oy), 0);
+  const i8* d = data.data<i8>().data();
+  const i8* w = weight.data<i8>().data();
+  const i32* b = bias.data<i32>().data();
+  i8* o = out.data<i8>().data();
   for (const TileStep& s : sched.steps) {
-    if (s.first_c) {
-      for (i64 y = 0; y < s.oy_t; ++y) {
-        for (i64 k = 0; k < s.k_t; ++k) {
-          psum[static_cast<size_t>((s.y0 + y) * spec.k + s.k0 + k)] = 0;
-        }
-      }
-    }
-    for (i64 y = 0; y < s.oy_t; ++y) {
-      for (i64 k = 0; k < s.k_t; ++k) {
-        i64 acc = 0;
+    for (i64 y = s.y0; y < s.y0 + s.oy_t; ++y) {
+      const i8* drow = d + y * spec.c + s.c0;
+      i64* prow = psum.data() + y * spec.k;
+      for (i64 k = s.k0; k < s.k0 + s.k_t; ++k) {
+        const i8* wrow = w + k * spec.c + s.c0;
+        i64 acc = s.first_c ? 0 : prow[k];
         for (i64 c = 0; c < s.c_t; ++c) {
-          acc += data.GetFlat((s.y0 + y) * spec.c + s.c0 + c) *
-                 weight.GetFlat((s.k0 + k) * spec.c + s.c0 + c);
+          acc += static_cast<i64>(drow[c]) * static_cast<i64>(wrow[c]);
         }
-        psum[static_cast<size_t>((s.y0 + y) * spec.k + s.k0 + k)] += acc;
-      }
-    }
-    if (s.last_c) {
-      for (i64 y = 0; y < s.oy_t; ++y) {
-        for (i64 k = 0; k < s.k_t; ++k) {
-          const i64 acc =
-              psum[static_cast<size_t>((s.y0 + y) * spec.k + s.k0 + k)] +
-              bias.GetFlat(s.k0 + k);
-          out.SetFlat((s.y0 + y) * spec.k + s.k0 + k,
-                      RequantizeValueAt(acc, spec.requant, s.k0 + k));
+        prow[k] = acc;
+        if (s.last_c) {
+          o[y * spec.k + k] = RequantizeValueAt(acc + b[k], spec.requant, k);
         }
       }
     }
@@ -159,17 +234,18 @@ Result<Tensor> ExecuteAdd(const AccelSchedule& sched, const Tensor& lhs,
                           const Tensor& rhs) {
   const AccelLayerSpec& spec = sched.spec;
   Tensor out(lhs.shape(), DType::kInt8);
+  const i8* l = lhs.data<i8>().data();
+  const i8* r = rhs.data<i8>().data();
+  i8* o = out.data<i8>().data();
   // Channel/spatial tiles partition the tensor; order is irrelevant for an
-  // elementwise op, so walk steps and compute each region.
-  const i64 plane = spec.oy * spec.ox;
+  // elementwise op, so walk steps and compute each region row by row.
   for (const TileStep& s : sched.steps) {
-    for (i64 c = 0; c < s.c_t; ++c) {
-      for (i64 y = 0; y < s.oy_t; ++y) {
-        for (i64 x = 0; x < s.ox_t; ++x) {
-          const i64 idx =
-              (s.c0 + c) * plane + (s.y0 + y) * spec.ox + (s.x0 + x);
-          const i64 acc = lhs.GetFlat(idx) + rhs.GetFlat(idx);
-          out.SetFlat(idx, RequantizeValueAt(acc, spec.requant, s.c0 + c));
+    for (i64 c = s.c0; c < s.c0 + s.c_t; ++c) {
+      for (i64 y = s.y0; y < s.y0 + s.oy_t; ++y) {
+        const i64 row = (c * spec.oy + y) * spec.ox + s.x0;
+        for (i64 x = row; x < row + s.ox_t; ++x) {
+          o[x] = RequantizeValueAt(static_cast<i64>(l[x]) + r[x],
+                                   spec.requant, c);
         }
       }
     }
@@ -177,41 +253,69 @@ Result<Tensor> ExecuteAdd(const AccelSchedule& sched, const Tensor& lhs,
   return out;
 }
 
+// Checks the tensors against the layer before any of them is read: conv
+// data [1, c, iy, ix] and weight [k, c or 1, kh, kw]; dense/matmul data
+// [oy, c] and weight [k, c]; add operands of c * oy * ox; bias [k] int32.
+Status CheckOperands(const AccelSchedule& schedule,
+                     std::span<const Tensor> inputs, const Tensor* weight,
+                     const Tensor* bias) {
+  const AccelLayerSpec& spec = schedule.spec;
+  HTVM_RETURN_IF_ERROR(CheckSpec(spec));
+  HTVM_RETURN_IF_ERROR(CheckSteps(schedule));
+  const size_t arity = spec.kind == LayerKind::kAdd ? 2 : 1;
+  if (inputs.size() != arity) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: %zu input(s) required", LayerKindName(spec.kind), arity));
+  }
+  if (spec.kind == LayerKind::kAdd) {
+    for (const Tensor& t : inputs) {
+      HTVM_RETURN_IF_ERROR(CheckTensor(&t, "add input", DType::kInt8,
+                                       spec.c * spec.oy * spec.ox));
+    }
+    return Status::Ok();
+  }
+  const bool conv = spec.kind == LayerKind::kConv2d ||
+                    spec.kind == LayerKind::kDwConv2d;
+  const i64 cin = spec.kind == LayerKind::kDwConv2d ? 1 : spec.c;
+  const Shape data_shape = conv ? Shape{1, spec.c, spec.iy, spec.ix}
+                                : Shape{spec.oy, spec.c};
+  const Shape weight_shape =
+      conv ? Shape{spec.k, cin, spec.kh, spec.kw} : Shape{spec.k, spec.c};
+  HTVM_RETURN_IF_ERROR(CheckTensor(&inputs[0], "data", DType::kInt8,
+                                   data_shape.NumElements()));
+  HTVM_RETURN_IF_ERROR(CheckTensor(weight, "weight", DType::kInt8,
+                                   weight_shape.NumElements(), true));
+  // A conv reads NCHW planes, so its shapes must match, not only counts.
+  if (conv && !(inputs[0].shape() == data_shape &&
+                weight->shape() == weight_shape)) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: data %s / weight %s do not match the layer",
+        LayerKindName(spec.kind), inputs[0].shape().ToString().c_str(),
+        weight->shape().ToString().c_str()));
+  }
+  return CheckTensor(bias, "bias", DType::kInt32, spec.k);
+}
+
 }  // namespace
 
 Result<Tensor> ExecuteTiled(const AccelSchedule& schedule,
                             std::span<const Tensor> inputs,
                             const Tensor* weight, const Tensor* bias) {
-  const AccelLayerSpec& spec = schedule.spec;
-  if (inputs.empty()) return Status::InvalidArgument("no inputs");
-
-  Tensor data = inputs[0];
+  HTVM_RETURN_IF_ERROR(CheckOperands(schedule, inputs, weight, bias));
+  std::optional<Tensor> clamped;
   if (schedule.target == AccelTarget::kAnalog) {
-    data = ClampTo7Bit(data);
+    clamped = ClampTo7Bit(inputs[0]);
   }
-
-  switch (spec.kind) {
+  const Tensor& data = clamped ? *clamped : inputs[0];
+  switch (schedule.spec.kind) {
     case LayerKind::kConv2d:
-    case LayerKind::kDwConv2d: {
-      if (weight == nullptr || bias == nullptr) {
-        return Status::InvalidArgument("conv: weight/bias required");
-      }
+    case LayerKind::kDwConv2d:
       return ExecuteConvLike(schedule, data, *weight, *bias);
-    }
-    case LayerKind::kAdd: {
-      if (inputs.size() != 2) {
-        return Status::InvalidArgument("add: two inputs required");
-      }
+    case LayerKind::kAdd:
       return ExecuteAdd(schedule, data, inputs[1]);
-    }
     case LayerKind::kDense:
-    case LayerKind::kMatmul: {
-      if (weight == nullptr || bias == nullptr) {
-        return Status::InvalidArgument(std::string(LayerKindName(spec.kind)) +
-                                       ": weight/bias required");
-      }
+    case LayerKind::kMatmul:
       return ExecuteMatmul(schedule, data, *weight, *bias);
-    }
   }
   return Status::Internal("bad layer kind");
 }

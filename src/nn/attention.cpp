@@ -1,11 +1,13 @@
 // Transformer-workload reference kernels: matmul, transpose, layernorm,
 // gelu. Like the rest of src/nn these are the bit-exact ground truth the
 // compiled paths (CPU composites and DORY-tiled accelerator kernels) must
-// reproduce. Integer matmul accumulates in int64; layernorm/gelu follow the
-// repo's fixed-activation-scale convention (int8 value v represents
-// v / kActScale) so the int8 results are deterministic across platforms.
+// reproduce. Integer matmul keeps the low 32 bits of its sum; layernorm/gelu
+// follow the repo's fixed-activation-scale convention (int8 value v
+// represents v / kActScale) so the int8 results are deterministic across
+// platforms.
 #include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "nn/kernels.hpp"
 #include "support/math_utils.hpp"
@@ -39,6 +41,35 @@ i64 RoundedDiv(i64 p, i64 q) {
   return p >= 0 ? (p + q / 2) / q : -((-p + q / 2) / q);
 }
 
+// o[bi] = a[bi] x b[bi] (or the one shared b), with b [n, kk] when
+// transpose_b and [kk, n] otherwise. Elements pass through i64 as in the
+// elementwise kernels; an integer output keeps only the low bits of the
+// sum, so it accumulates in wrapping u32, a float output in i64.
+template <typename A, typename B, typename O>
+void MatMulTyped(const A* a, const B* b, O* o, i64 batch, bool shared_b,
+                 i64 m, i64 kk, i64 n, bool transpose_b) {
+  using Acc = std::conditional_t<std::is_integral_v<O>, u32, i64>;
+  // Strides of b's column c and reduction index x.
+  const i64 c_stride = transpose_b ? kk : 1;
+  const i64 x_stride = transpose_b ? 1 : n;
+  for (i64 bi = 0; bi < batch; ++bi) {
+    const B* bb = b + (shared_b ? 0 : bi) * n * kk;
+    for (i64 r = 0; r < m; ++r) {
+      const A* arow = a + (bi * m + r) * kk;
+      O* orow = o + (bi * m + r) * n;
+      for (i64 c = 0; c < n; ++c) {
+        const B* bcol = bb + c * c_stride;
+        Acc sum = 0;
+        for (i64 x = 0; x < kk; ++x) {
+          sum += static_cast<Acc>(static_cast<i64>(arow[x]) *
+                                  static_cast<i64>(bcol[x * x_stride]));
+        }
+        orow[c] = static_cast<O>(sum);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b) {
@@ -67,22 +98,16 @@ Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b) {
                           ? DType::kInt32
                           : a.dtype();
   Tensor out(Shape(out_dims), out_t);
-  for (i64 bi = 0; bi < batch; ++bi) {
-    const i64 a0 = bi * m * kk;
-    const i64 b0 = (b_batch == 1 ? 0 : bi) * n * kk;
-    const i64 o0 = bi * m * n;
-    for (i64 r = 0; r < m; ++r) {
-      for (i64 c = 0; c < n; ++c) {
-        i64 acc = 0;
-        for (i64 x = 0; x < kk; ++x) {
-          const i64 bv = transpose_b ? b.GetFlat(b0 + c * kk + x)
-                                     : b.GetFlat(b0 + x * n + c);
-          acc += a.GetFlat(a0 + r * kk + x) * bv;
-        }
-        out.SetFlat(o0 + r * n + c, acc);
-      }
-    }
-  }
+  VisitDType(a.dtype(), [&](auto ae) {
+    VisitDType(b.dtype(), [&](auto be) {
+      VisitDType(out_t, [&](auto oe) {
+        MatMulTyped(a.data<decltype(ae)>().data(),
+                    b.data<decltype(be)>().data(),
+                    out.data<decltype(oe)>().data(), batch, b_batch == 1, m,
+                    kk, n, transpose_b);
+      });
+    });
+  });
   return out;
 }
 

@@ -1,8 +1,25 @@
 #include "nn/kernels.hpp"
 
-#include "support/string_utils.hpp"
+#include <algorithm>
+
+#include "support/math_utils.hpp"
 
 namespace htvm::nn {
+namespace {
+
+struct Range {
+  i64 lo = 0, hi = 0;
+};
+
+// The output positions o in [0, out) whose input position
+// o * stride + offset lies in [0, extent).
+Range InBounds(i64 offset, i64 stride, i64 extent, i64 out) {
+  const i64 last = extent - 1 - offset;
+  return {offset >= 0 ? 0 : CeilDiv(-offset, stride),
+          last < 0 ? 0 : std::min(out, last / stride + 1)};
+}
+
+}  // namespace
 
 Result<Tensor> Conv2d(const Tensor& data, const Tensor& weight,
                       const std::vector<i64>& strides,
@@ -25,6 +42,9 @@ Result<Tensor> Conv2d(const Tensor& data, const Tensor& weight,
   }
   const i64 sy = strides.size() > 0 ? strides[0] : 1;
   const i64 sx = strides.size() > 1 ? strides[1] : 1;
+  if (sy <= 0 || sx <= 0) {
+    return Status::InvalidArgument("conv2d: non-positive stride");
+  }
   std::vector<i64> pad = padding;
   if (pad.empty()) pad = {0, 0, 0, 0};
   if (pad.size() == 2) pad = {pad[0], pad[1], pad[0], pad[1]};
@@ -38,33 +58,47 @@ Result<Tensor> Conv2d(const Tensor& data, const Tensor& weight,
   }
 
   Tensor out(Shape{N, K, oh, ow}, DType::kInt32);
-  const i8* d = reinterpret_cast<const i8*>(data.raw());
-  const i8* w = reinterpret_cast<const i8*>(weight.raw());
-  i32* o = reinterpret_cast<i32*>(out.raw());
+  const i8* d = data.data<i8>().data();
+  const i8* w = weight.data<i8>().data();
+  // Wrapping u32 sums keep exactly the low 32 bits of the exact sum, which
+  // is all the int32 output holds.
+  u32* o = reinterpret_cast<u32*>(out.data<i32>().data());
   const i64 kpg = K / groups;  // output channels per group
 
+  // Output rows rows[fy] and columns cols[fx] read inside the unpadded
+  // input for filter tap (fy, fx).
+  std::vector<Range> row_ranges(static_cast<size_t>(kh));
+  std::vector<Range> col_ranges(static_cast<size_t>(kw));
+  const Range* rows = row_ranges.data();
+  const Range* cols = col_ranges.data();
+  for (i64 fy = 0; fy < kh; ++fy) {
+    row_ranges[static_cast<size_t>(fy)] = InBounds(fy - pad[0], sy, H, oh);
+  }
+  for (i64 fx = 0; fx < kw; ++fx) {
+    col_ranges[static_cast<size_t>(fx)] = InBounds(fx - pad[1], sx, W, ow);
+  }
+
+  // One (c, fy, fx) tap at a time over the whole output plane of channel k.
   for (i64 n = 0; n < N; ++n) {
     for (i64 k = 0; k < K; ++k) {
+      u32* plane = o + (n * K + k) * oh * ow;
       const i64 g = k / kpg;
-      for (i64 oy = 0; oy < oh; ++oy) {
-        for (i64 ox = 0; ox < ow; ++ox) {
-          i64 acc = 0;
-          for (i64 c = 0; c < Cg; ++c) {
-            const i64 ic = g * Cg + c;
-            for (i64 fy = 0; fy < kh; ++fy) {
-              const i64 iy = oy * sy + fy - pad[0];
-              if (iy < 0 || iy >= H) continue;
-              const i8* drow = d + ((n * C + ic) * H + iy) * W;
-              const i8* wrow = w + ((k * Cg + c) * kh + fy) * kw;
-              for (i64 fx = 0; fx < kw; ++fx) {
-                const i64 ix = ox * sx + fx - pad[1];
-                if (ix < 0 || ix >= W) continue;
-                acc += static_cast<i64>(drow[ix]) *
-                       static_cast<i64>(wrow[fx]);
+      for (i64 c = 0; c < Cg; ++c) {
+        const i8* dplane = d + (n * C + g * Cg + c) * H * W;
+        const i8* taps = w + (k * Cg + c) * kh * kw;
+        for (i64 fy = 0; fy < kh; ++fy) {
+          for (i64 fx = 0; fx < kw; ++fx) {
+            const i32 wv = taps[fy * kw + fx];
+            if (wv == 0) continue;
+            const i64 dx = fx - pad[1];
+            for (i64 oy = rows[fy].lo; oy < rows[fy].hi; ++oy) {
+              const i8* drow = dplane + (oy * sy + fy - pad[0]) * W;
+              u32* orow = plane + oy * ow;
+              for (i64 ox = cols[fx].lo; ox < cols[fx].hi; ++ox) {
+                orow[ox] += static_cast<u32>(wv * drow[ox * sx + dx]);
               }
             }
           }
-          o[((n * K + k) * oh + oy) * ow + ox] = static_cast<i32>(acc);
         }
       }
     }

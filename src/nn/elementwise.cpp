@@ -3,74 +3,108 @@
 #include "support/math_utils.hpp"
 
 namespace htvm::nn {
+namespace {
+
+// The elements of a (small parameter) tensor in the i64 value domain.
+std::vector<i64> ToI64(const Tensor& t) {
+  std::vector<i64> v(static_cast<size_t>(t.NumElements()));
+  VisitDType(t.dtype(), [&](auto e) {
+    const auto src = t.data<decltype(e)>();
+    for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<i64>(src[i]);
+  });
+  return v;
+}
+
+// Walks x as `outer` blocks of params.size() channels of `inner` elements
+// and writes y[i] = f(x[i], params[channel]). Values pass through i64: an
+// integer widens, a float truncates toward zero, and the store narrows with
+// wrap-around (or converts to float).
+template <typename F>
+void MapChannels(const Tensor& x, Tensor* y, i64 outer,
+                 std::span<const i64> params, i64 inner, F f) {
+  VisitDType(x.dtype(), [&](auto xe) {
+    VisitDType(y->dtype(), [&](auto ye) {
+      using X = decltype(xe);
+      using Y = decltype(ye);
+      const X* src = x.data<X>().data();
+      Y* dst = y->data<Y>().data();
+      for (i64 o = 0; o < outer; ++o) {
+        for (const i64 p : params) {
+          for (i64 j = 0; j < inner; ++j) {
+            dst[j] = static_cast<Y>(f(static_cast<i64>(src[j]), p));
+          }
+          src += inner;
+          dst += inner;
+        }
+      }
+    });
+  });
+}
+
+// y[i] = f(x[i]) over the whole tensor.
+template <typename F>
+void MapElements(const Tensor& x, Tensor* y, F f) {
+  const i64 none = 0;
+  MapChannels(x, y, 1, {&none, 1}, x.NumElements(),
+              [f](i64 v, i64) { return f(v); });
+}
+
+// Product of dims [begin, end).
+i64 DimProduct(const Shape& s, i64 begin, i64 end) {
+  i64 p = 1;
+  for (i64 d = begin; d < end; ++d) p *= s[d];
+  return p;
+}
+
+}  // namespace
 
 Result<Tensor> BiasAdd(const Tensor& data, const Tensor& bias, i64 axis) {
-  if (axis < 0 || axis >= data.shape().rank()) {
+  const Shape& s = data.shape();
+  if (axis < 0 || axis >= s.rank()) {
     return Status::InvalidArgument("bias_add: axis out of range");
   }
-  if (bias.shape().rank() != 1 ||
-      bias.shape()[0] != data.shape()[axis]) {
+  if (bias.shape().rank() != 1 || bias.shape()[0] != s[axis]) {
     return Status::InvalidArgument("bias_add: bias length mismatch");
   }
-  Tensor out(data.shape(), data.dtype());
-  // Stride between consecutive indices along `axis`, and the block length
-  // over which the same bias value applies.
-  i64 inner = 1;
-  for (i64 i = axis + 1; i < data.shape().rank(); ++i) inner *= data.shape()[i];
-  const i64 channels = data.shape()[axis];
-  const i64 n = data.NumElements();
-  for (i64 i = 0; i < n; ++i) {
-    const i64 c = (i / inner) % channels;
-    out.SetFlat(i, data.GetFlat(i) + bias.GetFlat(c));
-  }
+  Tensor out(s, data.dtype());
+  MapChannels(data, &out, DimProduct(s, 0, axis), ToI64(bias),
+              DimProduct(s, axis + 1, s.rank()),
+              [](i64 v, i64 b) { return v + b; });
   return out;
 }
 
 Result<Tensor> RightShift(const Tensor& data, const Tensor& shift) {
-  const i64 n_shift = shift.NumElements();
-  const bool per_channel =
-      data.shape().rank() >= 2 && n_shift == data.shape()[1] && n_shift > 1;
+  const Shape& s = data.shape();
+  const std::vector<i64> shifts = ToI64(shift);
+  const i64 n_shift = static_cast<i64>(shifts.size());
+  const bool per_channel = s.rank() >= 2 && n_shift == s[1] && n_shift > 1;
   if (n_shift != 1 && !per_channel) {
     return Status::InvalidArgument(
         "right_shift: scalar or per-channel shift required");
   }
-  for (i64 i = 0; i < n_shift; ++i) {
-    const i64 s = shift.GetFlat(i);
-    if (s < 0 || s > 31) {
+  for (const i64 v : shifts) {
+    if (v < 0 || v > 31) {
       return Status::InvalidArgument("right_shift: shift out of [0,31]");
     }
   }
-  Tensor out(data.shape(), data.dtype());
-  const i64 n = data.NumElements();
-  if (!per_channel) {
-    const i64 s = shift.GetFlat(0);
-    for (i64 i = 0; i < n; ++i) {
-      out.SetFlat(i, RoundingRightShift(data.GetFlat(i), s));
-    }
-    return out;
-  }
-  i64 inner = 1;
-  for (i64 d = 2; d < data.shape().rank(); ++d) inner *= data.shape()[d];
-  const i64 channels = data.shape()[1];
-  for (i64 i = 0; i < n; ++i) {
-    const i64 c = (i / inner) % channels;
-    out.SetFlat(i, RoundingRightShift(data.GetFlat(i), shift.GetFlat(c)));
-  }
+  Tensor out(s, data.dtype());
+  // A scalar shift is one channel spanning the whole tensor.
+  const i64 outer = per_channel ? s[0] : 1;
+  const i64 inner =
+      per_channel ? DimProduct(s, 2, s.rank()) : data.NumElements();
+  MapChannels(data, &out, outer, shifts, inner,
+              [](i64 v, i64 sh) { return RoundingRightShift(v, sh); });
   return out;
 }
 
 Result<Tensor> Clip(const Tensor& data, i64 a_min, i64 a_max) {
   Tensor out(data.shape(), data.dtype());
-  const i64 n = data.NumElements();
-  for (i64 i = 0; i < n; ++i) {
-    out.SetFlat(i, Clamp(data.GetFlat(i), a_min, a_max));
-  }
+  MapElements(data, &out, [=](i64 v) { return Clamp(v, a_min, a_max); });
   return out;
 }
 
 Result<Tensor> Cast(const Tensor& data, DType dtype) {
   Tensor out(data.shape(), dtype);
-  const i64 n = data.NumElements();
   i64 lo = -(i64{1} << 62), hi = (i64{1} << 62);
   switch (dtype) {
     case DType::kInt8:
@@ -79,18 +113,13 @@ Result<Tensor> Cast(const Tensor& data, DType dtype) {
     case DType::kInt32: lo = INT32_MIN; hi = INT32_MAX; break;
     case DType::kFloat32: break;
   }
-  for (i64 i = 0; i < n; ++i) {
-    out.SetFlat(i, Clamp(data.GetFlat(i), lo, hi));
-  }
+  MapElements(data, &out, [=](i64 v) { return Clamp(v, lo, hi); });
   return out;
 }
 
 Result<Tensor> Relu(const Tensor& data) {
   Tensor out(data.shape(), data.dtype());
-  const i64 n = data.NumElements();
-  for (i64 i = 0; i < n; ++i) {
-    out.SetFlat(i, std::max<i64>(0, data.GetFlat(i)));
-  }
+  MapElements(data, &out, [](i64 v) { return std::max<i64>(0, v); });
   return out;
 }
 
@@ -104,9 +133,20 @@ Result<Tensor> Add(const Tensor& lhs, const Tensor& rhs) {
           : lhs.dtype();
   Tensor out(lhs.shape(), out_t);
   const i64 n = lhs.NumElements();
-  for (i64 i = 0; i < n; ++i) {
-    out.SetFlat(i, lhs.GetFlat(i) + rhs.GetFlat(i));
-  }
+  VisitDType(lhs.dtype(), [&](auto ae) {
+    VisitDType(rhs.dtype(), [&](auto be) {
+      VisitDType(out_t, [&](auto oe) {
+        using O = decltype(oe);
+        const auto a = lhs.data<decltype(ae)>();
+        const auto b = rhs.data<decltype(be)>();
+        O* o = out.data<O>().data();
+        for (i64 i = 0; i < n; ++i) {
+          o[i] = static_cast<O>(static_cast<i64>(a[i]) +
+                                static_cast<i64>(b[i]));
+        }
+      });
+    });
+  });
   return out;
 }
 

@@ -90,7 +90,12 @@ Result<std::vector<Tensor>> RunGraph(const Graph& graph,
         std::vector<Tensor> in;
         in.reserve(n.inputs.size());
         for (NodeId id : n.inputs) in.push_back(values[static_cast<size_t>(id)]);
-        auto out = EvalOp(n, in);
+        // A reshape adopts the storage of its (already copied) input.
+        const bool reshape =
+            (n.IsOp("reshape") || n.IsOp("nn.flatten")) && in.size() == 1;
+        auto out = reshape ? Result<Tensor>(
+                                 std::move(in[0]).Reshaped(n.type.shape))
+                           : EvalOp(n, in);
         if (!out.ok()) {
           return Status(out.status().code(),
                         StrFormat("node %%%d (%s): %s", n.id, n.op.c_str(),

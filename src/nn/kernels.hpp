@@ -6,8 +6,12 @@
 //      simulator) must reproduce exactly,
 //   3. evaluator for constant folding.
 //
-// All accumulation happens in int64 to make saturation behaviour explicit
-// and overflow-free; outputs are narrowed exactly as the op semantics say.
+// Each kernel resolves its dtypes and checks its extents once per call,
+// then loops over typed pointers (Tensor::data<T>()). Values follow the i64
+// semantics of Tensor::GetFlat/SetFlat: integers widen, float truncates
+// toward zero, and a store narrows with wrap-around. Integer accumulations
+// (conv2d, matmul) sum in wrapping u32, which yields exactly the low 32
+// bits of the exact i64 sum, i.e. what narrowing that sum to int32 keeps.
 #pragma once
 
 #include <array>

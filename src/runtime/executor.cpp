@@ -96,7 +96,7 @@ Result<ExecutionResult> Executor::Run(std::span<const Tensor> inputs,
           // Tiled execution emits the final int8 tensor with the layer's
           // natural shape; adopt the body's declared output shape.
           values[static_cast<size_t>(n.id)] =
-              out.value().Reshaped(n.type.shape);
+              std::move(out.value()).Reshaped(n.type.shape);
         } else {
           auto out = nn::RunGraph(*n.body, in);
           if (!out.ok()) return out.status();

@@ -43,4 +43,19 @@ inline bool IsIntegral(DType t) {
          t == DType::kTernary;
 }
 
+// Calls `f` with a value of t's in-memory element type (i8 for kInt8 and
+// kTernary, i16, i32, float), so a kernel resolves its dtype once per call
+// and then loops over typed pointers.
+template <typename F>
+void VisitDType(DType t, F&& f) {
+  switch (t) {
+    case DType::kInt8:
+    case DType::kTernary: return f(i8{});
+    case DType::kInt16: return f(i16{});
+    case DType::kInt32: return f(i32{});
+    case DType::kFloat32: return f(float{});
+  }
+  HTVM_UNREACHABLE("bad dtype");
+}
+
 }  // namespace htvm

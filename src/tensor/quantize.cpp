@@ -4,16 +4,6 @@
 
 namespace htvm {
 
-i8 RequantizeValue(i64 acc, const RequantParams& p) {
-  const i64 shifted = RoundingRightShift(acc, p.shift);
-  return p.relu ? SaturateToInt8Relu(shifted) : SaturateToInt8(shifted);
-}
-
-i8 RequantizeValueAt(i64 acc, const RequantParams& p, i64 channel) {
-  const i64 shifted = RoundingRightShift(acc, p.ShiftFor(channel));
-  return p.relu ? SaturateToInt8Relu(shifted) : SaturateToInt8(shifted);
-}
-
 Tensor RequantizeTensor(const Tensor& acc, const RequantParams& p) {
   HTVM_CHECK(acc.dtype() == DType::kInt32);
   Tensor out(acc.shape(), DType::kInt8);
@@ -40,8 +30,11 @@ Tensor RequantizeTensor(const Tensor& acc, const RequantParams& p) {
 Tensor ClampTo7Bit(const Tensor& t) {
   HTVM_CHECK(t.dtype() == DType::kInt8);
   Tensor out(t.shape(), DType::kInt8);
-  const i64 n = t.NumElements();
-  for (i64 i = 0; i < n; ++i) out.SetFlat(i, Clamp(t.GetFlat(i), -64, 63));
+  const auto src = t.data<i8>();
+  const auto dst = out.data<i8>();
+  for (size_t i = 0; i < src.size(); ++i) {
+    dst[i] = static_cast<i8>(Clamp(src[i], -64, 63));
+  }
   return out;
 }
 

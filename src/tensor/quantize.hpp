@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "support/common.hpp"
+#include "support/math_utils.hpp"
 #include "tensor/tensor.hpp"
 
 namespace htvm {
@@ -31,10 +32,17 @@ struct RequantParams {
 };
 
 // Applies requantization to one int32 accumulator value (uniform shift).
-i8 RequantizeValue(i64 acc, const RequantParams& p);
+// Inline so per-element kernel loops can hoist the parameter reads.
+inline i8 RequantizeValue(i64 acc, const RequantParams& p) {
+  const i64 shifted = RoundingRightShift(acc, p.shift);
+  return p.relu ? SaturateToInt8Relu(shifted) : SaturateToInt8(shifted);
+}
 
 // Per-channel variant: `channel` selects the shift.
-i8 RequantizeValueAt(i64 acc, const RequantParams& p, i64 channel);
+inline i8 RequantizeValueAt(i64 acc, const RequantParams& p, i64 channel) {
+  const i64 shifted = RoundingRightShift(acc, p.ShiftFor(channel));
+  return p.relu ? SaturateToInt8Relu(shifted) : SaturateToInt8(shifted);
+}
 
 // Elementwise requantization of an int32 tensor into int8; rank-4 tensors
 // apply channel_shifts along dim 1, rank-2 along dim 1.

@@ -118,12 +118,15 @@ bool Tensor::SameAs(const Tensor& other) const {
          data_ == other.data_;
 }
 
-Tensor Tensor::Reshaped(Shape new_shape) const {
+Tensor Tensor::Reshaped(Shape new_shape) const& {
+  return Tensor(*this).Reshaped(std::move(new_shape));
+}
+
+Tensor Tensor::Reshaped(Shape new_shape) && {
   HTVM_CHECK_MSG(new_shape.NumElements() == NumElements(),
                  "reshape changes element count");
-  Tensor t = *this;
-  t.shape_ = std::move(new_shape);
-  return t;
+  shape_ = std::move(new_shape);
+  return std::move(*this);
 }
 
 }  // namespace htvm

@@ -56,18 +56,22 @@ class Tensor {
   const u8* raw() const { return data_.data(); }
   u8* raw() { return data_.data(); }
 
-  // Flat accessors used by reference kernels (int64 accumulator domain).
+  // Cold-path accessors for serializers, emitters and tests: every call
+  // bounds-checks and switches on the dtype, so kernel loops resolve the
+  // dtype once and use data<T>() instead. Values are in the i64 domain.
   i64 GetFlat(i64 index) const;
   void SetFlat(i64 index, i64 value);
 
-  // NCHW convenience indexing for rank-4 tensors.
+  // NCHW indexing for rank-4 tensors; cold path like GetFlat/SetFlat.
   i64 At4(i64 n, i64 c, i64 h, i64 w) const;
   void Set4(i64 n, i64 c, i64 h, i64 w, i64 value);
 
   bool SameAs(const Tensor& other) const;  // shape, dtype and bytes equal
 
-  // Returns a tensor with identical data but a new compatible shape.
-  Tensor Reshaped(Shape new_shape) const;
+  // Returns a tensor with identical data but a new compatible shape. The
+  // rvalue overload moves the storage instead of copying it.
+  Tensor Reshaped(Shape new_shape) const&;
+  Tensor Reshaped(Shape new_shape) &&;
 
  private:
   Shape shape_;

@@ -147,11 +147,13 @@ TEST(Dispatch, DenseGoesDigitalOrAnalogByDtype) {
   const auto rules = MakeDianaDispatchRules({}, kCfg, {});
   Graph g8 = models::MakeDenseLayerGraph(64, 32, DType::kInt8);
   Graph gt = models::MakeDenseLayerGraph(64, 32, DType::kTernary);
+  const Graph p8 = PartitionGraph(g8, rules);
+  const Graph pt = PartitionGraph(gt, rules);
   std::string t8, tt;
-  for (const Node& n : PartitionGraph(g8, rules).nodes()) {
+  for (const Node& n : p8.nodes()) {
     if (n.kind == NodeKind::kComposite) t8 = n.attrs.GetString("target");
   }
-  for (const Node& n : PartitionGraph(gt, rules).nodes()) {
+  for (const Node& n : pt.nodes()) {
     if (n.kind == NodeKind::kComposite) tt = n.attrs.GetString("target");
   }
   EXPECT_EQ(t8, "digital");

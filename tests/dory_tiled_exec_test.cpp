@@ -187,6 +187,55 @@ TEST(TiledExec, AddTiledMatches) {
   EXPECT_TRUE(tiled->SameAs(ref));
 }
 
+// Tensors or steps that disagree with the layer are typed errors, checked
+// before any tile is read or written.
+TEST(TiledExec, MismatchedInputsAreTypedErrors) {
+  auto expect_invalid = [](const Result<Tensor>& r) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  };
+  Rng rng(11);
+
+  // An add whose rhs has half of the layer's columns.
+  AccelLayerSpec add;
+  add.kind = LayerKind::kAdd;
+  add.c = add.k = 32;
+  add.iy = add.oy = 16;
+  add.ix = add.ox = 16;
+  auto add_sched =
+      BuildSchedule(add, kCfg, AccelTarget::kDigital, WithBudget(4 * 1024));
+  ASSERT_TRUE(add_sched.ok());
+  const Tensor a = Tensor::Random(Shape{1, 32, 16, 16}, DType::kInt8, rng);
+  const Tensor narrow = Tensor::Random(Shape{1, 32, 16, 8}, DType::kInt8, rng);
+  expect_invalid(ExecuteTiled(*add_sched, std::vector<Tensor>{a, narrow},
+                              nullptr, nullptr));
+
+  // A conv fed 8 of its 16 input channels.
+  const AccelLayerSpec conv = MakeConvSpec(ConvLayerParams{});
+  auto conv_sched = BuildSchedule(conv, kCfg, AccelTarget::kDigital, {});
+  ASSERT_TRUE(conv_sched.ok());
+  const Tensor weight =
+      Tensor::Random(Shape{conv.k, conv.c, conv.kh, conv.kw}, DType::kInt8,
+                     rng);
+  const Tensor bias = Tensor::Random(Shape{conv.k}, DType::kInt32, rng);
+  const Tensor half =
+      Tensor::Random(Shape{1, 8, conv.iy, conv.ix}, DType::kInt8, rng);
+  expect_invalid(ExecuteTiled(*conv_sched, std::vector<Tensor>{half},
+                              &weight, &bias));
+
+  // A step reaching past the layer's output channels.
+  const Tensor data =
+      Tensor::Random(Shape{1, conv.c, conv.iy, conv.ix}, DType::kInt8, rng);
+  ASSERT_TRUE(ExecuteTiled(*conv_sched, std::vector<Tensor>{data}, &weight,
+                           &bias)
+                  .ok());
+  AccelSchedule bad_step = *conv_sched;
+  bad_step.steps.back().k0 = conv.k;
+  expect_invalid(ExecuteTiled(bad_step, std::vector<Tensor>{data}, &weight,
+                              &bias));
+}
+
 // Property sweep: random geometries x budgets, digital target.
 struct ExecCase {
   i64 c, k, hw, kernel, stride, budget;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "nn/kernels.hpp"
+#include "support/math_utils.hpp"
 #include "support/rng.hpp"
 
 namespace htvm::nn {
@@ -160,6 +163,237 @@ TEST(Elementwise, AddPromotesAndSums) {
   EXPECT_EQ(out->dtype(), DType::kInt32);
   EXPECT_EQ(out->GetFlat(0), 200);  // no int8 wraparound
   EXPECT_EQ(out->GetFlat(1), -200);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the typed-span kernels against per-element references
+// that read and write every value through GetFlat/SetFlat in the i64 domain.
+
+constexpr DType kAllDTypes[] = {DType::kInt8, DType::kTernary, DType::kInt16,
+                                DType::kInt32, DType::kFloat32};
+
+// Values spanning each dtype's range, extremes included; float values carry
+// fractions so the truncation toward zero is exercised.
+Tensor RandomOf(const Shape& shape, DType dtype, Rng& rng) {
+  Tensor t(shape, dtype);
+  for (i64 i = 0; i < t.NumElements(); ++i) {
+    switch (dtype) {
+      case DType::kInt8:
+        t.SetFlat(i, i % 7 == 0 ? -128 : rng.UniformInt8());
+        break;
+      case DType::kTernary: t.SetFlat(i, rng.Ternary()); break;
+      case DType::kInt16: t.SetFlat(i, rng.UniformInt(-32768, 32767)); break;
+      case DType::kInt32:
+        t.SetFlat(i, i % 5 == 0 ? (i % 2 ? INT32_MAX : INT32_MIN)
+                                : rng.UniformInt(-70000, 70000));
+        break;
+      case DType::kFloat32:
+        t.data<float>()[static_cast<size_t>(i)] =
+            static_cast<float>((rng.UniformDouble() * 2.0 - 1.0) * 300.0);
+        break;
+    }
+  }
+  return t;
+}
+
+// Conv2d's per-output-element loop order (n, k, oy, ox, c, fy, fx) with an
+// i64 accumulator narrowed to int32 at the end.
+Tensor NaiveConv2d(const Tensor& data, const Tensor& weight, i64 sy, i64 sx,
+                   const std::vector<i64>& pad, i64 groups) {
+  const i64 N = data.shape()[0], H = data.shape()[2], W = data.shape()[3];
+  const i64 K = weight.shape()[0], Cg = weight.shape()[1];
+  const i64 kh = weight.shape()[2], kw = weight.shape()[3];
+  const i64 oh = (H + pad[0] + pad[2] - kh) / sy + 1;
+  const i64 ow = (W + pad[1] + pad[3] - kw) / sx + 1;
+  Tensor out(Shape{N, K, oh, ow}, DType::kInt32);
+  for (i64 n = 0; n < N; ++n) {
+    for (i64 k = 0; k < K; ++k) {
+      const i64 g = k / (K / groups);
+      for (i64 oy = 0; oy < oh; ++oy) {
+        for (i64 ox = 0; ox < ow; ++ox) {
+          i64 acc = 0;
+          for (i64 c = 0; c < Cg; ++c) {
+            for (i64 fy = 0; fy < kh; ++fy) {
+              const i64 iy = oy * sy + fy - pad[0];
+              if (iy < 0 || iy >= H) continue;
+              for (i64 fx = 0; fx < kw; ++fx) {
+                const i64 ix = ox * sx + fx - pad[1];
+                if (ix < 0 || ix >= W) continue;
+                acc += data.At4(n, g * Cg + c, iy, ix) *
+                       weight.At4(k, c, fy, fx);
+              }
+            }
+          }
+          out.Set4(n, k, oy, ox, static_cast<i32>(acc));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// out[i] = f(i, in[i]) through the flat i64 accessors.
+template <typename F>
+Tensor NaiveMap(const Tensor& in, DType out_t, F f) {
+  Tensor out(in.shape(), out_t);
+  for (i64 i = 0; i < in.NumElements(); ++i) out.SetFlat(i, f(i, in.GetFlat(i)));
+  return out;
+}
+
+i64 ChannelOf(const Shape& s, i64 axis, i64 flat) {
+  i64 inner = 1;
+  for (i64 d = axis + 1; d < s.rank(); ++d) inner *= s[d];
+  return (flat / inner) % s[axis];
+}
+
+TEST(KernelDifferential, Conv2dMatchesNaiveLoop) {
+  Rng rng(2024);
+  const std::pair<i64, i64> kernels[] = {{1, 1}, {3, 3}, {3, 1}, {5, 5}};
+  int cases = 0;
+  for (const auto& [kh, kw] : kernels) {
+    for (const i64 stride : {1, 2}) {
+      for (const i64 groups : {i64{1}, i64{2}, i64{0}}) {  // 0: depthwise
+        for (const DType wt : {DType::kInt8, DType::kTernary}) {
+          const i64 C = 2 * rng.UniformInt(1, 4);
+          const i64 g = groups == 0 ? C : groups;
+          const i64 K = g * rng.UniformInt(1, 3);
+          const std::vector<i64> pad = {
+              rng.UniformInt(0, 2), rng.UniformInt(0, 2),
+              rng.UniformInt(0, 2), rng.UniformInt(0, 2)};
+          const i64 H = rng.UniformInt(5, 11), W = rng.UniformInt(5, 11);
+          const Tensor data = RandomOf(Shape{2, C, H, W}, DType::kInt8, rng);
+          const Tensor w = RandomOf(Shape{K, C / g, kh, kw}, wt, rng);
+          auto got = Conv2d(data, w, {stride, stride}, pad, g);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_TRUE(
+              got->SameAs(NaiveConv2d(data, w, stride, stride, pad, g)))
+              << "kernel " << kh << "x" << kw << " stride " << stride
+              << " groups " << g << " " << DTypeName(wt);
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 48);
+}
+
+TEST(KernelDifferential, Conv2dWrapsLikeNarrowedInt64Sum) {
+  // 131073 * (-128 * -128) = 2147500032 overflows int32; the output keeps
+  // its low 32 bits, exactly as narrowing the i64 sum did.
+  const i64 C = 131073;
+  const Tensor data = Tensor::FromInt8(
+      Shape{1, C, 1, 1}, std::vector<i8>(static_cast<size_t>(C), -128));
+  const Tensor w = Tensor::FromInt8(
+      Shape{1, C, 1, 1}, std::vector<i8>(static_cast<size_t>(C), -128));
+  auto got = Conv2d(data, w, {1, 1}, {0, 0, 0, 0}, 1);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->data<i32>()[0], static_cast<i32>(i64{2147500032}));
+  EXPECT_TRUE(got->SameAs(NaiveConv2d(data, w, 1, 1, {0, 0, 0, 0}, 1)));
+}
+
+TEST(KernelDifferential, ElementwiseOpsMatchFlatAccessorsOnEveryDType) {
+  Rng rng(99);
+  const Shape shape{2, 3, 4, 5};
+  for (const DType dt : kAllDTypes) {
+    const Tensor x = RandomOf(shape, dt, rng);
+    SCOPED_TRACE(DTypeName(dt));
+
+    for (const DType bt : kAllDTypes) {
+      for (const i64 axis : {0, 1, 3}) {
+        const Tensor bias = RandomOf(Shape{shape[axis]}, bt, rng);
+        auto got = BiasAdd(x, bias, axis);
+        ASSERT_TRUE(got.ok());
+        EXPECT_TRUE(got->SameAs(NaiveMap(x, dt, [&](i64 i, i64 v) {
+          return v + bias.GetFlat(ChannelOf(shape, axis, i));
+        }))) << "bias_add bias " << DTypeName(bt) << " axis " << axis;
+      }
+
+      const Tensor rhs = RandomOf(shape, bt, rng);
+      auto sum = Add(x, rhs);
+      ASSERT_TRUE(sum.ok());
+      const DType sum_t = dt == DType::kInt8 && bt == DType::kInt8
+                              ? DType::kInt32
+                              : dt;
+      EXPECT_TRUE(sum->SameAs(NaiveMap(x, sum_t, [&](i64 i, i64 v) {
+        return v + rhs.GetFlat(i);
+      }))) << "add rhs " << DTypeName(bt);
+    }
+
+    const Tensor scalar = Tensor::FromInt32(Shape{1}, {5});
+    const Tensor per_channel = Tensor::FromInt8(Shape{3}, {1, 11, 21});
+    for (const Tensor* shift : {&scalar, &per_channel}) {
+      auto got = RightShift(x, *shift);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(got->SameAs(NaiveMap(x, dt, [&](i64 i, i64 v) {
+        const i64 c = shift->NumElements() == 1 ? 0 : ChannelOf(shape, 1, i);
+        return RoundingRightShift(v, shift->GetFlat(c));
+      }))) << "right_shift by " << shift->NumElements();
+    }
+
+    auto clipped = Clip(x, -100, 50);
+    ASSERT_TRUE(clipped.ok());
+    EXPECT_TRUE(clipped->SameAs(
+        NaiveMap(x, dt, [](i64, i64 v) { return Clamp(v, -100, 50); })));
+
+    auto relu = Relu(x);
+    ASSERT_TRUE(relu.ok());
+    EXPECT_TRUE(relu->SameAs(
+        NaiveMap(x, dt, [](i64, i64 v) { return std::max<i64>(0, v); })));
+
+    for (const DType to : kAllDTypes) {
+      i64 lo = -(i64{1} << 62), hi = i64{1} << 62;
+      if (to == DType::kInt8 || to == DType::kTernary) lo = -128, hi = 127;
+      if (to == DType::kInt16) lo = -32768, hi = 32767;
+      if (to == DType::kInt32) lo = INT32_MIN, hi = INT32_MAX;
+      auto cast = Cast(x, to);
+      ASSERT_TRUE(cast.ok());
+      EXPECT_TRUE(cast->SameAs(
+          NaiveMap(x, to, [&](i64, i64 v) { return Clamp(v, lo, hi); })))
+          << "cast to " << DTypeName(to);
+    }
+  }
+}
+
+TEST(KernelDifferential, MatMulMatchesFlatAccessors) {
+  Rng rng(5);
+  const std::pair<DType, DType> dtypes[] = {{DType::kInt8, DType::kInt8},
+                                            {DType::kInt8, DType::kTernary},
+                                            {DType::kInt32, DType::kInt8},
+                                            {DType::kFloat32, DType::kInt16}};
+  for (const auto& [at, bt] : dtypes) {
+    for (const bool transpose_b : {false, true}) {
+      for (const bool shared_b : {false, true}) {
+        const i64 batch = 3, m = 4, k = 7, n = 5;
+        const Tensor a = RandomOf(Shape{batch, m, k}, at, rng);
+        const Shape b_mat = transpose_b ? Shape{n, k} : Shape{k, n};
+        const Tensor b = RandomOf(
+            shared_b ? b_mat : Shape{batch, b_mat[0], b_mat[1]}, bt, rng);
+        auto got = MatMul(a, b, transpose_b);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+        const DType out_t = at == DType::kInt8 && bt == DType::kInt8
+                                ? DType::kInt32
+                                : at;
+        Tensor want(Shape{batch, m, n}, out_t);
+        for (i64 bi = 0; bi < batch; ++bi) {
+          const i64 b0 = shared_b ? 0 : bi * n * k;
+          for (i64 r = 0; r < m; ++r) {
+            for (i64 c = 0; c < n; ++c) {
+              i64 acc = 0;
+              for (i64 x = 0; x < k; ++x) {
+                acc += a.GetFlat((bi * m + r) * k + x) *
+                       b.GetFlat(b0 + (transpose_b ? c * k + x : x * n + c));
+              }
+              want.SetFlat((bi * m + r) * n + c, acc);
+            }
+          }
+        }
+        EXPECT_TRUE(got->SameAs(want))
+            << DTypeName(at) << " x " << DTypeName(bt) << " transpose_b "
+            << transpose_b << " shared_b " << shared_b;
+      }
+    }
+  }
 }
 
 TEST(Pooling, MaxPool) {
