@@ -65,8 +65,7 @@ Result<AccelLayerSpec> SpecFromConvAnchor(const Graph& body,
   const auto strides = anchor.attrs.GetIntVec("strides", {1, 1});
   spec.sy = strides[0];
   spec.sx = strides[1];
-  auto pad = anchor.attrs.GetIntVec("padding", {0, 0, 0, 0});
-  if (pad.size() == 2) pad = {pad[0], pad[1], pad[0], pad[1]};
+  HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(anchor.attrs, "conv2d"));
   spec.pad_t = pad[0];
   spec.pad_l = pad[1];
   spec.pad_b = pad[2];

@@ -29,6 +29,25 @@ i64 ConvOutDim(i64 in, i64 kernel, i64 pad_begin, i64 pad_end, i64 stride) {
   return (in + pad_begin + pad_end - kernel) / stride + 1;
 }
 
+Result<std::array<i64, 4>> NormalizePadding(std::span<const i64> padding,
+                                            const char* op) {
+  for (i64 v : padding) {
+    if (v < 0) {
+      return Status::InvalidArgument(StrFormat("%s: negative padding", op));
+    }
+  }
+  const size_t n = padding.size();
+  if (n == 0) return std::array<i64, 4>{0, 0, 0, 0};
+  if (n != 1 && n != 2 && n != 4) {
+    return Status::InvalidArgument(
+        StrFormat("%s: padding must have 1, 2 or 4 entries", op));
+  }
+  // [p] repeats on all four sides, [py, px] repeats as a pair.
+  std::array<i64, 4> pad{};
+  for (size_t i = 0; i < 4; ++i) pad[i] = padding[i % n];
+  return pad;
+}
+
 namespace {
 
 Status ExpectRank(const TensorType& t, i64 rank, const char* what) {
@@ -38,25 +57,6 @@ Status ExpectRank(const TensorType& t, i64 rank, const char* what) {
                   static_cast<long long>(rank), t.ToString().c_str()));
   }
   return Status::Ok();
-}
-
-// Normalizes padding attr: accepts [p] (all sides), [py, px], or
-// [pt, pl, pb, pr]; returns the 4-element form.
-Result<std::vector<i64>> NormalizePadding(const AttrMap& attrs,
-                                          const char* op) {
-  std::vector<i64> p = attrs.GetIntVec("padding", {0, 0, 0, 0});
-  for (i64 v : p) {
-    if (v < 0) {
-      return Status::InvalidArgument(StrFormat("%s: negative padding", op));
-    }
-  }
-  if (p.size() == 1) return std::vector<i64>{p[0], p[0], p[0], p[0]};
-  if (p.size() == 2) return std::vector<i64>{p[0], p[1], p[0], p[1]};
-  if (p.size() != 4) {
-    return Status::InvalidArgument(
-        StrFormat("%s: padding must have 1, 2 or 4 entries", op));
-  }
-  return p;
 }
 
 // A [y, x] window attr (strides, pool_size): exactly two values, both > 0.

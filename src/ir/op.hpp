@@ -22,6 +22,7 @@
 // fail at the point of the mistake.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -77,5 +78,19 @@ void RegisterCoreOps();
 // accelerator cost models: output spatial size of a conv/pool window.
 //   out = (in + pad_begin + pad_end - kernel) / stride + 1
 i64 ConvOutDim(i64 in, i64 kernel, i64 pad_begin, i64 pad_end, i64 stride);
+
+// The [top, left, bottom, right] form of a conv/pool `padding` attribute
+// given as [p], [py, px] or [pt, pl, pb, pr]; an empty list is no padding.
+// Every reader of `padding` (type inference, the nn kernels, the DORY layer
+// specs, the C emitter, AbsorbPadding) goes through this one rule. A
+// negative entry or any other length is InvalidArgument naming `op`.
+Result<std::array<i64, 4>> NormalizePadding(std::span<const i64> padding,
+                                            const char* op);
+
+// NormalizePadding of a node's "padding" attribute (absent: no padding).
+inline Result<std::array<i64, 4>> NormalizePadding(const AttrMap& attrs,
+                                                   const char* op) {
+  return NormalizePadding(attrs.GetIntVec("padding", {}), op);
+}
 
 }  // namespace htvm

@@ -43,8 +43,9 @@ Graph AbsorbPadding(const Graph& graph, i64* rewrites) {
         ++absorbed;
         // Merge the explicit pad into the conv's padding attribute.
         const auto pw = producer.attrs.GetIntVec("pad_width", {0, 0, 0, 0});
-        auto pad = n.attrs.GetIntVec("padding", {0, 0, 0, 0});
-        if (pad.size() == 2) pad = {pad[0], pad[1], pad[0], pad[1]};
+        // The conv passed type inference when it was added, so its padding
+        // normalizes.
+        const auto pad = NormalizePadding(n.attrs, "conv2d").value();
         AttrMap attrs = n.attrs;
         attrs.Set("padding", std::vector<i64>{pad[0] + pw[0], pad[1] + pw[1],
                                               pad[2] + pw[2], pad[3] + pw[3]});

@@ -2,10 +2,118 @@
 
 #include <algorithm>
 
+#include "ir/op.hpp"
 #include "support/math_utils.hpp"
 
 namespace htvm::nn {
 namespace {
+
+// Terms per i32 partial sum. |i8 * i8| <= 2^14, so 2^16 terms stay below
+// 2^30 and a chunk cannot overflow.
+constexpr i64 kChunk = i64{1} << 16;
+
+// Output pixels per im2col panel.
+constexpr i64 kPanel = 64;
+
+// sums[j * sum_stride] += x . w_j over len <= kChunk terms, for the J
+// weight rows w_j = w + j * w_stride. The sum runs in i32, which a chunk
+// cannot overflow, and adds in wrapping u32. GCC vectorizes the loop into
+// pmaddwd at baseline x86-64; the J rows share each load of x.
+template <int J>
+void DotChunk(const i16* x, const i16* w, i64 w_stride, i64 len, u32* sums,
+              i64 sum_stride) {
+  i32 acc[J] = {};
+  for (i64 r = 0; r < len; ++r) {
+    for (int j = 0; j < J; ++j) acc[j] += x[r] * w[j * w_stride + r];
+  }
+  for (int j = 0; j < J; ++j) sums[j * sum_stride] += static_cast<u32>(acc[j]);
+}
+
+// out[k * k_stride + p * p_stride] += rows[p] . w[k] (wrapping u32) for
+// p < P, k < K, every row n long: four output channels per pass over the
+// rows, then the K % 4 remainder one at a time.
+void Gemm(const i16* rows, i64 P, const i16* w, i64 K, i64 n, u32* out,
+          i64 k_stride, i64 p_stride) {
+  for (i64 base = 0; base < n; base += kChunk) {
+    const i64 len = std::min(kChunk, n - base);
+    i64 k = 0;
+    for (; k + 4 <= K; k += 4) {
+      for (i64 p = 0; p < P; ++p) {
+        DotChunk<4>(rows + p * n + base, w + k * n + base, n, len,
+                    out + k * k_stride + p * p_stride, k_stride);
+      }
+    }
+    for (; k < K; ++k) {
+      for (i64 p = 0; p < P; ++p) {
+        DotChunk<1>(rows + p * n + base, w + k * n + base, n, len,
+                    out + k * k_stride + p * p_stride, k_stride);
+      }
+    }
+  }
+}
+
+// i8 rows [rows x len] widened to i16 rows of AlignUp(len, 8), the tail
+// zero: whole 8-lane vectors, so the dot loops never run a scalar remainder.
+std::vector<i16> WidenRows(const i8* src, i64 rows, i64 len) {
+  const i64 n = AlignUp(len, 8);
+  std::vector<i16> out(static_cast<size_t>(rows * n), 0);
+  for (i64 i = 0; i < rows; ++i) {
+    std::copy_n(src + i * len, len, out.data() + i * n);
+  }
+  return out;
+}
+
+struct ConvGeometry {
+  i64 N, C, H, W, K, Cg, kh, kw, sy, sx, oh, ow, groups;
+  std::array<i64, 4> pad;  // top, left, bottom, right
+};
+
+// Groups with more than one output channel: each group's input is copied
+// once into a zero-padded i16 plane, then panels of up to kPanel output
+// pixels by R = Cg * kh * kw taps run through Gemm against the widened
+// weights.
+void Im2colConv(const ConvGeometry& g, const i8* d, const i8* w, u32* o) {
+  const i64 R = g.Cg * g.kh * g.kw;
+  const i64 Rp = AlignUp(R, 8);
+  const i64 Hp = g.H + g.pad[0] + g.pad[2], Wp = g.W + g.pad[1] + g.pad[3];
+  const i64 pixels = g.oh * g.ow;
+  const i64 kpg = g.K / g.groups;
+  const std::vector<i16> wide = WidenRows(w, g.K, R);
+  // The borders stay zero; each group overwrites only the interior.
+  std::vector<i16> plane(static_cast<size_t>(g.Cg * Hp * Wp), 0);
+  // Panel rows are Rp long like the widened weights; their tails stay zero.
+  std::vector<i16> panel(static_cast<size_t>(std::min(kPanel, pixels) * Rp), 0);
+  // Offset of tap r = (c, fy, fx) from a window's top-left in the plane.
+  std::vector<i64> tap(static_cast<size_t>(R));
+  for (i64 c = 0, r = 0; c < g.Cg; ++c) {
+    for (i64 fy = 0; fy < g.kh; ++fy) {
+      for (i64 fx = 0; fx < g.kw; ++fx) tap[r++] = (c * Hp + fy) * Wp + fx;
+    }
+  }
+  for (i64 n = 0; n < g.N; ++n) {
+    for (i64 grp = 0; grp < g.groups; ++grp) {
+      for (i64 c = 0; c < g.Cg; ++c) {
+        const i8* src = d + (n * g.C + grp * g.Cg + c) * g.H * g.W;
+        for (i64 y = 0; y < g.H; ++y) {
+          std::copy_n(src + y * g.W, g.W,
+                      plane.data() + (c * Hp + y + g.pad[0]) * Wp + g.pad[1]);
+        }
+      }
+      u32* og = o + (n * g.K + grp * kpg) * pixels;
+      for (i64 p0 = 0; p0 < pixels; p0 += kPanel) {
+        const i64 np = std::min(kPanel, pixels - p0);
+        for (i64 p = 0; p < np; ++p) {
+          const i64 oy = (p0 + p) / g.ow, ox = (p0 + p) % g.ow;
+          const i16* window = plane.data() + oy * g.sy * Wp + ox * g.sx;
+          i16* row = panel.data() + p * Rp;
+          for (i64 r = 0; r < R; ++r) row[r] = window[tap[r]];
+        }
+        Gemm(panel.data(), np, wide.data() + grp * kpg * Rp, kpg, Rp, og + p0,
+             pixels, 1);
+      }
+    }
+  }
+}
 
 struct Range {
   i64 lo = 0, hi = 0;
@@ -17,6 +125,47 @@ Range InBounds(i64 offset, i64 stride, i64 extent, i64 out) {
   const i64 last = extent - 1 - offset;
   return {offset >= 0 ? 0 : CeilDiv(-offset, stride),
           last < 0 ? 0 : std::min(out, last / stride + 1)};
+}
+
+// One output channel per group (depthwise): every im2col column would be
+// used once, so a panel is pure copy cost. Instead each (c, fy, fx) tap
+// accumulates over the whole output plane of channel k in wrapping u32.
+void DirectConv(const ConvGeometry& g, const i8* d, const i8* w, u32* o) {
+  // Output rows rows[fy] and columns cols[fx] read inside the unpadded
+  // input for filter tap (fy, fx).
+  std::vector<Range> rows(static_cast<size_t>(g.kh));
+  std::vector<Range> cols(static_cast<size_t>(g.kw));
+  for (i64 fy = 0; fy < g.kh; ++fy) {
+    rows[fy] = InBounds(fy - g.pad[0], g.sy, g.H, g.oh);
+  }
+  for (i64 fx = 0; fx < g.kw; ++fx) {
+    cols[fx] = InBounds(fx - g.pad[1], g.sx, g.W, g.ow);
+  }
+  const i64 kpg = g.K / g.groups;
+  for (i64 n = 0; n < g.N; ++n) {
+    for (i64 k = 0; k < g.K; ++k) {
+      u32* plane = o + (n * g.K + k) * g.oh * g.ow;
+      const i64 grp = k / kpg;
+      for (i64 c = 0; c < g.Cg; ++c) {
+        const i8* dplane = d + (n * g.C + grp * g.Cg + c) * g.H * g.W;
+        const i8* taps = w + (k * g.Cg + c) * g.kh * g.kw;
+        for (i64 fy = 0; fy < g.kh; ++fy) {
+          for (i64 fx = 0; fx < g.kw; ++fx) {
+            const i32 wv = taps[fy * g.kw + fx];
+            if (wv == 0) continue;
+            const i64 dx = fx - g.pad[1];
+            for (i64 oy = rows[fy].lo; oy < rows[fy].hi; ++oy) {
+              const i8* drow = dplane + (oy * g.sy + fy - g.pad[0]) * g.W;
+              u32* orow = plane + oy * g.ow;
+              for (i64 ox = cols[fx].lo; ox < cols[fx].hi; ++ox) {
+                orow[ox] += static_cast<u32>(wv * drow[ox * g.sx + dx]);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -33,75 +182,43 @@ Result<Tensor> Conv2d(const Tensor& data, const Tensor& weight,
   if (weight.dtype() != DType::kInt8 && weight.dtype() != DType::kTernary) {
     return Status::InvalidArgument("conv2d: int8/ternary weight required");
   }
-  const i64 N = data.shape()[0], C = data.shape()[1];
-  const i64 H = data.shape()[2], W = data.shape()[3];
-  const i64 K = weight.shape()[0], Cg = weight.shape()[1];
-  const i64 kh = weight.shape()[2], kw = weight.shape()[3];
-  if (groups <= 0 || C % groups != 0 || K % groups != 0 || Cg != C / groups) {
+  ConvGeometry g{};
+  g.N = data.shape()[0];
+  g.C = data.shape()[1];
+  g.H = data.shape()[2];
+  g.W = data.shape()[3];
+  g.K = weight.shape()[0];
+  g.Cg = weight.shape()[1];
+  g.kh = weight.shape()[2];
+  g.kw = weight.shape()[3];
+  g.groups = groups;
+  if (groups <= 0 || g.C % groups != 0 || g.K % groups != 0 ||
+      g.Cg != g.C / groups) {
     return Status::InvalidArgument("conv2d: inconsistent groups");
   }
-  const i64 sy = strides.size() > 0 ? strides[0] : 1;
-  const i64 sx = strides.size() > 1 ? strides[1] : 1;
-  if (sy <= 0 || sx <= 0) {
+  g.sy = strides.size() > 0 ? strides[0] : 1;
+  g.sx = strides.size() > 1 ? strides[1] : 1;
+  if (g.sy <= 0 || g.sx <= 0) {
     return Status::InvalidArgument("conv2d: non-positive stride");
   }
-  std::vector<i64> pad = padding;
-  if (pad.empty()) pad = {0, 0, 0, 0};
-  if (pad.size() == 2) pad = {pad[0], pad[1], pad[0], pad[1]};
-  if (pad.size() != 4) {
-    return Status::InvalidArgument("conv2d: bad padding");
-  }
-  const i64 oh = (H + pad[0] + pad[2] - kh) / sy + 1;
-  const i64 ow = (W + pad[1] + pad[3] - kw) / sx + 1;
-  if (oh <= 0 || ow <= 0) {
+  HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(padding, "conv2d"));
+  g.pad = pad;
+  g.oh = (g.H + pad[0] + pad[2] - g.kh) / g.sy + 1;
+  g.ow = (g.W + pad[1] + pad[3] - g.kw) / g.sx + 1;
+  if (g.oh <= 0 || g.ow <= 0) {
     return Status::InvalidArgument("conv2d: empty output");
   }
 
-  Tensor out(Shape{N, K, oh, ow}, DType::kInt32);
+  Tensor out(Shape{g.N, g.K, g.oh, g.ow}, DType::kInt32);
   const i8* d = data.data<i8>().data();
   const i8* w = weight.data<i8>().data();
   // Wrapping u32 sums keep exactly the low 32 bits of the exact sum, which
   // is all the int32 output holds.
   u32* o = reinterpret_cast<u32*>(out.data<i32>().data());
-  const i64 kpg = K / groups;  // output channels per group
-
-  // Output rows rows[fy] and columns cols[fx] read inside the unpadded
-  // input for filter tap (fy, fx).
-  std::vector<Range> row_ranges(static_cast<size_t>(kh));
-  std::vector<Range> col_ranges(static_cast<size_t>(kw));
-  const Range* rows = row_ranges.data();
-  const Range* cols = col_ranges.data();
-  for (i64 fy = 0; fy < kh; ++fy) {
-    row_ranges[static_cast<size_t>(fy)] = InBounds(fy - pad[0], sy, H, oh);
-  }
-  for (i64 fx = 0; fx < kw; ++fx) {
-    col_ranges[static_cast<size_t>(fx)] = InBounds(fx - pad[1], sx, W, ow);
-  }
-
-  // One (c, fy, fx) tap at a time over the whole output plane of channel k.
-  for (i64 n = 0; n < N; ++n) {
-    for (i64 k = 0; k < K; ++k) {
-      u32* plane = o + (n * K + k) * oh * ow;
-      const i64 g = k / kpg;
-      for (i64 c = 0; c < Cg; ++c) {
-        const i8* dplane = d + (n * C + g * Cg + c) * H * W;
-        const i8* taps = w + (k * Cg + c) * kh * kw;
-        for (i64 fy = 0; fy < kh; ++fy) {
-          for (i64 fx = 0; fx < kw; ++fx) {
-            const i32 wv = taps[fy * kw + fx];
-            if (wv == 0) continue;
-            const i64 dx = fx - pad[1];
-            for (i64 oy = rows[fy].lo; oy < rows[fy].hi; ++oy) {
-              const i8* drow = dplane + (oy * sy + fy - pad[0]) * W;
-              u32* orow = plane + oy * ow;
-              for (i64 ox = cols[fx].lo; ox < cols[fx].hi; ++ox) {
-                orow[ox] += static_cast<u32>(wv * drow[ox * sx + dx]);
-              }
-            }
-          }
-        }
-      }
-    }
+  if (g.K / groups > 1) {
+    Im2colConv(g, d, w, o);
+  } else {
+    DirectConv(g, d, w, o);
   }
   return out;
 }
@@ -117,18 +234,10 @@ Result<Tensor> Dense(const Tensor& data, const Tensor& weight) {
   Tensor out(Shape{N, O}, DType::kInt32);
   const i8* d = reinterpret_cast<const i8*>(data.raw());
   const i8* w = reinterpret_cast<const i8*>(weight.raw());
-  i32* o = reinterpret_cast<i32*>(out.raw());
-  for (i64 n = 0; n < N; ++n) {
-    for (i64 k = 0; k < O; ++k) {
-      i64 acc = 0;
-      const i8* drow = d + n * I;
-      const i8* wrow = w + k * I;
-      for (i64 i = 0; i < I; ++i) {
-        acc += static_cast<i64>(drow[i]) * static_cast<i64>(wrow[i]);
-      }
-      o[n * O + k] = static_cast<i32>(acc);
-    }
-  }
+  const std::vector<i16> rows = WidenRows(d, N, I);
+  const std::vector<i16> wide = WidenRows(w, O, I);
+  Gemm(rows.data(), N, wide.data(), O, AlignUp(I, 8),
+       reinterpret_cast<u32*>(out.data<i32>().data()), 1, O);
   return out;
 }
 

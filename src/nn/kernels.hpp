@@ -10,8 +10,11 @@
 // then loops over typed pointers (Tensor::data<T>()). Values follow the i64
 // semantics of Tensor::GetFlat/SetFlat: integers widen, float truncates
 // toward zero, and a store narrows with wrap-around. Integer accumulations
-// (conv2d, matmul) sum in wrapping u32, which yields exactly the low 32
-// bits of the exact i64 sum, i.e. what narrowing that sum to int32 keeps.
+// (conv2d, dense, matmul) yield exactly the low 32 bits of the exact sum,
+// i.e. what narrowing an i64 sum to int32 keeps. They get there by summing
+// in wrapping u32, or, in the int8 dot products of conv2d and dense, by
+// summing chunks of at most 2^16 terms in i32 (|i8 * i8| <= 2^14, so a
+// chunk cannot overflow) and adding the chunk sums in wrapping u32.
 #pragma once
 
 #include <array>
@@ -24,11 +27,20 @@ namespace htvm::nn {
 
 // nn.conv2d: data [N,C,H,W] int8 x weight [K,C/g,kh,kw] int8|ternary ->
 // int32 [N,K,oh,ow]. Grouped convolution covers depthwise (g == C).
+// `padding` follows NormalizePadding (ir/op.hpp); a bad one is
+// InvalidArgument. Which loop runs follows from K / groups:
+//   > 1  im2col GEMM: each group's input is copied once into a zero-padded
+//        i16 plane, panels of up to 64 output pixels x Cg*kh*kw taps are
+//        multiplied against the i16-widened weights, 4 output channels per
+//        pass over a panel row;
+//   == 1 (depthwise) direct tap loop: each (c, fy, fx) tap accumulates over
+//        the whole output plane, since a panel column would be used once.
 Result<Tensor> Conv2d(const Tensor& data, const Tensor& weight,
                       const std::vector<i64>& strides,
                       const std::vector<i64>& padding, i64 groups);
 
-// nn.dense: data [N,I] x weight [O,I] -> int32 [N,O].
+// nn.dense: data [N,I] x weight [O,I] -> int32 [N,O], on the same
+// 4-channel i16 dot-product core as conv2d's GEMM.
 Result<Tensor> Dense(const Tensor& data, const Tensor& weight);
 
 // nn.bias_add along `axis`.

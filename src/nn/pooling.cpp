@@ -1,5 +1,6 @@
 #include "nn/kernels.hpp"
 
+#include "ir/op.hpp"
 #include "support/math_utils.hpp"
 
 namespace htvm::nn {
@@ -25,9 +26,7 @@ Result<PoolGeometry> ResolvePool(const Tensor& data,
   g.pw = pool.size() > 1 ? pool[1] : g.ph;
   g.sy = strides.size() > 0 ? strides[0] : g.ph;
   g.sx = strides.size() > 1 ? strides[1] : g.pw;
-  std::vector<i64> pad = padding;
-  if (pad.empty()) pad = {0, 0, 0, 0};
-  if (pad.size() == 2) pad = {pad[0], pad[1], pad[0], pad[1]};
+  HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(padding, "pool2d"));
   g.pt = pad[0];
   g.pl = pad[1];
   g.oh = (g.H + pad[0] + pad[2] - g.ph) / g.sy + 1;

@@ -239,8 +239,7 @@ Result<std::string> EmitLoneOp(const Graph& body, const Node& op,
   if (op.op == "nn.avg_pool2d" || op.op == "nn.max_pool2d") {
     const auto pool = op.attrs.GetIntVec("pool_size", {2, 2});
     const auto strides = op.attrs.GetIntVec("strides", pool);
-    auto pad = op.attrs.GetIntVec("padding", {0, 0, 0, 0});
-    if (pad.size() == 2) pad = {pad[0], pad[1], pad[0], pad[1]};
+    HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(op.attrs, "pool2d"));
     c += StrFormat(
         "  htvm_%s_pool2d(in, out, %lld, %lld, %lld, %lld, %lld, %lld, "
         "%lld, %lld, %lld, %lld, %lld);\n",
@@ -368,8 +367,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
       HTVM_ASSIGN_OR_RETURN(w, operand(n.inputs[1]));
       const TensorType& wt = body.node(n.inputs[1]).type;
       const auto strides = n.attrs.GetIntVec("strides", {1, 1});
-      auto pad = n.attrs.GetIntVec("padding", {0, 0, 0, 0});
-      if (pad.size() == 2) pad = {pad[0], pad[1], pad[0], pad[1]};
+      HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(n.attrs, "conv2d"));
       const i64 groups = n.attrs.GetInt("groups", 1);
       const i64 batch = at.shape[0];
       code += StrFormat("  {  // %s = conv2d(%s, %s)\n", t.c_str(), a.c_str(),

@@ -279,16 +279,124 @@ TEST(KernelDifferential, Conv2dMatchesNaiveLoop) {
 
 TEST(KernelDifferential, Conv2dWrapsLikeNarrowedInt64Sum) {
   // 131073 * (-128 * -128) = 2147500032 overflows int32; the output keeps
-  // its low 32 bits, exactly as narrowing the i64 sum did.
+  // its low 32 bits, exactly as narrowing the i64 sum did. K = 1 runs the
+  // direct tap loop; K = 5 runs the GEMM, whose 131073-term dot products
+  // span three i32 chunks, through both its 4-channel pass and the
+  // remainder row.
   const i64 C = 131073;
   const Tensor data = Tensor::FromInt8(
       Shape{1, C, 1, 1}, std::vector<i8>(static_cast<size_t>(C), -128));
+  for (const i64 K : {1, 5}) {
+    const Tensor w = Tensor::FromInt8(
+        Shape{K, C, 1, 1}, std::vector<i8>(static_cast<size_t>(K * C), -128));
+    auto got = Conv2d(data, w, {1, 1}, {0, 0, 0, 0}, 1);
+    ASSERT_TRUE(got.ok());
+    for (i64 k = 0; k < K; ++k) {
+      EXPECT_EQ(got->data<i32>()[static_cast<size_t>(k)],
+                static_cast<i32>(i64{2147500032}))
+          << "K " << K << " k " << k;
+    }
+    EXPECT_TRUE(got->SameAs(NaiveConv2d(data, w, 1, 1, {0, 0, 0, 0}, 1)));
+  }
+}
+
+TEST(KernelDifferential, Conv2dGemmShapesMatchNaiveLoop) {
+  // Shapes aimed at the im2col GEMM: K % 4 of 1, 2 and 3; planes larger
+  // than one 64-pixel panel and not a multiple of it; the DS-CNN 1 -> 64
+  // 7x5 stride-2 stem; grouped convs with 2 output channels per group (GEMM)
+  // beside depthwise ones (direct loop).
+  struct Case {
+    i64 C, K, H, W, kh, kw, stride, groups;
+    std::vector<i64> pad;
+  };
+  const Case cases[] = {
+      {3, 5, 6, 7, 3, 3, 1, 1, {1, 1, 1, 1}},     // K % 4 == 1
+      {4, 6, 7, 5, 3, 3, 2, 1, {0, 1, 2, 0}},     // K % 4 == 2
+      {5, 7, 6, 6, 1, 1, 1, 1, {0, 0, 0, 0}},     // K % 4 == 3
+      {3, 4, 9, 9, 3, 3, 1, 1, {1, 1, 1, 1}},     // 81 pixels
+      {2, 8, 48, 48, 3, 3, 1, 1, {1, 1, 1, 1}},   // 2304 pixels
+      {1, 64, 49, 10, 7, 5, 2, 1, {3, 1, 3, 2}},  // stem, 25x5 pixels
+      {6, 6, 9, 9, 3, 3, 1, 3, {1, 1, 1, 1}},     // 2 in, 2 out per group
+      {6, 6, 9, 9, 3, 3, 2, 6, {1, 1, 1, 1}},     // depthwise
+  };
+  Rng rng(19);
+  for (const Case& c : cases) {
+    for (const DType wt : {DType::kInt8, DType::kTernary}) {
+      const Tensor data =
+          RandomOf(Shape{2, c.C, c.H, c.W}, DType::kInt8, rng);
+      const Tensor w =
+          RandomOf(Shape{c.K, c.C / c.groups, c.kh, c.kw}, wt, rng);
+      auto got = Conv2d(data, w, {c.stride, c.stride}, c.pad, c.groups);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(got->SameAs(
+          NaiveConv2d(data, w, c.stride, c.stride, c.pad, c.groups)))
+          << "C " << c.C << " K " << c.K << " " << c.H << "x" << c.W
+          << " groups " << c.groups << " " << DTypeName(wt);
+    }
+  }
+}
+
+TEST(KernelDifferential, Conv2dShortPaddingFormsAndBadPadding) {
+  Rng rng(20);
+  const Tensor data = RandomOf(Shape{1, 4, 7, 7}, DType::kInt8, rng);
+  const Tensor w = RandomOf(Shape{8, 4, 3, 3}, DType::kInt8, rng);
+  auto full = Conv2d(data, w, {1, 1}, {1, 2, 1, 2}, 1);
+  auto pair = Conv2d(data, w, {1, 1}, {1, 2}, 1);
+  auto one = Conv2d(data, w, {1, 1}, {1}, 1);
+  auto ones = Conv2d(data, w, {1, 1}, {1, 1, 1, 1}, 1);
+  ASSERT_TRUE(full.ok() && pair.ok() && one.ok() && ones.ok());
+  EXPECT_TRUE(pair->SameAs(*full));
+  EXPECT_TRUE(one->SameAs(*ones));
+  for (const std::vector<i64>& bad :
+       {std::vector<i64>{-1, 0, 0, 0}, std::vector<i64>{0, -1},
+        std::vector<i64>{1, 1, 1}}) {
+    auto got = Conv2d(data, w, {1, 1}, bad, 1);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// nn.dense's old loop: an i64 accumulator narrowed to int32.
+Tensor NaiveDense(const Tensor& data, const Tensor& weight) {
+  const i64 N = data.shape()[0], I = data.shape()[1], O = weight.shape()[0];
+  Tensor out(Shape{N, O}, DType::kInt32);
+  for (i64 n = 0; n < N; ++n) {
+    for (i64 o = 0; o < O; ++o) {
+      i64 acc = 0;
+      for (i64 i = 0; i < I; ++i) {
+        acc += data.GetFlat(n * I + i) * weight.GetFlat(o * I + i);
+      }
+      out.SetFlat(n * O + o, static_cast<i32>(acc));
+    }
+  }
+  return out;
+}
+
+TEST(KernelDifferential, DenseMatchesNaiveLoop) {
+  Rng rng(21);
+  // I > 65536 spans two i32 chunks; O = 7 runs the 4-channel pass and the
+  // remainder rows; odd I leaves a partial 8-lane vector.
+  const std::pair<i64, i64> io[] = {{3, 1}, {37, 7}, {640, 128}, {70001, 7}};
+  for (const auto& [I, O] : io) {
+    for (const DType wt : {DType::kInt8, DType::kTernary}) {
+      const Tensor data = RandomOf(Shape{2, I}, DType::kInt8, rng);
+      const Tensor w = RandomOf(Shape{O, I}, wt, rng);
+      auto got = Dense(data, w);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(got->SameAs(NaiveDense(data, w)))
+          << "I " << I << " O " << O << " " << DTypeName(wt);
+    }
+  }
+  // All -128 over 131073 terms wraps int32 like the narrowed i64 sum.
+  const i64 I = 131073;
+  const Tensor ones = Tensor::FromInt8(
+      Shape{1, I}, std::vector<i8>(static_cast<size_t>(I), -128));
   const Tensor w = Tensor::FromInt8(
-      Shape{1, C, 1, 1}, std::vector<i8>(static_cast<size_t>(C), -128));
-  auto got = Conv2d(data, w, {1, 1}, {0, 0, 0, 0}, 1);
+      Shape{5, I}, std::vector<i8>(static_cast<size_t>(5 * I), -128));
+  auto got = Dense(ones, w);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->data<i32>()[0], static_cast<i32>(i64{2147500032}));
-  EXPECT_TRUE(got->SameAs(NaiveConv2d(data, w, 1, 1, {0, 0, 0, 0}, 1)));
+  EXPECT_EQ(got->data<i32>()[4], static_cast<i32>(i64{2147500032}));
+  EXPECT_TRUE(got->SameAs(NaiveDense(ones, w)));
 }
 
 TEST(KernelDifferential, ElementwiseOpsMatchFlatAccessorsOnEveryDType) {

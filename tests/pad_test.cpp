@@ -3,11 +3,13 @@
 // need the padding on the conv attribute).
 #include <gtest/gtest.h>
 
+#include "compiler/emit.hpp"
 #include "compiler/pipeline.hpp"
 #include "ir/builder.hpp"
 #include "ir/passes.hpp"
 #include "nn/interpreter.hpp"
 #include "nn/kernels.hpp"
+#include "runtime/executor.hpp"
 
 namespace htvm {
 namespace {
@@ -121,6 +123,92 @@ TEST(AbsorbPadding, PipelineDispatchesPaddedConvToAccelerator) {
   ASSERT_TRUE(art.ok());
   ASSERT_EQ(art->kernels.size(), 1u);
   EXPECT_EQ(art->kernels[0].target, "digital");
+}
+
+// conv(3x3, `conv_pad`) -> requant -> max_pool(3x3, stride 2, `pool_pad`).
+Graph PaddingFormsGraph(const std::vector<i64>& conv_pad,
+                        const std::vector<i64>& pool_pad) {
+  GraphBuilder b(21);
+  NodeId x = b.Input("x", Shape{1, 4, 8, 8});
+  Graph& g = b.graph();
+  Rng rng(22);
+  NodeId w = g.AddConstant(
+      Tensor::Random(Shape{8, 4, 3, 3}, DType::kInt8, rng), "w");
+  NodeId conv =
+      g.AddOp("nn.conv2d", {x, w}, AttrMap{{"padding", conv_pad}});
+  NodeId bias = g.AddConstant(Tensor::Random(Shape{8}, DType::kInt32, rng));
+  NodeId y = b.Requant(g.AddOp("nn.bias_add", {conv, bias}), 7, true);
+  NodeId pool = g.AddOp("nn.max_pool2d", {y},
+                        AttrMap{{"pool_size", std::vector<i64>{3, 3}},
+                                {"strides", std::vector<i64>{2, 2}},
+                                {"padding", pool_pad}});
+  return b.Finish(pool);
+}
+
+TEST(PaddingAttr, ShortFormsRunLikeTheFourEntryForm) {
+  // [p] and [py, px] mean the same padding as [p, p, p, p] to every reader:
+  // the interpreter kernels, the CPU and accelerator compile paths, the tile
+  // executor, the C emitter and AbsorbPadding.
+  const Graph full = PaddingFormsGraph({1, 1, 1, 1}, {1, 1, 1, 1});
+  Rng rng(23);
+  const Tensor input = Tensor::Random(Shape{1, 4, 8, 8}, DType::kInt8, rng);
+  auto want = nn::RunGraph(full, std::vector<Tensor>{input});
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(want.value()[0].shape(), (Shape{1, 8, 4, 4}));
+  auto full_c = compiler::EmitArtifactC(
+      compiler::HtvmCompiler{compiler::CompileOptions::PlainTvm()}
+          .Compile(full)
+          .value(),
+      "net");
+  ASSERT_TRUE(full_c.ok());
+  for (const std::vector<i64>& pad :
+       {std::vector<i64>{1}, std::vector<i64>{1, 1}}) {
+    SCOPED_TRACE(pad.size());
+    const Graph g = PaddingFormsGraph(pad, pad);
+    auto got = nn::RunGraph(g, std::vector<Tensor>{input});
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got.value()[0].SameAs(want.value()[0]));
+    bool on_accelerator = false;
+    for (const auto& opt : {compiler::CompileOptions::PlainTvm(),
+                            compiler::CompileOptions::DigitalOnly()}) {
+      auto art = compiler::HtvmCompiler{opt}.Compile(g);
+      ASSERT_TRUE(art.ok()) << art.status().ToString();
+      for (const auto& k : art->kernels) {
+        on_accelerator |= k.target == "digital";
+      }
+      for (const bool tiles : {false, true}) {
+        const runtime::Executor ex(&*art, {.simulate_tiles = tiles});
+        auto run = ex.Run(std::vector<Tensor>{input});
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        EXPECT_TRUE(run->outputs[0].SameAs(want.value()[0]));
+      }
+    }
+    EXPECT_TRUE(on_accelerator);  // the DORY layer spec read the padding
+    auto emitted = compiler::EmitArtifactC(
+        compiler::HtvmCompiler{compiler::CompileOptions::PlainTvm()}
+            .Compile(g)
+            .value(),
+        "net");
+    ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
+    EXPECT_EQ(emitted->files, full_c->files);
+  }
+
+  // AbsorbPadding adds an nn.pad onto a 1-entry conv padding.
+  GraphBuilder b(24);
+  NodeId x = b.Input("x", Shape{1, 4, 8, 8});
+  Graph& g = b.graph();
+  NodeId padded = g.AddOp(
+      "nn.pad", {x}, AttrMap{{"pad_width", std::vector<i64>{0, 0, 1, 1}}});
+  NodeId w = g.AddConstant(
+      Tensor::Random(Shape{4, 4, 3, 3}, DType::kInt8, rng), "w");
+  NodeId conv = g.AddOp("nn.conv2d", {padded, w},
+                        AttrMap{{"padding", std::vector<i64>{1}}});
+  Graph folded = AbsorbPadding(b.Finish(conv));
+  for (const Node& n : folded.nodes()) {
+    if (n.IsOp("nn.conv2d")) {
+      EXPECT_EQ(n.attrs.GetIntVec("padding"), (std::vector<i64>{1, 1, 2, 2}));
+    }
+  }
 }
 
 }  // namespace
