@@ -71,12 +71,13 @@ int main() {
   runtime::Executor executor(&*artifact);
   auto result = executor.Run(std::vector<Tensor>{input});
   HTVM_CHECK(result.ok());
+  const hw::RunProfile profile = artifact->Profile();
   std::printf("\nlatency %.3f ms; per-target cycles: cpu=%lld digital=%lld "
               "analog=%lld\n",
-              result->latency_ms,
-              static_cast<long long>(result->profile.FullCyclesOn("cpu")),
-              static_cast<long long>(result->profile.FullCyclesOn("digital")),
-              static_cast<long long>(result->profile.FullCyclesOn("analog")));
+              artifact->LatencyMs(),
+              static_cast<long long>(profile.FullCyclesOn("cpu")),
+              static_cast<long long>(profile.FullCyclesOn("digital")),
+              static_cast<long long>(profile.FullCyclesOn("analog")));
 
   // Re-compile with the analog core disabled: the ternary conv has nowhere
   // to go but the CPU path.

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     std::printf("execution refused: %s\n", result.status().ToString().c_str());
     return 0;  // the OoM row of Table I behaves exactly like this
   }
-  std::printf("end-to-end: %.3f ms full, %.3f ms peak\n", result->latency_ms,
+  std::printf("end-to-end: %.3f ms full, %.3f ms peak\n", artifact->LatencyMs(),
               artifact->PeakLatencyMs());
   // Fig. 2: the sequential kernel timeline across the three engines.
   std::printf("\n%s", runtime::BuildTimeline(*artifact).Render(72).c_str());

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
                     result.status().ToString().c_str());
         break;
       }
-      total_ms += result->latency_ms;
+      total_ms += artifact->LatencyMs();
       // "Detection": argmax over the 12 keyword scores.
       const Tensor& scores = result->outputs[0];
       i64 best = 0;

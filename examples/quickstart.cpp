@@ -66,8 +66,9 @@ int main() {
                  result.status().ToString().c_str());
     return 1;
   }
-  std::printf("latency: %.3f ms (%lld cycles @260 MHz)\n", result->latency_ms,
-              static_cast<long long>(result->total_cycles));
+  std::printf("latency: %.3f ms (%lld cycles @260 MHz)\n",
+              artifact->LatencyMs(),
+              static_cast<long long>(artifact->TotalFullCycles()));
 
   // 4. Verify the deployment against the pure reference interpreter.
   auto verify =

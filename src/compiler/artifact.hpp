@@ -63,7 +63,9 @@ using PassTimeline = std::vector<PassStat>;
 i64 PassTimelineTotalNs(const PassTimeline& timeline);
 
 struct Artifact {
-  Graph kernel_graph;  // inputs + constants + composites only
+  // Inputs + constants + composites only. `kernels` holds one kernel per
+  // composite, in node order (checked for loaded HABs by ValidateArtifact).
+  Graph kernel_graph;
   std::vector<CompiledKernel> kernels;  // execution order
   DispatchLog dispatch_log;  // per-match accept/reject decisions
   PassTimeline pass_timeline;  // per-pass compile-time instrumentation

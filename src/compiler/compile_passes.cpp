@@ -343,16 +343,7 @@ class CompileKernelsPass final : public Pass {
         } else if (!memo_key.empty()) {
           options.cache->StoreSchedule(memo_key, sched.solution);
         }
-        kernel.perf.name = kernel.name;
-        kernel.perf.target = kernel.target;
-        kernel.perf.macs = sched.macs;
-        kernel.perf.compute_cycles = sched.compute_cycles;
-        kernel.perf.weight_dma_cycles = sched.weight_dma_cycles;
-        kernel.perf.act_dma_cycles = sched.exposed_act_cycles;
-        kernel.perf.overhead_cycles = sched.overhead_cycles;
-        kernel.perf.peak_cycles = sched.peak_cycles;
-        kernel.perf.full_cycles = sched.full_cycles;
-        kernel.perf.tiles = static_cast<i64>(sched.steps.size());
+        kernel.perf = dory::SchedulePerf(sched, kernel.name);
         kernel.code_bytes = tvmgen::AccelKernelCodeBytes(
             options.size_model, sched.solution.needs_tiling);
         kernel.weight_bytes =

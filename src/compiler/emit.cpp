@@ -20,22 +20,6 @@ std::string Sanitize(const std::string& name) {
   return out;
 }
 
-void FindWeightBias(const Graph& body, const Tensor** weight,
-                    const Tensor** bias) {
-  *weight = nullptr;
-  *bias = nullptr;
-  for (const Node& n : body.nodes()) {
-    if (n.IsOp("nn.conv2d") || n.IsOp("nn.dense") || n.IsOp("matmul")) {
-      const Node& w = body.node(n.inputs[1]);
-      if (w.kind == NodeKind::kConstant) *weight = &w.value;
-    }
-    if (n.IsOp("nn.bias_add")) {
-      const Node& b = body.node(n.inputs[1]);
-      if (b.kind == NodeKind::kConstant) *bias = &b.value;
-    }
-  }
-}
-
 template <typename T, typename Get>
 std::string EmitArray(const std::string& ctype, const std::string& name,
                       i64 count, Get get) {
@@ -99,9 +83,7 @@ Result<EmittedArtifact> EmitArtifactC(const Artifact& artifact,
     const Node& node = g.node(kernel.node);
     const std::string fn = Sanitize(kernel.name);
     fn_names.push_back(fn);
-    const Tensor* weight = nullptr;
-    const Tensor* bias = nullptr;
-    FindWeightBias(*node.body, &weight, &bias);
+    const auto [weight, bias] = dory::FindWeightBias(*node.body);
     std::string wsym, bsym;
 
     if (bias != nullptr) {

@@ -35,6 +35,21 @@ i64 AccelLayerSpec::Macs() const {
   return 0;
 }
 
+WeightBias FindWeightBias(const Graph& body) {
+  WeightBias found;
+  for (const Node& n : body.nodes()) {
+    if (n.IsOp("nn.conv2d") || n.IsOp("nn.dense") || n.IsOp("matmul")) {
+      const Node& w = body.node(n.inputs[1]);
+      if (w.kind == NodeKind::kConstant) found.weight = &w.value;
+    }
+    if (n.IsOp("nn.bias_add")) {
+      const Node& b = body.node(n.inputs[1]);
+      if (b.kind == NodeKind::kConstant) found.bias = &b.value;
+    }
+  }
+  return found;
+}
+
 Result<AccelLayerSpec> AnalyzeCompositeBody(const Graph& body) {
   // Locate the accumulating anchor op.
   const Node* anchor = nullptr;

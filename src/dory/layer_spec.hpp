@@ -34,6 +34,7 @@ struct AccelLayerSpec {
   DType weight_dtype = DType::kInt8;
   RequantParams requant;
 
+  bool operator==(const AccelLayerSpec&) const = default;
   i64 InputBytes() const { return c * iy * ix; }    // int8 activations
   i64 OutputBytes() const { return k * oy * ox; }
   i64 WeightElems() const;
@@ -44,5 +45,13 @@ struct AccelLayerSpec {
 // one of the known accelerator chains (the dispatcher then rejects the
 // match and the ops stay on the CPU path).
 Result<AccelLayerSpec> AnalyzeCompositeBody(const Graph& body);
+
+// The constant weight (conv2d/dense/matmul) and bias (bias_add) inside a
+// composite body; nullptr where the body has none.
+struct WeightBias {
+  const Tensor* weight = nullptr;
+  const Tensor* bias = nullptr;
+};
+WeightBias FindWeightBias(const Graph& body);
 
 }  // namespace htvm::dory

@@ -271,6 +271,19 @@ Result<AccelSchedule> BuildScheduleWithSolution(const AccelLayerSpec& spec,
   return sched;
 }
 
+hw::KernelPerf SchedulePerf(const AccelSchedule& s, const std::string& name) {
+  return {.name = name,
+          .target = AccelTargetName(s.target),
+          .macs = s.macs,
+          .peak_cycles = s.peak_cycles,
+          .full_cycles = s.full_cycles,
+          .compute_cycles = s.compute_cycles,
+          .weight_dma_cycles = s.weight_dma_cycles,
+          .act_dma_cycles = s.exposed_act_cycles,
+          .overhead_cycles = s.overhead_cycles,
+          .tiles = static_cast<i64>(s.steps.size())};
+}
+
 Result<AccelSchedule> BuildSchedule(const AccelLayerSpec& spec,
                                     const hw::DianaConfig& cfg,
                                     AccelTarget target,

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "dory/tiler.hpp"
+#include "hw/perf.hpp"
 
 namespace htvm::dory {
 
@@ -34,6 +35,8 @@ struct TileStep {
   i64 out_dma_cycles = 0;
   i64 weight_dma_cycles = 0;
   i64 setup_cycles = 0;
+
+  bool operator==(const TileStep&) const = default;
 };
 
 struct AccelSchedule {
@@ -52,6 +55,8 @@ struct AccelSchedule {
   i64 peak_cycles = 0;
   i64 full_cycles = 0;
   i64 macs = 0;
+
+  bool operator==(const AccelSchedule&) const = default;
 };
 
 // Solves tiling (unless `solution` is provided) and builds the schedule.
@@ -65,5 +70,9 @@ Result<AccelSchedule> BuildScheduleWithSolution(const AccelLayerSpec& spec,
                                                 AccelTarget target,
                                                 const TilerOptions& options,
                                                 const TileSolution& solution);
+
+// The perf counters of a kernel running `schedule` (CompiledKernel::perf).
+hw::KernelPerf SchedulePerf(const AccelSchedule& schedule,
+                            const std::string& name);
 
 }  // namespace htvm::dory

@@ -52,8 +52,8 @@ i64 AccelWeightMemBytes(const hw::DianaConfig& cfg, AccelTarget target) {
                                          : cfg.analog.weight_mem_bytes;
 }
 
-// Tile-grid counts for a picked tile shape (dw/add count the channel grid
-// once, on the c axis).
+}  // namespace
+
 void FillTileGrid(const AccelLayerSpec& spec, TileSolution& s) {
   s.n_c = CeilDiv(spec.c, s.c_t);
   s.n_k = (spec.kind == LayerKind::kDwConv2d || spec.kind == LayerKind::kAdd)
@@ -62,8 +62,6 @@ void FillTileGrid(const AccelLayerSpec& spec, TileSolution& s) {
   s.n_y = CeilDiv(spec.oy, s.oy_t);
   s.n_x = CeilDiv(spec.ox, s.ox_t);
 }
-
-}  // namespace
 
 i64 EffectiveL1Budget(const hw::DianaConfig& cfg, const TilerOptions& options) {
   return options.l1_budget_bytes > 0 ? options.l1_budget_bytes : cfg.l1_bytes;

@@ -52,6 +52,8 @@ struct TilerOptions {
   bool enable_dma_heuristic = true;
   bool double_buffer = true;  // overlap tile DMA with compute
   i64 l1_budget_bytes = -1;   // -1 = full configured L1
+
+  bool operator==(const TilerOptions&) const = default;
 };
 
 // The one field list of TilerOptions, in its canonical order: HAB kernel
@@ -79,8 +81,12 @@ struct TileSolution {
   double objective = 0.0;
   i64 l1_bytes = 0;           // bytes of one live buffer set (Eq. 2 LHS)
 
+  bool operator==(const TileSolution&) const = default;
   i64 TileCount() const { return n_c * n_k * n_y * n_x; }
 };
+
+// Sets s.n_* to ceil(dim / tile) (dw/add count channels once, on c).
+void FillTileGrid(const AccelLayerSpec& spec, TileSolution& s);
 
 Result<TileSolution> SolveTiling(const AccelLayerSpec& spec,
                                  const hw::DianaConfig& cfg,

@@ -28,6 +28,7 @@ struct KernelPerf {
   i64 overhead_cycles = 0;    // per-tile setup + runtime dispatch
   i64 tiles = 1;
 
+  bool operator==(const KernelPerf&) const = default;
   double PeakMacsPerCycle() const {
     return peak_cycles > 0
                ? static_cast<double>(macs) / static_cast<double>(peak_cycles)

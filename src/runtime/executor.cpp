@@ -5,32 +5,21 @@
 #include "support/string_utils.hpp"
 
 namespace htvm::runtime {
-namespace {
-
-// Locates the weight and bias constants inside an accelerator body.
-void FindWeightBias(const Graph& body, const Tensor** weight,
-                    const Tensor** bias) {
-  *weight = nullptr;
-  *bias = nullptr;
-  for (const Node& n : body.nodes()) {
-    if (n.IsOp("nn.conv2d") || n.IsOp("nn.dense") || n.IsOp("matmul")) {
-      const Node& w = body.node(n.inputs[1]);
-      if (w.kind == NodeKind::kConstant) *weight = &w.value;
-    }
-    if (n.IsOp("nn.bias_add")) {
-      const Node& b = body.node(n.inputs[1]);
-      if (b.kind == NodeKind::kConstant) *bias = &b.value;
-    }
-  }
-}
-
-}  // namespace
 
 Executor::Executor(const compiler::Artifact* artifact,
                    ExecutorOptions options)
     : artifact_(artifact), options_(options) {
   HTVM_CHECK(artifact_ != nullptr);
-  for (const auto& k : artifact_->kernels) kernels_by_node_[k.node] = &k;
+  for (const compiler::CompiledKernel& kernel : artifact_->kernels) {
+    Step step;
+    step.composite = &artifact_->kernel_graph.node(kernel.node);
+    HTVM_CHECK(step.composite->kind == NodeKind::kComposite);
+    if (options_.simulate_tiles && kernel.schedule.has_value()) {
+      step.tiled = &*kernel.schedule;
+      step.params = dory::FindWeightBias(*step.composite->body);
+    }
+    steps_.push_back(step);
+  }
 }
 
 Result<ExecutionResult> Executor::Run(std::span<const Tensor> inputs,
@@ -61,59 +50,36 @@ Result<ExecutionResult> Executor::Run(std::span<const Tensor> inputs,
   // shape must stop here rather than inside a tile.
   HTVM_RETURN_IF_ERROR(nn::CheckInputs(g, inputs));
 
+  // Activations by node id; constants are read in place from the graph.
   std::vector<Tensor> values(static_cast<size_t>(g.NumNodes()));
   for (size_t i = 0; i < inputs.size(); ++i) {
     values[static_cast<size_t>(g.inputs()[i])] = inputs[i];
   }
+  const auto value = [&](NodeId id) -> const Tensor& {
+    const Node& n = g.node(id);
+    return n.kind == NodeKind::kConstant ? n.value : values[n.id];
+  };
 
-  for (const Node& n : g.nodes()) {
-    switch (n.kind) {
-      case NodeKind::kInput:
-        break;
-      case NodeKind::kConstant:
-        values[static_cast<size_t>(n.id)] = n.value;
-        break;
-      case NodeKind::kOp:
-        return Status::Internal("bare op in kernel graph");
-      case NodeKind::kComposite: {
-        std::vector<Tensor> in;
-        in.reserve(n.inputs.size());
-        for (NodeId id : n.inputs) in.push_back(values[static_cast<size_t>(id)]);
-
-        const auto it = kernels_by_node_.find(n.id);
-        const compiler::CompiledKernel* kernel =
-            it == kernels_by_node_.end() ? nullptr : it->second;
-
-        if (options_.simulate_tiles && kernel != nullptr &&
-            kernel->schedule.has_value()) {
-          const Tensor* weight = nullptr;
-          const Tensor* bias = nullptr;
-          FindWeightBias(*n.body, &weight, &bias);
-          // The tiled path consumes the conv-shaped view of the input; a
-          // dense layer's body input is already rank-2.
-          auto out = dory::ExecuteTiled(*kernel->schedule, in, weight, bias);
-          if (!out.ok()) return out.status();
-          // Tiled execution emits the final int8 tensor with the layer's
-          // natural shape; adopt the body's declared output shape.
-          values[static_cast<size_t>(n.id)] =
-              std::move(out.value()).Reshaped(n.type.shape);
-        } else {
-          auto out = nn::RunGraph(*n.body, in);
-          if (!out.ok()) return out.status();
-          values[static_cast<size_t>(n.id)] = std::move(out.value()[0]);
-        }
-        break;
-      }
+  std::vector<Tensor> in;
+  for (const Step& step : steps_) {
+    const Node& n = *step.composite;
+    in.clear();
+    for (NodeId id : n.inputs) in.push_back(value(id));
+    Tensor& out = values[static_cast<size_t>(n.id)];
+    if (step.tiled != nullptr) {
+      HTVM_ASSIGN_OR_RETURN(tiled, dory::ExecuteTiled(*step.tiled, in,
+                                                      step.params.weight,
+                                                      step.params.bias));
+      // Tiles emit the layer's natural shape; adopt the body's.
+      out = std::move(tiled).Reshaped(n.type.shape);
+    } else {
+      HTVM_ASSIGN_OR_RETURN(body, nn::RunGraph(*n.body, in));
+      out = std::move(body[0]);
     }
   }
 
   ExecutionResult result;
-  for (NodeId id : g.outputs()) {
-    result.outputs.push_back(values[static_cast<size_t>(id)]);
-  }
-  result.profile = art.Profile();
-  result.total_cycles = art.TotalFullCycles();
-  result.latency_ms = art.hw_config.CyclesToMs(result.total_cycles);
+  for (NodeId id : g.outputs()) result.outputs.push_back(value(id));
   return result;
 }
 

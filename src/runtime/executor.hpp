@@ -1,17 +1,17 @@
 // HTVM runtime: executes a compiled artifact on the DIANA simulator.
 //
-// Functionally the executor interprets each kernel's fused body (bit-exact
-// int8 semantics); with `simulate_tiles` it instead drives accelerator
-// kernels through their DORY tile schedule (gather/compute/accumulate/
-// scatter) — slower, but proves the deployed schedule computes the same
-// bytes. Timing is the artifact's static cost model: DIANA kernels are
-// data-independent, so cycle counts are decided at compile time, exactly
-// like reading the paper's hardware performance counters after a run.
+// Like TVM's AOT executor, the constructor resolves the artifact once into
+// one step per kernel (artifact.kernels order, which Artifact guarantees is
+// composite node order). A step interprets the kernel's fused body
+// (bit-exact int8 semantics); with `simulate_tiles` an accelerator kernel
+// instead runs its DORY tile schedule — slower, but proves the deployed
+// schedule computes the same bytes. Timing is not a run result: DIANA
+// kernels are data-independent, so cycles are decided at compile time, like
+// reading the paper's hardware counters — see Artifact::Profile.
 #pragma once
 
-#include <map>
-
 #include "compiler/artifact.hpp"
+#include "dory/layer_spec.hpp"
 #include "hw/fault.hpp"
 #include "tensor/tensor.hpp"
 
@@ -39,17 +39,14 @@ struct RunContext {
 
 struct ExecutionResult {
   std::vector<Tensor> outputs;
-  hw::RunProfile profile;
-  i64 total_cycles = 0;
-  double latency_ms = 0.0;
 };
 
 // Thread-safety: an Executor is immutable after construction and `Run` only
-// reads the (shared, const) artifact — all per-run state lives on the
-// caller's stack. Any number of threads may call `Run` concurrently on one
-// Executor (or on distinct Executors sharing one Artifact); the serving
-// layer (src/serve) relies on this to drive a fleet of simulated SoCs from
-// a worker pool.
+// reads its steps and the (shared, const) artifact — all per-run state
+// lives on the caller's stack. Any number of threads may call `Run`
+// concurrently on one Executor (or on distinct Executors sharing one
+// Artifact); the serving layer (src/serve) relies on this to drive a fleet
+// of simulated SoCs from a worker pool.
 class Executor {
  public:
   explicit Executor(const compiler::Artifact* artifact,
@@ -59,11 +56,16 @@ class Executor {
                               const RunContext* ctx = nullptr) const;
 
  private:
+  // One kernel call; every pointer borrows from the artifact.
+  struct Step {
+    const Node* composite = nullptr;
+    const dory::AccelSchedule* tiled = nullptr;  // null: run the body
+    dory::WeightBias params;  // the tiled layer's weight and bias
+  };
+
   const compiler::Artifact* artifact_;  // non-owning; outlives the executor
   ExecutorOptions options_;
-  // Tile schedules by kernel-graph node, precomputed so Run stays const and
-  // does no shared-state mutation (and skips a per-call map rebuild).
-  std::map<NodeId, const compiler::CompiledKernel*> kernels_by_node_;
+  std::vector<Step> steps_;
 };
 
 }  // namespace htvm::runtime

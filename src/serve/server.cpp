@@ -373,7 +373,7 @@ void InferenceServer::WorkerLoop() {
         }
         if (!match) output_mismatches_.fetch_add(1);
       }
-      soc.RecordRun(*result);
+      soc.RecordRun(*final_ke.artifact);
       served_.fetch_add(1);
     }
   }

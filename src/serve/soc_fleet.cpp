@@ -2,11 +2,11 @@
 
 namespace htvm::serve {
 
-void SocInstance::RecordRun(const runtime::ExecutionResult& result) {
+void SocInstance::RecordRun(const compiler::Artifact& artifact) {
   std::lock_guard<std::mutex> lock(mu_);
   ++inferences_;
-  cycles_ += result.total_cycles;
-  aggregate_.Accumulate(result.profile);
+  cycles_ += artifact.TotalFullCycles();
+  aggregate_.Accumulate(artifact.Profile());
 }
 
 i64 SocInstance::inferences() const {

@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "compiler/artifact.hpp"
 #include "hw/perf.hpp"
-#include "runtime/executor.hpp"
 
 namespace htvm::serve {
 
@@ -26,8 +26,8 @@ class SocInstance {
   // SocDescription name of this instance's hardware generation.
   const std::string& kind() const { return kind_; }
 
-  // Folds one completed inference into this instance's counters.
-  void RecordRun(const runtime::ExecutionResult& result);
+  // Folds one completed inference of `artifact` into this instance's counters.
+  void RecordRun(const compiler::Artifact& artifact);
 
   i64 inferences() const;
   i64 simulated_cycles() const;

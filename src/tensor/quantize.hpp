@@ -24,6 +24,7 @@ struct RequantParams {
   bool relu = false;   // clamp lower bound at 0 instead of -128
   std::vector<i64> channel_shifts;  // optional per-channel shifts
 
+  bool operator==(const RequantParams&) const = default;
   bool per_channel() const { return !channel_shifts.empty(); }
   i64 ShiftFor(i64 channel) const {
     return per_channel() ? channel_shifts[static_cast<size_t>(channel)]

@@ -345,8 +345,9 @@ void DecodeGraph(Decoder& d, Graph& g, bool allow_composite) {
     AttrMap attrs = DecodeAttrs(d);
     if (kind == NodeKind::kOp) {
       if (!d.ok()) return;
+      // Any registry failure (an unknown op is NotFound) is corruption.
       auto id = g.TryAddOp(op, std::move(inputs), std::move(attrs), name);
-      if (!id.ok()) d.Fail(id.status());
+      if (!id.ok()) d.Fail(id.status().message());
       continue;
     }
     auto body = std::make_shared<Graph>();
@@ -603,12 +604,6 @@ Result<ParsedHab> ParseHab(std::span<const u8> data) {
   const bool has_plan = decode(HabSection::kPlan, "plan",
                                [&](Decoder& d) { d.Str(plan_text); });
   HTVM_RETURN_IF_ERROR(status);
-  for (const compiler::CompiledKernel& k : a.kernels) {
-    if (k.node < 0 || k.node >= a.kernel_graph.NumNodes()) {
-      return Status::InvalidArgument(
-          "hab kernels section: kernel node id out of range");
-    }
-  }
   // kSoc is optional: absent in every "diana" HAB (and everything produced
   // before SoC families existed), where the member default applies. An
   // explicit "diana" is non-canonical — two encodings of one artifact would
@@ -635,6 +630,7 @@ Result<ParsedHab> ParseHab(std::span<const u8> data) {
     }
     a.plan = std::move(plan);
   }
+  HTVM_RETURN_IF_ERROR(ValidateArtifact(a));
   return parsed;
 }
 

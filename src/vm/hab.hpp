@@ -18,10 +18,11 @@
 // compare its canonical form (SerializeHabForDiff).
 //
 // Failure model: every malformed input — truncation, bit flip, wrong magic,
-// future format version, foreign endianness, oversized section lengths —
-// degrades to a typed error Status (Unsupported for version/endianness
-// skew, InvalidArgument for corruption), never a crash. The artifact cache
-// treats any load error as a miss and recompiles.
+// future format version, foreign endianness, oversized section lengths, a
+// checksum-valid file that fails ValidateArtifact — degrades to a typed
+// error Status (Unsupported for version/endianness skew, InvalidArgument
+// for corruption), never a crash. The artifact cache treats any load error
+// as a miss and recompiles.
 //
 // This header is compiler-free on purpose: htvm_vm links runtime + artifact
 // model + hw, never src/compiler (enforced by vm_link_test and a CMake
@@ -119,10 +120,16 @@ std::string SerializeHab(const compiler::Artifact& artifact,
 // shape are all still covered byte-for-byte.
 std::string SerializeHabForDiff(const compiler::Artifact& artifact);
 
-// Validates header, version, endianness, section table and checksums, then
-// reconstructs the artifact. Parses straight out of `data` (the loader
-// hands in an mmap'd file), copying only into the artifact's own storage.
+// Validates header, version, endianness, section table and checksums,
+// reconstructs the artifact and runs ValidateArtifact on it. Parses straight
+// out of `data` (the loader hands in an mmap'd file), copying only into the
+// artifact's own storage.
 Result<ParsedHab> ParseHab(std::span<const u8> data);
+
+// InvalidArgument unless every accelerator schedule and its perf rebuild
+// from the artifact's own graph and hw config, and kernels, composites and
+// L2 buffers line up (vm/validate.cpp; docs/deployable_artifact.md).
+Status ValidateArtifact(const compiler::Artifact& artifact);
 
 // Atomic file write (tmp + rename): concurrent writers of one path leave
 // readers seeing nothing or a complete file.

@@ -3,7 +3,8 @@
 // Covers the tentpole guarantees of docs/artifact_cache.md: the LRU
 // respects its byte budget with correct recency order, on-disk persistence
 // survives a process restart (modeled as a fresh cache on the same dir),
-// corrupted files degrade to a miss and are rewritten by the next store,
+// corrupted files (including checksum-valid ones that fail load-time
+// validation) degrade to a miss and are rewritten by the next store,
 // concurrent compiles through one cache are safe and compile-once, and the
 // compile-once fleet sweep is at least 10x faster than compiling every
 // worker cold, with a hit byte-identical to a cache-less compile (HAB and
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -194,6 +196,55 @@ TEST(ArtifactCache, CorruptedDiskEntryDegradesToMiss) {
   EXPECT_FALSE(artifact.kernels.empty());
 
   // ...so the next restart serves from disk again instead of recompiling.
+  cache::ArtifactCache healed(disk);
+  opt.cache = &healed;
+  CompileOrDie(net, opt);
+  EXPECT_EQ(healed.stats().disk_hits, 1);
+  EXPECT_EQ(healed.stats().compiles, 0);
+}
+
+// A checksum-valid entry that names an unknown op is corrupt, not missing:
+// the loader reports InvalidArgument, so the cache marks the entry
+// unreadable and the recompile rewrites it.
+TEST(ArtifactCache, UnknownOpInDiskEntryIsRepaired) {
+  const std::string dir = FreshDir("/artifact_cache_unknown_op");
+  const Graph net = models::BuildToyAdmosDae(models::PrecisionPolicy::kInt8);
+  cache::ArtifactCacheOptions disk;
+  disk.dir = dir;
+  {
+    cache::ArtifactCache writer(disk);
+    compiler::CompileOptions opt;
+    opt.cache = &writer;
+    CompileOrDie(net, opt);
+  }
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::string bytes;
+    {
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const test::SectionEntry graph =
+        test::FindSectionEntry(bytes, vm::HabSection::kGraph);
+    ASSERT_GT(graph.bytes, 0u) << entry.path();
+    const size_t at = bytes.find("nn.bias_add", graph.offset);
+    ASSERT_LT(at, graph.offset + graph.bytes) << entry.path();
+    bytes.replace(at, 11, "nn.bias_adx");
+    test::FixChecksum(bytes, graph);
+    std::ofstream(entry.path(), std::ios::binary) << bytes;
+    auto parsed = vm::ParseHab(std::span<const u8>(
+        reinterpret_cast<const u8*>(bytes.data()), bytes.size()));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << parsed.status().ToString();
+  }
+  cache::ArtifactCache reader(disk);
+  compiler::CompileOptions opt;
+  opt.cache = &reader;
+  CompileOrDie(net, opt);  // recompiles
+  EXPECT_EQ(reader.stats().hits, 0);
+  EXPECT_EQ(reader.stats().compiles, 1);
+  EXPECT_EQ(reader.stats().disk_writes, 1);
+
   cache::ArtifactCache healed(disk);
   opt.cache = &healed;
   CompileOrDie(net, opt);

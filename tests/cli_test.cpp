@@ -4,6 +4,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -14,8 +15,11 @@
 #include <utility>
 #include <vector>
 
+#include "compiler/pipeline.hpp"
 #include "ir/builder.hpp"
 #include "ir/serialize.hpp"
+#include "models/mlperf_tiny.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -453,6 +457,45 @@ TEST(RunCli, WrongShapeInputIsTypedErrorWhenSimulatingTiles) {
     EXPECT_NE(ReadAll(out).find("INVALID_ARGUMENT"), std::string::npos)
         << mode;
   }
+}
+
+// A HAB with valid checksums whose schedule lies about its layer (a forged
+// input width) is refused at load: htvm-run exits 1 with a typed error
+// instead of aborting inside a tile, and a --preload-dir fleet skips the
+// file and serves the good HAB beside it.
+TEST(RunCli, ForgedScheduleIsTypedErrorAndSkippedByPreload) {
+  if (!BinaryExists(kRunTool) || !BinaryExists(kServeTool)) GTEST_SKIP();
+  const std::string dir = ::testing::TempDir() + "/cli_forged";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto artifact = compiler::HtvmCompiler{{}}.Compile(
+      models::BuildDsCnn(models::PrecisionPolicy::kMixed));
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  ASSERT_TRUE(
+      vm::SaveHab(*artifact, {"dscnn", "cli_test"}, dir + "/good.hab").ok());
+  auto accel = std::find_if(
+      artifact->kernels.begin(), artifact->kernels.end(),
+      [](const compiler::CompiledKernel& k) { return k.schedule.has_value(); });
+  ASSERT_NE(accel, artifact->kernels.end());
+  accel->schedule->spec.ix = i64{1} << 58;
+  const std::string forged = dir + "/forged.hab";
+  ASSERT_TRUE(vm::SaveHab(*artifact, {"forged", "cli_test"}, forged).ok());
+
+  std::string out;
+  const int rc = RunRun(forged + " --simulate-tiles", &out);
+  ASSERT_TRUE(WIFEXITED(rc)) << ReadAll(out);
+  EXPECT_EQ(WEXITSTATUS(rc), 1);
+  EXPECT_NE(ReadAll(out).find("INVALID_ARGUMENT"), std::string::npos)
+      << ReadAll(out);
+
+  ASSERT_EQ(RunServe("--preload-dir " + dir +
+                         " --qps 50 --duration-s 0.1 --seed 7",
+                     &out, "/serve_forged.txt"),
+            0)
+      << ReadAll(out);
+  const std::string log = ReadAll(out);
+  EXPECT_NE(log.find("skipping " + forged), std::string::npos) << log;
+  EXPECT_NE(log.find("dscnn preloaded from"), std::string::npos) << log;
 }
 
 TEST(ServeCli, BadFleetSpecFails) {

@@ -1,4 +1,4 @@
-// Readable failures for byte-level HAB comparisons.
+// Byte-level HAB helpers for tests.
 //
 // Differential tests compare vm::SerializeHabForDiff images. On a mismatch
 // HabBytesEq names the first HAB section whose payload differs and the byte
@@ -6,13 +6,19 @@
 //
 //   EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(a),
 //                       vm::SerializeHabForDiff(b));
+//
+// Corruption tests edit a section payload in place and then call
+// FixChecksum, so the edit reaches the section decoder and the load-time
+// validation instead of being rejected by the checksum verifier.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "vm/hab.hpp"
 
@@ -69,6 +75,48 @@ inline ::testing::AssertionResult HabBytesEq(const char* lhs_expr,
   }
   return failure << "sections equal; first difference at byte "
                  << first_mismatch(lhs, rhs);
+}
+
+// One section-table entry (see hab.cpp): id @0, offset @8, bytes @16,
+// checksum @24.
+struct SectionEntry {
+  u32 id = 0;
+  size_t entry_pos = 0;
+  u64 offset = 0;
+  u64 bytes = 0;
+};
+
+inline std::vector<SectionEntry> SectionEntries(const std::string& image) {
+  u32 section_count;
+  std::memcpy(&section_count, image.data() + vm::kHabSectionCountOffset,
+              sizeof section_count);
+  std::vector<SectionEntry> entries;
+  for (u32 i = 0; i < section_count; ++i) {
+    SectionEntry e;
+    e.entry_pos = vm::kHabHeaderBytes + size_t{i} * vm::kHabSectionEntryBytes;
+    std::memcpy(&e.id, image.data() + e.entry_pos, sizeof e.id);
+    std::memcpy(&e.offset, image.data() + e.entry_pos + 8, sizeof e.offset);
+    std::memcpy(&e.bytes, image.data() + e.entry_pos + 16, sizeof e.bytes);
+    entries.push_back(e);
+  }
+  return entries;
+}
+
+// The entry of section `id`; a zero-byte entry when the image has none.
+inline SectionEntry FindSectionEntry(const std::string& image,
+                                     vm::HabSection id) {
+  for (const SectionEntry& e : SectionEntries(image)) {
+    if (e.id == static_cast<u32>(id)) return e;
+  }
+  return {};
+}
+
+// Rewrites a section's checksum to match its (edited) payload.
+inline void FixChecksum(std::string& image, const SectionEntry& entry) {
+  const u64 sum = vm::HabChecksum(
+      reinterpret_cast<const u8*>(image.data()) + entry.offset,
+      static_cast<size_t>(entry.bytes));
+  std::memcpy(image.data() + entry.entry_pos + 24, &sum, sizeof sum);
 }
 
 }  // namespace htvm::test

@@ -241,8 +241,7 @@ TEST(SocRegistry, EveryDianaConfigFieldReachesHabAndBothKeys) {
   compiler::CompileOptions base_options;
   base_options.soc = base;
   const ir::Hash128 base_key = cache::OptionsFingerprint(base_options);
-  compiler::Artifact artifact =
-      MustCompile(models::MakeDenseLayerGraph(64, 16), base_options);
+  const Graph net = models::MakeDenseLayerGraph(64, 16);
   for (size_t i = 0; i < DianaConfigFields(probe).size(); ++i) {
     hw::SocDescription soc = base;
     std::visit([](auto* field) { *field += 1; },
@@ -253,8 +252,9 @@ TEST(SocRegistry, EveryDianaConfigFieldReachesHabAndBothKeys) {
     EXPECT_FALSE(cache::OptionsFingerprint(options) == base_key)
         << "field " << i;
 
-    artifact.hw_config = soc.config;
-    const std::string bytes = vm::SerializeHab(artifact);
+    // Compiled for the perturbed SoC: the loader rebuilds the schedules
+    // from the HAB's own config, so a swapped-in config would not load.
+    const std::string bytes = vm::SerializeHab(MustCompile(net, options));
     auto parsed = vm::ParseHab(
         {reinterpret_cast<const u8*>(bytes.data()), bytes.size()});
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();

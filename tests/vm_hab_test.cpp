@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "cache/artifact_cache.hpp"
 #include "compiler/pipeline.hpp"
@@ -186,7 +187,7 @@ TEST(Hab, LoadedFileRunsBitExactWithInProcessExecutor) {
     for (size_t i = 0; i < from_vm->outputs.size(); ++i) {
       EXPECT_TRUE(from_vm->outputs[i].SameAs(from_compile->outputs[i]));
     }
-    EXPECT_EQ(from_vm->total_cycles, from_compile->total_cycles);
+    EXPECT_EQ(loaded->artifact().TotalFullCycles(), a->TotalFullCycles());
   }
 }
 
@@ -245,6 +246,62 @@ TEST(Hab, CacheWritesHabAndRepairsV1Text) {
                       SerializeHabForDiff(a));
 }
 
+// Checksum-valid artifacts whose contents do not hang together are refused
+// at load with InvalidArgument, each for its own reason — whether the
+// forgery reaches ValidateArtifact directly or through a HAB file.
+TEST(Hab, LoadTimeValidationRejectsInconsistentArtifacts) {
+  const compiler::Artifact good = CompileDsCnn();
+  ASSERT_TRUE(ValidateArtifact(good).ok());
+  const auto accel = [](compiler::Artifact& a) -> compiler::CompiledKernel& {
+    for (compiler::CompiledKernel& k : a.kernels) {
+      if (k.schedule.has_value()) return k;
+    }
+    HTVM_UNREACHABLE("no accelerator kernel");
+  };
+  struct Forgery {
+    const char* expect;  // part of the error message
+    std::function<void(compiler::Artifact&)> forge;
+  };
+  const Forgery forgeries[] = {
+      {"tile size outside",
+       [&](auto& a) { accel(a).schedule->solution.c_t = 0; }},
+      {"tile grid", [&](auto& a) { accel(a).schedule->solution.n_y += 1; }},
+      {"tile count",
+       [&](auto& a) { accel(a).schedule->steps.push_back({}); }},
+      {"does not rebuild",
+       [&](auto& a) { accel(a).schedule->steps[0].compute_cycles += 1; }},
+      {"does not rebuild",
+       [&](auto& a) { accel(a).schedule->spec.ix = i64{1} << 58; }},
+      {"does not rebuild", [](auto& a) { a.hw_config.dma.setup_cycles += 1; }},
+      {"perf does not match",
+       [&](auto& a) { accel(a).perf.full_cycles += 1; }},
+      {"out-of-range", [](auto& a) { a.hw_config.digital.pe_rows = 0; }},
+      {"node order",
+       [](auto& a) { std::swap(a.kernels[0], a.kernels[1]); }},
+      {"names no composite",
+       [](auto& a) { a.kernels.push_back(a.kernels.back()); }},
+      {"exactly one memory-plan buffer",
+       [](auto& a) { a.memory_plan.buffers.pop_back(); }},
+      {"outside the arena",
+       [](auto& a) {
+         a.memory_plan.buffers[0].offset = a.memory_plan.arena_bytes;
+       }},
+  };
+  for (const Forgery& f : forgeries) {
+    SCOPED_TRACE(f.expect);
+    compiler::Artifact forged = good;
+    f.forge(forged);
+    const Status direct = ValidateArtifact(forged);
+    EXPECT_EQ(direct.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(direct.message().find(f.expect), std::string::npos)
+        << direct.ToString();
+    const std::string bytes = SerializeHab(forged);
+    auto parsed = ParseHab(AsSpan(bytes));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().ToString(), direct.ToString());
+  }
+}
+
 // A HAB whose kSoc section names "diana", with its checksum fixed up so
 // only the SoC rule can reject it. The writer spells "diana" by omitting
 // the section, so this encoding never comes from a real producer.
@@ -252,19 +309,12 @@ std::string ForgeExplicitDianaSoc() {
   compiler::Artifact a = CompileDsCnn();
   a.soc_name = "dianX";  // as long as "diana": the layout is unchanged
   std::string bytes = SerializeHab(a);
-  auto parsed = ParseHab(AsSpan(bytes));
-  HTVM_CHECK(parsed.ok());
-  for (size_t i = 0; i < parsed->sections.size(); ++i) {
-    const HabSectionInfo& s = parsed->sections[i];
-    if (s.id != static_cast<u32>(HabSection::kSoc)) continue;
-    // Payload: u32 length, then the name bytes.
-    bytes.replace(static_cast<size_t>(s.offset) + 4, 5, "diana");
-    const u64 sum = HabChecksum(AsSpan(bytes).data() + s.offset,
-                                static_cast<size_t>(s.bytes));
-    // Section-table entry: id @0, offset @8, bytes @16, checksum @24.
-    std::memcpy(bytes.data() + kHabHeaderBytes + i * kHabSectionEntryBytes + 24,
-                &sum, sizeof sum);
-  }
+  const test::SectionEntry soc =
+      test::FindSectionEntry(bytes, HabSection::kSoc);
+  HTVM_CHECK(soc.bytes > 0);
+  // Payload: u32 length, then the name bytes.
+  bytes.replace(static_cast<size_t>(soc.offset) + 4, 5, "diana");
+  test::FixChecksum(bytes, soc);
   return bytes;
 }
 

@@ -45,6 +45,9 @@ compiler::Artifact MakeReluArtifact() {
   kernel.perf.peak_cycles = 100;
   a.kernels.push_back(std::move(kernel));
   a.memory_plan.fits = true;
+  // One L2 buffer per value, as the loader's validation requires.
+  a.memory_plan.buffers = {{.value = in, .offset = 0, .size = 8},
+                           {.value = comp, .offset = 8, .size = 8}};
   a.memory_plan.arena_bytes = 64;
   a.memory_plan.total_l2_bytes = 64;
   return a;
@@ -79,7 +82,7 @@ TEST(VmLink, HabRoundTripAndExecuteWithoutCompiler) {
                                 std::vector<Tensor>{input});
   ASSERT_TRUE(reference.ok());
   EXPECT_TRUE(result->outputs[0].SameAs((*reference)[0]));
-  EXPECT_EQ(result->total_cycles, 100);
+  EXPECT_EQ(loaded->artifact().TotalFullCycles(), 100);
 }
 
 TEST(VmLink, SyntheticInputsAreDeterministic) {

@@ -9,9 +9,12 @@
 
 #include "compiler/pipeline.hpp"
 #include "dory/schedule_search.hpp"
+#include "hab_diff.hpp"
 #include "models/mlperf_tiny.hpp"
+#include "runtime/executor.hpp"
 #include "support/rng.hpp"
 #include "vm/hab.hpp"
+#include "vm/vm_executor.hpp"
 
 namespace htvm::vm {
 namespace {
@@ -208,46 +211,10 @@ const std::string& PlanImage() {
   return *image;
 }
 
-// Section-table entry layout (see hab.cpp): id @0, offset @8, bytes @16,
-// checksum @24.
-struct SectionEntry {
-  u32 id = 0;
-  size_t entry_pos = 0;
-  u64 offset = 0;
-  u64 bytes = 0;
-};
-
-std::vector<SectionEntry> SectionEntries(const std::string& image) {
-  u32 section_count;
-  std::memcpy(&section_count, image.data() + kHabSectionCountOffset,
-              sizeof section_count);
-  std::vector<SectionEntry> entries;
-  for (u32 i = 0; i < section_count; ++i) {
-    SectionEntry e;
-    e.entry_pos = kHabHeaderBytes + size_t{i} * kHabSectionEntryBytes;
-    std::memcpy(&e.id, image.data() + e.entry_pos, sizeof e.id);
-    std::memcpy(&e.offset, image.data() + e.entry_pos + 8, sizeof e.offset);
-    std::memcpy(&e.bytes, image.data() + e.entry_pos + 16, sizeof e.bytes);
-    entries.push_back(e);
-  }
-  return entries;
-}
-
-SectionEntry FindSectionEntry(const std::string& image, HabSection id) {
-  for (const SectionEntry& e : SectionEntries(image)) {
-    if (e.id == static_cast<u32>(id)) return e;
-  }
-  return {};
-}
-
-// Rewrites a section's checksum to match its (mutated) payload, so the
-// corruption is seen by the section decoder, not the checksum verifier.
-void FixChecksum(std::string& image, const SectionEntry& entry) {
-  const u64 sum = HabChecksum(
-      reinterpret_cast<const u8*>(image.data()) + entry.offset,
-      static_cast<size_t>(entry.bytes));
-  std::memcpy(image.data() + entry.entry_pos + 24, &sum, sizeof sum);
-}
+using test::FindSectionEntry;
+using test::FixChecksum;
+using test::SectionEntries;
+using test::SectionEntry;
 
 TEST(VmLoadFuzz, PlanImageParsesAndCarriesThePlan) {
   auto parsed = ParseHab(AsSpan(PlanImage()));
@@ -287,12 +254,18 @@ TEST(VmLoadFuzz, CorruptedPlanSectionsAreTypedErrors) {
   EXPECT_GT(rejected, 100);
 }
 
-TEST(VmLoadFuzz, ChecksumFixedMutationsOfEverySectionAreTypedErrors) {
+TEST(VmLoadFuzz, ChecksumFixedMutationsOfEverySectionParseOrRunTyped) {
   // 1-8 random bytes overwritten inside one section, 300 seeded trials per
-  // section of both corpora. Parse-only: executing a HAB whose
-  // checksum-consistent payload lies about its schedules is a separate,
-  // semantic-validation problem.
+  // section of both corpora. A mutation either fails to load with a typed
+  // error, or it passed the load-time validation and must then run — on
+  // the interpreter and tile by tile — to ok or a typed error. The inputs
+  // are the unmutated model's, so a forged input signature is caught by
+  // the executor's input check rather than synthesized.
+  int executed = 0;
   for (const std::string* image : {&ValidImage(), &PlanImage()}) {
+    auto original = ParseHab(AsSpan(*image));
+    ASSERT_TRUE(original.ok()) << original.status().ToString();
+    const std::vector<Tensor> inputs = SyntheticInputs(original->artifact, 42);
     for (const SectionEntry& entry : SectionEntries(*image)) {
       ASSERT_GT(entry.bytes, 0u) << "section " << entry.id;
       Rng rng(0x5EC7u + entry.id);
@@ -306,15 +279,26 @@ TEST(VmLoadFuzz, ChecksumFixedMutationsOfEverySectionAreTypedErrors) {
         }
         FixChecksum(mutated, entry);
         auto parsed = ParseHab(AsSpan(mutated));
-        // NotFound is the op registry's answer to a mangled op name.
-        const StatusCode code = parsed.status().code();
-        EXPECT_TRUE(parsed.ok() || code == StatusCode::kInvalidArgument ||
-                    code == StatusCode::kUnsupported ||
-                    code == StatusCode::kNotFound)
-            << "section " << entry.id << ": " << parsed.status().ToString();
+        if (!parsed.ok()) {
+          const StatusCode code = parsed.status().code();
+          EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                      code == StatusCode::kUnsupported)
+              << "section " << entry.id << ": " << parsed.status().ToString();
+          continue;
+        }
+        for (const bool tiles : {false, true}) {
+          const runtime::Executor executor(
+              &parsed->artifact,
+              runtime::ExecutorOptions{.simulate_tiles = tiles});
+          (void)executor.Run(inputs);
+          ++executed;
+        }
       }
     }
   }
+  // Metadata sections (meta, passes, dispatch, size) carry nothing the
+  // validation can check, so many of their mutations load and run.
+  EXPECT_GT(executed, 1000);
 }
 
 TEST(VmLoadFuzz, GarbagePlanPayloadIsTypedError) {

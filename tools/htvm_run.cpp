@@ -195,8 +195,8 @@ int main(int argc, char** argv) {
                   ? opt.artifact_path.c_str()
                   : loaded->meta().model_name.c_str(),
               result->outputs.size(),
-              static_cast<long long>(result->total_cycles),
-              result->latency_ms);
+              static_cast<long long>(artifact.TotalFullCycles()),
+              artifact.LatencyMs());
 
   if (opt.report) {
     std::printf("\n%s", artifact.Profile().ToTable().c_str());
