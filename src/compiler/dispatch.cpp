@@ -84,6 +84,8 @@ Result<dory::AccelLayerSpec> SpecFromMatch(const Graph& graph,
   } else {
     return Status::Unsupported("unknown anchor op " + anchor.op);
   }
+  HTVM_RETURN_IF_ERROR(
+      dory::AnalyzeRequantChain(graph, match.root, anchor.id, &spec.requant));
   return spec;
 }
 

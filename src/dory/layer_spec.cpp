@@ -134,33 +134,70 @@ Result<AccelLayerSpec> AnalyzeCompositeBody(const Graph& body) {
     }
   }
 
-  // Requantization parameters from the epilogue chain.
-  bool saw_cast = false;
-  for (const Node& n : body.nodes()) {
-    if (n.IsOp("right_shift")) {
-      const Node& shift = body.node(n.inputs[1]);
-      if (shift.kind != NodeKind::kConstant) {
-        return Status::Unsupported("right_shift amount must be constant");
-      }
-      if (shift.value.NumElements() == 1) {
-        spec.requant.shift = shift.value.GetFlat(0);
-      } else {
-        // Per-output-channel requantization (DIANA's output stage applies
-        // the shift per channel, like real quantized models).
-        spec.requant.channel_shifts.resize(
-            static_cast<size_t>(shift.value.NumElements()));
-        for (i64 i = 0; i < shift.value.NumElements(); ++i) {
-          spec.requant.channel_shifts[static_cast<size_t>(i)] =
-              shift.value.GetFlat(i);
-        }
-      }
+  if (body.outputs().empty()) {
+    return Status::Unsupported("composite body has no output");
+  }
+  HTVM_RETURN_IF_ERROR(AnalyzeRequantChain(body, body.outputs()[0],
+                                           anchor->id, &spec.requant));
+  return spec;
+}
+
+Status AnalyzeRequantChain(const Graph& graph, NodeId root, NodeId anchor,
+                           RequantParams* requant) {
+  const auto producer = [&](const Node* n) -> const Node* {
+    return n->inputs.empty() ? nullptr : &graph.node(n->inputs[0]);
+  };
+  const auto is_clip = [](const Node* n, i64 lo, i64 hi) {
+    return n != nullptr && n->IsOp("clip") &&
+           n->attrs.GetInt("a_min", -128) == lo &&
+           n->attrs.GetInt("a_max", 127) == hi;
+  };
+  RequantParams rq;
+  const Node* n = &graph.node(root);
+  if (n->IsOp("clip")) {
+    if (!is_clip(n, 0, 127)) {
+      return Status::Unsupported("requant: activation clip must be [0, 127]");
     }
-    if (n.IsOp("cast")) saw_cast = true;
-    if (n.IsOp("clip") && saw_cast && n.attrs.GetInt("a_min", -128) == 0) {
-      spec.requant.relu = true;
+    rq.relu = true;
+    n = producer(n);
+  }
+  if (n == nullptr || !n->IsOp("cast") ||
+      n->attrs.GetString("dtype", "int8") != "int8") {
+    return Status::Unsupported("requant: cast to int8 required");
+  }
+  n = producer(n);
+  if (!is_clip(n, -128, 127)) {
+    return Status::Unsupported("requant: saturating clip must be [-128, 127]");
+  }
+  n = producer(n);
+  if (n == nullptr || !n->IsOp("right_shift") || n->inputs.size() != 2) {
+    return Status::Unsupported("requant: right_shift required");
+  }
+  const Node& shift = graph.node(n->inputs[1]);
+  if (shift.kind != NodeKind::kConstant) {
+    return Status::Unsupported("right_shift amount must be constant");
+  }
+  std::vector<i64> shifts(static_cast<size_t>(shift.value.NumElements()));
+  for (size_t i = 0; i < shifts.size(); ++i) {
+    shifts[i] = shift.value.GetFlat(static_cast<i64>(i));
+    if (shifts[i] < 0 || shifts[i] > 31) {
+      return Status::Unsupported("right_shift amount outside [0, 31]");
     }
   }
-  return spec;
+  if (shifts.size() == 1) {
+    rq.shift = shifts[0];
+  } else {
+    // Per-output-channel requantization (DIANA's output stage applies the
+    // shift per channel, like real quantized models).
+    rq.channel_shifts = std::move(shifts);
+  }
+  n = producer(n);
+  if (n != nullptr && n->IsOp("nn.bias_add")) n = producer(n);
+  if (n == nullptr || n->id != anchor) {
+    return Status::Unsupported("requant chain does not end at the anchor");
+  }
+  *requant = std::move(rq);
+  return Status::Ok();
 }
 
 }  // namespace htvm::dory

@@ -46,6 +46,16 @@ struct AccelLayerSpec {
 // match and the ops stay on the CPU path).
 Result<AccelLayerSpec> AnalyzeCompositeBody(const Graph& body);
 
+// Reads the requant epilogue that `root` ends, walking its inputs back to
+// `anchor`. Only the canonical chain is accepted:
+//   anchor [-> nn.bias_add] -> right_shift (constant shifts in [0, 31])
+//     -> clip [-128, 127] -> cast int8 [-> clip [0, 127]]
+// since that is what the accelerator output stage (RequantizeRow)
+// computes. Any other op, bound or dtype is Unsupported, so the layer stays
+// on the CPU (at dispatch) or the artifact is refused (at load).
+Status AnalyzeRequantChain(const Graph& graph, NodeId root, NodeId anchor,
+                           RequantParams* requant);
+
 // The constant weight (conv2d/dense/matmul) and bias (bias_add) inside a
 // composite body; nullptr where the body has none.
 struct WeightBias {

@@ -45,9 +45,15 @@ Status CheckSpec(const AccelLayerSpec& spec) {
     return Status::InvalidArgument("depthwise layer with k != c");
   }
   const i64 channels = spec.kind == LayerKind::kAdd ? spec.c : spec.k;
-  if (spec.requant.per_channel() &&
-      static_cast<i64>(spec.requant.channel_shifts.size()) != channels) {
+  const RequantParams& rq = spec.requant;
+  if (rq.per_channel() &&
+      static_cast<i64>(rq.channel_shifts.size()) != channels) {
     return Status::InvalidArgument("per-channel shifts do not match the layer");
+  }
+  for (i64 ch = 0; ch < (rq.per_channel() ? channels : 1); ++ch) {
+    if (rq.ShiftFor(ch) < 0 || rq.ShiftFor(ch) > 31) {
+      return Status::InvalidArgument("requant shift outside [0, 31]");
+    }
   }
   return Status::Ok();
 }
@@ -180,50 +186,69 @@ Result<Tensor> ExecuteConvLike(const AccelSchedule& sched, const Tensor& data,
       }
     }
     if (!s.last_c) continue;
-    // Bias + requant + scatter (the accelerator output stage).
+    // Bias + requant + scatter (the accelerator output stage). A tile that
+    // spans whole output rows is one contiguous run per channel.
+    const bool whole = s.ox_t == spec.ox;
+    const i64 rows = whole ? 1 : s.oy_t;
+    const i64 len = whole ? s.oy_t * s.ox_t : s.ox_t;
     const i64 kbase = dw ? s.c0 : s.k0;
     const i32* acc = psum.data<i32>().data();
     for (i64 k = 0; k < s.k_t; ++k) {
       const i64 ch = kbase + k;
-      for (i64 y = 0; y < s.oy_t; ++y) {
-        const i32* arow = acc + (k * s.oy_t + y) * s.ox_t;
-        i8* orow = o + (ch * spec.oy + s.y0 + y) * spec.ox + s.x0;
-        for (i64 x = 0; x < s.ox_t; ++x) {
-          orow[x] = RequantizeValueAt(static_cast<i64>(arow[x]) + b[ch],
-                                      spec.requant, ch);
-        }
+      for (i64 y = 0; y < rows; ++y) {
+        RequantizeRow(acc + (k * s.oy_t + y) * s.ox_t, len, b[ch],
+                      spec.requant.ShiftFor(ch), spec.requant.relu,
+                      o + (ch * spec.oy + s.y0 + y) * spec.ox + s.x0);
       }
     }
   }
   return out;
 }
 
+// The [rows, cols] block at (r0, c0) of a row-major [*, stride] matrix.
+Tensor SliceRows(const Tensor& m, i64 stride, i64 r0, i64 rows, i64 c0,
+                 i64 cols) {
+  Tensor slice(Shape{rows, cols}, m.dtype());
+  const i8* src = m.data<i8>().data() + r0 * stride + c0;
+  i8* dst = slice.data<i8>().data();
+  for (i64 r = 0; r < rows; ++r) {
+    std::memcpy(dst + r * cols, src + r * stride, static_cast<size_t>(cols));
+  }
+  return slice;
+}
+
 Result<Tensor> ExecuteMatmul(const AccelSchedule& sched, const Tensor& data,
                              const Tensor& weight, const Tensor& bias) {
   // data [M, K] x weight [N, K] -> int8 [M, N]; (k, y) output tiles with
   // the c reduction innermost. A dense layer is the one-row case: its spec
-  // keeps oy = 1, so every step has y0 = 0 and oy_t = 1.
+  // keeps oy = 1, so every step has y0 = 0 and oy_t = 1. Each step's dot
+  // products run on nn::Dense; c-tiles add in wrapping u32 like the
+  // accelerator's int32 partial sums.
   const AccelLayerSpec& spec = sched.spec;
   Tensor out(Shape{spec.oy, spec.k}, DType::kInt8);
-  std::vector<i64> psum(static_cast<size_t>(spec.k * spec.oy), 0);
-  const i8* d = data.data<i8>().data();
-  const i8* w = weight.data<i8>().data();
+  std::vector<i32> psum(static_cast<size_t>(spec.k * spec.oy), 0);
   const i32* b = bias.data<i32>().data();
   i8* o = out.data<i8>().data();
   for (const TileStep& s : sched.steps) {
-    for (i64 y = s.y0; y < s.y0 + s.oy_t; ++y) {
-      const i8* drow = d + y * spec.c + s.c0;
-      i64* prow = psum.data() + y * spec.k;
+    auto partial =
+        nn::Dense(SliceRows(data, spec.c, s.y0, s.oy_t, s.c0, s.c_t),
+                  SliceRows(weight, spec.c, s.k0, s.k_t, s.c0, s.c_t));
+    if (!partial.ok()) return partial.status();
+    const i32* p = partial->data<i32>().data();
+    for (i64 y = 0; y < s.oy_t; ++y) {
+      i32* prow = psum.data() + (s.y0 + y) * spec.k + s.k0;
+      for (i64 k = 0; k < s.k_t; ++k) {
+        const i32 v = p[y * s.k_t + k];
+        prow[k] = s.first_c ? v
+                            : static_cast<i32>(static_cast<u32>(prow[k]) +
+                                               static_cast<u32>(v));
+      }
+      if (!s.last_c) continue;
+      // Every output feature is its own channel: a one-element row.
       for (i64 k = s.k0; k < s.k0 + s.k_t; ++k) {
-        const i8* wrow = w + k * spec.c + s.c0;
-        i64 acc = s.first_c ? 0 : prow[k];
-        for (i64 c = 0; c < s.c_t; ++c) {
-          acc += static_cast<i64>(drow[c]) * static_cast<i64>(wrow[c]);
-        }
-        prow[k] = acc;
-        if (s.last_c) {
-          o[y * spec.k + k] = RequantizeValueAt(acc + b[k], spec.requant, k);
-        }
+        const i64 at = (s.y0 + y) * spec.k + k;
+        RequantizeRow(psum.data() + at, 1, b[k], spec.requant.ShiftFor(k),
+                      spec.requant.relu, o + at);
       }
     }
   }
@@ -238,15 +263,19 @@ Result<Tensor> ExecuteAdd(const AccelSchedule& sched, const Tensor& lhs,
   const i8* r = rhs.data<i8>().data();
   i8* o = out.data<i8>().data();
   // Channel/spatial tiles partition the tensor; order is irrelevant for an
-  // elementwise op, so walk steps and compute each region row by row.
+  // elementwise op, so walk steps and compute each region row by row (one
+  // run per channel when the tile spans whole rows). int8 sums fit int32.
+  std::vector<i32> sum(static_cast<size_t>(spec.oy * spec.ox));
   for (const TileStep& s : sched.steps) {
+    const bool whole = s.ox_t == spec.ox;
+    const i64 rows = whole ? 1 : s.oy_t;
+    const i64 len = whole ? s.oy_t * s.ox_t : s.ox_t;
     for (i64 c = s.c0; c < s.c0 + s.c_t; ++c) {
-      for (i64 y = s.y0; y < s.y0 + s.oy_t; ++y) {
+      for (i64 y = s.y0; y < s.y0 + rows; ++y) {
         const i64 row = (c * spec.oy + y) * spec.ox + s.x0;
-        for (i64 x = row; x < row + s.ox_t; ++x) {
-          o[x] = RequantizeValueAt(static_cast<i64>(l[x]) + r[x],
-                                   spec.requant, c);
-        }
+        for (i64 x = 0; x < len; ++x) sum[x] = l[row + x] + r[row + x];
+        RequantizeRow(sum.data(), len, 0, spec.requant.ShiftFor(c),
+                      spec.requant.relu, o + row);
       }
     }
   }

@@ -41,12 +41,85 @@ void MapChannels(const Tensor& x, Tensor* y, i64 outer,
   });
 }
 
+// MapChannels' walk for the requant chain's dtype pairs (i32 -> i32,
+// i32 -> i8, i8 -> i8), in the element type instead of i64: f(v, p) sees an
+// i8 promoted to int, and the store narrows with wrap-around. These loops
+// vectorize; i64 compares and arithmetic shifts do not at baseline x86-64.
+// Returns false, writing nothing, for any other pair.
+template <typename P, typename F>
+bool MapChannelsNarrow(const Tensor& x, Tensor* y, i64 outer,
+                       std::span<const P> params, i64 inner, F f) {
+  const auto run = [&](auto xe, auto ye) {
+    using X = decltype(xe);
+    using Y = decltype(ye);
+    const X* src = x.data<X>().data();
+    Y* dst = y->data<Y>().data();
+    for (i64 o = 0; o < outer; ++o) {
+      for (const P p : params) {  // a copy: dst may alias params
+        for (i64 j = 0; j < inner; ++j) dst[j] = static_cast<Y>(f(src[j], p));
+        src += inner;
+        dst += inner;
+      }
+    }
+  };
+  const DType from = x.dtype(), to = y->dtype();
+  if (from == DType::kInt32 && to == DType::kInt32) {
+    run(i32{}, i32{});
+  } else if (from == DType::kInt32 && to == DType::kInt8) {
+    run(i32{}, i8{});
+  } else if (from == DType::kInt8 && to == DType::kInt8) {
+    run(i8{}, i8{});
+  } else {
+    return false;
+  }
+  return true;
+}
+
 // y[i] = f(x[i]) over the whole tensor.
 template <typename F>
 void MapElements(const Tensor& x, Tensor* y, F f) {
   const i64 none = 0;
   MapChannels(x, y, 1, {&none, 1}, x.NumElements(),
               [f](i64 v, i64) { return f(v); });
+}
+
+// A rounding right shift by s in [0, 31] in the element type:
+// (v >> s) + ((v >> half) & round) with half = s - 1 and round = 1, or
+// half = round = 0 for s == 0. Equals RoundingRightShift and cannot
+// overflow.
+struct NarrowShift {
+  int s = 0, half = 0;
+  i32 round = 0;
+};
+
+// y = clamp(x, lo, hi) with v < lo ? lo : (v > hi ? hi : v), which keeps
+// Clamp's result when lo > hi. int8 -> int8 with int8 bounds compares bytes
+// (16 lanes per SSE2 vector, against 4 for int32), other bounds that fit
+// int32 compare in int32, and the rest take the i64 path.
+void ClampInto(const Tensor& x, Tensor* y, i64 lo, i64 hi) {
+  const auto clamp = [](auto v, auto l, auto h) {
+    return v < l ? l : (v > h ? h : v);
+  };
+  const auto fits = [&](i64 min, i64 max) {
+    return lo >= min && lo <= max && hi >= min && hi <= max;
+  };
+  if (x.dtype() == DType::kInt8 && y->dtype() == DType::kInt8 &&
+      fits(-128, 127)) {
+    const i8 l = static_cast<i8>(lo), h = static_cast<i8>(hi);
+    const i8* src = x.data<i8>().data();
+    i8* dst = y->data<i8>().data();
+    const i64 n = x.NumElements();  // hoisted: an i8 store may alias x
+    for (i64 i = 0; i < n; ++i) dst[i] = clamp(src[i], l, h);
+    return;
+  }
+  const i32 none = 0;
+  const i32 l = static_cast<i32>(lo), h = static_cast<i32>(hi);
+  if (fits(INT32_MIN, INT32_MAX) &&
+      MapChannelsNarrow<i32>(x, y, 1, {&none, 1}, x.NumElements(),
+                             [=](i32 v, i32) { return clamp(v, l, h); })) {
+    return;
+  }
+  MapElements(x, y, [=](i64 v) { return Clamp(v, lo, hi); });
 }
 
 // Product of dims [begin, end).
@@ -67,9 +140,19 @@ Result<Tensor> BiasAdd(const Tensor& data, const Tensor& bias, i64 axis) {
     return Status::InvalidArgument("bias_add: bias length mismatch");
   }
   Tensor out(s, data.dtype());
-  MapChannels(data, &out, DimProduct(s, 0, axis), ToI64(bias),
-              DimProduct(s, axis + 1, s.rank()),
-              [](i64 v, i64 b) { return v + b; });
+  const i64 outer = DimProduct(s, 0, axis);
+  const i64 inner = DimProduct(s, axis + 1, s.rank());
+  const std::vector<i64> b64 = ToI64(bias);
+  // Adding the bias modulo 2^32 keeps the low bits that the narrowing store
+  // keeps from the i64 sum.
+  std::vector<u32> b32(b64.size());
+  for (size_t i = 0; i < b64.size(); ++i) b32[i] = static_cast<u32>(b64[i]);
+  if (!MapChannelsNarrow<u32>(
+          data, &out, outer, b32, inner,
+          [](i32 v, u32 b) { return static_cast<u32>(v) + b; })) {
+    MapChannels(data, &out, outer, b64, inner,
+                [](i64 v, i64 b) { return v + b; });
+  }
   return out;
 }
 
@@ -92,14 +175,24 @@ Result<Tensor> RightShift(const Tensor& data, const Tensor& shift) {
   const i64 outer = per_channel ? s[0] : 1;
   const i64 inner =
       per_channel ? DimProduct(s, 2, s.rank()) : data.NumElements();
-  MapChannels(data, &out, outer, shifts, inner,
-              [](i64 v, i64 sh) { return RoundingRightShift(v, sh); });
+  std::vector<NarrowShift> narrow(shifts.size());
+  for (size_t i = 0; i < shifts.size(); ++i) {
+    const int sh = static_cast<int>(shifts[i]);
+    narrow[i] = {sh, sh > 0 ? sh - 1 : 0, sh > 0 ? 1 : 0};
+  }
+  if (!MapChannelsNarrow<NarrowShift>(
+          data, &out, outer, narrow, inner, [](i32 v, NarrowShift p) {
+            return (v >> p.s) + ((v >> p.half) & p.round);
+          })) {
+    MapChannels(data, &out, outer, shifts, inner,
+                [](i64 v, i64 sh) { return RoundingRightShift(v, sh); });
+  }
   return out;
 }
 
 Result<Tensor> Clip(const Tensor& data, i64 a_min, i64 a_max) {
   Tensor out(data.shape(), data.dtype());
-  MapElements(data, &out, [=](i64 v) { return Clamp(v, a_min, a_max); });
+  ClampInto(data, &out, a_min, a_max);
   return out;
 }
 
@@ -113,7 +206,7 @@ Result<Tensor> Cast(const Tensor& data, DType dtype) {
     case DType::kInt32: lo = INT32_MIN; hi = INT32_MAX; break;
     case DType::kFloat32: break;
   }
-  MapElements(data, &out, [=](i64 v) { return Clamp(v, lo, hi); });
+  ClampInto(data, &out, lo, hi);
   return out;
 }
 

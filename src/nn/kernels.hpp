@@ -43,13 +43,24 @@ Result<Tensor> Conv2d(const Tensor& data, const Tensor& weight,
 // 4-channel i16 dot-product core as conv2d's GEMM.
 Result<Tensor> Dense(const Tensor& data, const Tensor& weight);
 
-// nn.bias_add along `axis`.
+// The requant epilogue of every offloadable layer is bias_add ->
+// right_shift -> clip [-128, 127] -> cast int8 [-> clip [0, 127]]
+// (Listing 1). Its one definition, and the row kernel every DORY output
+// stage uses, is RequantizeRow (tensor/quantize.hpp); these four ops compute
+// it element for element. On the chain's dtypes (int32 -> int32,
+// int32 -> int8, int8 -> int8) they run in the element type: the bias adds
+// in wrapping u32, the rounding shift is (v >> s) + ((v >> (s - 1)) & 1),
+// and clamp bounds that fit int32 apply in int32. Any other dtype, or
+// bounds outside int32, takes the i64 path; both give the same values.
+
+// nn.bias_add along `axis`; an integer sum wraps like the narrowed i64 sum.
 Result<Tensor> BiasAdd(const Tensor& data, const Tensor& bias, i64 axis);
 
-// right_shift with rounding (requant step 1). `shift` is a scalar tensor.
+// right_shift with rounding half up. `shift` holds one shift or one per
+// dim-1 channel, each in [0, 31].
 Result<Tensor> RightShift(const Tensor& data, const Tensor& shift);
 
-// clip to [a_min, a_max], same dtype.
+// clip to [a_min, a_max], same dtype: v < a_min ? a_min : min(v, a_max).
 Result<Tensor> Clip(const Tensor& data, i64 a_min, i64 a_max);
 
 // cast with saturation into the target integer dtype.

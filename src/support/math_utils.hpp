@@ -25,16 +25,6 @@ constexpr i64 Clamp(i64 v, i64 lo, i64 hi) {
   return v < lo ? lo : (v > hi ? hi : v);
 }
 
-// Saturating cast of a 32-bit accumulator into int8 — the semantics of the
-// `clip` + `cast(int8)` pair in the requantization pattern (Listing 1).
-constexpr i8 SaturateToInt8(i64 v) {
-  return static_cast<i8>(Clamp(v, -128, 127));
-}
-
-constexpr i8 SaturateToInt8Relu(i64 v) {
-  return static_cast<i8>(Clamp(v, 0, 127));
-}
-
 // Arithmetic right shift with rounding (add half, then shift — ties round
 // toward +infinity). This is the add-round-then-shift idiom DORY-generated
 // kernels and the accelerator output stages implement in hardware.

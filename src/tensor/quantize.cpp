@@ -4,14 +4,29 @@
 
 namespace htvm {
 
+void RequantizeRow(const i32* acc, i64 n, i32 bias, i64 shift, bool relu,
+                   i8* out) {
+  HTVM_CHECK(shift >= 0 && shift <= 31);
+  const int s = static_cast<int>(shift);
+  // s == 0 adds no rounding bit: the half shift is 0 and its mask clears it.
+  const int half = s > 0 ? s - 1 : 0;
+  const i32 round = s > 0 ? 1 : 0;
+  const i32 lo = relu ? 0 : -128;
+  const u32 b = static_cast<u32>(bias);
+  for (i64 i = 0; i < n; ++i) {
+    const i32 v = static_cast<i32>(static_cast<u32>(acc[i]) + b);
+    const i32 r = (v >> s) + ((v >> half) & round);
+    out[i] = static_cast<i8>(r < lo ? lo : (r > 127 ? 127 : r));
+  }
+}
+
 Tensor RequantizeTensor(const Tensor& acc, const RequantParams& p) {
   HTVM_CHECK(acc.dtype() == DType::kInt32);
   Tensor out(acc.shape(), DType::kInt8);
-  const i64 n = acc.NumElements();
+  const i32* src = acc.data<i32>().data();
+  i8* dst = out.data<i8>().data();
   if (!p.per_channel()) {
-    for (i64 i = 0; i < n; ++i) {
-      out.SetFlat(i, RequantizeValue(acc.GetFlat(i), p));
-    }
+    RequantizeRow(src, acc.NumElements(), 0, p.shift, p.relu, dst);
     return out;
   }
   // Channel dim is dim 1 for both NCHW and [N, F] tensors.
@@ -20,9 +35,9 @@ Tensor RequantizeTensor(const Tensor& acc, const RequantParams& p) {
   HTVM_CHECK(static_cast<i64>(p.channel_shifts.size()) == channels);
   i64 inner = 1;
   for (i64 d = 2; d < acc.shape().rank(); ++d) inner *= acc.shape()[d];
-  for (i64 i = 0; i < n; ++i) {
-    const i64 c = (i / inner) % channels;
-    out.SetFlat(i, RequantizeValueAt(acc.GetFlat(i), p, c));
+  for (i64 row = 0; row * inner < acc.NumElements(); ++row) {
+    RequantizeRow(src + row * inner, inner, 0, p.ShiftFor(row % channels),
+                  p.relu, dst + row * inner);
   }
   return out;
 }

@@ -32,17 +32,25 @@ struct RequantParams {
   }
 };
 
-// Applies requantization to one int32 accumulator value (uniform shift).
-// Inline so per-element kernel loops can hoist the parameter reads.
-inline i8 RequantizeValue(i64 acc, const RequantParams& p) {
-  const i64 shifted = RoundingRightShift(acc, p.shift);
-  return p.relu ? SaturateToInt8Relu(shifted) : SaturateToInt8(shifted);
-}
+// The requant epilogue, defined once. For an int32 accumulator `acc`, a
+// bias `b`, a shift s in [0, 31] and the relu flag it is
+//   v = i32(acc + b)                      bias_add, wrapping like int32
+//   r = (v >> s) + ((v >> (s - 1)) & 1)   right_shift, rounding half up
+//                                         (r = v when s == 0)
+//   y = i8(clamp(r, relu ? 0 : -128, 127))  clip, cast int8 [, clip 0..127]
+// which is, element for element, what nn::BiasAdd -> RightShift -> Clip ->
+// Cast [-> Clip] compute on the interpreter (nn/kernels.hpp). The rounding
+// shift equals RoundingRightShift on the i64 value and cannot overflow.
+// RequantizeRow applies it to the n accumulators of one channel row, in
+// i32; every DORY output stage and RequantizeTensor go through it.
+void RequantizeRow(const i32* acc, i64 n, i32 bias, i64 shift, bool relu,
+                   i8* out);
 
-// Per-channel variant: `channel` selects the shift.
-inline i8 RequantizeValueAt(i64 acc, const RequantParams& p, i64 channel) {
-  const i64 shifted = RoundingRightShift(acc, p.ShiftFor(channel));
-  return p.relu ? SaturateToInt8Relu(shifted) : SaturateToInt8(shifted);
+// One accumulator with the uniform shift and no bias.
+inline i8 RequantizeValue(i32 acc, const RequantParams& p) {
+  i8 out;
+  RequantizeRow(&acc, 1, 0, p.shift, p.relu, &out);
+  return out;
 }
 
 // Elementwise requantization of an int32 tensor into int8; rank-4 tensors

@@ -2,9 +2,11 @@
 
 #include "compiler/accel_spec.hpp"
 #include "compiler/dispatch.hpp"
+#include "compiler/pipeline.hpp"
 #include "models/layer_zoo.hpp"
 #include "pattern/rewriter.hpp"
 #include "pattern/std_patterns.hpp"
+#include "runtime/verify.hpp"
 
 namespace htvm::compiler {
 namespace {
@@ -72,6 +74,55 @@ TEST(SpecFromMatch, ReadsConvGeometry) {
   EXPECT_EQ(spec->sy, 2);
   EXPECT_EQ(spec->oy, 10);
   EXPECT_EQ(spec->ox, 6);
+}
+
+// Only the canonical requant chain reaches an accelerator, whose output
+// stage computes exactly that chain. A conv whose saturating clip is
+// [-100, 127] stays on the CPU, and its composite body is not analyzable.
+// An activation clip of [0, 100] stays out of the composite: the
+// accelerator ends the chain at the cast and the clip runs on the CPU.
+// Both still match the interpreter.
+TEST(Dispatch, NonCanonicalRequantChainStaysOnCpu) {
+  struct Edit {
+    const char* after;  // the op the edited clip consumes
+    i64 a_min, a_max;
+    bool accelerated;
+  };
+  for (const Edit& e : {Edit{"right_shift", -100, 127, false},
+                        Edit{"cast", 0, 100, true}}) {
+    SCOPED_TRACE(e.after);
+    models::ConvLayerParams p;
+    p.c = p.k = 8;
+    p.iy = p.ix = 8;
+    Graph g = models::MakeConvLayerGraph(p);
+    for (const Node& n : g.nodes()) {
+      if (n.IsOp("clip") && g.node(n.inputs[0]).IsOp(e.after)) {
+        g.mutable_node(n.id).attrs.Set("a_min", e.a_min);
+        g.mutable_node(n.id).attrs.Set("a_max", e.a_max);
+      }
+    }
+    auto art = HtvmCompiler{CompileOptions::DigitalOnly()}.Compile(g);
+    ASSERT_TRUE(art.ok()) << art.status().ToString();
+    i64 accelerated = 0;
+    for (const CompiledKernel& k : art->kernels) {
+      const Node& composite = art->kernel_graph.node(k.node);
+      auto spec = dory::AnalyzeCompositeBody(*composite.body);
+      if (!k.schedule.has_value()) {
+        EXPECT_EQ(spec.status().code(), StatusCode::kUnsupported) << k.name;
+        continue;
+      }
+      ++accelerated;
+      ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+      EXPECT_FALSE(spec->requant.relu);
+    }
+    EXPECT_EQ(accelerated, e.accelerated ? 1 : 0);
+    Rng rng(9);
+    const Tensor input = Tensor::Random(Shape{1, 8, 8, 8}, DType::kInt8, rng);
+    auto report = runtime::VerifyArtifact(*art, g, std::vector<Tensor>{input},
+                                          /*simulate_tiles=*/true);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->bit_exact);
+  }
 }
 
 TEST(Dispatch, RoutesByWeightDtype) {

@@ -5,6 +5,7 @@
 #include "nn/kernels.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
+#include "tensor/quantize.hpp"
 
 namespace htvm::nn {
 namespace {
@@ -458,6 +459,117 @@ TEST(KernelDifferential, ElementwiseOpsMatchFlatAccessorsOnEveryDType) {
       EXPECT_TRUE(cast->SameAs(
           NaiveMap(x, to, [&](i64, i64 v) { return Clamp(v, lo, hi); })))
           << "cast to " << DTypeName(to);
+    }
+  }
+
+  // Edge inputs for the typed int32 / int8 paths: the type's extremes,
+  // shifts 0, 1 and 31, bias sums that wrap, and clip bounds outside the
+  // type or with a_min > a_max.
+  for (const DType dt : {DType::kInt32, DType::kInt8}) {
+    SCOPED_TRACE(DTypeName(dt));
+    const i64 lo = dt == DType::kInt32 ? INT32_MIN : -128;
+    const i64 hi = dt == DType::kInt32 ? INT32_MAX : 127;
+    const i64 edges[] = {lo, lo + 1, -2, -1, 0, 1, 2, hi - 1, hi};
+    Tensor x = RandomOf(shape, dt, rng);
+    for (i64 i = 0; i < x.NumElements(); i += 2) {
+      x.SetFlat(i, edges[(i / 2) % std::size(edges)]);
+    }
+
+    const Tensor bias = Tensor::FromInt32(Shape{3}, {INT32_MAX, INT32_MIN, -1});
+    auto biased = BiasAdd(x, bias, 1);
+    ASSERT_TRUE(biased.ok());
+    EXPECT_TRUE(biased->SameAs(NaiveMap(x, dt, [&](i64 i, i64 v) {
+      return v + bias.GetFlat(ChannelOf(shape, 1, i));
+    }))) << "bias_add at the extremes";
+
+    for (const i64 sh : {0, 1, 31}) {
+      const Tensor scalar = Tensor::FromInt32(Shape{1}, {static_cast<i32>(sh)});
+      auto got = RightShift(x, scalar);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(got->SameAs(NaiveMap(
+          x, dt, [&](i64, i64 v) { return RoundingRightShift(v, sh); })))
+          << "right_shift by " << sh;
+    }
+    const Tensor per_channel = Tensor::FromInt32(Shape{3}, {0, 1, 31});
+    auto shifted = RightShift(x, per_channel);
+    ASSERT_TRUE(shifted.ok());
+    EXPECT_TRUE(shifted->SameAs(NaiveMap(x, dt, [&](i64 i, i64 v) {
+      return RoundingRightShift(v, per_channel.GetFlat(ChannelOf(shape, 1, i)));
+    }))) << "right_shift by {0, 1, 31}";
+
+    const std::pair<i64, i64> bounds[] = {
+        {-100, 50},          {50, -100},           {lo, hi},
+        {lo - 1, hi + 1},    {-(i64{1} << 40), 5}, {5, i64{1} << 40},
+        {INT32_MIN, INT32_MAX}, {200, 300},        {hi, lo}};
+    for (const auto& [a_min, a_max] : bounds) {
+      auto got = Clip(x, a_min, a_max);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(got->SameAs(NaiveMap(
+          x, dt, [&](i64, i64 v) { return Clamp(v, a_min, a_max); })))
+          << "clip [" << a_min << ", " << a_max << "]";
+    }
+
+    for (const DType to : {DType::kInt8, DType::kInt32}) {
+      const i64 to_lo = to == DType::kInt8 ? -128 : INT32_MIN;
+      const i64 to_hi = to == DType::kInt8 ? 127 : INT32_MAX;
+      auto cast = Cast(x, to);
+      ASSERT_TRUE(cast.ok());
+      EXPECT_TRUE(cast->SameAs(NaiveMap(
+          x, to, [&](i64, i64 v) { return Clamp(v, to_lo, to_hi); })))
+          << "cast to " << DTypeName(to);
+    }
+  }
+}
+
+// RequantizeRow is the interpreter's bias_add -> right_shift -> clip ->
+// cast [-> clip] chain element for element, the int32 wrap after the bias
+// add included.
+TEST(KernelDifferential, RequantizeRowMatchesInterpreterChain) {
+  Rng rng(77);
+  const i64 C = 4, n = 37;  // an odd row: vector body plus scalar tail
+  Tensor acc(Shape{1, C, 1, n}, DType::kInt32);
+  const i64 edges[] = {INT32_MIN, INT32_MIN + 1, -(1 << 20), -1,       0,
+                       1,         1 << 20,       INT32_MAX - 1, INT32_MAX};
+  for (i64 i = 0; i < acc.NumElements(); ++i) {
+    acc.SetFlat(i, i % 3 == 0 ? edges[(i / 3) % std::size(edges)]
+                              : rng.UniformInt(INT32_MIN, INT32_MAX));
+  }
+  const auto random = [&](i64 lo, i64 hi) {
+    std::vector<i32> v(static_cast<size_t>(C));
+    for (i32& e : v) e = static_cast<i32>(rng.UniformInt(lo, hi));
+    return v;
+  };
+  const std::vector<i32> biases[] = {
+      {0, 0, 0, 0},
+      {INT32_MAX - 100, INT32_MIN + 100, -1, INT32_MAX},
+      random(INT32_MIN, INT32_MAX)};
+  const std::vector<i32> shifts[] = {
+      {0, 1, 31, 20}, {7, 7, 7, 7}, random(0, 31)};
+  for (const bool relu : {false, true}) {
+    for (const std::vector<i32>& bias : biases) {
+      for (const std::vector<i32>& shift : shifts) {
+        auto chain = BiasAdd(acc, Tensor::FromInt32(Shape{C}, bias), 1);
+        ASSERT_TRUE(chain.ok());
+        chain = RightShift(*chain, Tensor::FromInt32(Shape{C}, shift));
+        ASSERT_TRUE(chain.ok());
+        chain = Clip(*chain, -128, 127);
+        ASSERT_TRUE(chain.ok());
+        chain = Cast(*chain, DType::kInt8);
+        ASSERT_TRUE(chain.ok());
+        if (relu) chain = Clip(*chain, 0, 127);
+        ASSERT_TRUE(chain.ok());
+
+        Tensor row(acc.shape(), DType::kInt8);
+        for (i64 c = 0; c < C; ++c) {
+          RequantizeRow(acc.data<i32>().data() + c * n, n,
+                        bias[static_cast<size_t>(c)],
+                        shift[static_cast<size_t>(c)], relu,
+                        row.data<i8>().data() + c * n);
+        }
+        EXPECT_TRUE(row.SameAs(*chain))
+            << "relu " << relu << " bias " << bias[0] << " shift "
+            << shift[0];
+      }
     }
   }
 }

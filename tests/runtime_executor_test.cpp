@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+
 #include "compiler/pipeline.hpp"
+#include "ir/builder.hpp"
 #include "models/layer_zoo.hpp"
 #include "models/mlperf_tiny.hpp"
 #include "nn/interpreter.hpp"
@@ -47,6 +51,76 @@ TEST(Executor, TiledSimulationMatchesInterpreterPath) {
   auto b = tiled.Run(std::vector<Tensor>{input});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(a->outputs[0].SameAs(b->outputs[0]));
+}
+
+// Sets every bias_add constant of `g` to `bias`.
+void SetBiases(Graph& g, i32 bias) {
+  for (const Node& n : g.nodes()) {
+    if (!n.IsOp("nn.bias_add")) continue;
+    for (i32& v : g.mutable_node(n.inputs[1]).value.data<i32>()) v = bias;
+  }
+}
+
+// When accumulator + bias leaves int32, the tiles wrap it like nn.bias_add
+// (and the emitted C) do: interpreter == tiles for every offloaded kind,
+// with biases near both ends of int32 and a schedule split over c-tiles.
+TEST(Executor, TilesWrapBiasOverflowLikeInterpreter) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    i64 l1_budget;      // 0: the default budget
+    bool split_c;       // the schedule must continue partial sums
+  };
+  const auto conv = [](i64 c, i64 k, i64 hw, bool dw) {
+    models::ConvLayerParams p;
+    p.c = c;
+    p.k = k;
+    p.iy = p.ix = hw;
+    p.depthwise = dw;
+    p.shift = 20;
+    return models::MakeConvLayerGraph(p);
+  };
+  const auto dense = [] {
+    GraphBuilder b(3);
+    const NodeId x = b.Input("data", Shape{1, 96});
+    return b.Finish(b.DenseBlock(x, 24, /*relu=*/true, /*shift=*/20));
+  };
+  const auto matmul = [] {
+    GraphBuilder b(4);
+    const NodeId x = b.Input("data", Shape{8, 64});
+    return b.Finish(b.MatmulBlock(x, 32, /*relu=*/true, /*shift=*/20));
+  };
+  for (const i32 bias : {INT32_MAX - 100, INT32_MIN + 100}) {
+    Case cases[] = {{"conv", conv(8, 8, 8, false), 0, false},
+                    {"conv c-split", conv(64, 16, 10, false), 3 * 1024, true},
+                    {"depthwise", conv(32, 32, 16, true), 2 * 1024, false},
+                    {"dense", dense(), 0, false},
+                    {"matmul", matmul(), 0, false}};
+    for (Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << c.name << " bias " << bias);
+      SetBiases(c.graph, bias);
+      CompileOptions opt = CompileOptions::DigitalOnly();
+      if (c.l1_budget > 0) opt.tiler.l1_budget_bytes = c.l1_budget;
+      auto art = HtvmCompiler{opt}.Compile(c.graph);
+      ASSERT_TRUE(art.ok()) << art.status().ToString();
+      ASSERT_EQ(art->kernels.size(), 1u);
+      ASSERT_TRUE(art->kernels[0].schedule.has_value());
+      const auto& steps = art->kernels[0].schedule->steps;
+      EXPECT_EQ(c.split_c, std::any_of(steps.begin(), steps.end(),
+                                       [](const auto& s) {
+                                         return !s.first_c;
+                                       }));
+      Rng rng(8);
+      const TensorType& in =
+          c.graph.node(c.graph.inputs()[0]).type;
+      const Tensor input = Tensor::Random(in.shape, DType::kInt8, rng);
+      auto report = VerifyArtifact(*art, c.graph, std::vector<Tensor>{input},
+                                   /*simulate_tiles=*/true);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_TRUE(report->bit_exact) << report->mismatched_elements << " of "
+                                     << report->total_elements << " differ";
+    }
+  }
 }
 
 TEST(Executor, AnalogDiffersButBounded) {

@@ -50,14 +50,6 @@ TEST(MathUtils, CeilDivAndAlign) {
   EXPECT_EQ(AlignDown(17, 16), 16);
 }
 
-TEST(MathUtils, SaturateToInt8) {
-  EXPECT_EQ(SaturateToInt8(300), 127);
-  EXPECT_EQ(SaturateToInt8(-300), -128);
-  EXPECT_EQ(SaturateToInt8(5), 5);
-  EXPECT_EQ(SaturateToInt8Relu(-5), 0);
-  EXPECT_EQ(SaturateToInt8Relu(200), 127);
-}
-
 TEST(MathUtils, RoundingRightShift) {
   // round-to-nearest, ties toward +infinity (add-round-then-shift)
   EXPECT_EQ(RoundingRightShift(5, 1), 3);    // 2.5 -> 3

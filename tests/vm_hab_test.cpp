@@ -258,6 +258,18 @@ TEST(Hab, LoadTimeValidationRejectsInconsistentArtifacts) {
     }
     HTVM_UNREACHABLE("no accelerator kernel");
   };
+  // Rewrites the first clip of the accelerator kernel's requant chain to
+  // [-100, 127]: the interpreter would run it, the output stage cannot.
+  const auto loosen_clip = [&](compiler::Artifact& a) {
+    Node& composite = a.kernel_graph.mutable_node(accel(a).node);
+    auto body = std::make_shared<Graph>(*composite.body);
+    for (const Node& n : body->nodes()) {
+      if (n.IsOp("clip") && body->node(n.inputs[0]).IsOp("right_shift")) {
+        body->mutable_node(n.id).attrs.Set("a_min", i64{-100});
+      }
+    }
+    composite.body = std::move(body);
+  };
   struct Forgery {
     const char* expect;  // part of the error message
     std::function<void(compiler::Artifact&)> forge;
@@ -275,6 +287,7 @@ TEST(Hab, LoadTimeValidationRejectsInconsistentArtifacts) {
       {"does not rebuild", [](auto& a) { a.hw_config.dma.setup_cycles += 1; }},
       {"perf does not match",
        [&](auto& a) { accel(a).perf.full_cycles += 1; }},
+      {"saturating clip must be [-128, 127]", loosen_clip},
       {"out-of-range", [](auto& a) { a.hw_config.digital.pe_rows = 0; }},
       {"node order",
        [](auto& a) { std::swap(a.kernels[0], a.kernels[1]); }},
