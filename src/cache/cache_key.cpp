@@ -18,15 +18,6 @@ namespace {
 // became constants; only heuristic and graph-beam remain).
 constexpr u64 kOptionsFingerprintVersion = 5;
 
-// Feeds a record's field walk (hw::VisitFields, dory::VisitFields) into
-// the hasher.
-struct HashFields {
-  ir::Hasher& h;
-  void I64(i64 v) { h.Add(v); }
-  void F64(double v) { h.AddDouble(v); }
-  void Bool(bool v) { h.Add(v); }
-};
-
 void HashScheduleSearch(ir::Hasher& h, const dory::ScheduleSearchOptions& s) {
   h.Add(static_cast<i64>(s.kind));
   // eval_lanes is absent for the same reason compile_threads is: the
@@ -58,7 +49,7 @@ ir::Hash128 OptionsFingerprint(const compiler::CompileOptions& options) {
       .Add(options.dispatch.enable_analog)
       .Add(options.dispatch.enable_tuned_cpu_library)
       .Add(options.plain_tvm);
-  HashFields fields{h};
+  ir::HashFields fields{h};
   VisitFields(fields, options.tiler);
   HashScheduleSearch(h, options.schedule_search);
   HashSizeModel(h, options.size_model);

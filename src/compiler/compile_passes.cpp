@@ -150,8 +150,8 @@ std::string ScheduleMemoKey(const Graph& body, const CompileOptions& options,
   ir::Hasher h(/*seed=*/0x73636864ull);  // "schd"
   h.AddHash(ir::StructuralHash(body));
   h.Add(options.soc.Fingerprint());
-  h.Add(dory::ScheduleSearchProblemFingerprint(
-      dory::AccelLayerSpec{}, target, options.tiler, options.schedule_search));
+  h.AddHash(dory::ScheduleSearchProblemFingerprint(
+      target, options.tiler, options.schedule_search));
   return "sched-" + h.Digest().ToHex();
 }
 

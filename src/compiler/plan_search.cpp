@@ -356,9 +356,8 @@ std::string PlanMemoKey(const Graph& partitioned,
   ir::Hasher h(/*seed=*/0x706c616eull);  // "plan"
   h.AddHash(ir::StructuralHash(partitioned));
   h.Add(options.soc.Fingerprint());
-  h.Add(dory::ScheduleSearchProblemFingerprint(
-      dory::AccelLayerSpec{}, dory::AccelTarget::kDigital, options.tiler,
-      options.schedule_search));
+  h.AddHash(dory::ScheduleSearchProblemFingerprint(
+      dory::AccelTarget::kDigital, options.tiler, options.schedule_search));
   return "plan-" + h.Digest().ToHex();
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "hw/cost_model.hpp"
@@ -116,48 +115,55 @@ bool SameShape(const TileSolution& a, const TileSolution& b) {
          a.ox_t == b.ox_t;
 }
 
-// Beam selection: rank the whole feasible set with the O(1) analytic
-// model, graduate the best kBeamWidth (behind the heuristic pick) to the
-// simulator, deploy the fastest.
-Result<TileSolution> BeamSelect(const AccelLayerSpec& spec,
-                                const hw::DianaConfig& cfg, AccelTarget target,
-                                const TilerOptions& tiler,
-                                const ScheduleSearchOptions& search,
-                                const std::vector<TileSolution>& candidates) {
+}  // namespace
+
+std::vector<TileSolution> BeamShortlist(const AccelLayerSpec& spec,
+                                        const hw::DianaConfig& cfg,
+                                        AccelTarget target,
+                                        const TilerOptions& tiler,
+                                        const TileSolution& heuristic_pick) {
   const hw::CostModel model(cfg);
   const hw::AccelEngine engine = target == AccelTarget::kAnalog
                                      ? hw::AccelEngine::kAnalog
                                      : hw::AccelEngine::kDigital;
-  std::vector<i64> est(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    est[i] = model.EstimateAccelFullCycles(engine,
-                                           ToGeom(spec, tiler, candidates[i]));
-  }
-  ScheduleSearchStats::Global().RecordCostEvals(
-      static_cast<i64>(candidates.size()));
-
-  std::vector<size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return est[a] != est[b] ? est[a] < est[b] : a < b;
-  });
+  // The best kBeamWidth + 1 candidates by (estimate, enumeration index),
+  // ascending: the heuristic pick may be one of them, and is skipped below.
+  // Shapes are unique per walk, so this is the head of the full sort.
+  struct Ranked {
+    i64 est;
+    TileSolution cand;
+  };
+  constexpr size_t kKeep = size_t{kBeamWidth} + 1;
+  std::vector<Ranked> best;
+  best.reserve(kKeep + 1);
+  i64 evals = 0;
+  ForEachTileCandidate(
+      spec, cfg, target, tiler, [&](const TileSolution& cand) {
+        ++evals;
+        const i64 est =
+            model.EstimateAccelFullCycles(engine, ToGeom(spec, tiler, cand));
+        // A later candidate loses ties, so it goes after every equal estimate.
+        if (best.size() == kKeep && est >= best.back().est) return;
+        const auto at = std::upper_bound(
+            best.begin(), best.end(), est,
+            [](i64 e, const Ranked& r) { return e < r.est; });
+        best.insert(at, Ranked{est, cand});
+        if (best.size() > kKeep) best.pop_back();
+      });
+  ScheduleSearchStats::Global().RecordCostEvals(evals);
 
   // The heuristic pick leads the shortlist: on a simulator tie it wins,
   // so a searched schedule is never slower than the heuristic one.
-  TileSolution hpick = PickHeuristicSolution(spec, cfg, target, tiler,
-                                             candidates);
-  std::vector<TileSolution> finalists{hpick};
-  for (size_t r = 0;
-       r < order.size() && finalists.size() <= size_t{kBeamWidth}; ++r) {
-    TileSolution cand = candidates[order[r]];
-    if (SameShape(cand, hpick)) continue;
+  std::vector<TileSolution> finalists{heuristic_pick};
+  for (const Ranked& r : best) {
+    if (finalists.size() == kKeep) break;
+    if (SameShape(r.cand, heuristic_pick)) continue;
+    TileSolution cand = r.cand;
     cand.objective = HeuristicObjective(spec, cfg, target, tiler, cand);
     finalists.push_back(cand);
   }
-  return EvaluateFinalists(spec, cfg, target, tiler, search, finalists);
+  return finalists;
 }
-
-}  // namespace
 
 const char* ScheduleSearchKindName(ScheduleSearchKind kind) {
   switch (kind) {
@@ -190,50 +196,14 @@ void ScheduleSearchStats::Reset() {
   layers_searched_ = 0;
 }
 
-u64 ScheduleSearchProblemFingerprint(const AccelLayerSpec& spec,
-                                     AccelTarget target,
-                                     const TilerOptions& tiler,
-                                     const ScheduleSearchOptions& search) {
-  // FNV-1a 64 over every field that changes the candidate set or the
-  // scoring.
-  u64 h = 14695981039346656037ull;
-  const auto fold = [&h](u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto fold_d = [&fold](double d) {
-    u64 bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    fold(bits);
-  };
-  fold(static_cast<u64>(spec.kind));
-  fold(static_cast<u64>(spec.c));
-  fold(static_cast<u64>(spec.iy));
-  fold(static_cast<u64>(spec.ix));
-  fold(static_cast<u64>(spec.k));
-  fold(static_cast<u64>(spec.oy));
-  fold(static_cast<u64>(spec.ox));
-  fold(static_cast<u64>(spec.kh));
-  fold(static_cast<u64>(spec.kw));
-  fold(static_cast<u64>(spec.sy));
-  fold(static_cast<u64>(spec.sx));
-  fold(static_cast<u64>(spec.pad_t));
-  fold(static_cast<u64>(spec.pad_l));
-  fold(static_cast<u64>(spec.pad_b));
-  fold(static_cast<u64>(spec.pad_r));
-  fold(static_cast<u64>(target));
-  fold_d(tiler.alpha);
-  fold_d(tiler.beta_pe);
-  fold_d(tiler.beta_dma);
-  fold(tiler.enable_pe_heuristics ? 1 : 0);
-  fold(tiler.enable_dma_heuristic ? 1 : 0);
-  fold(tiler.double_buffer ? 1 : 0);
-  fold(static_cast<u64>(tiler.l1_budget_bytes));
-  fold(static_cast<u64>(search.kind));
-  return h;
+ir::Hash128 ScheduleSearchProblemFingerprint(
+    AccelTarget target, const TilerOptions& tiler,
+    const ScheduleSearchOptions& search) {
+  ir::Hasher h(/*seed=*/0x73727063ull);  // "srpc"
+  ir::HashFields fields{h};
+  VisitFields(fields, tiler);
+  h.Add(static_cast<i64>(target)).Add(static_cast<i64>(search.kind));
+  return h.Digest();
 }
 
 Result<AccelSchedule> SearchSchedule(const AccelLayerSpec& spec,
@@ -241,23 +211,19 @@ Result<AccelSchedule> SearchSchedule(const AccelLayerSpec& spec,
                                      AccelTarget target,
                                      const TilerOptions& tiler,
                                      const ScheduleSearchOptions& search) {
-  // Untiled fast path: one pass over the whole layer beats any tiled
-  // schedule, so both kinds take it unconditionally (zero evals).
-  if (auto untiled = UntiledSolution(spec, cfg, target, tiler)) {
-    return BuildScheduleWithSolution(spec, cfg, target, tiler, *untiled);
-  }
-  const std::vector<TileSolution> candidates =
-      EnumerateTileCandidates(spec, cfg, target, tiler);
-  if (candidates.empty()) {
-    return InfeasibleTilingStatus(spec, cfg, target, tiler);
-  }
   if (search.kind == ScheduleSearchKind::kHeuristic) {
-    return BuildScheduleWithSolution(
-        spec, cfg, target, tiler,
-        PickHeuristicSolution(spec, cfg, target, tiler, candidates));
+    return BuildSchedule(spec, cfg, target, tiler);
+  }
+  // The heuristic pick: untiled when the whole layer fits (one pass beats
+  // any tiled schedule, so the beam is skipped: zero evals), or the typed
+  // no-fit error when nothing does.
+  HTVM_ASSIGN_OR_RETURN(hpick, SolveTiling(spec, cfg, target, tiler));
+  if (!hpick.needs_tiling) {
+    return BuildScheduleWithSolution(spec, cfg, target, tiler, hpick);
   }
   HTVM_ASSIGN_OR_RETURN(
-      sol, BeamSelect(spec, cfg, target, tiler, search, candidates));
+      sol, EvaluateFinalists(spec, cfg, target, tiler, search,
+                             BeamShortlist(spec, cfg, target, tiler, hpick)));
   ScheduleSearchStats::Global().RecordSearchedLayer();
   return BuildScheduleWithSolution(spec, cfg, target, tiler, sol);
 }

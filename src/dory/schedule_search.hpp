@@ -1,13 +1,12 @@
 // Schedule search over the DORY tile-candidate space
 // (docs/schedule_search.md; the TVM autotuning direction of PAPERS.md).
 //
-// The tiler (dory/tiler.hpp) exposes its three layers — untiled fast path,
-// feasible-candidate enumerator, Eq. 1-5 heuristic picker — and the search
-// kind decides which feasible candidate a layer deploys:
+// Both kinds walk the same stream of feasible tile shapes
+// (dory::ForEachTileCandidate); the kind decides which one a layer deploys:
 //
-//   heuristic   the DORY Eq. 1-5 picker, byte-identical to the legacy
-//               SolveTiling (the default; golden artifacts are pinned on
-//               this path, and it performs zero cost evaluations);
+//   heuristic   BuildSchedule: the DORY Eq. 1-5 pick of SolveTiling (the
+//               default; golden artifacts are pinned on this path, and it
+//               performs zero cost evaluations);
 //   graph-beam  score every candidate with the O(1) hw::CostModel, keep
 //               the best kBeamWidth, evaluate the shortlist (plus the
 //               heuristic pick) on the ground-truth DIANA simulator and
@@ -23,8 +22,10 @@
 
 #include <atomic>
 #include <string_view>
+#include <vector>
 
 #include "dory/schedule.hpp"
+#include "ir/structural_hash.hpp"
 
 namespace htvm::dory {
 
@@ -80,23 +81,35 @@ class ScheduleSearchStats {
   std::atomic<i64> layers_searched_{0};
 };
 
-// The search-aware BuildSchedule: untiled fast path first (both kinds
-// take it unconditionally), then the heuristic pick or the beam selection
-// over the feasible candidates, then the full simulator schedule of the
-// winner. With the default heuristic kind this is byte-for-byte
-// BuildSchedule.
+// The search-aware BuildSchedule. `heuristic` is exactly BuildSchedule.
+// `graph-beam` starts from SolveTiling's pick: an untiled layer and a
+// layer no shape fits return as the heuristic would (zero evaluations);
+// otherwise the BeamShortlist is simulated and the fastest finalist
+// deployed.
 Result<AccelSchedule> SearchSchedule(const AccelLayerSpec& spec,
                                      const hw::DianaConfig& cfg,
                                      AccelTarget target,
                                      const TilerOptions& tiler,
                                      const ScheduleSearchOptions& search);
 
-// Deterministic identity of one layer search problem: layer geometry x
-// target x tiler knobs x search kind. Keys the schedule and plan memos
-// (with the SoC fingerprint joined by the caller).
-u64 ScheduleSearchProblemFingerprint(const AccelLayerSpec& spec,
-                                     AccelTarget target,
-                                     const TilerOptions& tiler,
-                                     const ScheduleSearchOptions& search);
+// The graph-beam finalists of a tiled layer, in simulator-evaluation
+// order: `heuristic_pick` (SolveTiling's tiled answer) first, then the
+// kBeamWidth other feasible shapes with the lowest cost-model estimate
+// (ties in walk order), each with its Eq. 1 `objective` set. Streams the
+// walk through a bounded list and records one cost-model evaluation per
+// candidate. Exposed for tests.
+std::vector<TileSolution> BeamShortlist(const AccelLayerSpec& spec,
+                                        const hw::DianaConfig& cfg,
+                                        AccelTarget target,
+                                        const TilerOptions& tiler,
+                                        const TileSolution& heuristic_pick);
+
+// Deterministic identity of one layer search problem: target x tiler knobs
+// (their VisitFields walk) x search kind. Keys the in-memory schedule and
+// plan memos, joined by the caller with the body hash and the SoC
+// fingerprint.
+ir::Hash128 ScheduleSearchProblemFingerprint(
+    AccelTarget target, const TilerOptions& tiler,
+    const ScheduleSearchOptions& search);
 
 }  // namespace htvm::dory

@@ -1,6 +1,8 @@
 #include "dory/tiler.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "support/math_utils.hpp"
 #include "support/string_utils.hpp"
@@ -52,6 +54,52 @@ i64 AccelWeightMemBytes(const hw::DianaConfig& cfg, AccelTarget target) {
                                          : cfg.analog.weight_mem_bytes;
 }
 
+// The Fig. 4 grey-area fast path: the whole layer fits one L1 buffer set
+// and the accelerator weight memory, so no tiling is needed. nullopt when
+// it does not fit.
+std::optional<TileSolution> UntiledSolution(const AccelLayerSpec& spec,
+                                            const hw::DianaConfig& cfg,
+                                            AccelTarget target,
+                                            const TilerOptions& options) {
+  const i64 budget = EffectiveL1Budget(cfg, options);
+  TilerOptions single = options;
+  single.double_buffer = false;  // a single pass needs one buffer set
+  const i64 whole = TileL1Bytes(spec, target, single, spec.c, spec.k, spec.oy,
+                                spec.ox, /*psum=*/false);
+  const i64 wbytes = WeightTileBytes(spec, target, spec.c, spec.k);
+  if (whole >= budget || wbytes > AccelWeightMemBytes(cfg, target)) {
+    return std::nullopt;
+  }
+  TileSolution s;
+  s.c_t = spec.c;
+  s.k_t = spec.k;
+  s.oy_t = spec.oy;
+  s.ox_t = spec.ox;
+  s.iy_t = spec.iy;
+  s.ix_t = spec.ix;
+  s.needs_tiling = false;
+  s.l1_bytes = whole;
+  s.objective = 0.0;
+  return s;
+}
+
+// The typed no-fit error: no tile shape satisfies the L1 budget and the
+// accelerator weight memory.
+Status InfeasibleTilingStatus(const AccelLayerSpec& spec,
+                              const hw::DianaConfig& cfg, AccelTarget target,
+                              const TilerOptions& options) {
+  return Status::ResourceExhausted(StrFormat(
+      "no feasible tiling for %s layer (C=%lld K=%lld in=%lldx%lld "
+      "kernel=%lldx%lld) on the %s target within %lld B L1 "
+      "(weight memory %lld B)",
+      LayerKindName(spec.kind), static_cast<long long>(spec.c),
+      static_cast<long long>(spec.k), static_cast<long long>(spec.iy),
+      static_cast<long long>(spec.ix), static_cast<long long>(spec.kh),
+      static_cast<long long>(spec.kw), AccelTargetName(target),
+      static_cast<long long>(EffectiveL1Budget(cfg, options)),
+      static_cast<long long>(AccelWeightMemBytes(cfg, target))));
+}
+
 }  // namespace
 
 void FillTileGrid(const AccelLayerSpec& spec, TileSolution& s) {
@@ -101,42 +149,19 @@ i64 TileL1Bytes(const AccelLayerSpec& spec, AccelTarget target,
   return 0;
 }
 
-std::optional<TileSolution> UntiledSolution(const AccelLayerSpec& spec,
-                                            const hw::DianaConfig& cfg,
-                                            AccelTarget target,
-                                            const TilerOptions& options) {
-  const i64 budget = EffectiveL1Budget(cfg, options);
-  TilerOptions single = options;
-  single.double_buffer = false;  // a single pass needs one buffer set
-  const i64 whole = TileL1Bytes(spec, target, single, spec.c, spec.k, spec.oy,
-                                spec.ox, /*psum=*/false);
-  const i64 wbytes = WeightTileBytes(spec, target, spec.c, spec.k);
-  if (whole >= budget || wbytes > AccelWeightMemBytes(cfg, target)) {
-    return std::nullopt;
-  }
-  TileSolution s;
-  s.c_t = spec.c;
-  s.k_t = spec.k;
-  s.oy_t = spec.oy;
-  s.ox_t = spec.ox;
-  s.iy_t = spec.iy;
-  s.ix_t = spec.ix;
-  s.needs_tiling = false;
-  s.l1_bytes = whole;
-  s.objective = 0.0;
-  return s;
-}
-
-std::vector<TileSolution> EnumerateTileCandidates(const AccelLayerSpec& spec,
-                                                  const hw::DianaConfig& cfg,
-                                                  AccelTarget target,
-                                                  const TilerOptions& options) {
+void ForEachTileCandidate(
+    const AccelLayerSpec& spec, const hw::DianaConfig& cfg, AccelTarget target,
+    const TilerOptions& options,
+    const std::function<void(const TileSolution&)>& visit) {
   const i64 budget = EffectiveL1Budget(cfg, options);
   const i64 weight_mem = AccelWeightMemBytes(cfg, target);
 
   // --- candidate sets per dimension ---------------------------------------
-  // Channel dims step on the PE grid (16); spatial dims step finer (4) so
-  // the DMA heuristic has room to trade row count against row length.
+  // TileCandidates yields every value 1..n for a dim of at most 64, so the
+  // small layers of the paper's networks search their full space. Larger
+  // dims keep their divisors plus multiples of a step: the PE grid for
+  // channel dims, 4 for spatial dims (fine enough for the DMA heuristic to
+  // trade row count against row length).
   std::vector<i64> k_cands, c_cands, oy_cands, ox_cands;
   const bool analog = target == AccelTarget::kAnalog;
   // The PE grid drives both the candidate step and the alignment rewards;
@@ -168,9 +193,9 @@ std::vector<TileSolution> EnumerateTileCandidates(const AccelLayerSpec& spec,
       ox_cands = TileCandidates(spec.ox, 4);
       break;
     case LayerKind::kMatmul:
-      // (M, N, K) tiles: N/K step on the PE grid like dense, the M row
-      // axis steps like a spatial dim so search can trade rows for
-      // channel depth within the L1 budget.
+      // (M, N, K) tiles: N/K tile like dense, the M row axis like a
+      // spatial dim so search can trade rows for channel depth within the
+      // L1 budget.
       k_cands = analog ? std::vector<i64>{spec.k} : TileCandidates(spec.k, pe);
       c_cands = analog ? std::vector<i64>{spec.c} : TileCandidates(spec.c, pe);
       oy_cands = TileCandidates(spec.oy, 4);
@@ -178,7 +203,6 @@ std::vector<TileSolution> EnumerateTileCandidates(const AccelLayerSpec& spec,
       break;
   }
 
-  std::vector<TileSolution> out;
   for (const i64 c_t : c_cands) {
     for (const i64 k_raw : k_cands) {
       const i64 k_t = (spec.kind == LayerKind::kDwConv2d ||
@@ -190,11 +214,16 @@ std::vector<TileSolution> EnumerateTileCandidates(const AccelLayerSpec& spec,
                          spec.kind == LayerKind::kMatmul) &&
                         c_t < spec.c;
       if (WeightTileBytes(spec, target, c_t, k_t) > weight_mem) continue;
+      // L1 bytes grow with oy_t and ox_t, and both lists ascend: the first
+      // shape over budget ends its row, and a row whose first shape is
+      // over budget ends the oy_t loop.
       for (const i64 oy_t : oy_cands) {
+        bool row_fits = false;
         for (const i64 ox_t : ox_cands) {
           const i64 bytes =
               TileL1Bytes(spec, target, options, c_t, k_t, oy_t, ox_t, psum);
-          if (bytes >= budget) continue;
+          if (bytes >= budget) break;
+          row_fits = true;
 
           const i64 iy_t = InTileDim(oy_t, spec.sy, spec.kh, spec.iy);
           const i64 ix_t = InTileDim(ox_t, spec.sx, spec.kw, spec.ix);
@@ -211,12 +240,12 @@ std::vector<TileSolution> EnumerateTileCandidates(const AccelLayerSpec& spec,
           s.l1_bytes = bytes;
           s.objective = 0.0;
           FillTileGrid(spec, s);
-          out.push_back(s);
+          visit(s);
         }
+        if (!row_fits) break;
       }
     }
   }
-  return out;
 }
 
 double HeuristicObjective(const AccelLayerSpec& spec,
@@ -262,42 +291,6 @@ double HeuristicObjective(const AccelLayerSpec& spec,
   return obj;
 }
 
-TileSolution PickHeuristicSolution(
-    const AccelLayerSpec& spec, const hw::DianaConfig& cfg, AccelTarget target,
-    const TilerOptions& options, const std::vector<TileSolution>& candidates) {
-  TileSolution best;
-  double best_obj = -1.0;
-  i64 best_volume = -1;  // tie-break: prefer bigger (fewer) tiles
-  for (const TileSolution& cand : candidates) {
-    const double obj = HeuristicObjective(spec, cfg, target, options, cand);
-    const i64 volume = cand.c_t * cand.k_t * cand.oy_t * cand.ox_t;
-    const bool better = obj > best_obj + 1e-9 ||
-                        (obj > best_obj - 1e-9 && volume > best_volume);
-    if (better) {
-      best_obj = std::max(best_obj, obj);
-      best_volume = volume;
-      best = cand;
-      best.objective = obj;
-    }
-  }
-  return best;
-}
-
-Status InfeasibleTilingStatus(const AccelLayerSpec& spec,
-                              const hw::DianaConfig& cfg, AccelTarget target,
-                              const TilerOptions& options) {
-  return Status::ResourceExhausted(StrFormat(
-      "no feasible tiling for %s layer (C=%lld K=%lld in=%lldx%lld "
-      "kernel=%lldx%lld) on the %s target within %lld B L1 "
-      "(weight memory %lld B)",
-      LayerKindName(spec.kind), static_cast<long long>(spec.c),
-      static_cast<long long>(spec.k), static_cast<long long>(spec.iy),
-      static_cast<long long>(spec.ix), static_cast<long long>(spec.kh),
-      static_cast<long long>(spec.kw), AccelTargetName(target),
-      static_cast<long long>(EffectiveL1Budget(cfg, options)),
-      static_cast<long long>(AccelWeightMemBytes(cfg, target))));
-}
-
 Result<TileSolution> SolveTiling(const AccelLayerSpec& spec,
                                  const hw::DianaConfig& cfg,
                                  AccelTarget target,
@@ -305,12 +298,26 @@ Result<TileSolution> SolveTiling(const AccelLayerSpec& spec,
   if (auto untiled = UntiledSolution(spec, cfg, target, options)) {
     return *untiled;
   }
-  const std::vector<TileSolution> candidates =
-      EnumerateTileCandidates(spec, cfg, target, options);
-  if (candidates.empty()) {
-    return InfeasibleTilingStatus(spec, cfg, target, options);
-  }
-  return PickHeuristicSolution(spec, cfg, target, options, candidates);
+  bool feasible = false;
+  TileSolution best;
+  double best_obj = -1.0;
+  i64 best_volume = -1;  // tie-break: prefer bigger (fewer) tiles
+  ForEachTileCandidate(
+      spec, cfg, target, options, [&](const TileSolution& cand) {
+        feasible = true;
+        const double obj = HeuristicObjective(spec, cfg, target, options, cand);
+        const i64 volume = cand.c_t * cand.k_t * cand.oy_t * cand.ox_t;
+        const bool better = obj > best_obj + 1e-9 ||
+                            (obj > best_obj - 1e-9 && volume > best_volume);
+        if (better) {
+          best_obj = std::max(best_obj, obj);
+          best_volume = volume;
+          best = cand;
+          best.objective = obj;
+        }
+      });
+  if (!feasible) return InfeasibleTilingStatus(spec, cfg, target, options);
+  return best;
 }
 
 }  // namespace htvm::dory

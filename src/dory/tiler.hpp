@@ -28,8 +28,7 @@
 //     model; only spatial dims are tiled for L1.
 #pragma once
 
-#include <optional>
-#include <vector>
+#include <functional>
 
 #include "dory/layer_spec.hpp"
 #include "hw/config.hpp"
@@ -88,36 +87,34 @@ struct TileSolution {
 // Sets s.n_* to ceil(dim / tile) (dw/add count channels once, on c).
 void FillTileGrid(const AccelLayerSpec& spec, TileSolution& s);
 
+// The DORY tiler: the untiled solution when the whole layer fits one L1
+// buffer set and the accelerator weight memory (Fig. 4 grey area; never
+// beaten by a tiled schedule), else the best Eq. 1 objective over
+// ForEachTileCandidate (ties within 1e-9 go to the larger tile volume;
+// `objective` is set), else a Status::ResourceExhausted naming the layer
+// kind, its geometry, the L1 budget and the weight memory no shape fit.
 Result<TileSolution> SolveTiling(const AccelLayerSpec& spec,
                                  const hw::DianaConfig& cfg,
                                  AccelTarget target,
                                  const TilerOptions& options);
 
-// --- schedule-search framework layer (docs/schedule_search.md) -----------
+// --- the candidate walk (docs/schedule_search.md) ------------------------
 //
-// SolveTiling above is now a thin composition of the three pieces below:
-// the untiled fast path, the candidate enumerator, and the Eq. 1-5
-// heuristic picker. Search strategies (dory/schedule_search.hpp) reuse the
-// same enumerator and may score the stream differently.
+// Every tile shape a layer may deploy comes from one streamed walk of the
+// feasible shapes; nothing holds the whole candidate set (a 64-channel
+// 64x64 conv has ~16M of them). SolveTiling folds the walk into the Eq. 1
+// argmax; the graph-beam search (dory/schedule_search.hpp) folds it into
+// a cost-model shortlist.
 
-// The Fig. 4 grey-area fast path: the whole layer fits one L1 buffer set
-// and the accelerator weight memory, so no tiling is needed. nullopt when
-// it does not fit. Every search strategy takes this unconditionally — a
-// single untiled pass is never beaten by a tiled schedule.
-std::optional<TileSolution> UntiledSolution(const AccelLayerSpec& spec,
-                                            const hw::DianaConfig& cfg,
-                                            AccelTarget target,
-                                            const TilerOptions& options);
-
-// Materializes every feasible structured tile shape (Eq. 2 L1 bound +
+// Visits every feasible structured tile shape (Eq. 2 L1 bound +
 // accelerator weight-memory bound) in the solver's deterministic
-// (c, k, oy, x) nested order. Each entry has its geometry, psum flag, L1
-// bytes and tile grid filled in; `objective` is left 0 (scoring is the
-// strategy's job). Empty when no shape fits (see InfeasibleTilingStatus).
-std::vector<TileSolution> EnumerateTileCandidates(const AccelLayerSpec& spec,
-                                                  const hw::DianaConfig& cfg,
-                                                  AccelTarget target,
-                                                  const TilerOptions& options);
+// (c, k, oy, ox) nested order. Each shape has its geometry, psum flag, L1
+// bytes and tile grid filled in; `objective` is 0 (scoring is the
+// caller's job). Visits nothing when no shape fits.
+void ForEachTileCandidate(
+    const AccelLayerSpec& spec, const hw::DianaConfig& cfg, AccelTarget target,
+    const TilerOptions& options,
+    const std::function<void(const TileSolution&)>& visit);
 
 // The Eq. 1 objective of one feasible candidate (alpha memory-utilization
 // term + Eq. 3/4 PE-alignment + Eq. 5 DMA heuristics, as configured).
@@ -125,24 +122,6 @@ double HeuristicObjective(const AccelLayerSpec& spec,
                           const hw::DianaConfig& cfg, AccelTarget target,
                           const TilerOptions& options,
                           const TileSolution& cand);
-
-// The DORY heuristic picker: scans `candidates` in order and keeps the
-// best Eq. 1 objective (ties broken toward larger tile volume). This is
-// byte-for-byte the legacy SolveTiling selection — the `heuristic` search
-// strategy and the golden-pinned default path. `candidates` must be
-// non-empty; the returned solution has `objective` set.
-TileSolution PickHeuristicSolution(const AccelLayerSpec& spec,
-                                   const hw::DianaConfig& cfg,
-                                   AccelTarget target,
-                                   const TilerOptions& options,
-                                   const std::vector<TileSolution>& candidates);
-
-// The typed no-fit error every solver/search path returns: a
-// Status::ResourceExhausted naming the layer kind, its geometry, the L1
-// budget and the accelerator weight memory that no tile shape satisfied.
-Status InfeasibleTilingStatus(const AccelLayerSpec& spec,
-                              const hw::DianaConfig& cfg, AccelTarget target,
-                              const TilerOptions& options);
 
 // Effective Eq. 2 budget: the explicit override, else the SoC's L1 size.
 i64 EffectiveL1Budget(const hw::DianaConfig& cfg, const TilerOptions& options);

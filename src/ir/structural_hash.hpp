@@ -64,6 +64,16 @@ class Hasher {
   u64 lo_ = 0;
 };
 
+// Feeds a record's field walk (hw::VisitFields, dory::VisitFields) into a
+// hasher: the options fingerprint and the search-problem fingerprint fold
+// their records through it.
+struct HashFields {
+  Hasher& h;
+  void I64(i64 v) { h.Add(v); }
+  void F64(double v) { h.AddDouble(v); }
+  void Bool(bool v) { h.Add(v); }
+};
+
 // Hashes one attribute value (tag + payload) into `h`.
 void HashAttrValue(Hasher& h, const AttrValue& value);
 

@@ -68,7 +68,7 @@ std::string EmitConvChain(const dory::AccelLayerSpec& s,
   c += "    const int g = k / (K / G);\n";
   c += "    for (int oy = 0; oy < OY; ++oy) {\n";
   c += "      for (int ox = 0; ox < OX; ++ox) {\n";
-  c += StrFormat("        int32_t acc = %s[k];\n", bsym.c_str());
+  c += StrFormat("        uint32_t acc = (uint32_t)%s[k];\n", bsym.c_str());
   c += "        for (int ci = 0; ci < C / G; ++ci) {\n";
   c += "          const int ic = g * (C / G) + ci;\n";
   c += "          for (int fy = 0; fy < KH; ++fy) {\n";
@@ -77,15 +77,16 @@ std::string EmitConvChain(const dory::AccelLayerSpec& s,
   c += "            for (int fx = 0; fx < KW; ++fx) {\n";
   c += "              const int ix = ox * SX + fx - PL;\n";
   c += "              if (ix < 0 || ix >= IX) continue;\n";
-  c += "              acc += (int32_t)in[((size_t)ic * IY + iy) * IX + ix] *\n";
+  c += "              acc += (uint32_t)((int32_t)in[((size_t)ic * IY + iy) "
+       "* IX + ix] *\n";
   c += StrFormat(
       "                     %s[(((size_t)k * (C / G) + ci) * KH + fy) * KW + "
-      "fx];\n",
+      "fx]);\n",
       wsym.c_str());
   c += "            }\n          }\n        }\n";
   c += StrFormat(
-      "        out[((size_t)k * OY + oy) * OX + ox] = htvm_requant(acc, "
-      "%s, RELU);\n",
+      "        out[((size_t)k * OY + oy) * OX + ox] = "
+      "htvm_requant((int32_t)acc, %s, RELU);\n",
       ShiftExpr(s, fn, "k").c_str());
   c += "      }\n    }\n  }\n}\n";
   return c;
@@ -103,12 +104,13 @@ std::string EmitDenseChain(const dory::AccelLayerSpec& s,
                  s.requant.relu ? 1 : 0);
   c += ShiftTable(s, fn);
   c += "  for (int k = 0; k < O; ++k) {\n";
-  c += StrFormat("    int32_t acc = %s[k];\n", bsym.c_str());
+  c += StrFormat("    uint32_t acc = (uint32_t)%s[k];\n", bsym.c_str());
   c += "    for (int i = 0; i < I; ++i) {\n";
-  c += StrFormat("      acc += (int32_t)in[i] * %s[(size_t)k * I + i];\n",
-                 wsym.c_str());
+  c += StrFormat(
+      "      acc += (uint32_t)((int32_t)in[i] * %s[(size_t)k * I + i]);\n",
+      wsym.c_str());
   c += "    }\n";
-  c += StrFormat("    out[k] = htvm_requant(acc, %s, RELU);\n",
+  c += StrFormat("    out[k] = htvm_requant((int32_t)acc, %s, RELU);\n",
                  ShiftExpr(s, fn, "k").c_str());
   c += "  }\n}\n";
   return c;
@@ -128,15 +130,15 @@ std::string EmitMatmulChain(const dory::AccelLayerSpec& s,
   c += ShiftTable(s, fn);
   c += "  for (int m = 0; m < M; ++m) {\n";
   c += "    for (int k = 0; k < O; ++k) {\n";
-  c += StrFormat("      int32_t acc = %s[k];\n", bsym.c_str());
+  c += StrFormat("      uint32_t acc = (uint32_t)%s[k];\n", bsym.c_str());
   c += "      for (int i = 0; i < I; ++i) {\n";
   c += StrFormat(
-      "        acc += (int32_t)in[(size_t)m * I + i] * %s[(size_t)k * I + "
-      "i];\n",
+      "        acc += (uint32_t)((int32_t)in[(size_t)m * I + i] * "
+      "%s[(size_t)k * I + i]);\n",
       wsym.c_str());
   c += "      }\n";
-  c += StrFormat("      out[(size_t)m * O + k] = htvm_requant(acc, %s, "
-                 "RELU);\n",
+  c += StrFormat("      out[(size_t)m * O + k] = htvm_requant((int32_t)acc, "
+                 "%s, RELU);\n",
                  ShiftExpr(s, fn, "k").c_str());
   c += "    }\n  }\n}\n";
   return c;
@@ -388,7 +390,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
       code += "      const int g = k / (KK / GG);\n";
       code += "      for (int oy = 0; oy < OY; ++oy)\n";
       code += "      for (int ox = 0; ox < OX; ++ox) {\n";
-      code += "        int32_t acc = 0;\n";
+      code += "        uint32_t acc = 0;\n";
       code += "        for (int ci = 0; ci < CC / GG; ++ci) {\n";
       code += "          const int ic = g * (CC / GG) + ci;\n";
       code += "          for (int fy = 0; fy < FH; ++fy) {\n";
@@ -398,13 +400,14 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
       code += "              const int ix = ox * SX + fx - PL;\n";
       code += "              if (ix < 0 || ix >= IX) continue;\n";
       code += StrFormat(
-          "              acc += (int32_t)%s[(((size_t)bi * CC + ic) * IY + "
-          "iy) * IX + ix] *\n                     %s[(((size_t)k * (CC / GG) "
-          "+ ci) * FH + fy) * FW + fx];\n",
+          "              acc += (uint32_t)((int32_t)%s[(((size_t)bi * CC + "
+          "ic) * IY + iy) * IX + ix] *\n                     %s[(((size_t)k * "
+          "(CC / GG) + ci) * FH + fy) * FW + fx]);\n",
           a.c_str(), w.c_str());
       code += "            }\n          }\n        }\n";
       code += StrFormat(
-          "        %s[(((size_t)bi * KK + k) * OY + oy) * OX + ox] = acc;\n",
+          "        %s[(((size_t)bi * KK + k) * OY + oy) * OX + ox] = "
+          "(int32_t)acc;\n",
           t.c_str());
       code += "      }\n    }\n  }\n";
     } else if (n.op == "matmul") {
@@ -429,15 +432,15 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
       code += StrFormat("    for (int r = 0; r < %lld; ++r)\n", (long long)m);
       code += StrFormat("    for (int c = 0; c < %lld; ++c) {\n",
                         (long long)nn);
-      code += "      int32_t acc = 0;\n";
+      code += "      uint32_t acc = 0;\n";
       code += StrFormat("      for (int x = 0; x < %lld; ++x)\n",
                         (long long)kk);
       code += StrFormat(
-          "        acc += (int32_t)%s[((size_t)bi * %lld + r) * %lld + x] * "
-          "%s[%s];\n",
+          "        acc += (uint32_t)((int32_t)%s[((size_t)bi * %lld + r) * "
+          "%lld + x] * %s[%s]);\n",
           a.c_str(), (long long)m, (long long)kk, b.c_str(), bidx.c_str());
       code += StrFormat("      %s[((size_t)bi * %lld + r) * %lld + c] = "
-                        "acc;\n",
+                        "(int32_t)acc;\n",
                         t.c_str(), (long long)m, (long long)nn);
       code += "    }\n  }\n";
     } else if (n.op == "nn.bias_add") {
@@ -448,8 +451,8 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
         inner *= n.type.shape[d];
       }
       code += StrFormat(
-          "  for (long i = 0; i < %lld; ++i) %s[i] = %s[i] + %s[(i / %lld) "
-          "%% %lld];\n",
+          "  for (long i = 0; i < %lld; ++i) %s[i] = (int32_t)((uint32_t)%s[i] "
+          "+ (uint32_t)%s[(i / %lld) %% %lld]);\n",
           (long long)count, t.c_str(), a.c_str(), b.c_str(), (long long)inner,
           (long long)n.type.shape[axis]);
     } else if (n.op == "right_shift") {
@@ -460,10 +463,10 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
       const i64 s = sh.value.GetFlat(0);
       if (s > 0) {
         code += StrFormat(
-            "  for (long i = 0; i < %lld; ++i) %s[i] = (%s[i] + (1 << %lld)) "
-            ">> %lld;\n",
-            (long long)count, t.c_str(), a.c_str(), (long long)(s - 1),
-            (long long)s);
+            "  for (long i = 0; i < %lld; ++i) %s[i] = (%s[i] >> %lld) + "
+            "((%s[i] >> %lld) & 1);\n",
+            (long long)count, t.c_str(), a.c_str(), (long long)s, a.c_str(),
+            (long long)(s - 1));
       } else {
         code += StrFormat("  for (long i = 0; i < %lld; ++i) %s[i] = %s[i];\n",
                           (long long)count, t.c_str(), a.c_str());

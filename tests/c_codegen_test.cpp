@@ -4,6 +4,7 @@
 // computes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -128,6 +129,61 @@ bool ToolAvailable(const char* cmd) {
   return std::system(check.c_str()) == 0;
 }
 
+// Compiles `net` for the CPU only, emits it as C, builds it with the host
+// compiler next to a harness that prints the output bytes, and compares
+// them with the reference interpreter on a seeded input.
+void ExpectEmittedCpuMatchesInterpreter(const Graph& net,
+                                        const std::string& name) {
+  SCOPED_TRACE(name);
+  const auto art = MustCompile(net, CompileOptions::PlainTvm());
+  auto emitted = EmitArtifactC(art, name);
+  ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
+
+  // Reference result.
+  Rng rng(17);
+  const Tensor input = Tensor::Random(net.node(net.inputs()[0]).type.shape,
+                                      DType::kInt8, rng);
+  auto ref = nn::RunGraph(net, std::vector<Tensor>{input});
+  ASSERT_TRUE(ref.ok());
+  const Tensor& expected = ref.value()[0];
+
+  // Write sources + a harness that prints the output bytes.
+  const std::string dir = ::testing::TempDir() + "/htvm_emit_" + name;
+  std::system(("mkdir -p " + dir).c_str());
+  ASSERT_TRUE(emitted->WriteTo(dir).ok());
+  {
+    std::ofstream main_c(dir + "/main.c");
+    main_c << "#include <stdio.h>\n#include \"" << name << ".h\"\n";
+    main_c << "static const signed char input[] = {";
+    for (i64 i = 0; i < input.NumElements(); ++i) {
+      main_c << input.GetFlat(i) << (i + 1 < input.NumElements() ? "," : "");
+    }
+    main_c << "};\nint main(void) {\n";
+    main_c << "  signed char out[" << expected.NumElements() << "];\n";
+    main_c << "  " << name << "_run((const void*)input, out);\n";
+    main_c << "  for (int i = 0; i < " << expected.NumElements()
+           << "; ++i) printf(\"%d\\n\", (int)out[i]);\n  return 0;\n}\n";
+  }
+  const std::string bin = dir + "/" + name + "_bin";
+  const std::string compile_cmd = "cc -std=c11 -O1 -o " + bin + " " + dir +
+                                  "/" + name + ".c " + dir + "/main.c 2> " +
+                                  dir + "/cc.log";
+  ASSERT_EQ(std::system(compile_cmd.c_str()), 0)
+      << "emitted C failed to compile; see " << dir << "/cc.log";
+
+  const std::string out_file = dir + "/out.txt";
+  ASSERT_EQ(std::system((bin + " > " + out_file).c_str()), 0);
+  std::ifstream out_stream(out_file);
+  i64 mismatched = 0;
+  for (i64 i = 0; i < expected.NumElements(); ++i) {
+    int value = 9999;
+    out_stream >> value;
+    mismatched += value != expected.GetFlat(i);
+  }
+  EXPECT_EQ(mismatched, 0) << "of " << expected.NumElements()
+                           << " output elements";
+}
+
 TEST(Codegen, EmittedCpuDeploymentMatchesInterpreter) {
   if (!ToolAvailable("cc")) GTEST_SKIP() << "no host C compiler";
 
@@ -146,51 +202,22 @@ TEST(Codegen, EmittedCpuDeploymentMatchesInterpreter) {
   y = b.Flatten(y);
   y = b.DenseBlock(y, 6, /*relu=*/false, 6, DType::kInt8, "fc");
   y = b.Softmax(y);
-  Graph net = b.Finish(y);
+  ExpectEmittedCpuMatchesInterpreter(b.Finish(y), "testnet");
 
-  const auto art = MustCompile(net, CompileOptions::PlainTvm());
-  auto emitted = EmitArtifactC(art, "testnet");
-  ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
-
-  // Reference result.
-  Rng rng(17);
-  const Tensor input = Tensor::Random(Shape{1, 4, 8, 8}, DType::kInt8, rng);
-  auto ref = nn::RunGraph(net, std::vector<Tensor>{input});
-  ASSERT_TRUE(ref.ok());
-  const Tensor& expected = ref.value()[0];
-
-  // Write sources + a harness that prints the output bytes.
-  const std::string dir = ::testing::TempDir() + "/htvm_emit_test";
-  std::system(("mkdir -p " + dir).c_str());
-  ASSERT_TRUE(emitted->WriteTo(dir).ok());
-  {
-    std::ofstream main_c(dir + "/main.c");
-    main_c << "#include <stdio.h>\n#include \"testnet.h\"\n";
-    main_c << "static const signed char input[] = {";
-    for (i64 i = 0; i < input.NumElements(); ++i) {
-      main_c << input.GetFlat(i) << (i + 1 < input.NumElements() ? "," : "");
+  // Accumulator + bias leaves int32: the interpreter wraps the bias add
+  // and rounds the shift without overflow, and so must the emitted C.
+  models::ConvLayerParams p;
+  p.c = p.k = 8;
+  p.iy = p.ix = 8;
+  p.shift = 20;
+  Graph wrap = models::MakeConvLayerGraph(p);
+  for (const Node& n : wrap.nodes()) {
+    if (!n.IsOp("nn.bias_add")) continue;
+    for (i32& v : wrap.mutable_node(n.inputs[1]).value.data<i32>()) {
+      v = INT32_MAX - 100;
     }
-    main_c << "};\nint main(void) {\n";
-    main_c << "  signed char out[" << expected.NumElements() << "];\n";
-    main_c << "  testnet_run((const void*)input, out);\n";
-    main_c << "  for (int i = 0; i < " << expected.NumElements()
-           << "; ++i) printf(\"%d\\n\", (int)out[i]);\n  return 0;\n}\n";
   }
-  const std::string bin = dir + "/testnet_bin";
-  const std::string compile_cmd = "cc -std=c11 -O1 -o " + bin + " " + dir +
-                                  "/testnet.c " + dir + "/main.c 2> " + dir +
-                                  "/cc.log";
-  ASSERT_EQ(std::system(compile_cmd.c_str()), 0)
-      << "emitted C failed to compile; see " << dir << "/cc.log";
-
-  const std::string out_file = dir + "/out.txt";
-  ASSERT_EQ(std::system((bin + " > " + out_file).c_str()), 0);
-  std::ifstream out_stream(out_file);
-  for (i64 i = 0; i < expected.NumElements(); ++i) {
-    int value = 9999;
-    out_stream >> value;
-    EXPECT_EQ(value, expected.GetFlat(i)) << "output element " << i;
-  }
+  ExpectEmittedCpuMatchesInterpreter(wrap, "wrapnet");
 }
 
 TEST(Codegen, EmittedAccelDeploymentCompiles) {

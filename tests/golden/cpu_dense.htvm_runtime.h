@@ -96,7 +96,8 @@ static inline void diana_analog_conv2d(const int8_t* l1_in,
 // CPU helper kernels for ops TVM lowers generically (functional on host).
 // ---------------------------------------------------------------------------
 static inline int8_t htvm_requant(int32_t acc, int32_t shift, int relu) {
-  if (shift > 0) acc = (acc + (1 << (shift - 1))) >> shift;
+  // Round half up without the overflowing acc + 2^(shift-1).
+  if (shift > 0) acc = (acc >> shift) + ((acc >> (shift - 1)) & 1);
   const int32_t lo = relu ? 0 : -128;
   if (acc < lo) acc = lo;
   if (acc > 127) acc = 127;

@@ -14,7 +14,13 @@
 //      schedule evaluations.
 //   5. An infeasibly small L1 budget is a typed ResourceExhausted naming
 //      the layer and the budget, not a crash or a silent fallback.
+//   6. The streamed beam shortlist is exactly the head of the full sort of
+//      the candidate walk, and a layer with ~16M candidates compiles in
+//      bounded memory with both kinds.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -59,6 +65,7 @@ hw::TiledLayerGeom ToGeom(const AccelLayerSpec& spec, const TilerOptions& opt,
     case LayerKind::kDwConv2d: g.op = hw::TiledOp::kDwConv2d; break;
     case LayerKind::kDense: g.op = hw::TiledOp::kDense; break;
     case LayerKind::kAdd: g.op = hw::TiledOp::kAdd; break;
+    case LayerKind::kMatmul: g.op = hw::TiledOp::kMatmul; break;
   }
   g.c = spec.c;
   g.iy = spec.iy;
@@ -78,12 +85,79 @@ hw::TiledLayerGeom ToGeom(const AccelLayerSpec& spec, const TilerOptions& opt,
   return g;
 }
 
+// The whole feasible candidate walk, collected (test-side only: the
+// search itself never holds it).
+std::vector<TileSolution> Walk(const AccelLayerSpec& spec, AccelTarget target,
+                               const TilerOptions& tiler) {
+  std::vector<TileSolution> all;
+  ForEachTileCandidate(spec, kCfg, target, tiler,
+                       [&all](const TileSolution& s) { all.push_back(s); });
+  return all;
+}
+
 bool SameSolution(const TileSolution& a, const TileSolution& b) {
   return a.c_t == b.c_t && a.k_t == b.k_t && a.oy_t == b.oy_t &&
          a.ox_t == b.ox_t && a.iy_t == b.iy_t && a.ix_t == b.ix_t &&
          a.n_c == b.n_c && a.n_k == b.n_k && a.n_y == b.n_y &&
          a.n_x == b.n_x && a.needs_tiling == b.needs_tiling &&
          a.psum == b.psum;
+}
+
+// ---------------------------------------------------------------------------
+// 0. Bounded memory. First in the file: the forked child starts with the
+//    parent's resident pages, which are smallest before any other test.
+// ---------------------------------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+TEST(ScheduleSearchMemory, LargeConvCompilesInBoundedMemory) {
+  // All four tile dims at 64: ~16M candidate (c, k, oy, ox) shapes, about
+  // 1.7 GB if they were ever held at once.
+  models::ConvLayerParams p;
+  p.c = 64;
+  p.k = 64;
+  p.iy = p.ix = 64;
+  const Graph net = models::MakeConvLayerGraph(p);
+  for (ScheduleSearchKind kind :
+       {ScheduleSearchKind::kHeuristic, ScheduleSearchKind::kGraphBeam}) {
+    SCOPED_TRACE(ScheduleSearchKindName(kind));
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      // Single-threaded child: no pool lanes are needed after fork().
+      compiler::CompileOptions opt = compiler::CompileOptions::DigitalOnly();
+      opt.schedule_search.kind = kind;
+      opt.schedule_search.eval_lanes = 1;
+      opt.compile_threads = 1;
+      auto art = compiler::HtvmCompiler{opt}.Compile(net);
+      if (!art.ok()) _exit(1);
+      const bool tiled = art->kernels.size() == 1 &&
+                         art->kernels[0].schedule.has_value() &&
+                         art->kernels[0].schedule->solution.needs_tiling;
+      _exit(tiled ? 0 : 2);
+    }
+    int status = 0;
+    rusage usage{};
+    ASSERT_EQ(wait4(pid, &status, 0, &usage), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: compile failed, 2: not one tiled digital kernel";
+    // Sanitizer shadow memory and allocator quarantine inflate RSS, so the
+    // bound only holds in plain builds.
+    if (!kSanitized) {
+      EXPECT_LT(usage.ru_maxrss, 64 * 1024) << "peak RSS in KiB";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -246,8 +320,7 @@ TEST(ScheduleSearch, CostModelTracksSimulatorRanking) {
   p.iy = p.ix = 24;
   const AccelLayerSpec spec = models::MakeConvSpec(p);
   const TilerOptions tiler = WithBudget(24 * 1024);
-  const auto candidates =
-      EnumerateTileCandidates(spec, kCfg, AccelTarget::kDigital, tiler);
+  const auto candidates = Walk(spec, AccelTarget::kDigital, tiler);
   ASSERT_GT(candidates.size(), 50u);
 
   const hw::CostModel cost(kCfg);
@@ -274,6 +347,94 @@ TEST(ScheduleSearch, CostModelTracksSimulatorRanking) {
   // beam shortlist would graduate the wrong schedules.
   EXPECT_GT(rho, 0.9) << "Spearman rank correlation over " << est.size()
                       << " candidates";
+}
+
+// The reference shortlist: collect the whole walk, fully sort it by
+// (estimate, walk index), then take the heuristic pick and the first
+// kBeamWidth other shapes.
+std::vector<TileSolution> FullSortShortlist(const AccelLayerSpec& spec,
+                                            AccelTarget target,
+                                            const TilerOptions& tiler,
+                                            const TileSolution& hpick,
+                                            bool* tied_at_head) {
+  const std::vector<TileSolution> all = Walk(spec, target, tiler);
+  const hw::CostModel cost(kCfg);
+  const hw::AccelEngine engine = target == AccelTarget::kAnalog
+                                     ? hw::AccelEngine::kAnalog
+                                     : hw::AccelEngine::kDigital;
+  std::vector<i64> est(all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    est[i] = cost.EstimateAccelFullCycles(engine, ToGeom(spec, tiler, all[i]));
+  }
+  std::vector<size_t> order(all.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return est[a] != est[b] ? est[a] < est[b] : a < b;
+  });
+  std::vector<TileSolution> finalists{hpick};
+  for (size_t r = 0;
+       r < order.size() && finalists.size() <= size_t{kBeamWidth}; ++r) {
+    TileSolution cand = all[order[r]];
+    if (cand.c_t == hpick.c_t && cand.k_t == hpick.k_t &&
+        cand.oy_t == hpick.oy_t && cand.ox_t == hpick.ox_t) {
+      continue;
+    }
+    cand.objective = HeuristicObjective(spec, kCfg, target, tiler, cand);
+    finalists.push_back(cand);
+  }
+  // Equal estimates among the kept head make the walk-index tie-break
+  // decide which shapes survive, and in which order.
+  *tied_at_head = false;
+  for (size_t r = 1; r <= size_t{kBeamWidth} + 1 && r < order.size(); ++r) {
+    *tied_at_head = *tied_at_head || est[order[r]] == est[order[r - 1]];
+  }
+  return finalists;
+}
+
+TEST(ScheduleSearch, StreamedShortlistEqualsFullSort) {
+  int layers = 0;  // with at least one tiled target compared
+  int tied = 0;
+  for (int seed = 0; seed < 32; ++seed) {
+    Rng rng(0x5B0A7115ull + static_cast<u64>(seed));
+    AccelLayerSpec spec;
+    // Tight enough that nearly every layer tiles.
+    TilerOptions tiler = WithBudget(rng.UniformInt(2, 8) * 512);
+    if (seed % 6 == 5) {
+      spec = models::MakeDenseSpec(rng.UniformInt(4, 40) * 8,
+                                   rng.UniformInt(1, 8) * 8);
+      tiler.l1_budget_bytes = rng.UniformInt(4, 16) * 16;
+    } else {
+      models::ConvLayerParams p;
+      p.depthwise = seed % 4 == 3;
+      p.c = rng.UniformInt(1, 4) * 8;
+      p.k = p.depthwise ? p.c : rng.UniformInt(1, 4) * 8;
+      p.iy = p.ix = rng.UniformInt(8, 20);
+      p.kh = p.kw = rng.UniformInt(0, 1) == 0 ? 1 : 3;
+      p.stride = rng.UniformInt(0, 3) == 0 ? 2 : 1;
+      spec = models::MakeConvSpec(p);
+    }
+    bool compared = false;
+    for (AccelTarget target : {AccelTarget::kDigital, AccelTarget::kAnalog}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " " << AccelTargetName(target));
+      auto hpick = SolveTiling(spec, kCfg, target, tiler);
+      if (!hpick.ok() || !hpick->needs_tiling) continue;
+      bool tie = false;
+      const std::vector<TileSolution> want =
+          FullSortShortlist(spec, target, tiler, *hpick, &tie);
+      ScheduleSearchStats::Global().Reset();
+      const std::vector<TileSolution> got =
+          BeamShortlist(spec, kCfg, target, tiler, *hpick);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(ScheduleSearchStats::Global().cost_model_evals(),
+                static_cast<i64>(Walk(spec, target, tiler).size()));
+      compared = true;
+      tied += tie;
+    }
+    layers += compared;
+  }
+  EXPECT_GE(layers, 20);
+  EXPECT_GT(tied, 0) << "no layer exercised the walk-index tie-break";
 }
 
 // ---------------------------------------------------------------------------
