@@ -187,12 +187,7 @@ Status CompileMhsaKernel(const Node& n, const CompileOptions& options,
     const Node& rhs = body.node(op.inputs[1]);
     if (rhs.kind == NodeKind::kConstant) {
       // Projection matmul: a real tiled digital schedule, heuristic pick.
-      dory::AccelLayerSpec spec;
-      spec.kind = dory::LayerKind::kMatmul;
-      spec.c = rhs.type.shape[1];
-      spec.k = rhs.type.shape[0];
-      spec.oy = spec.iy = at.shape[0];
-      spec.weight_dtype = rhs.type.dtype;
+      HTVM_ASSIGN_OR_RETURN(spec, dory::AnalyzeAnchor(body, op));
       HTVM_ASSIGN_OR_RETURN(
           sched, dory::BuildSchedule(spec, cfg, dory::AccelTarget::kDigital,
                                      options.tiler));

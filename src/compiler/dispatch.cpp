@@ -1,5 +1,7 @@
 #include "compiler/dispatch.hpp"
 
+#include <utility>
+
 #include "compiler/accel_spec.hpp"
 #include "pattern/std_patterns.hpp"
 #include "support/logging.hpp"
@@ -7,89 +9,22 @@
 
 namespace htvm::compiler {
 
+namespace {
+
+// The layer a structural match offloads: its anchor's geometry plus the
+// requant chain that ends at the match root.
 Result<dory::AccelLayerSpec> SpecFromMatch(const Graph& graph,
                                            const MatchResult& match) {
   const auto anchor_it = match.bindings.find("anchor");
   if (anchor_it == match.bindings.end()) {
     return Status::Internal("match has no anchor binding");
   }
-  const Node& anchor = graph.node(anchor_it->second);
-  dory::AccelLayerSpec spec;
-
-  if (anchor.op == "nn.conv2d") {
-    const TensorType& data = graph.node(anchor.inputs[0]).type;
-    const TensorType& weight = graph.node(anchor.inputs[1]).type;
-    if (data.shape.rank() != 4 || data.shape[0] != 1) {
-      return Status::Unsupported("conv2d: batch-1 NCHW required");
-    }
-    const i64 groups = anchor.attrs.GetInt("groups", 1);
-    const bool dw = groups == data.shape[1] && weight.shape[1] == 1 &&
-                    groups > 1;
-    if (groups != 1 && !dw) {
-      return Status::Unsupported("grouped conv unsupported");
-    }
-    spec.kind = dw ? dory::LayerKind::kDwConv2d : dory::LayerKind::kConv2d;
-    spec.c = data.shape[1];
-    spec.iy = data.shape[2];
-    spec.ix = data.shape[3];
-    spec.k = weight.shape[0];
-    spec.kh = weight.shape[2];
-    spec.kw = weight.shape[3];
-    const auto strides = anchor.attrs.GetIntVec("strides", {1, 1});
-    spec.sy = strides[0];
-    spec.sx = strides[1];
-    HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(anchor.attrs, "conv2d"));
-    spec.pad_t = pad[0];
-    spec.pad_l = pad[1];
-    spec.pad_b = pad[2];
-    spec.pad_r = pad[3];
-    spec.oy = anchor.type.shape[2];
-    spec.ox = anchor.type.shape[3];
-    spec.weight_dtype = weight.dtype;
-  } else if (anchor.op == "nn.dense") {
-    const TensorType& data = graph.node(anchor.inputs[0]).type;
-    const TensorType& weight = graph.node(anchor.inputs[1]).type;
-    if (data.shape[0] != 1) return Status::Unsupported("dense: batch 1 only");
-    spec.kind = dory::LayerKind::kDense;
-    spec.c = data.shape[1];
-    spec.k = weight.shape[0];
-    spec.weight_dtype = weight.dtype;
-  } else if (anchor.op == "matmul") {
-    const TensorType& data = graph.node(anchor.inputs[0]).type;
-    const Node& weight = graph.node(anchor.inputs[1]);
-    if (weight.kind != NodeKind::kConstant) {
-      return Status::Unsupported("matmul: activation weights stay on CPU");
-    }
-    if (anchor.attrs.GetInt("transpose_b", 1) == 0) {
-      return Status::Unsupported("matmul: accel path needs [N, K] weight");
-    }
-    if (data.shape.rank() != 2 || weight.type.shape.rank() != 2) {
-      return Status::Unsupported("matmul: rank-2 operands required");
-    }
-    spec.kind = dory::LayerKind::kMatmul;
-    spec.c = data.shape[1];
-    spec.k = weight.type.shape[0];
-    spec.oy = spec.iy = data.shape[0];
-    spec.weight_dtype = weight.type.dtype;
-  } else if (anchor.op == "add") {
-    const TensorType& lhs = graph.node(anchor.inputs[0]).type;
-    spec.kind = dory::LayerKind::kAdd;
-    if (lhs.shape.rank() == 4) {
-      spec.c = spec.k = lhs.shape[1];
-      spec.iy = spec.oy = lhs.shape[2];
-      spec.ix = spec.ox = lhs.shape[3];
-    } else {
-      spec.c = spec.k = lhs.shape.NumElements();
-    }
-  } else {
-    return Status::Unsupported("unknown anchor op " + anchor.op);
-  }
-  HTVM_RETURN_IF_ERROR(
-      dory::AnalyzeRequantChain(graph, match.root, anchor.id, &spec.requant));
+  HTVM_ASSIGN_OR_RETURN(
+      spec, dory::AnalyzeAnchor(graph, graph.node(anchor_it->second)));
+  HTVM_RETURN_IF_ERROR(dory::AnalyzeRequantChain(
+      graph, match.root, anchor_it->second, &spec.requant));
   return spec;
 }
-
-namespace {
 
 std::string LayerSummary(const dory::AccelLayerSpec& s) {
   return StrFormat("%s C=%lld K=%lld %lldx%lld k%lldx%lld %s",
@@ -126,7 +61,8 @@ MatchPredicate MakeDianaPredicate(const DispatchOptions& options,
     }
 
     // Weight bit-width selects the accelerator; a tiling feasibility probe
-    // guards against layers no schedule can fit into L1.
+    // guards against layers no schedule can fit into L1. The probe stops at
+    // the first shape that fits; CompileKernels solves the layer once.
     dory::AccelTarget target;
     if (options.enable_analog && AnalogSupports(*spec, cfg)) {
       target = dory::AccelTarget::kAnalog;
@@ -137,12 +73,13 @@ MatchPredicate MakeDianaPredicate(const DispatchOptions& options,
                   "no enabled accelerator supports the layer parameters");
       return false;
     }
-    auto tiling = dory::SolveTiling(*spec, cfg, target, tiler_options);
-    if (!tiling.ok()) {
+    const Status fits =
+        dory::CheckTilingFits(*spec, cfg, target, tiler_options);
+    if (!fits.ok()) {
       HTVM_ILOG << "dispatch: tiling infeasible for "
                 << dory::LayerKindName(spec->kind) << " -> CPU fallback";
       LogDecision(log, graph, match, pattern, &*spec, "cpu",
-                  "tiling infeasible: " + tiling.status().message());
+                  "tiling infeasible: " + fits.message());
       return false;
     }
     attrs->Set("target", std::string(dory::AccelTargetName(target)));
@@ -156,43 +93,43 @@ MatchPredicate MakeDianaPredicate(const DispatchOptions& options,
 }
 
 // Whole-block MHSA acceptance: every head-projection / output-projection
-// matmul must be digitally supported and individually tileable into L1.
-// The probe mirrors what CompileKernels later schedules, so acceptance
-// here can never strand an uncompilable kernel.
+// matmul must be digitally supported and tileable into L1. Each projection
+// is read with the same AnalyzeAnchor that CompileMhsaKernel later
+// schedules, so acceptance here can never strand an uncompilable kernel.
 MatchPredicate MakeMhsaPredicate(const DispatchOptions& options,
                                  const hw::DianaConfig& cfg,
                                  const dory::TilerOptions& tiler_options,
                                  DispatchLog* log) {
   return [options, cfg, tiler_options, log](
              const Graph& graph, const MatchResult& match, AttrMap* attrs) {
-    const auto anchor_it = match.bindings.find("anchor");
-    if (anchor_it == match.bindings.end()) return false;
-    const Node& anchor = graph.node(anchor_it->second);
-    // All four projections share the sequence length of the block input.
-    const i64 rows = graph.node(anchor.inputs[0]).type.shape[0];
-    static constexpr const char* kWeights[] = {"q_weight", "k_weight",
-                                               "v_weight", "o_weight"};
-    for (const char* label : kWeights) {
+    // The projection matmuls' match labels, and the weights that name
+    // them in the log.
+    static constexpr std::pair<const char*, const char*> kProjections[] = {
+        {"q_proj", "q_weight"},
+        {"k_proj", "k_weight"},
+        {"v_proj", "v_weight"},
+        {"anchor", "o_weight"}};
+    for (const auto& [label, weight] : kProjections) {
       const auto it = match.bindings.find(label);
       if (it == match.bindings.end()) return false;
-      const TensorType& wt = graph.node(it->second).type;
-      dory::AccelLayerSpec spec;
-      spec.kind = dory::LayerKind::kMatmul;
-      spec.c = wt.shape[1];
-      spec.k = wt.shape[0];
-      spec.oy = spec.iy = rows;
-      spec.weight_dtype = wt.dtype;
-      if (!DigitalSupports(spec, cfg)) {
-        LogDecision(log, graph, match, "diana.mhsa", &spec, "cpu",
-                    StrFormat("%s not digitally supported", label));
+      auto spec = dory::AnalyzeAnchor(graph, graph.node(it->second));
+      if (!spec.ok()) {
+        LogDecision(log, graph, match, "diana.mhsa", nullptr, "cpu",
+                    StrFormat("%s: %s", weight,
+                              spec.status().message().c_str()));
         return false;
       }
-      auto tiling = dory::SolveTiling(spec, cfg, dory::AccelTarget::kDigital,
-                                      tiler_options);
-      if (!tiling.ok()) {
-        LogDecision(log, graph, match, "diana.mhsa", &spec, "cpu",
-                    StrFormat("%s tiling infeasible: %s", label,
-                              tiling.status().message().c_str()));
+      if (!DigitalSupports(*spec, cfg)) {
+        LogDecision(log, graph, match, "diana.mhsa", &*spec, "cpu",
+                    StrFormat("%s not digitally supported", weight));
+        return false;
+      }
+      const Status fits = dory::CheckTilingFits(
+          *spec, cfg, dory::AccelTarget::kDigital, tiler_options);
+      if (!fits.ok()) {
+        LogDecision(log, graph, match, "diana.mhsa", &*spec, "cpu",
+                    StrFormat("%s tiling infeasible: %s", weight,
+                              fits.message().c_str()));
         return false;
       }
     }

@@ -1,6 +1,9 @@
 // Accelerator-aware dispatching (Sec. III-A): pattern rules whose
-// predicates apply the DIANA capability checks plus a tiling feasibility
-// probe, and annotate accepted composites with their target.
+// predicates read the matched layer (dory::AnalyzeAnchor on the outer
+// graph, the reader dory::AnalyzeCompositeBody uses after partitioning),
+// apply the DIANA capability checks plus a tiling feasibility probe
+// (dory::CheckTilingFits), and annotate accepted composites with their
+// target.
 //
 // Routing follows the paper: the weights' bit-width selects the
 // accelerator (int8 -> digital, ternary -> analog); patterns failing every
@@ -28,12 +31,6 @@ struct DispatchOptions {
   // per-op on the CPU.
   bool enable_attention_offload = true;
 };
-
-// Builds the layer geometry for a structural match, reading the anchor op
-// and its weight constant from the outer graph (pre-partitioning twin of
-// dory::AnalyzeCompositeBody).
-Result<dory::AccelLayerSpec> SpecFromMatch(const Graph& graph,
-                                           const MatchResult& match);
 
 // One dispatch decision, for the compile-time report ("why did my layer
 // land on this engine?").

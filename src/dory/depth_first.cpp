@@ -37,45 +37,6 @@ i64 LayerTileCompute(const hw::DianaConfig& cfg, const AccelLayerSpec& s,
   return cycles + hw::DigitalPostCycles(cfg.digital, out_elems);
 }
 
-// Geometry of one conv anchor inside a composite body (the conv branch of
-// layer_spec.cpp's AnalyzeCompositeBody; requant params are not extracted —
-// the fused kernel replays its body on the interpreter, so only the
-// cost-relevant geometry matters here).
-Result<AccelLayerSpec> SpecFromConvAnchor(const Graph& body,
-                                          const Node& anchor) {
-  const TensorType& data = body.node(anchor.inputs[0]).type;
-  const Node& weight = body.node(anchor.inputs[1]);
-  if (data.shape.rank() != 4 || data.shape[0] != 1) {
-    return Status::Unsupported("fused pair: batch-1 NCHW input required");
-  }
-  const i64 groups = anchor.attrs.GetInt("groups", 1);
-  const Shape& ws = weight.type.shape;
-  const bool depthwise = groups == data.shape[1] && ws[1] == 1 && groups > 1;
-  if (groups != 1 && !depthwise) {
-    return Status::Unsupported("fused pair: only dense or depthwise groups");
-  }
-  AccelLayerSpec spec;
-  spec.kind = depthwise ? LayerKind::kDwConv2d : LayerKind::kConv2d;
-  spec.c = data.shape[1];
-  spec.iy = data.shape[2];
-  spec.ix = data.shape[3];
-  spec.k = ws[0];
-  spec.kh = ws[2];
-  spec.kw = ws[3];
-  const auto strides = anchor.attrs.GetIntVec("strides", {1, 1});
-  spec.sy = strides[0];
-  spec.sx = strides[1];
-  HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(anchor.attrs, "conv2d"));
-  spec.pad_t = pad[0];
-  spec.pad_l = pad[1];
-  spec.pad_b = pad[2];
-  spec.pad_r = pad[3];
-  spec.oy = anchor.type.shape[2];
-  spec.ox = anchor.type.shape[3];
-  spec.weight_dtype = weight.type.dtype;
-  return spec;
-}
-
 }  // namespace
 
 Result<FusedPairSpec> AnalyzeFusedPairBody(const Graph& body) {
@@ -91,9 +52,11 @@ Result<FusedPairSpec> AnalyzeFusedPairBody(const Graph& body) {
   if (anchors.size() != 2) {
     return Status::Unsupported("fused pair: body needs exactly two convs");
   }
+  // Requant params are not read: the fused kernel replays its body on the
+  // interpreter, so only the cost-relevant geometry matters here.
   FusedPairSpec pair;
-  HTVM_ASSIGN_OR_RETURN(first, SpecFromConvAnchor(body, *anchors[0]));
-  HTVM_ASSIGN_OR_RETURN(second, SpecFromConvAnchor(body, *anchors[1]));
+  HTVM_ASSIGN_OR_RETURN(first, AnalyzeAnchor(body, *anchors[0]));
+  HTVM_ASSIGN_OR_RETURN(second, AnalyzeAnchor(body, *anchors[1]));
   pair.first = first;
   pair.second = second;
   HTVM_RETURN_IF_ERROR(ValidateFusedPair(pair));

@@ -23,10 +23,10 @@ struct FusedPairSpec {
   AccelLayerSpec second;
 };
 
-// Two-anchor twin of AnalyzeCompositeBody: extracts the layer pair from a
-// depth-first fused composite body ("diana.fused2" — two conv-like
-// quantized chains back to back). Fails with Unsupported when the body is
-// not exactly two conv anchors in producer order.
+// Extracts the layer pair from a depth-first fused composite body
+// ("diana.fused2" — two conv-like quantized chains back to back), reading
+// each conv anchor with AnalyzeAnchor. Fails with Unsupported when the body
+// is not exactly two conv anchors in producer order.
 Result<FusedPairSpec> AnalyzeFusedPairBody(const Graph& body);
 
 // Checks the chain is fusable: geometry chains, kinds are conv/dwconv, and

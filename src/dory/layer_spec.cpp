@@ -50,6 +50,79 @@ WeightBias FindWeightBias(const Graph& body) {
   return found;
 }
 
+Result<AccelLayerSpec> AnalyzeAnchor(const Graph& g, const Node& anchor) {
+  AccelLayerSpec spec;
+  if (anchor.op == "nn.conv2d") {
+    const TensorType& data = g.node(anchor.inputs[0]).type;
+    const TensorType& weight = g.node(anchor.inputs[1]).type;
+    if (data.shape.rank() != 4 || data.shape[0] != 1) {
+      return Status::Unsupported("conv2d: batch-1 NCHW required");
+    }
+    const i64 groups = anchor.attrs.GetInt("groups", 1);
+    const bool depthwise =
+        groups == data.shape[1] && weight.shape[1] == 1 && groups > 1;
+    if (groups != 1 && !depthwise) {
+      return Status::Unsupported("grouped conv unsupported");
+    }
+    spec.kind = depthwise ? LayerKind::kDwConv2d : LayerKind::kConv2d;
+    spec.c = data.shape[1];
+    spec.iy = data.shape[2];
+    spec.ix = data.shape[3];
+    spec.k = weight.shape[0];
+    spec.kh = weight.shape[2];
+    spec.kw = weight.shape[3];
+    const auto strides = anchor.attrs.GetIntVec("strides", {1, 1});
+    spec.sy = strides[0];
+    spec.sx = strides[1];
+    HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(anchor.attrs, "conv2d"));
+    spec.pad_t = pad[0];
+    spec.pad_l = pad[1];
+    spec.pad_b = pad[2];
+    spec.pad_r = pad[3];
+    spec.oy = anchor.type.shape[2];
+    spec.ox = anchor.type.shape[3];
+    spec.weight_dtype = weight.dtype;
+  } else if (anchor.op == "nn.dense") {
+    const TensorType& data = g.node(anchor.inputs[0]).type;
+    const TensorType& weight = g.node(anchor.inputs[1]).type;
+    if (data.shape[0] != 1) return Status::Unsupported("dense: batch 1 only");
+    spec.kind = LayerKind::kDense;
+    spec.c = data.shape[1];
+    spec.k = weight.shape[0];
+    spec.weight_dtype = weight.dtype;
+  } else if (anchor.op == "matmul") {
+    const TensorType& data = g.node(anchor.inputs[0]).type;
+    const Node& weight = g.node(anchor.inputs[1]);
+    if (weight.kind != NodeKind::kConstant) {
+      return Status::Unsupported("matmul: activation weights stay on CPU");
+    }
+    if (anchor.attrs.GetInt("transpose_b", 1) == 0) {
+      return Status::Unsupported("matmul: accel path needs [N, K] weight");
+    }
+    if (data.shape.rank() != 2 || weight.type.shape.rank() != 2) {
+      return Status::Unsupported("matmul: rank-2 operands required");
+    }
+    spec.kind = LayerKind::kMatmul;
+    spec.c = data.shape[1];             // reduction K
+    spec.k = weight.type.shape[0];      // output features N
+    spec.oy = spec.iy = data.shape[0];  // rows M on the spatial axis
+    spec.weight_dtype = weight.type.dtype;
+  } else if (anchor.op == "add") {
+    const TensorType& lhs = g.node(anchor.inputs[0]).type;
+    spec.kind = LayerKind::kAdd;
+    if (lhs.shape.rank() == 4) {
+      spec.c = spec.k = lhs.shape[1];
+      spec.iy = spec.oy = lhs.shape[2];
+      spec.ix = spec.ox = lhs.shape[3];
+    } else {
+      spec.c = spec.k = lhs.shape.NumElements();
+    }
+  } else {
+    return Status::Unsupported("unknown anchor op " + anchor.op);
+  }
+  return spec;
+}
+
 Result<AccelLayerSpec> AnalyzeCompositeBody(const Graph& body) {
   // Locate the accumulating anchor op.
   const Node* anchor = nullptr;
@@ -65,75 +138,7 @@ Result<AccelLayerSpec> AnalyzeCompositeBody(const Graph& body) {
   if (anchor == nullptr) {
     return Status::Unsupported("composite body has no accelerator anchor op");
   }
-
-  AccelLayerSpec spec;
-
-  if (anchor->op == "nn.conv2d") {
-    const TensorType& data = body.node(anchor->inputs[0]).type;
-    const Node& weight = body.node(anchor->inputs[1]);
-    if (data.shape.rank() != 4 || data.shape[0] != 1) {
-      return Status::Unsupported("conv2d: batch-1 NCHW input required");
-    }
-    const i64 groups = anchor->attrs.GetInt("groups", 1);
-    const Shape& ws = weight.type.shape;
-    const bool depthwise = groups == data.shape[1] && ws[1] == 1 && groups > 1;
-    if (groups != 1 && !depthwise) {
-      return Status::Unsupported("conv2d: only dense or depthwise groups");
-    }
-    spec.kind = depthwise ? LayerKind::kDwConv2d : LayerKind::kConv2d;
-    spec.c = data.shape[1];
-    spec.iy = data.shape[2];
-    spec.ix = data.shape[3];
-    spec.k = ws[0];
-    spec.kh = ws[2];
-    spec.kw = ws[3];
-    const auto strides = anchor->attrs.GetIntVec("strides", {1, 1});
-    spec.sy = strides[0];
-    spec.sx = strides[1];
-    HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(anchor->attrs, "conv2d"));
-    spec.pad_t = pad[0];
-    spec.pad_l = pad[1];
-    spec.pad_b = pad[2];
-    spec.pad_r = pad[3];
-    spec.oy = anchor->type.shape[2];
-    spec.ox = anchor->type.shape[3];
-    spec.weight_dtype = weight.type.dtype;
-  } else if (anchor->op == "nn.dense") {
-    const TensorType& data = body.node(anchor->inputs[0]).type;
-    const Node& weight = body.node(anchor->inputs[1]);
-    if (data.shape[0] != 1) {
-      return Status::Unsupported("dense: batch-1 input required");
-    }
-    spec.kind = LayerKind::kDense;
-    spec.c = data.shape[1];
-    spec.k = weight.type.shape[0];
-    spec.weight_dtype = weight.type.dtype;
-  } else if (anchor->op == "matmul") {
-    const TensorType& data = body.node(anchor->inputs[0]).type;
-    const Node& weight = body.node(anchor->inputs[1]);
-    if (anchor->attrs.GetInt("transpose_b", 1) == 0) {
-      return Status::Unsupported("matmul: accel path needs [N, K] weight");
-    }
-    if (data.shape.rank() != 2 || weight.type.shape.rank() != 2) {
-      return Status::Unsupported("matmul: rank-2 operands required");
-    }
-    spec.kind = LayerKind::kMatmul;
-    spec.c = data.shape[1];          // reduction K
-    spec.k = weight.type.shape[0];   // output features N
-    spec.oy = spec.iy = data.shape[0];  // rows M on the spatial axis
-    spec.weight_dtype = weight.type.dtype;
-  } else {  // add
-    const TensorType& lhs = body.node(anchor->inputs[0]).type;
-    spec.kind = LayerKind::kAdd;
-    if (lhs.shape.rank() == 4) {
-      spec.c = spec.k = lhs.shape[1];
-      spec.iy = spec.oy = lhs.shape[2];
-      spec.ix = spec.ox = lhs.shape[3];
-    } else {
-      spec.c = spec.k = lhs.shape.NumElements();
-    }
-  }
-
+  HTVM_ASSIGN_OR_RETURN(spec, AnalyzeAnchor(body, *anchor));
   if (body.outputs().empty()) {
     return Status::Unsupported("composite body has no output");
   }

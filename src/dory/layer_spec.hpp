@@ -41,9 +41,19 @@ struct AccelLayerSpec {
   i64 Macs() const;
 };
 
-// Analyzes a composite body. Fails with Unsupported when the body is not
-// one of the known accelerator chains (the dispatcher then rejects the
-// match and the ops stay on the CPU path).
+// The one reader of a layer's geometry: `anchor` is a conv2d (dense or
+// depthwise), dense, matmul or add node of `g`, read from its operand and
+// output types and attributes; `requant` stays at its default. Fails with
+// Unsupported for layers no accelerator takes (batch > 1, grouped conv, a
+// non-constant or [K, N] matmul weight, rank > 2 matmul operands). Dispatch
+// logs the message as the layer's CPU-fallback reason, so it reaches the
+// artifact.
+Result<AccelLayerSpec> AnalyzeAnchor(const Graph& g, const Node& anchor);
+
+// Analyzes a composite body: its single anchor (AnalyzeAnchor) plus the
+// requant chain that ends at the body output (AnalyzeRequantChain). Fails
+// with Unsupported when the body is not one of the known accelerator chains
+// (the dispatcher then rejects the match and the ops stay on the CPU path).
 Result<AccelLayerSpec> AnalyzeCompositeBody(const Graph& body);
 
 // Reads the requant epilogue that `root` ends, walking its inputs back to

@@ -143,12 +143,13 @@ std::vector<TileSolution> BeamShortlist(const AccelLayerSpec& spec,
         const i64 est =
             model.EstimateAccelFullCycles(engine, ToGeom(spec, tiler, cand));
         // A later candidate loses ties, so it goes after every equal estimate.
-        if (best.size() == kKeep && est >= best.back().est) return;
+        if (best.size() == kKeep && est >= best.back().est) return true;
         const auto at = std::upper_bound(
             best.begin(), best.end(), est,
             [](i64 e, const Ranked& r) { return e < r.est; });
         best.insert(at, Ranked{est, cand});
         if (best.size() > kKeep) best.pop_back();
+        return true;
       });
   ScheduleSearchStats::Global().RecordCostEvals(evals);
 

@@ -152,7 +152,7 @@ i64 TileL1Bytes(const AccelLayerSpec& spec, AccelTarget target,
 void ForEachTileCandidate(
     const AccelLayerSpec& spec, const hw::DianaConfig& cfg, AccelTarget target,
     const TilerOptions& options,
-    const std::function<void(const TileSolution&)>& visit) {
+    const std::function<bool(const TileSolution&)>& visit) {
   const i64 budget = EffectiveL1Budget(cfg, options);
   const i64 weight_mem = AccelWeightMemBytes(cfg, target);
 
@@ -240,7 +240,7 @@ void ForEachTileCandidate(
           s.l1_bytes = bytes;
           s.objective = 0.0;
           FillTileGrid(spec, s);
-          visit(s);
+          if (!visit(s)) return;
         }
         if (!row_fits) break;
       }
@@ -315,9 +315,23 @@ Result<TileSolution> SolveTiling(const AccelLayerSpec& spec,
           best = cand;
           best.objective = obj;
         }
+        return true;
       });
   if (!feasible) return InfeasibleTilingStatus(spec, cfg, target, options);
   return best;
+}
+
+Status CheckTilingFits(const AccelLayerSpec& spec, const hw::DianaConfig& cfg,
+                       AccelTarget target, const TilerOptions& options) {
+  if (UntiledSolution(spec, cfg, target, options)) return Status::Ok();
+  bool feasible = false;
+  ForEachTileCandidate(spec, cfg, target, options,
+                       [&feasible](const TileSolution&) {
+                         feasible = true;
+                         return false;  // one shape answers the question
+                       });
+  if (!feasible) return InfeasibleTilingStatus(spec, cfg, target, options);
+  return Status::Ok();
 }
 
 }  // namespace htvm::dory

@@ -98,23 +98,31 @@ Result<TileSolution> SolveTiling(const AccelLayerSpec& spec,
                                  AccelTarget target,
                                  const TilerOptions& options);
 
+// Dispatch's feasibility question: Ok exactly when SolveTiling succeeds,
+// else SolveTiling's ResourceExhausted status, message included. It stops
+// at the untiled fast path or at the walk's first feasible shape instead of
+// scoring every shape.
+Status CheckTilingFits(const AccelLayerSpec& spec, const hw::DianaConfig& cfg,
+                       AccelTarget target, const TilerOptions& options);
+
 // --- the candidate walk (docs/schedule_search.md) ------------------------
 //
 // Every tile shape a layer may deploy comes from one streamed walk of the
 // feasible shapes; nothing holds the whole candidate set (a 64-channel
-// 64x64 conv has ~16M of them). SolveTiling folds the walk into the Eq. 1
-// argmax; the graph-beam search (dory/schedule_search.hpp) folds it into
-// a cost-model shortlist.
+// 64x64 conv has ~16M of them). The walk has three consumers: SolveTiling
+// folds it into the Eq. 1 argmax, the graph-beam search
+// (dory/schedule_search.hpp) into a cost-model shortlist, and
+// CheckTilingFits stops it at the first shape.
 
-// Visits every feasible structured tile shape (Eq. 2 L1 bound +
+// Visits the feasible structured tile shapes (Eq. 2 L1 bound +
 // accelerator weight-memory bound) in the solver's deterministic
-// (c, k, oy, ox) nested order. Each shape has its geometry, psum flag, L1
-// bytes and tile grid filled in; `objective` is 0 (scoring is the
-// caller's job). Visits nothing when no shape fits.
+// (c, k, oy, ox) nested order until `visit` returns false. Each shape has
+// its geometry, psum flag, L1 bytes and tile grid filled in; `objective`
+// is 0 (scoring is the caller's job). Visits nothing when no shape fits.
 void ForEachTileCandidate(
     const AccelLayerSpec& spec, const hw::DianaConfig& cfg, AccelTarget target,
     const TilerOptions& options,
-    const std::function<void(const TileSolution&)>& visit);
+    const std::function<bool(const TileSolution&)>& visit);
 
 // The Eq. 1 objective of one feasible candidate (alpha memory-utilization
 // term + Eq. 3/4 PE-alignment + Eq. 5 DMA heuristics, as configured).

@@ -79,11 +79,12 @@ PatternPtr PlainRequant(PatternPtr anchor, bool with_bias) {
 }
 
 // One head-split projection branch: matmul(x, W) + requant -> reshape
-// [S, H, dh] -> transpose [H, S, dh].
-PatternPtr HeadProjection(const std::string& weight_label) {
-  auto mm = HasAttr(
-      IsOp("matmul", {Wildcard(), Labeled(IsConstant(), weight_label)}),
-      "transpose_b", i64{1});
+// [S, H, dh] -> transpose [H, S, dh]. The matmul is bound to `label`.
+PatternPtr HeadProjection(const std::string& label) {
+  auto mm = Labeled(
+      HasAttr(IsOp("matmul", {Wildcard(), IsConstant()}), "transpose_b",
+              i64{1}),
+      label);
   auto q8 = PlainRequant(std::move(mm), /*with_bias=*/true);
   auto heads = IsOp("reshape", {std::move(q8)});
   return IsOp("transpose", {std::move(heads)});
@@ -96,21 +97,20 @@ PatternPtr MultiHeadSelfAttentionPattern() {
   // scaled int8 softmax over Q K^T -> context matmul -> head merge ->
   // output projection. The whole block becomes one `diana.mhsa` composite.
   auto scores = HasAttr(
-      IsOp("matmul", {HeadProjection("q_weight"), HeadProjection("k_weight")}),
+      IsOp("matmul", {HeadProjection("q_proj"), HeadProjection("k_proj")}),
       "transpose_b", i64{1});
   auto probs =
       Labeled(IsOp("nn.softmax", {PlainRequant(std::move(scores),
                                                /*with_bias=*/false)}),
               "probs");
   auto ctx = HasAttr(
-      IsOp("matmul", {std::move(probs), HeadProjection("v_weight")}),
+      IsOp("matmul", {std::move(probs), HeadProjection("v_proj")}),
       "transpose_b", i64{0});
   auto merged = IsOp(
       "reshape",
       {IsOp("transpose", {PlainRequant(std::move(ctx), /*with_bias=*/false)})});
   auto proj = Labeled(
-      HasAttr(IsOp("matmul", {std::move(merged),
-                              Labeled(IsConstant(), "o_weight")}),
+      HasAttr(IsOp("matmul", {std::move(merged), IsConstant()}),
               "transpose_b", i64{1}),
       "anchor");
   return RequantEpilogue(std::move(proj));

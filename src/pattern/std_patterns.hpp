@@ -31,8 +31,8 @@ PatternPtr MatmulActChainPattern();
 
 // Whole encoder attention block: QKV head-split projections -> scaled int8
 // softmax over Q K^T -> context matmul -> head merge -> output projection
-// (+ requant). Binds "anchor" on the output projection matmul plus
-// "q_weight"/"k_weight"/"v_weight"/"o_weight" and "probs".
+// (+ requant). Binds "anchor" on the output projection matmul,
+// "q_proj"/"k_proj"/"v_proj" on the head projection matmuls, and "probs".
 PatternPtr MultiHeadSelfAttentionPattern();
 
 }  // namespace htvm

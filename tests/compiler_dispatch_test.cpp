@@ -53,7 +53,7 @@ TEST(AccelRules, DigitalRejectsHugeStrides) {
   EXPECT_FALSE(DigitalSupports(spec, kCfg));
 }
 
-TEST(SpecFromMatch, ReadsConvGeometry) {
+TEST(AnalyzeAnchor, ReadsConvGeometry) {
   models::ConvLayerParams p;
   p.c = 8;
   p.k = 24;
@@ -64,7 +64,7 @@ TEST(SpecFromMatch, ReadsConvGeometry) {
   MatchResult m;
   ASSERT_TRUE(MatchAt(g, g.outputs()[0], ConvChainPattern(), g.UseCounts(),
                       &m));
-  auto spec = SpecFromMatch(g, m);
+  auto spec = dory::AnalyzeAnchor(g, g.node(m.bindings.at("anchor")));
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->kind, dory::LayerKind::kConv2d);
   EXPECT_EQ(spec->c, 8);
@@ -74,6 +74,133 @@ TEST(SpecFromMatch, ReadsConvGeometry) {
   EXPECT_EQ(spec->sy, 2);
   EXPECT_EQ(spec->oy, 10);
   EXPECT_EQ(spec->ox, 6);
+}
+
+// The matmul reader's own rejects. Dispatch never reaches them (the
+// diana.matmul and diana.mhsa patterns require a constant [N, K] weight),
+// so they only surface as a returned Status.
+TEST(AnalyzeAnchor, RejectsMatmulsTheDigitalArrayCannotRun) {
+  GraphBuilder b;
+  const NodeId x = b.Input("x", Shape{4, 16});
+  const NodeId y = b.Input("y", Shape{8, 16});
+  Graph& g = b.graph();
+  const NodeId act = g.AddOp("matmul", {x, y}, AttrMap{{"transpose_b", i64{1}}});
+  const NodeId kn = g.AddConstant(Tensor(Shape{16, 8}, DType::kInt8), "w");
+  const NodeId wide =
+      g.AddOp("matmul", {x, kn}, AttrMap{{"transpose_b", i64{0}}});
+  EXPECT_EQ(dory::AnalyzeAnchor(g, g.node(act)).status().message(),
+            "matmul: activation weights stay on CPU");
+  EXPECT_EQ(dory::AnalyzeAnchor(g, g.node(wide)).status().message(),
+            "matmul: accel path needs [N, K] weight");
+}
+
+// Characterization of the CPU-fallback reasons dispatch writes into the
+// artifact's dispatch log (and so into the HAB bytes): one graph per reject
+// path of the layer reader plus the tiling-feasibility probe, each reason
+// pinned verbatim.
+struct RejectCase {
+  const char* name;
+  Graph graph;
+  i64 l1_budget_bytes;   // -1: the configured L1
+  const char* pattern;   // the rule whose predicate rejects; "" = none
+  const char* layer;
+  const char* reason;
+};
+
+DispatchLog DispatchDecisions(const Graph& g, i64 l1_budget_bytes) {
+  dory::TilerOptions tiler;
+  tiler.l1_budget_bytes = l1_budget_bytes;
+  DispatchLog log;
+  (void)PartitionGraph(g, MakeDianaDispatchRules(DispatchOptions{}, kCfg,
+                                                 tiler, &log));
+  return log;
+}
+
+Graph BatchedConvGraph() {
+  GraphBuilder b;
+  ConvSpec conv;
+  conv.out_channels = 8;
+  const NodeId x = b.Input("x", Shape{2, 8, 8, 8});
+  return b.Finish(b.ConvBlock(x, WithSamePadding(conv, 8, 8), "conv"));
+}
+
+Graph GroupedConvGraph() {
+  GraphBuilder b;
+  const NodeId x = b.Input("x", Shape{1, 8, 8, 8});
+  Graph& g = b.graph();
+  const NodeId w = g.AddConstant(Tensor(Shape{8, 4, 3, 3}, DType::kInt8), "w");
+  const NodeId conv = g.AddOp(
+      "nn.conv2d", {x, w},
+      AttrMap{{"padding", std::vector<i64>{1, 1, 1, 1}}, {"groups", i64{2}}});
+  const NodeId bias = g.AddConstant(Tensor(Shape{8}, DType::kInt32), "b");
+  const NodeId biased =
+      g.AddOp("nn.bias_add", {conv, bias}, AttrMap{{"axis", i64{1}}});
+  return b.Finish(b.Requant(biased, 7, /*relu=*/true));
+}
+
+Graph BatchedDenseGraph() {
+  GraphBuilder b;
+  const NodeId x = b.Input("x", Shape{2, 16});
+  return b.Finish(b.DenseBlock(x, 8, /*relu=*/true, 7, DType::kInt8, "fc"));
+}
+
+Graph KnMatmulGraph() {
+  GraphBuilder b;
+  const NodeId x = b.Input("x", Shape{4, 16});
+  Graph& g = b.graph();
+  const NodeId w = g.AddConstant(Tensor(Shape{16, 8}, DType::kInt8), "w");
+  const NodeId mm = g.AddOp("matmul", {x, w}, AttrMap{{"transpose_b", i64{0}}});
+  const NodeId bias = g.AddConstant(Tensor(Shape{8}, DType::kInt32), "b");
+  const NodeId biased =
+      g.AddOp("nn.bias_add", {mm, bias}, AttrMap{{"axis", i64{1}}});
+  return b.Finish(b.Requant(biased, 7, /*relu=*/false));
+}
+
+Graph Rank3MatmulGraph() {
+  GraphBuilder b;
+  const NodeId x = b.Input("x", Shape{2, 4, 16});
+  return b.Finish(b.MatmulBlock(x, 8, /*relu=*/false, 7, "proj"));
+}
+
+TEST(Dispatch, RejectReasonsAreStable) {
+  models::ConvLayerParams big;
+  big.c = big.k = 16;
+  big.iy = big.ix = 16;
+  RejectCase cases[] = {
+      {"conv batch 2", BatchedConvGraph(), -1, "diana.conv2d",
+       "(unanalyzable)", "conv2d: batch-1 NCHW required"},
+      {"conv groups 2", GroupedConvGraph(), -1, "diana.conv2d",
+       "(unanalyzable)", "grouped conv unsupported"},
+      {"dense batch 2", BatchedDenseGraph(), -1, "diana.dense",
+       "(unanalyzable)", "dense: batch 1 only"},
+      // The pattern itself requires transpose_b=1: no rule matches, so the
+      // layer stays on the CPU without a logged decision.
+      {"matmul transpose_b=0", KnMatmulGraph(), -1, "", "", ""},
+      {"matmul rank 3", Rank3MatmulGraph(), -1, "diana.matmul",
+       "(unanalyzable)", "matmul: rank-2 operands required"},
+      {"conv over a 16 B L1", models::MakeConvLayerGraph(big), 16,
+       "diana.conv2d", "conv2d C=16 K=16 16x16 k3x3 int8",
+       "tiling infeasible: no feasible tiling for conv2d layer (C=16 K=16 "
+       "in=16x16 kernel=3x3) on the digital target within 16 B L1 (weight "
+       "memory 65536 B)"},
+  };
+  for (const RejectCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const DispatchLog log = DispatchDecisions(c.graph, c.l1_budget_bytes);
+    if (std::string(c.pattern).empty()) {
+      EXPECT_TRUE(log.empty());
+      continue;
+    }
+    // The rewriter may offer one chain at more than one root (with and
+    // without the activation clip); every offer is rejected alike.
+    ASSERT_FALSE(log.empty());
+    for (const DispatchDecision& d : log) {
+      EXPECT_EQ(d.pattern, c.pattern);
+      EXPECT_EQ(d.target, "cpu");
+      EXPECT_EQ(d.layer, c.layer);
+      EXPECT_EQ(d.reason, c.reason);
+    }
+  }
 }
 
 // Only the canonical requant chain reaches an accelerator, whose output

@@ -297,13 +297,63 @@ void CheckSolutionInvariants(const AccelLayerSpec& spec,
   }
 
   // psum accounting is tied to channel tiling for reducing kinds.
-  if (sol.psum) EXPECT_LT(sol.c_t, spec.c) << context;
+  if (sol.psum) {
+    EXPECT_LT(sol.c_t, spec.c) << context;
+  }
+}
+
+// CheckTilingFits answers SolveTiling's feasibility question exactly: the
+// same status code and, when nothing fits, the same message. `sol` is
+// SolveTiling's answer for the same arguments. Returns whether it fit.
+bool FitCheckAgrees(const AccelLayerSpec& spec, AccelTarget target,
+                    i64 budget, const Result<TileSolution>& sol,
+                    const std::string& context) {
+  const Status fits = CheckTilingFits(spec, kCfg, target, WithBudget(budget));
+  EXPECT_EQ(fits.code(), sol.status().code()) << context;
+  EXPECT_EQ(fits.message(), sol.status().message()) << context;
+  return fits.ok();
+}
+
+// The same at a budget the trial's own solve did not use.
+bool FitCheckAgrees(const AccelLayerSpec& spec, AccelTarget target,
+                    i64 budget, const std::string& context) {
+  return FitCheckAgrees(spec, target, budget,
+                        SolveTiling(spec, kCfg, target, WithBudget(budget)),
+                        context + StrFormat(" tight=%lld",
+                                            static_cast<long long>(budget)));
+}
+
+// Tallies the tight-budget fit checks, which must see both answers.
+struct FitTally {
+  int fits = 0, exhausted = 0;
+  void Add(bool fit) { ++(fit ? fits : exhausted); }
+};
+
+// A residual add over the conv layer's input geometry.
+AccelLayerSpec AddSpecOf(const ConvLayerParams& p) {
+  AccelLayerSpec spec;
+  spec.kind = LayerKind::kAdd;
+  spec.c = spec.k = p.c;
+  spec.iy = spec.oy = p.iy;
+  spec.ix = spec.ox = p.ix;
+  return spec;
+}
+
+// A transformer projection with the dense layer's K and N over `rows`.
+AccelLayerSpec MatmulSpecOf(i64 in, i64 out, i64 rows) {
+  AccelLayerSpec spec;
+  spec.kind = LayerKind::kMatmul;
+  spec.c = in;
+  spec.k = out;
+  spec.oy = spec.iy = rows;
+  return spec;
 }
 
 TEST(TilerProperty, RandomConvLayersSatisfyInvariants) {
   Rng rng(0xD0121ull);
   const i64 budgets[] = {2 * 1024, 8 * 1024, 32 * 1024, 256 * 1024};
   int solved = 0;
+  FitTally tight;
   for (int trial = 0; trial < 200; ++trial) {
     const ConvLayerParams p = RandomConvParams(rng);
     const auto spec = MakeConvSpec(p);
@@ -311,10 +361,22 @@ TEST(TilerProperty, RandomConvLayersSatisfyInvariants) {
     const std::string context = StrFormat(
         "trial %d: c=%lld k=%lld iy=%lld ix=%lld kh=%lld s=%lld dw=%d "
         "budget=%lld",
-        trial, p.c, p.k, p.iy, p.ix, p.kh, p.stride, p.depthwise ? 1 : 0,
-        budget);
+        trial, static_cast<long long>(p.c), static_cast<long long>(p.k),
+        static_cast<long long>(p.iy), static_cast<long long>(p.ix),
+        static_cast<long long>(p.kh), static_cast<long long>(p.stride),
+        p.depthwise ? 1 : 0, static_cast<long long>(budget));
     auto sol = SolveTiling(spec, kCfg, AccelTarget::kDigital,
                            WithBudget(budget));
+    // Fit check == solve for this conv/dwconv, and at a budget around the
+    // smallest tile's footprint, for it and for an add over its input.
+    FitCheckAgrees(spec, AccelTarget::kDigital, budget, sol, context);
+    const i64 tight_budget = 8 + trial % 24;
+    tight.Add(FitCheckAgrees(spec, AccelTarget::kDigital, tight_budget,
+                             context));
+    const AccelLayerSpec add = AddSpecOf(p);
+    FitCheckAgrees(add, AccelTarget::kDigital, budget, context + " add");
+    tight.Add(FitCheckAgrees(add, AccelTarget::kDigital, tight_budget,
+                             context + " add"));
     if (!sol.ok()) {
       // The only acceptable failure is a typed resource-exhausted report.
       EXPECT_EQ(sol.status().code(), StatusCode::kResourceExhausted)
@@ -332,11 +394,14 @@ TEST(TilerProperty, RandomConvLayersSatisfyInvariants) {
   // The generator must actually exercise the solver, not just the
   // infeasible path.
   EXPECT_GT(solved, 100);
+  EXPECT_GT(tight.fits, 0);
+  EXPECT_GT(tight.exhausted, 0);
 }
 
 TEST(TilerProperty, RandomAnalogLayersNeverTileChannels) {
   Rng rng(0xA7A106ull);
   int solved = 0;
+  FitTally tight;
   for (int trial = 0; trial < 100; ++trial) {
     ConvLayerParams p = RandomConvParams(rng);
     p.depthwise = false;
@@ -344,11 +409,17 @@ TEST(TilerProperty, RandomAnalogLayersNeverTileChannels) {
     p.weight_dtype = DType::kTernary;
     const auto spec = MakeConvSpec(p);
     const i64 budget = 32 * 1024;
-    const std::string context =
-        StrFormat("trial %d: c=%lld k=%lld iy=%lld ix=%lld", trial, p.c, p.k,
-                  p.iy, p.ix);
+    const std::string context = StrFormat(
+        "trial %d: c=%lld k=%lld iy=%lld ix=%lld", trial,
+        static_cast<long long>(p.c), static_cast<long long>(p.k),
+        static_cast<long long>(p.iy), static_cast<long long>(p.ix));
     auto sol =
         SolveTiling(spec, kCfg, AccelTarget::kAnalog, WithBudget(budget));
+    // Analog tiles keep every input channel, so the smallest tile's
+    // footprint scales with C * kh * kw.
+    FitCheckAgrees(spec, AccelTarget::kAnalog, budget, sol, context);
+    tight.Add(FitCheckAgrees(spec, AccelTarget::kAnalog,
+                             64 + (trial % 16) * 64, context));
     if (!sol.ok()) {
       EXPECT_EQ(sol.status().code(), StatusCode::kResourceExhausted)
           << context;
@@ -363,21 +434,40 @@ TEST(TilerProperty, RandomAnalogLayersNeverTileChannels) {
     EXPECT_FALSE(sol->psum) << context;
   }
   EXPECT_GT(solved, 30);
+  EXPECT_GT(tight.fits, 0);
+  EXPECT_GT(tight.exhausted, 0);
 }
 
 TEST(TilerProperty, RandomDenseLayersSatisfyInvariants) {
   Rng rng(0xDE25Eull);
   int solved = 0;
+  FitTally tight;
   for (int trial = 0; trial < 100; ++trial) {
     const i64 in = rng.UniformInt(1, 2048);
     const i64 out = rng.UniformInt(1, 512);
     const auto spec = MakeDenseSpec(in, out);
     const i64 budget = (trial % 2) ? 16 * 1024 : 64 * 1024;
-    const std::string context =
-        StrFormat("trial %d: in=%lld out=%lld budget=%lld", trial, in, out,
-                  budget);
+    const std::string context = StrFormat(
+        "trial %d: in=%lld out=%lld budget=%lld", trial,
+        static_cast<long long>(in), static_cast<long long>(out),
+        static_cast<long long>(budget));
     auto sol =
         SolveTiling(spec, kCfg, AccelTarget::kDigital, WithBudget(budget));
+    // Fit check == solve for the dense layer, and on both targets for a
+    // matmul with its K and N, at the trial budget and at one around the
+    // smallest tile's footprint.
+    FitCheckAgrees(spec, AccelTarget::kDigital, budget, sol, context);
+    const i64 tight_budget = 2 + trial % 8;
+    tight.Add(FitCheckAgrees(spec, AccelTarget::kDigital, tight_budget,
+                             context));
+    const AccelLayerSpec matmul = MatmulSpecOf(in, out, 1 + trial % 64);
+    for (const AccelTarget target :
+         {AccelTarget::kDigital, AccelTarget::kAnalog}) {
+      const std::string mm_context =
+          context + " matmul on " + AccelTargetName(target);
+      FitCheckAgrees(matmul, target, budget, mm_context);
+      tight.Add(FitCheckAgrees(matmul, target, tight_budget, mm_context));
+    }
     if (!sol.ok()) {
       EXPECT_EQ(sol.status().code(), StatusCode::kResourceExhausted)
           << context;
@@ -387,6 +477,8 @@ TEST(TilerProperty, RandomDenseLayersSatisfyInvariants) {
     CheckSolutionInvariants(spec, *sol, budget, context);
   }
   EXPECT_GT(solved, 50);
+  EXPECT_GT(tight.fits, 0);
+  EXPECT_GT(tight.exhausted, 0);
 }
 
 }  // namespace

@@ -266,7 +266,8 @@ TEST(Property, RequantMonotoneAndBounded) {
     const i64 a = rng.UniformInt(-1'000'000, 1'000'000);
     const i64 b = a + rng.UniformInt(0, 1000);
     RequantParams p{.shift = rng.UniformInt(0, 12),
-                    .relu = rng.UniformInt(0, 1) == 1};
+                    .relu = rng.UniformInt(0, 1) == 1,
+                    .channel_shifts = {}};
     const i8 ra = RequantizeValue(a, p);
     const i8 rb = RequantizeValue(b, p);
     EXPECT_LE(ra, rb);  // monotone

@@ -91,7 +91,10 @@ std::vector<TileSolution> Walk(const AccelLayerSpec& spec, AccelTarget target,
                                const TilerOptions& tiler) {
   std::vector<TileSolution> all;
   ForEachTileCandidate(spec, kCfg, target, tiler,
-                       [&all](const TileSolution& s) { all.push_back(s); });
+                       [&all](const TileSolution& s) {
+                         all.push_back(s);
+                         return true;
+                       });
   return all;
 }
 

@@ -124,10 +124,19 @@ using serve::InferRequest;
 using serve::ScheduledBatch;
 using serve::SchedulerOptions;
 
+// Scheduler options with every other field at its default.
+SchedulerOptions FleetOptions(int fleet_size, int queue_capacity,
+                              int max_batch) {
+  SchedulerOptions o;
+  o.fleet_size = fleet_size;
+  o.queue_capacity = queue_capacity;
+  o.max_batch = max_batch;
+  return o;
+}
+
 TEST(FleetScheduler, RejectsWhenQueueBoundHit) {
-  FleetScheduler sched(SchedulerOptions{/*fleet_size=*/1,
-                                        /*queue_capacity=*/2,
-                                        /*max_batch=*/1});
+  FleetScheduler sched(FleetOptions(/*fleet_size=*/1, /*queue_capacity=*/2,
+                                    /*max_batch=*/1));
   std::vector<ScheduledBatch> out;
   // r0 dispatches immediately; r1 and r2 fill the pending queue; r3 bounces.
   EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 0.0, &out));
@@ -144,9 +153,8 @@ TEST(FleetScheduler, RejectsWhenQueueBoundHit) {
 }
 
 TEST(FleetScheduler, QueuedSameModelRequestsCoalesce) {
-  FleetScheduler sched(SchedulerOptions{/*fleet_size=*/1,
-                                        /*queue_capacity=*/16,
-                                        /*max_batch=*/4});
+  FleetScheduler sched(FleetOptions(/*fleet_size=*/1, /*queue_capacity=*/16,
+                                    /*max_batch=*/4));
   std::vector<ScheduledBatch> out;
   // r0 occupies the SoC until t=100; r1/r2 queue behind it and coalesce.
   EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 10.0, &out));
@@ -163,9 +171,8 @@ TEST(FleetScheduler, QueuedSameModelRequestsCoalesce) {
 }
 
 TEST(FleetScheduler, SpreadsLoadAcrossFleet) {
-  FleetScheduler sched(SchedulerOptions{/*fleet_size=*/2,
-                                        /*queue_capacity=*/16,
-                                        /*max_batch=*/1});
+  FleetScheduler sched(FleetOptions(/*fleet_size=*/2, /*queue_capacity=*/16,
+                                    /*max_batch=*/1));
   std::vector<ScheduledBatch> out;
   EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 0.0, &out));
   EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 0.0}, 100.0, 0.0, &out));

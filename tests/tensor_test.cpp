@@ -73,7 +73,7 @@ TEST(Tensor, ReshapedPreservesData) {
 }
 
 TEST(Quantize, RequantizeValueMatchesShiftClipCast) {
-  RequantParams p{.shift = 4, .relu = false};
+  RequantParams p{.shift = 4, .relu = false, .channel_shifts = {}};
   EXPECT_EQ(RequantizeValue(160, p), 10);
   EXPECT_EQ(RequantizeValue(100000, p), 127);   // saturates high
   EXPECT_EQ(RequantizeValue(-100000, p), -128); // saturates low
@@ -83,7 +83,8 @@ TEST(Quantize, RequantizeValueMatchesShiftClipCast) {
 
 TEST(Quantize, RequantizeTensor) {
   Tensor acc = Tensor::FromInt32(Shape{4}, {256, -256, 100000, 8});
-  Tensor out = RequantizeTensor(acc, {.shift = 4, .relu = false});
+  Tensor out = RequantizeTensor(
+      acc, {.shift = 4, .relu = false, .channel_shifts = {}});
   EXPECT_EQ(out.dtype(), DType::kInt8);
   EXPECT_EQ(out.GetFlat(0), 16);
   EXPECT_EQ(out.GetFlat(1), -16);

@@ -5,9 +5,9 @@
 // p50/p95/p99, queue behaviour, per-SoC utilization) as JSON. All timing is
 // on the simulated clock, so the output is deterministic in the seed.
 //
-//   htvm-serve --model resnet --config mixed --qps 200 --fleet 4 \
+//   htvm-serve --model resnet --config mixed --qps 200 --fleet 4
 //              --duration-s 2 --seed 7
-//   htvm-serve --model resnet,dscnn --config digital --qps 500 --fleet 2 \
+//   htvm-serve --model resnet,dscnn --config digital --qps 500 --fleet 2
 //              --batch 4 --queue-cap 32
 #include <algorithm>
 #include <cstdio>
