@@ -141,44 +141,6 @@ void ArtifactCache::Store(const std::string& key,
   }
 }
 
-std::optional<dory::TileSolution> ArtifactCache::LookupSchedule(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = schedules_.find(key);
-  if (it == schedules_.end()) {
-    stats_.schedule_misses += 1;
-    return std::nullopt;
-  }
-  stats_.schedule_hits += 1;
-  return it->second;
-}
-
-void ArtifactCache::StoreSchedule(const std::string& key,
-                                  const dory::TileSolution& solution) {
-  std::lock_guard<std::mutex> lock(mu_);
-  schedules_[key] = solution;
-  stats_.schedule_entries = static_cast<i64>(schedules_.size());
-}
-
-std::optional<dory::GraphPlan> ArtifactCache::LookupPlan(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = plans_.find(key);
-  if (it == plans_.end()) {
-    stats_.plan_misses += 1;
-    return std::nullopt;
-  }
-  stats_.plan_hits += 1;
-  return it->second;
-}
-
-void ArtifactCache::StorePlan(const std::string& key,
-                              const dory::GraphPlan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  plans_[key] = plan;
-  stats_.plan_entries = static_cast<i64>(plans_.size());
-}
-
 CacheStats ArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -193,8 +155,6 @@ void ArtifactCache::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
-  schedules_.clear();
-  plans_.clear();
   unreadable_.clear();
   stats_ = CacheStats{};
 }
@@ -203,8 +163,6 @@ void ArtifactCache::Reset(const ArtifactCacheOptions& new_options) {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
-  schedules_.clear();
-  plans_.clear();
   unreadable_.clear();
   stats_ = CacheStats{};
   options_ = new_options;

@@ -55,19 +55,6 @@ struct CacheStats {
   i64 bytes = 0;        // current in-memory bytes (resident-size estimate)
   i64 miss_cost_ns = 0;  // total pass-pipeline time paid on misses
   i64 saved_ns = 0;      // total pass-pipeline time avoided on hits
-  // Schedule-memo counters (docs/schedule_search.md): per-layer winning
-  // tile solutions remembered across compiles by LookupSchedule /
-  // StoreSchedule. A schedule hit skips that layer's whole search even
-  // when the artifact-level key misses.
-  i64 schedule_hits = 0;
-  i64 schedule_misses = 0;
-  i64 schedule_entries = 0;
-  // Graph-plan memo counters (the same idea one level up): searched
-  // fusion/dispatch GraphPlans remembered by LookupPlan / StorePlan. A
-  // plan hit skips the whole graph-level search.
-  i64 plan_hits = 0;
-  i64 plan_misses = 0;
-  i64 plan_entries = 0;
 };
 
 class ArtifactCache final : public compiler::ArtifactCacheHook {
@@ -81,18 +68,6 @@ class ArtifactCache final : public compiler::ArtifactCacheHook {
       const std::string& key) override;
   void Store(const std::string& key,
              const compiler::Artifact& artifact) override;
-  // Per-layer schedule memo. Entries are a few dozen bytes (one
-  // TileSolution), so they live outside the byte-budgeted artifact LRU in
-  // a plain map cleared by Reset().
-  std::optional<dory::TileSolution> LookupSchedule(
-      const std::string& key) override;
-  void StoreSchedule(const std::string& key,
-                     const dory::TileSolution& solution) override;
-  // Graph-plan memo (one GraphPlan per partitioned graph x SoC x search
-  // problem); same lifecycle as the schedule memo.
-  std::optional<dory::GraphPlan> LookupPlan(const std::string& key) override;
-  void StorePlan(const std::string& key,
-                 const dory::GraphPlan& plan) override;
 
   CacheStats stats() const;
   ArtifactCacheOptions options() const;
@@ -120,8 +95,6 @@ class ArtifactCache final : public compiler::ArtifactCacheHook {
   ArtifactCacheOptions options_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::unordered_map<std::string, dory::TileSolution> schedules_;
-  std::unordered_map<std::string, dory::GraphPlan> plans_;
   // Keys whose disk entry exists but failed to load; their next Store
   // overwrites the file instead of trusting that it exists.
   std::unordered_set<std::string> unreadable_;

@@ -13,7 +13,7 @@ namespace {
 // v4: graph-level search joined (plan-finalist knob; the kind enum grew
 // graph-level kinds) — a graph-planned artifact carries a
 // different partitioning (fusions, dispatch flips) than a tile-only-tuned
-// one, and the searched GraphPlan is memoized next to the TileSolutions.
+// one.
 // v5: the hashed search fields shrank to the kind alone (the search knobs
 // became constants; only heuristic and graph-beam remain).
 constexpr u64 kOptionsFingerprintVersion = 5;

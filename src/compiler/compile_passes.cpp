@@ -11,7 +11,6 @@
 #include "hw/cpu.hpp"
 #include "dory/weight_layout.hpp"
 #include "ir/passes.hpp"
-#include "ir/structural_hash.hpp"
 #include "nn/interpreter.hpp"
 #include "support/logging.hpp"
 #include "support/string_utils.hpp"
@@ -80,31 +79,7 @@ class PartitionGraphPass final : public Pass {
 
     HTVM_ASSIGN_OR_RETURN(units,
                           ExtractPlanUnits(state.graph, state.options));
-    // Plan memo: a previously searched plan for the same (partitioned
-    // graph x SoC x problem) replays with zero evaluations; a remembered
-    // plan that no longer fits the units (stale entry) falls through to a
-    // fresh search.
-    std::string memo_key;
-    std::optional<dory::GraphPlan> remembered;
-    if (state.options.cache != nullptr) {
-      memo_key = PlanMemoKey(state.graph, state.options);
-      remembered = state.options.cache->LookupPlan(memo_key);
-      if (remembered && (remembered->soc_name != state.options.soc.name ||
-                         !PlanMatchesUnits(*remembered, units))) {
-        remembered.reset();
-      }
-    }
-    dory::GraphPlan plan;
-    if (remembered) {
-      dory::ScheduleSearchStats::Global().RecordMemoHit();
-      plan = std::move(*remembered);
-    } else {
-      HTVM_ASSIGN_OR_RETURN(searched, SearchGraphPlan(units, state.options));
-      plan = std::move(searched);
-      if (!memo_key.empty()) {
-        state.options.cache->StorePlan(memo_key, plan);
-      }
-    }
+    HTVM_ASSIGN_OR_RETURN(plan, SearchGraphPlan(units, state.options));
     HTVM_ASSIGN_OR_RETURN(planned,
                           ApplyGraphPlan(state.graph, units, plan));
     state.graph = std::move(planned);
@@ -135,25 +110,6 @@ class LowerToKernelsPass final : public Pass {
     return Status::Ok();
   }
 };
-
-// Per-kernel compilation: DORY tiling schedules for accelerator
-// composites, the cost/size models for CPU composites.
-//
-// Schedule-memo key for one accelerator composite: the canonical structural
-// hash of the composite body x the SoC fingerprint x the target x every
-// tiler/search knob that changes the search problem. Deliberately
-// independent of options that cannot change the winning tile shape (size
-// model, dispatch gates, compile_threads), so a tuned schedule is reused
-// across artifact-key misses those options cause.
-std::string ScheduleMemoKey(const Graph& body, const CompileOptions& options,
-                            dory::AccelTarget target) {
-  ir::Hasher h(/*seed=*/0x73636864ull);  // "schd"
-  h.AddHash(ir::StructuralHash(body));
-  h.Add(options.soc.Fingerprint());
-  h.AddHash(dory::ScheduleSearchProblemFingerprint(
-      target, options.tiler, options.schedule_search));
-  return "sched-" + h.Digest().ToHex();
-}
 
 // Whole-block MHSA kernel (diana.mhsa): the digital array executes the
 // four projection matmuls (heuristic DORY schedules), the closed-form cost
@@ -264,6 +220,9 @@ Status CompileFusedKernel(const Node& n, const CompileOptions& options,
   return Status::Ok();
 }
 
+// Per-kernel compilation: DORY tiling schedules for accelerator
+// composites, the cost/size models for CPU composites.
+//
 // Each composite's schedule is independent, so the per-kernel loop is
 // sharded over the shared thread pool (options.compile_threads lanes).
 // Determinism contract (locked down by tests/parallel_compile_test.cpp):
@@ -311,33 +270,10 @@ class CompileKernelsPass final : public Pass {
             kernel.target == "analog" ? dory::AccelTarget::kAnalog
                                       : dory::AccelTarget::kDigital;
         HTVM_ASSIGN_OR_RETURN(spec, dory::AnalyzeCompositeBody(*n.body));
-        // Cost-guided searches consult the per-layer schedule memo first
-        // (composite StructuralHash x SoC fingerprint x tiler/search
-        // options): a remembered winner skips the whole search — zero
-        // cost-model or simulator evaluations. The heuristic default
-        // bypasses the memo entirely; its pick is already O(candidates).
-        const bool searched = options.schedule_search.kind !=
-                              dory::ScheduleSearchKind::kHeuristic;
-        std::string memo_key;
-        std::optional<dory::TileSolution> remembered;
-        if (searched && options.cache != nullptr) {
-          memo_key = ScheduleMemoKey(*n.body, options, accel_target);
-          remembered = options.cache->LookupSchedule(memo_key);
-        }
-        Result<dory::AccelSchedule> sched_or =
-            remembered ? dory::BuildScheduleWithSolution(
-                             spec, options.soc.config, accel_target,
-                             options.tiler, *remembered)
-                       : dory::SearchSchedule(spec, options.soc.config,
-                                              accel_target, options.tiler,
-                                              options.schedule_search);
-        if (!sched_or.ok()) return sched_or.status();
-        dory::AccelSchedule sched = std::move(sched_or.value());
-        if (remembered) {
-          dory::ScheduleSearchStats::Global().RecordMemoHit();
-        } else if (!memo_key.empty()) {
-          options.cache->StoreSchedule(memo_key, sched.solution);
-        }
+        HTVM_ASSIGN_OR_RETURN(
+            sched,
+            dory::SearchSchedule(spec, options.soc.config, accel_target,
+                                 options.tiler, options.schedule_search));
         kernel.perf = dory::SchedulePerf(sched, kernel.name);
         kernel.code_bytes = tvmgen::AccelKernelCodeBytes(
             options.size_model, sched.solution.needs_tiling);

@@ -143,10 +143,19 @@ MatchPredicate MakeMhsaPredicate(const DispatchOptions& options,
 }  // namespace
 
 std::vector<PatternRule> MakeDianaDispatchRules(
-    const DispatchOptions& options, const hw::DianaConfig& cfg,
+    const DispatchOptions& requested, const hw::SocDescription& soc,
     const dory::TilerOptions& tiler_options, DispatchLog* log) {
+  DispatchOptions options = requested;
+  options.enable_digital = options.enable_digital && soc.has_digital;
+  options.enable_analog = options.enable_analog && soc.has_analog;
+  const hw::DianaConfig& cfg = soc.config;
   std::vector<PatternRule> rules;
-  if (options.enable_attention_offload && options.enable_digital) {
+  // Attention offload is reserved for the full-featured SoCs: reduced
+  // variants (no analog array, scalar host) execute transformer blocks
+  // per-op on the CPU path instead, which is exactly the fallback the
+  // transformer differential tests pin down.
+  if (options.enable_digital && soc.has_analog &&
+      soc.simd == hw::CpuSimdClass::kXpulpV2) {
     // Higher priority than the per-op rules so PartitionGraph hands the
     // whole attention block to the digital accelerator in one piece.
     rules.push_back({"diana.mhsa", MultiHeadSelfAttentionPattern(),
@@ -189,22 +198,6 @@ std::vector<PatternRule> MakeDianaDispatchRules(
     rules.push_back({"pulpnn.add", AddChainPattern(), tuned, 5});
   }
   return rules;
-}
-
-std::vector<PatternRule> MakeDianaDispatchRules(
-    const DispatchOptions& options, const hw::SocDescription& soc,
-    const dory::TilerOptions& tiler_options, DispatchLog* log) {
-  DispatchOptions gated = options;
-  gated.enable_digital = gated.enable_digital && soc.has_digital;
-  gated.enable_analog = gated.enable_analog && soc.has_analog;
-  // Attention offload is reserved for the full-featured SoCs: reduced
-  // variants (no analog array, scalar host) execute transformer blocks
-  // per-op on the CPU path instead, which is exactly the fallback the
-  // transformer differential tests pin down.
-  gated.enable_attention_offload = gated.enable_attention_offload &&
-                                   soc.has_digital && soc.has_analog &&
-                                   soc.simd == hw::CpuSimdClass::kXpulpV2;
-  return MakeDianaDispatchRules(gated, soc.config, tiler_options, log);
 }
 
 }  // namespace htvm::compiler

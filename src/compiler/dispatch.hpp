@@ -24,12 +24,6 @@ struct DispatchOptions {
   // chains neither accelerator accepted (the Sec. V extension hook:
   // "HTVM can easily be expanded with other BYOC codegens").
   bool enable_tuned_cpu_library = false;
-  // Transformer workloads: whole-MHSA-block offload (diana.mhsa) and
-  // constant-weight matmul chains (diana.matmul) on the digital array. The
-  // SoC-family overload additionally restricts this to full-featured SoCs
-  // (digital + analog + XpulpV2 host); reduced variants run attention
-  // per-op on the CPU.
-  bool enable_attention_offload = true;
 };
 
 // One dispatch decision, for the compile-time report ("why did my layer
@@ -43,17 +37,15 @@ struct DispatchDecision {
 };
 using DispatchLog = std::vector<DispatchDecision>;
 
-// The DIANA rule set: diana.conv2d / diana.dense / diana.add (plus the
-// optional tuned CPU library). When `log` is non-null every structural
-// match's accept/reject decision is appended to it.
-std::vector<PatternRule> MakeDianaDispatchRules(
-    const DispatchOptions& options, const hw::DianaConfig& cfg,
-    const dory::TilerOptions& tiler_options, DispatchLog* log = nullptr);
-
-// SoC-family entry point: a SoC without an accelerator never receives
-// rules for it, regardless of `options` (an absent engine beats an enabled
-// flag). Delegates to the DianaConfig overload with the presence flags
-// ANDed in.
+// The DIANA rule set for `soc`: diana.conv2d / diana.dense / diana.add
+// (plus the optional tuned CPU library). A SoC without an accelerator never
+// receives rules for it, regardless of `options` (an absent engine beats an
+// enabled flag). Transformer workloads get whole-MHSA-block offload
+// (diana.mhsa) and constant-weight matmul chains (diana.matmul) on the
+// digital array only on full-featured SoCs (digital + analog + XpulpV2
+// host); reduced variants run attention per-op on the CPU. When `log` is
+// non-null every structural match's accept/reject decision is appended to
+// it.
 std::vector<PatternRule> MakeDianaDispatchRules(
     const DispatchOptions& options, const hw::SocDescription& soc,
     const dory::TilerOptions& tiler_options, DispatchLog* log = nullptr);

@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,40 +63,6 @@ class ArtifactCacheHook {
   virtual std::shared_ptr<const Artifact> Lookup(const std::string& key) = 0;
   // Called with the freshly compiled artifact after a miss.
   virtual void Store(const std::string& key, const Artifact& artifact) = 0;
-
-  // Per-layer schedule memo (docs/schedule_search.md): CompileKernels asks
-  // for a previously searched winning TileSolution before running a
-  // cost-guided search, and stores the winner after one. Keys are built by
-  // the compiler from the composite's StructuralHash x SoC fingerprint x
-  // tiler/search options — independent of the artifact-level Key(), so a
-  // tuned schedule is reused even when the artifact key misses (e.g. a
-  // size-model change). Default: no memo (heuristic compiles never call
-  // these).
-  virtual std::optional<dory::TileSolution> LookupSchedule(
-      const std::string& key) {
-    (void)key;
-    return std::nullopt;
-  }
-  virtual void StoreSchedule(const std::string& key,
-                             const dory::TileSolution& solution) {
-    (void)key;
-    (void)solution;
-  }
-
-  // Graph-plan memo (docs/schedule_search.md "Graph-level search"): the
-  // same idea one level up — PartitionGraph asks for a previously searched
-  // fusion/dispatch GraphPlan before running a graph-level search, keyed
-  // on the partitioned graph's StructuralHash x SoC fingerprint x problem
-  // fingerprint. Default: no memo (non-graph kinds never call these).
-  virtual std::optional<dory::GraphPlan> LookupPlan(const std::string& key) {
-    (void)key;
-    return std::nullopt;
-  }
-  virtual void StorePlan(const std::string& key,
-                         const dory::GraphPlan& plan) {
-    (void)key;
-    (void)plan;
-  }
 };
 
 // One pipeline stage. Passes must be deterministic functions of the state:

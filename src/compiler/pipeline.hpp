@@ -54,17 +54,15 @@ struct CompileOptions {
   // searches the feasible candidates with hw::CostModel scoring +
   // simulator validation, and the fusion/dispatch plan one level up
   // (compiler/plan_search.hpp). Part of cache::OptionsFingerprint —
-  // tuned and heuristic artifacts never share a cache entry. Winning
-  // per-layer schedules are additionally memoized through
-  // ArtifactCacheHook::{Lookup,Store}Schedule, so re-tuning a seen layer
-  // on the same SoC costs zero evaluations.
+  // tuned and heuristic artifacts never share a cache entry, and a repeat
+  // compile served by the artifact cache performs zero evaluations.
   dory::ScheduleSearchOptions schedule_search;
   tvmgen::SizeModelConfig size_model;
   // Which SoC family member to compile for (hw/soc.hpp). The default is
   // the paper's DIANA chip; other registered variants change the tiler
-  // bounds, dispatch cost model, L2 planner, and artifact identity. The
-  // SoC fingerprint joins the artifact-cache key, so distinct SoCs never
-  // share a cache entry.
+  // bounds, dispatch cost model, L2 planner, and artifact identity.
+  // cache::OptionsFingerprint hashes its name and every config field, so
+  // distinct SoCs never share a cache entry.
   hw::SocDescription soc;
   // CompileKernels sharding (docs/compiler_passes.md "Parallel
   // CompileKernels"): concurrent per-kernel compile lanes on the shared

@@ -9,7 +9,6 @@
 #include "hw/cost_model.hpp"
 #include "ir/map_graph.hpp"
 #include "ir/passes.hpp"
-#include "ir/structural_hash.hpp"
 #include "nn/interpreter.hpp"
 #include "tvmgen/cost_model.hpp"
 
@@ -349,16 +348,6 @@ Result<dory::GraphPlan> HeuristicGraphPlan(const Graph& network,
   g = PartitionGraph(g, rules);
   HTVM_ASSIGN_OR_RETURN(units, ExtractPlanUnits(g, options));
   return HeuristicPlanForUnits(units, options.soc.name);
-}
-
-std::string PlanMemoKey(const Graph& partitioned,
-                        const CompileOptions& options) {
-  ir::Hasher h(/*seed=*/0x706c616eull);  // "plan"
-  h.AddHash(ir::StructuralHash(partitioned));
-  h.Add(options.soc.Fingerprint());
-  h.AddHash(dory::ScheduleSearchProblemFingerprint(
-      dory::AccelTarget::kDigital, options.tiler, options.schedule_search));
-  return "plan-" + h.Digest().ToHex();
 }
 
 }  // namespace htvm::compiler

@@ -90,7 +90,8 @@ i64 PlanChainCycles(const std::vector<PlanUnit>& units,
                     const dory::GraphPlan& plan);
 
 // True when `plan` is a legal decision vector for `units` (size, patterns,
-// per-unit target freedom, fusion legality) — the memo-replay guard.
+// per-unit target freedom, fusion legality) — ApplyGraphPlan's guard
+// against a plan that does not belong to these units.
 bool PlanMatchesUnits(const dory::GraphPlan& plan,
                       const std::vector<PlanUnit>& units);
 
@@ -106,10 +107,5 @@ Result<Graph> ApplyGraphPlan(const Graph& partitioned,
 // deploys, pinned under tests/golden/plan/.
 Result<dory::GraphPlan> HeuristicGraphPlan(const Graph& network,
                                            const CompileOptions& options);
-
-// Plan-memo cache key: StructuralHash(partitioned) x SoC fingerprint x
-// search/tiler problem fingerprint (ArtifactCacheHook::{Lookup,Store}Plan).
-std::string PlanMemoKey(const Graph& partitioned,
-                        const CompileOptions& options);
 
 }  // namespace htvm::compiler

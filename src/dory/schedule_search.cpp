@@ -193,18 +193,7 @@ ScheduleSearchStats& ScheduleSearchStats::Global() {
 void ScheduleSearchStats::Reset() {
   cost_model_evals_ = 0;
   simulator_evals_ = 0;
-  memo_hits_ = 0;
   layers_searched_ = 0;
-}
-
-ir::Hash128 ScheduleSearchProblemFingerprint(
-    AccelTarget target, const TilerOptions& tiler,
-    const ScheduleSearchOptions& search) {
-  ir::Hasher h(/*seed=*/0x73727063ull);  // "srpc"
-  ir::HashFields fields{h};
-  VisitFields(fields, tiler);
-  h.Add(static_cast<i64>(target)).Add(static_cast<i64>(search.kind));
-  return h.Digest();
 }
 
 Result<AccelSchedule> SearchSchedule(const AccelLayerSpec& spec,

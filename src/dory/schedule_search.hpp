@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "dory/schedule.hpp"
-#include "ir/structural_hash.hpp"
 
 namespace htvm::dory {
 
@@ -56,28 +55,24 @@ struct ScheduleSearchOptions {
 
 // Process-wide search-effort counters (reset by tests/benches; reported by
 // `htvmc --schedule-search ...`). A compile served from the artifact cache
-// or the schedule memo performs zero evaluations — the CI smoke greps for
-// exactly that.
+// performs zero evaluations — the CI smoke greps for exactly that.
 class ScheduleSearchStats {
  public:
   static ScheduleSearchStats& Global();
 
   void RecordCostEvals(i64 n) { cost_model_evals_ += n; }
   void RecordSimEvals(i64 n) { simulator_evals_ += n; }
-  void RecordMemoHit() { ++memo_hits_; }
   void RecordSearchedLayer() { ++layers_searched_; }
   void Reset();
 
   i64 cost_model_evals() const { return cost_model_evals_.load(); }
   i64 simulator_evals() const { return simulator_evals_.load(); }
-  i64 memo_hits() const { return memo_hits_.load(); }
   i64 layers_searched() const { return layers_searched_.load(); }
   i64 TotalEvals() const { return cost_model_evals() + simulator_evals(); }
 
  private:
   std::atomic<i64> cost_model_evals_{0};
   std::atomic<i64> simulator_evals_{0};
-  std::atomic<i64> memo_hits_{0};
   std::atomic<i64> layers_searched_{0};
 };
 
@@ -103,13 +98,5 @@ std::vector<TileSolution> BeamShortlist(const AccelLayerSpec& spec,
                                         AccelTarget target,
                                         const TilerOptions& tiler,
                                         const TileSolution& heuristic_pick);
-
-// Deterministic identity of one layer search problem: target x tiler knobs
-// (their VisitFields walk) x search kind. Keys the in-memory schedule and
-// plan memos, joined by the caller with the body hash and the SoC
-// fingerprint.
-ir::Hash128 ScheduleSearchProblemFingerprint(
-    AccelTarget target, const TilerOptions& tiler,
-    const ScheduleSearchOptions& search);
 
 }  // namespace htvm::dory

@@ -104,9 +104,9 @@ struct DianaConfig {
 };
 
 // The one field list of DianaConfig, in its canonical order. The HAB
-// hw-config section, the artifact-cache options fingerprint and
-// SocDescription::Fingerprint all walk it, so a field added here reaches
-// every encoding and key. `io` takes I64 and F64 calls.
+// hw-config section and the artifact-cache options fingerprint both walk
+// it, so a field added here reaches every encoding and key. `io` takes I64
+// and F64 calls.
 template <typename Io, RecordOf<DianaConfig> C>
 void VisitFields(Io& io, C& c) {
   io.I64(c.l1_bytes);

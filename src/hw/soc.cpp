@@ -5,25 +5,6 @@
 namespace htvm::hw {
 namespace {
 
-// FNV-1a 64 (the same function the HAB section checksums use; duplicated
-// here because hw must not depend on src/vm).
-struct Fnv {
-  u64 state = 0xcbf29ce484222325ull;
-  void Bytes(const void* data, size_t size) {
-    const u8* p = static_cast<const u8*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      state ^= p[i];
-      state *= 0x100000001b3ull;
-    }
-  }
-  void I64(i64 v) { Bytes(&v, sizeof v); }
-  void F64(double v) { Bytes(&v, sizeof v); }
-  void Str(const std::string& s) {
-    I64(static_cast<i64>(s.size()));
-    Bytes(s.data(), s.size());
-  }
-};
-
 SocDescription MakeL1Half() {
   SocDescription soc;
   soc.name = "diana-l1half";
@@ -83,16 +64,6 @@ const char* CpuSimdClassName(CpuSimdClass simd) {
       return "xpulpv2";
   }
   return "?";
-}
-
-u64 SocDescription::Fingerprint() const {
-  Fnv f;
-  f.Str(name);
-  f.I64(has_digital ? 1 : 0);
-  f.I64(has_analog ? 1 : 0);
-  f.I64(static_cast<i64>(simd));
-  VisitFields(f, config);
-  return f.state;
 }
 
 SocRegistry::SocRegistry() {

@@ -15,8 +15,9 @@
 //
 // Everything downstream keys on the description: the compiler threads it
 // through dispatch/tiling/planning (CompileOptions::soc), the artifact
-// cache folds Fingerprint() into the key so two SoCs can never collide on
-// one entry, artifacts record their SoC name (a HAB section), and
+// cache's cache::OptionsFingerprint hashes the identity and every config
+// field so two SoCs can never collide on one entry, artifacts record their
+// SoC name (a HAB section), and
 // the serve fleet mixes instances of several SoCs with model-aware
 // placement.
 #pragma once
@@ -45,11 +46,6 @@ struct SocDescription {
   bool has_digital = true;
   bool has_analog = true;
   CpuSimdClass simd = CpuSimdClass::kXpulpV2;
-
-  // FNV-1a 64 over the identity (name, presence flags, SIMD class) and
-  // every DianaConfig field. Joins the artifact-cache key: two registered
-  // SoCs — even with identical geometry — never share a cache entry.
-  u64 Fingerprint() const;
 
   static SocDescription Diana() { return SocDescription{}; }
 };

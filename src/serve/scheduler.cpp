@@ -23,8 +23,6 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
       return "model-aware";
     case PlacementPolicy::kRoundRobin:
       return "round-robin";
-    case PlacementPolicy::kEarliestFree:
-      return "earliest-free";
   }
   return "?";
 }

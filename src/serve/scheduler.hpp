@@ -63,11 +63,11 @@ const char* SocHealthName(SocHealth health);
 //                 per-(model, SoC-kind) service time), breaking ties by
 //                 earlier free time then lower index. For a homogeneous
 //                 fleet (or a model with no per-kind timing) this reduces
-//                 exactly to kEarliestFree — the pre-SoC-family behavior.
+//                 exactly to the earliest-free live SoC that can run the
+//                 model — the pre-SoC-family behavior.
 //   kRoundRobin   cycle through live SoCs regardless of predicted latency
 //                 (the baseline bench_serving --check compares against).
-//   kEarliestFree earliest-free live SoC that can run the model.
-enum class PlacementPolicy : u8 { kModelAware, kRoundRobin, kEarliestFree };
+enum class PlacementPolicy : u8 { kModelAware, kRoundRobin };
 const char* PlacementPolicyName(PlacementPolicy policy);
 
 // Per-SoC health as observed by the scheduler. `kDegraded` is sticky: a SoC

@@ -89,8 +89,8 @@ class InferenceServer {
   // workers serving the same model compile once, and a persisted cache
   // (--cache-dir) makes a restarted fleet compile nothing. On a
   // heterogeneous fleet the network is compiled once per distinct SoC kind
-  // (each a separate cache entry keyed by the SoC fingerprint), and
-  // per-kind cache deltas land in ServingMetrics::cache_by_kind. The
+  // (a separate cache entry each: the options fingerprint hashes the SoC),
+  // and per-kind cache deltas land in ServingMetrics::cache_by_kind. The
   // cache's hit/miss/evict counters and saved compile time land in
   // ServingMetrics::cache at Drain.
   Result<int> RegisterModel(std::string name, const Graph& network,

@@ -506,6 +506,11 @@ TEST(ServeCli, BadFleetSpecFails) {
   EXPECT_NE(ReadAll(out).find("bogus"), std::string::npos);
   EXPECT_NE(RunServe("--model dscnn --placement sometimes", &out,
                      "/serve_badplace.txt"), 0);
+  // earliest-free is no policy of its own: model-aware reduces to it on a
+  // fleet of one SoC kind.
+  EXPECT_NE(RunServe("--model dscnn --placement earliest-free", &out,
+                     "/serve_badplace.txt"), 0);
+  EXPECT_NE(ReadAll(out).find("model-aware|round-robin"), std::string::npos);
 }
 
 }  // namespace

@@ -111,7 +111,8 @@ DispatchLog DispatchDecisions(const Graph& g, i64 l1_budget_bytes) {
   dory::TilerOptions tiler;
   tiler.l1_budget_bytes = l1_budget_bytes;
   DispatchLog log;
-  (void)PartitionGraph(g, MakeDianaDispatchRules(DispatchOptions{}, kCfg,
+  (void)PartitionGraph(g, MakeDianaDispatchRules(DispatchOptions{},
+                                                 hw::SocDescription::Diana(),
                                                  tiler, &log));
   return log;
 }
@@ -254,7 +255,8 @@ TEST(Dispatch, NonCanonicalRequantChainStaysOnCpu) {
 
 TEST(Dispatch, RoutesByWeightDtype) {
   const DispatchOptions both;
-  const auto rules = MakeDianaDispatchRules(both, kCfg, {});
+  const auto rules =
+      MakeDianaDispatchRules(both, hw::SocDescription::Diana(), {});
 
   models::ConvLayerParams p8;
   p8.c = 16;
@@ -282,7 +284,8 @@ TEST(Dispatch, DisabledAcceleratorFallsToCpu) {
   DispatchOptions digital_off;
   digital_off.enable_digital = false;
   digital_off.enable_analog = false;
-  const auto rules = MakeDianaDispatchRules(digital_off, kCfg, {});
+  const auto rules =
+      MakeDianaDispatchRules(digital_off, hw::SocDescription::Diana(), {});
   models::ConvLayerParams p;
   Graph g = models::MakeConvLayerGraph(p);
   Graph part = PartitionGraph(g, rules);
@@ -300,7 +303,8 @@ TEST(Dispatch, TernaryWithoutAnalogStaysOnCpu) {
   // digital).
   DispatchOptions analog_off;
   analog_off.enable_analog = false;
-  const auto rules = MakeDianaDispatchRules(analog_off, kCfg, {});
+  const auto rules =
+      MakeDianaDispatchRules(analog_off, hw::SocDescription::Diana(), {});
   models::ConvLayerParams p;
   p.weight_dtype = DType::kTernary;
   Graph g = models::MakeConvLayerGraph(p);
@@ -312,7 +316,8 @@ TEST(Dispatch, TernaryWithoutAnalogStaysOnCpu) {
 
 TEST(Dispatch, AddGoesDigital) {
   Graph g = models::MakeAddLayerGraph(16, 8, 8);
-  const auto rules = MakeDianaDispatchRules({}, kCfg, {});
+  const auto rules =
+      MakeDianaDispatchRules({}, hw::SocDescription::Diana(), {});
   Graph part = PartitionGraph(g, rules);
   std::string target;
   for (const Node& n : part.nodes()) {
@@ -322,7 +327,8 @@ TEST(Dispatch, AddGoesDigital) {
 }
 
 TEST(Dispatch, DenseGoesDigitalOrAnalogByDtype) {
-  const auto rules = MakeDianaDispatchRules({}, kCfg, {});
+  const auto rules =
+      MakeDianaDispatchRules({}, hw::SocDescription::Diana(), {});
   Graph g8 = models::MakeDenseLayerGraph(64, 32, DType::kInt8);
   Graph gt = models::MakeDenseLayerGraph(64, 32, DType::kTernary);
   const Graph p8 = PartitionGraph(g8, rules);

@@ -9,9 +9,8 @@
 //      including across CompileKernels thread counts.
 //   3. The hw::CostModel ranks candidates in (nearly) simulator order —
 //      pinned as a Spearman rank correlation over the candidate set.
-//   4. Winning schedules are memoized per (network x SoC x search problem):
-//      a second compile that misses the artifact cache still performs zero
-//      schedule evaluations.
+//   4. A whole-network graph-beam compile is byte-identical across
+//      CompileKernels thread counts.
 //   5. An infeasibly small L1 budget is a typed ResourceExhausted naming
 //      the layer and the budget, not a crash or a silent fallback.
 //   6. The streamed beam shortlist is exactly the head of the full sort of
@@ -26,7 +25,6 @@
 #include <cmath>
 #include <vector>
 
-#include "cache/artifact_cache.hpp"
 #include "compiler/pipeline.hpp"
 #include "dory/schedule_search.hpp"
 #include "dory/tiled_exec.hpp"
@@ -441,7 +439,7 @@ TEST(ScheduleSearch, StreamedShortlistEqualsFullSort) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Whole-network properties: thread-count determinism + schedule memo
+// 4. Whole-network property: thread-count determinism
 // ---------------------------------------------------------------------------
 
 TEST(ScheduleSearch, CompileThreadCountDoesNotChangeSearchedArtifact) {
@@ -459,36 +457,6 @@ TEST(ScheduleSearch, CompileThreadCountDoesNotChangeSearchedArtifact) {
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(*seq),
                       vm::SerializeHabForDiff(*par));
-}
-
-TEST(ScheduleSearch, MemoizedSecondCompilePerformsZeroEvaluations) {
-  const Graph net = models::BuildToyAdmosDae(models::PrecisionPolicy::kInt8);
-  cache::ArtifactCache cache;
-  compiler::CompileOptions opt = compiler::CompileOptions::DigitalOnly();
-  opt.schedule_search.kind = ScheduleSearchKind::kGraphBeam;
-  opt.cache = &cache;
-
-  ScheduleSearchStats::Global().Reset();
-  auto first = compiler::HtvmCompiler{opt}.Compile(net);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_GT(ScheduleSearchStats::Global().TotalEvals(), 0)
-      << "cold compile must actually search";
-  ASSERT_GT(cache.stats().schedule_entries, 0);
-
-  // Perturb an option the schedule memo key ignores (code-size model): the
-  // artifact-level key misses, the whole pipeline reruns, but every layer
-  // search is served from the memo.
-  opt.size_model.tvm_runtime_bytes += 1;
-  ScheduleSearchStats::Global().Reset();
-  auto second = compiler::HtvmCompiler{opt}.Compile(net);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(ScheduleSearchStats::Global().TotalEvals(), 0)
-      << "memoized compile re-searched";
-  EXPECT_GT(ScheduleSearchStats::Global().memo_hits(), 0);
-  EXPECT_GT(cache.stats().schedule_hits, 0);
-  // And the memoized schedules produce the same kernels.
-  EXPECT_PRED_FORMAT2(test::HabBytesEq, vm::SerializeHabForDiff(*first),
-                      vm::SerializeHabForDiff(*second));
 }
 
 // ---------------------------------------------------------------------------

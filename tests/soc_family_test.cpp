@@ -2,9 +2,10 @@
 // (hw/soc.hpp).
 //
 // Three kinds of guarantees:
-//   1. Registry sanity — the built-in family is registered, fingerprints
-//      are pairwise distinct (including a same-geometry twin), duplicates
-//      and unknown names fail with typed statuses.
+//   1. Registry sanity — the built-in family is registered, the cache
+//      options fingerprints of its members are pairwise distinct (including
+//      a same-geometry twin), duplicates and unknown names fail with typed
+//      statuses.
 //   2. Differential — the default "diana" SoC reproduces the pre-refactor
 //      single-SoC artifacts byte-identically, pinned by
 //      tests/golden/soc/diana_reference.txt (regenerate intentional changes
@@ -149,45 +150,43 @@ TEST(SocRegistry, BuiltInFamilyIsRegistered) {
 }
 
 TEST(SocRegistry, FingerprintsArePairwiseDistinct) {
-  std::map<u64, std::string> seen;
+  const auto fingerprint = [](const hw::SocDescription& soc) {
+    compiler::CompileOptions options;
+    options.soc = soc;
+    return cache::OptionsFingerprint(options).ToHex();
+  };
+  std::map<std::string, std::string> seen;
   for (const char* family : kFamilies) {
-    const u64 fp = hw::FindSoc(family)->Fingerprint();
-    auto [it, inserted] = seen.emplace(fp, family);
+    auto [it, inserted] = seen.emplace(fingerprint(*hw::FindSoc(family)),
+                                       family);
     EXPECT_TRUE(inserted) << family << " collides with " << it->second;
   }
   // A twin with byte-identical geometry but a different name must still
   // fingerprint differently: identity is part of the key.
   hw::SocDescription twin = hw::SocDescription::Diana();
   twin.name = "diana-twin";
-  EXPECT_NE(twin.Fingerprint(), hw::SocDescription::Diana().Fingerprint());
+  EXPECT_NE(fingerprint(twin), fingerprint(hw::SocDescription::Diana()));
 }
 
 TEST(SocRegistry, KeysArePinned) {
-  // Both keys address persisted state (placement, on-disk cache entries),
-  // so their values must not drift when the code computing them is
-  // restructured. A reordered, dropped or re-typed field changes them.
+  // The options fingerprint addresses persisted state (on-disk cache
+  // entries), so its value must not drift when the code computing it is
+  // restructured. A reordered, dropped or re-typed field changes it.
   struct Pin {
     const char* soc;
-    u64 fingerprint;
     const char* options;
   };
   const Pin pins[] = {
-      {"diana", 0x22aa73ab30fc7cdcull, "bcdb0e634066556c3d518a2c25c44a65"},
-      {"diana-l1half", 0xbd0a0c76e0a10698ull,
-       "4895d53b1ad320d1630cf209f4597841"},
-      {"diana-l2x2", 0x7d529ff4da5c1956ull,
-       "66b78c6aca7a276976d9d3056b71088f"},
-      {"diana-noanalog", 0x530ef8ba9e084450ull,
-       "b0f5d32255c0c9feb5410178b10e4d4e"},
-      {"diana-pe32", 0x0bd7cb2e84f6db5full,
-       "43c153159b6fc384d8a5af4dd91b24f8"},
-      {"diana-scalar", 0x694070612d68971eull,
-       "c028d0e25865b4fa1d05515ea71f430d"},
+      {"diana", "bcdb0e634066556c3d518a2c25c44a65"},
+      {"diana-l1half", "4895d53b1ad320d1630cf209f4597841"},
+      {"diana-l2x2", "66b78c6aca7a276976d9d3056b71088f"},
+      {"diana-noanalog", "b0f5d32255c0c9feb5410178b10e4d4e"},
+      {"diana-pe32", "43c153159b6fc384d8a5af4dd91b24f8"},
+      {"diana-scalar", "c028d0e25865b4fa1d05515ea71f430d"},
   };
   for (const Pin& pin : pins) {
     auto desc = hw::FindSoc(pin.soc);
     ASSERT_TRUE(desc.ok()) << pin.soc;
-    EXPECT_EQ(desc->Fingerprint(), pin.fingerprint) << pin.soc;
     compiler::CompileOptions options;
     options.soc = *desc;
     EXPECT_EQ(cache::OptionsFingerprint(options).ToHex(), pin.options)
@@ -233,7 +232,7 @@ std::vector<std::variant<i64*, double*>> DianaConfigFields(
           &c.cpu.tuned_library_speedup};
 }
 
-TEST(SocRegistry, EveryDianaConfigFieldReachesHabAndBothKeys) {
+TEST(SocRegistry, EveryDianaConfigFieldReachesHabAndCacheKey) {
   hw::DianaConfig probe;
   ASSERT_EQ(DianaConfigFields(probe).size() * 8, sizeof(hw::DianaConfig))
       << "a DianaConfig field is missing from the list above";
@@ -246,7 +245,6 @@ TEST(SocRegistry, EveryDianaConfigFieldReachesHabAndBothKeys) {
     hw::SocDescription soc = base;
     std::visit([](auto* field) { *field += 1; },
                DianaConfigFields(soc.config)[i]);
-    EXPECT_NE(soc.Fingerprint(), base.Fingerprint()) << "field " << i;
     compiler::CompileOptions options;
     options.soc = soc;
     EXPECT_FALSE(cache::OptionsFingerprint(options) == base_key)

@@ -66,7 +66,8 @@ options:
                              name:count pairs (--fleet diana:2,diana-pe32:2)
   --placement <policy>       how a dispatching request picks its SoC:
                              model-aware (default; per-kind predicted
-                             latency), round-robin, earliest-free
+                             latency; on one SoC kind, the earliest-free
+                             SoC) or round-robin
   --queue-cap <n>            admission-control queue bound
   --batch <n>                micro-batch size (1 = off)
   --threads <n>              worker threads (default: one per SoC)
@@ -79,8 +80,9 @@ options:
   --schedule-search <heuristic|graph-beam>
                              schedule search for compiles (default
                              heuristic; graph-beam searches with the hw
-                             cost model — pair with --cache-dir so
-                             restarts replay memoized schedules)
+                             cost model — pair with --cache-dir so a
+                             restart loads the searched artifacts instead
+                             of searching again)
   --cache-dir <dir>          persist compiled artifacts to a content-
                              addressed cache; a restarted fleet serving the
                              same models compiles nothing ("compiles": 0 in
@@ -192,12 +194,10 @@ Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
         opt.placement = serve::PlacementPolicy::kModelAware;
       } else if (v == "round-robin") {
         opt.placement = serve::PlacementPolicy::kRoundRobin;
-      } else if (v == "earliest-free") {
-        opt.placement = serve::PlacementPolicy::kEarliestFree;
       } else {
         return Status::InvalidArgument(
             "bad --placement value '" + v +
-            "' (want model-aware|round-robin|earliest-free)");
+            "' (want model-aware|round-robin)");
       }
     } else if (arg == "--queue-cap") {
       HTVM_RETURN_IF_ERROR(number(&opt.queue_cap, [](int n) { return n > 0; }));

@@ -288,12 +288,11 @@ int main(int argc, char** argv) {
     const dory::ScheduleSearchStats& ss = dory::ScheduleSearchStats::Global();
     std::printf(
         "schedule-search: kind=%s evaluations=%lld (cost-model %lld, "
-        "simulator %lld) memo-hits=%lld layers=%lld\n",
+        "simulator %lld) layers=%lld\n",
         dory::ScheduleSearchKindName(options.schedule_search.kind),
         static_cast<long long>(ss.TotalEvals()),
         static_cast<long long>(ss.cost_model_evals()),
         static_cast<long long>(ss.simulator_evals()),
-        static_cast<long long>(ss.memo_hits()),
         static_cast<long long>(ss.layers_searched()));
   }
   if (!artifact->plan.empty()) {
