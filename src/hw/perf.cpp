@@ -38,30 +38,6 @@ i64 RunProfile::KernelCountOn(const std::string& target) const {
   return count;
 }
 
-void RunProfile::Accumulate(const RunProfile& other) {
-  for (const KernelPerf& incoming : other.kernels) {
-    KernelPerf* found = nullptr;
-    for (KernelPerf& mine : kernels) {
-      if (mine.name == incoming.name) {
-        found = &mine;
-        break;
-      }
-    }
-    if (found == nullptr) {
-      kernels.push_back(incoming);
-      continue;
-    }
-    found->macs += incoming.macs;
-    found->peak_cycles += incoming.peak_cycles;
-    found->full_cycles += incoming.full_cycles;
-    found->compute_cycles += incoming.compute_cycles;
-    found->weight_dma_cycles += incoming.weight_dma_cycles;
-    found->act_dma_cycles += incoming.act_dma_cycles;
-    found->overhead_cycles += incoming.overhead_cycles;
-    found->tiles += incoming.tiles;
-  }
-}
-
 std::string RunProfile::ToTable() const {
   std::string out = StrFormat(
       "%-28s %-8s %10s %10s %10s %8s %8s %8s %6s\n", "kernel", "target",

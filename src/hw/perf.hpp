@@ -51,12 +51,6 @@ struct RunProfile {
   i64 FullCyclesOn(const std::string& target) const;
   i64 KernelCountOn(const std::string& target) const;
 
-  // Accumulates another run's counters into this profile, matching kernels
-  // by name (unknown kernels are appended). Each simulated SoC instance in
-  // the serving fleet keeps its own accumulated RunProfile this way —
-  // per-instance counter isolation instead of one global counter set.
-  void Accumulate(const RunProfile& other);
-
   std::string ToTable() const;  // human-readable per-kernel breakdown
 };
 

@@ -1,5 +1,7 @@
 #include "ir/graph.hpp"
 
+#include <algorithm>
+
 #include "support/string_utils.hpp"
 
 namespace htvm {
@@ -54,6 +56,17 @@ Result<NodeId> Graph::TryAddOp(const std::string& op,
   if (!out_type.ok()) {
     return Status(out_type.status().code(),
                   op + ": " + out_type.status().message());
+  }
+  i64 elems = 1;
+  for (i64 d : out_type->shape.dims()) {
+    const i64 extent = std::max<i64>(d, 1);
+    if (extent > kMaxTensorElements / elems) {
+      return Status::InvalidArgument(
+          StrFormat("%s: output shape %s exceeds %lld elements", op.c_str(),
+                    out_type->shape.ToString().c_str(),
+                    static_cast<long long>(kMaxTensorElements)));
+    }
+    elems *= extent;
   }
   Node n;
   n.kind = NodeKind::kOp;

@@ -30,6 +30,13 @@ namespace htvm {
 using NodeId = i32;
 inline constexpr NodeId kInvalidNode = -1;
 
+// Largest tensor a graph may describe, in elements (dims of 0 count as 1):
+// the text loader caps constants at it, and TryAddOp rejects any op whose
+// inferred output exceeds it, so geometry no SoC can hold (an INT32_MAX
+// padding) is a typed error at load instead of an allocation failure deep
+// in the compiler.
+inline constexpr i64 kMaxTensorElements = i64{1} << 26;
+
 enum class NodeKind : u8 { kInput, kConstant, kOp, kComposite };
 
 class Graph;
@@ -58,7 +65,8 @@ class Graph {
   NodeId AddInput(const std::string& name, TensorType type);
   NodeId AddConstant(Tensor value, const std::string& name = "");
   // Infers the output type via the op registry; fatal on inference failure
-  // (model-builder bug). Use TryAddOp for fallible construction.
+  // (model-builder bug). Use TryAddOp for fallible construction; it also
+  // rejects an output type over kMaxTensorElements as InvalidArgument.
   NodeId AddOp(const std::string& op, std::vector<NodeId> inputs,
                AttrMap attrs = {}, const std::string& name = "");
   Result<NodeId> TryAddOp(const std::string& op, std::vector<NodeId> inputs,

@@ -1,5 +1,6 @@
 #include "ir/serialize.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -155,6 +156,35 @@ Result<Graph> DeserializeGraph(const std::string& text) {
 }
 
 namespace detail_serialize {
+namespace {
+
+// Reads the `<rank> <dims...>` of an input or const record. Each dim is
+// bounded, and so is their product (kMaxTensorElements, zero dims counting
+// as one), so no record can describe a tensor whose element count
+// overflows.
+Result<Shape> ReadShape(std::istringstream& ls, const std::string& what) {
+  i64 rank = -1;
+  ls >> rank;
+  if (rank < 0 || rank > 8) {
+    return Status::InvalidArgument(what + " rank out of range");
+  }
+  std::vector<i64> dims(static_cast<size_t>(rank));
+  i64 elems = 1;
+  for (i64& d : dims) {
+    ls >> d;
+    if (d < 0 || d > (i64{1} << 20)) {
+      return Status::InvalidArgument(what + " dim out of range");
+    }
+    elems *= std::max<i64>(d, 1);
+    if (elems > kMaxTensorElements) {
+      return Status::InvalidArgument(what + " too large");
+    }
+  }
+  return Shape(std::move(dims));
+}
+
+}  // namespace
+
 Result<Graph> DeserializeGraphImpl(const std::string& text) {
   std::istringstream stream(text);
   std::string line;
@@ -170,49 +200,24 @@ Result<Graph> DeserializeGraphImpl(const std::string& text) {
     ls >> kind;
     if (kind == "input") {
       std::string name, dtype_s;
-      i64 rank = -1;
-      ls >> name >> dtype_s >> rank;
+      ls >> name >> dtype_s;
       DType dtype;
       if (!ParseDType(dtype_s, &dtype)) {
         return Status::InvalidArgument("bad dtype: " + dtype_s);
       }
-      if (rank < 0 || rank > 8) {
-        return Status::InvalidArgument("input rank out of range");
-      }
-      std::vector<i64> dims(static_cast<size_t>(rank));
-      for (i64& d : dims) {
-        ls >> d;
-        if (d < 0 || d > (i64{1} << 20)) {
-          return Status::InvalidArgument("input dim out of range");
-        }
-      }
+      HTVM_ASSIGN_OR_RETURN(shape, ReadShape(ls, "input"));
       if (!ls) return Status::InvalidArgument("truncated input record");
-      g.AddInput(UnescapeString(name), {Shape(dims), dtype});
+      g.AddInput(UnescapeString(name), {std::move(shape), dtype});
     } else if (kind == "const") {
       std::string name, dtype_s;
-      i64 rank = -1;
-      ls >> name >> dtype_s >> rank;
+      ls >> name >> dtype_s;
       DType dtype;
       if (!ParseDType(dtype_s, &dtype)) {
         return Status::InvalidArgument("bad dtype: " + dtype_s);
       }
-      if (rank < 0 || rank > 8) {
-        return Status::InvalidArgument("const rank out of range");
-      }
-      std::vector<i64> dims(static_cast<size_t>(rank));
-      i64 elems = 1;
-      for (i64& d : dims) {
-        ls >> d;
-        if (d < 0 || d > (i64{1} << 20)) {
-          return Status::InvalidArgument("const dim out of range");
-        }
-        elems *= std::max<i64>(d, 1);
-        if (elems > (i64{1} << 26)) {
-          return Status::InvalidArgument("constant too large");
-        }
-      }
+      HTVM_ASSIGN_OR_RETURN(shape, ReadShape(ls, "const"));
       if (!ls) return Status::InvalidArgument("truncated const record");
-      Tensor t(Shape(dims), dtype);
+      Tensor t(std::move(shape), dtype);
       for (i64 i = 0; i < t.NumElements(); ++i) {
         i64 v;
         ls >> v;

@@ -227,13 +227,19 @@ Result<Tensor> Dense(const Tensor& data, const Tensor& weight) {
   if (data.shape().rank() != 2 || weight.shape().rank() != 2) {
     return Status::InvalidArgument("dense: rank-2 tensors required");
   }
+  if (data.dtype() != DType::kInt8) {
+    return Status::InvalidArgument("dense: int8 data required");
+  }
+  if (weight.dtype() != DType::kInt8 && weight.dtype() != DType::kTernary) {
+    return Status::InvalidArgument("dense: int8/ternary weight required");
+  }
   if (data.shape()[1] != weight.shape()[1]) {
     return Status::InvalidArgument("dense: reduction dims differ");
   }
   const i64 N = data.shape()[0], I = data.shape()[1], O = weight.shape()[0];
   Tensor out(Shape{N, O}, DType::kInt32);
-  const i8* d = reinterpret_cast<const i8*>(data.raw());
-  const i8* w = reinterpret_cast<const i8*>(weight.raw());
+  const i8* d = data.data<i8>().data();
+  const i8* w = weight.data<i8>().data();
   const std::vector<i16> rows = WidenRows(d, N, I);
   const std::vector<i16> wide = WidenRows(w, O, I);
   Gemm(rows.data(), N, wide.data(), O, AlignUp(I, 8),

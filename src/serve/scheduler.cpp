@@ -90,19 +90,16 @@ bool FleetScheduler::HasModelTiming(int model) const {
 }
 
 double FleetScheduler::PredictedServiceUs(int model, int soc) const {
-  if (!HasModelTiming(model)) return -1;
+  HTVM_CHECK(HasModelTiming(model));
   return timing_[static_cast<size_t>(model)][static_cast<size_t>(soc)]
       .service_us;
 }
 
 bool FleetScheduler::AvailableOn(int model, int soc) const {
-  if (!HasModelTiming(model)) return true;
   return PredictedServiceUs(model, soc) >= 0;
 }
 
-double FleetScheduler::BatchTotalUs(int model, int soc, int n,
-                                    double untimed_total_us) const {
-  if (!HasModelTiming(model)) return untimed_total_us;
+double FleetScheduler::BatchTotalUs(int model, int soc, int n) const {
   const TimingEntry& t =
       timing_[static_cast<size_t>(model)][static_cast<size_t>(soc)];
   return t.service_us +
@@ -130,13 +127,11 @@ int FleetScheduler::ChooseSocForRedispatch(int model,
                                            double not_before_us) const {
   bool any_live = false;
   int best = -1;
-  if (options_.placement == PlacementPolicy::kModelAware &&
-      HasModelTiming(model)) {
+  if (options_.placement == PlacementPolicy::kModelAware) {
     // Minimize predicted completion (max(free, ready) + per-kind service);
     // tie-break on earlier free time, then lower index. With uniform
     // per-kind timing this reduces exactly to the earliest-free branch
-    // below — the pre-SoC-family behavior, which the serve determinism
-    // tests pin down.
+    // below, which the serve determinism tests pin down.
     double best_completion = 0;
     double best_free = 0;
     for (int s = 0; s < options_.fleet_size; ++s) {
@@ -155,8 +150,8 @@ int FleetScheduler::ChooseSocForRedispatch(int model,
     }
     return best >= 0 ? best : (any_live ? -2 : -1);
   }
-  // Earliest-free among live SoCs with the model (== EarliestLiveSoc for
-  // untimed models); a retry never consumes the round-robin rotation.
+  // Earliest-free among live SoCs with the model; a retry never consumes
+  // the round-robin rotation.
   for (int s = 0; s < options_.fleet_size; ++s) {
     if (Dead(s)) continue;
     any_live = true;
@@ -203,19 +198,17 @@ void FleetScheduler::RecordFailure(int soc, double t_us) {
 }
 
 bool FleetScheduler::SimulateAttempts(ScheduledBatch* batch, int soc,
-                                      double start_us,
-                                      double untimed_total_us) {
+                                      double start_us) {
   const hw::FaultInjector* fi = options_.faults;
   const RetryPolicy& rp = options_.retry;
   const int n = static_cast<int>(batch->requests.size());
   int attempts_on_soc = 0;
   double backoff = rp.backoff_base_us;
-  double service_us = BatchTotalUs(batch->model, soc, n, untimed_total_us);
+  double service_us = BatchTotalUs(batch->model, soc, n);
 
-  // Moves the batch to a surviving SoC picked by the placement policy
-  // (earliest-free for untimed models — the original behavior), not before
-  // `not_before_us`, and re-prices it for the new SoC kind. Returns false
-  // when no surviving SoC can run the batch.
+  // Moves the batch to a surviving SoC picked by the placement policy, not
+  // before `not_before_us`, and re-prices it for the new SoC kind. Returns
+  // false when no surviving SoC can run the batch.
   const auto redispatch = [&](double not_before_us) {
     const int next = ChooseSocForRedispatch(batch->model, not_before_us);
     if (next < 0) return false;
@@ -224,7 +217,7 @@ bool FleetScheduler::SimulateAttempts(ScheduledBatch* batch, int soc,
     attempts_on_soc = 0;
     backoff = rp.backoff_base_us;
     start_us = std::max(soc_free_us_[static_cast<size_t>(soc)], not_before_us);
-    service_us = BatchTotalUs(batch->model, soc, n, untimed_total_us);
+    service_us = BatchTotalUs(batch->model, soc, n);
     return true;
   };
 
@@ -285,8 +278,8 @@ bool FleetScheduler::SimulateAttempts(ScheduledBatch* batch, int soc,
 void FleetScheduler::DispatchUpTo(double now_us,
                                   std::vector<ScheduledBatch>* out) {
   while (!pending_.empty()) {
-    const int model = pending_.front().request.model;
-    const double arrival = pending_.front().request.arrival_us;
+    const int model = pending_.front().model;
+    const double arrival = pending_.front().arrival_us;
     const int soc = ChooseSoc(model, arrival);
     if (soc == -1) return;  // whole fleet dead; Flush accounts the losses
     if (soc == -2) {
@@ -303,34 +296,20 @@ void FleetScheduler::DispatchUpTo(double now_us,
 
     ScheduledBatch batch;
     batch.model = model;
-    double total_us = 0;
     while (!pending_.empty() &&
            static_cast<int>(batch.requests.size()) < options_.max_batch &&
-           pending_.front().request.model == batch.model &&
-           pending_.front().request.arrival_us <= start) {
-      Pending p = std::move(pending_.front());
+           pending_.front().model == batch.model &&
+           pending_.front().arrival_us <= start) {
+      batch.requests.push_back(pending_.front());
       pending_.pop_front();
-      const bool first = batch.requests.empty();
-      total_us += first ? p.service_us
-                        : std::max(0.0, p.service_us - p.batch_saving_us);
-      batch.requests.push_back(
-          ScheduledRequest{p.request, p.service_us, start, 0.0});
     }
 
-    if (!SimulateAttempts(&batch, soc, start, total_us)) {
+    if (!SimulateAttempts(&batch, soc, start)) {
       // Every SoC that could run the batch died while it was retrying: the
       // requests are lost (counted, never silently dropped) and nothing
       // else of this model can dispatch.
       lost_ += static_cast<i64>(batch.requests.size());
       return;
-    }
-    const double final_service = PredictedServiceUs(model, batch.soc);
-    for (ScheduledRequest& r : batch.requests) {
-      r.start_us = batch.start_us;
-      r.done_us = batch.done_us;
-      // Standalone service time on the SoC that actually ran the batch
-      // (untimed models keep their offered value).
-      if (final_service >= 0) r.service_us = final_service;
     }
 
     makespan_us_ = std::max(makespan_us_, batch.done_us);
@@ -341,9 +320,10 @@ void FleetScheduler::DispatchUpTo(double now_us,
   }
 }
 
-bool FleetScheduler::Offer(const InferRequest& request, double service_us,
-                           double batch_saving_us,
+bool FleetScheduler::Offer(const InferRequest& request,
                            std::vector<ScheduledBatch>* dispatched) {
+  HTVM_CHECK_MSG(HasModelTiming(request.model),
+                 "Offer without SetModelTiming for this model");
   HTVM_CHECK_MSG(request.arrival_us >= last_arrival_us_,
                  "trace arrivals must be offered in order");
   last_arrival_us_ = request.arrival_us;
@@ -354,23 +334,13 @@ bool FleetScheduler::Offer(const InferRequest& request, double service_us,
     ++rejected_;
     return false;
   }
-  pending_.push_back(Pending{request, service_us, batch_saving_us});
+  pending_.push_back(request);
   ++admitted_;
   max_queue_depth_ =
       std::max(max_queue_depth_, static_cast<i64>(pending_.size()));
   depth_sum_ += static_cast<double>(pending_.size());
   ++depth_samples_;
   return true;
-}
-
-bool FleetScheduler::Offer(const InferRequest& request,
-                           std::vector<ScheduledBatch>* dispatched) {
-  HTVM_CHECK_MSG(HasModelTiming(request.model),
-                 "Offer without SetModelTiming for this model");
-  // The per-request fallback values are never read for timed models; the
-  // timing table prices every batch.
-  return Offer(request, /*service_us=*/0.0, /*batch_saving_us=*/0.0,
-               dispatched);
 }
 
 std::vector<ScheduledBatch> FleetScheduler::Flush() {

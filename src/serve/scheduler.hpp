@@ -1,39 +1,43 @@
 // Deterministic fleet scheduler: the simulated-time core of the serving
 // subsystem.
 //
-// Requests are offered in arrival order (the open-loop trace is sorted).
-// The scheduler keeps one simulated free-at timestamp per SoC and a bounded
-// FIFO of admitted-but-undispatched requests. Offering a request first
-// dispatches every batch whose simulated start precedes the new arrival,
-// then applies admission control: if the FIFO is at capacity the request is
-// rejected (the caller surfaces a typed ResourceExhausted status).
+// Every model is priced up front: SetModelTiming registers its standalone
+// service time and per-request batch saving on each SoC kind (HTVM's
+// kernel cycles are fixed at compile time, so a request's service time
+// belongs to its (model, SoC kind) pair). Requests are then offered in
+// arrival order (the open-loop trace is sorted). The scheduler keeps one
+// simulated free-at timestamp per SoC and a bounded FIFO of
+// admitted-but-undispatched requests. Offering a request first dispatches
+// every batch whose simulated start precedes the new arrival, then applies
+// admission control: if the FIFO is at capacity the request is rejected
+// (the caller surfaces a typed ResourceExhausted status).
 //
 // Dispatch pops from the FIFO head onto a *live* SoC picked by the
 // placement policy — by default the SoC whose kind predicts the earliest
 // completion for the request's model (PlacementPolicy::kModelAware; on a
 // homogeneous fleet this is exactly the earliest-free SoC). Consecutive
 // same-model requests that have already arrived by the batch's start time
-// coalesce into one micro-batch (up to `max_batch`), saving
-// `batch_saving_us` of runtime dispatch overhead for every request after
-// the first.
+// coalesce into one micro-batch (up to `max_batch`); every request after
+// the first costs its kind's service time minus the batch saving. The
+// batch is priced from the timing table of the SoC that finally runs it.
 //
 // Fault handling (when SchedulerOptions::faults is set): each batch is
 // simulated attempt by attempt against the fault plan. An attempt that
 // starts on a crashed SoC, is interrupted by a crash, or lands in a
 // transient-error window fails; the batch then retries with exponential
-// backoff on the same SoC and re-dispatches to the earliest-free surviving
-// SoC after the per-SoC retry budget is exhausted (or immediately, on a
-// crash). A circuit breaker evicts a SoC after `breaker_threshold`
-// consecutive failures so a flapping instance stops absorbing retries.
-// Every failed attempt is recorded on the batch so the worker pool can
-// replay it through Executor::Run and observe the same injected fault as a
-// typed Status. A request is lost only when every SoC is dead.
+// backoff on the same SoC and re-dispatches to a surviving SoC after the
+// per-SoC retry budget is exhausted (or immediately, on a crash). A
+// circuit breaker evicts a SoC after `breaker_threshold` consecutive
+// failures so a flapping instance stops absorbing retries. Every failed
+// attempt is recorded on the batch so the worker pool can replay it
+// through Executor::Run and observe the same injected fault as a typed
+// Status. A request is lost only when no SoC that can run it survives.
 //
 // Because all decisions happen at Offer/Flush time on the simulated clock,
-// request latencies, rejections, retries, evictions and per-SoC busy time
-// are a pure function of the trace and the fault seed — worker threads then
-// execute the dispatched batches for real (bit-exact tensor compute)
-// without influencing the metrics.
+// request latencies (batch done_us - arrival_us), rejections, retries,
+// evictions and per-SoC busy time are a pure function of the trace and the
+// fault seed — worker threads then execute the dispatched batches for real
+// (bit-exact tensor compute) without influencing the metrics.
 #pragma once
 
 #include <deque>
@@ -62,9 +66,7 @@ const char* SocHealthName(SocHealth health);
 //   kModelAware   minimize predicted completion (max(free, arrival) +
 //                 per-(model, SoC-kind) service time), breaking ties by
 //                 earlier free time then lower index. For a homogeneous
-//                 fleet (or a model with no per-kind timing) this reduces
-//                 exactly to the earliest-free live SoC that can run the
-//                 model — the pre-SoC-family behavior.
+//                 fleet this reduces exactly to the earliest-free live SoC.
 //   kRoundRobin   cycle through live SoCs regardless of predicted latency
 //                 (the baseline bench_serving --check compares against).
 enum class PlacementPolicy : u8 { kModelAware, kRoundRobin };
@@ -94,13 +96,6 @@ struct SchedulerOptions {
   PlacementPolicy placement = PlacementPolicy::kModelAware;
 };
 
-struct ScheduledRequest {
-  InferRequest request;
-  double service_us = 0;  // this request's standalone service time
-  double start_us = 0;    // final attempt start on the assigned SoC
-  double done_us = 0;     // batch completion (latency = done - arrival)
-};
-
 // One failed execution attempt of a batch, kept so the worker pool can
 // replay it through Executor::Run (which consults the same fault plan and
 // fails with the same injected fault).
@@ -114,9 +109,9 @@ struct BatchAttempt {
 struct ScheduledBatch {
   int soc = 0;  // SoC of the final, successful attempt
   int model = 0;
-  double start_us = 0;
-  double done_us = 0;
-  std::vector<ScheduledRequest> requests;
+  double start_us = 0;  // final attempt start on `soc`
+  double done_us = 0;   // completion (each request's latency = done - arrival)
+  std::vector<InferRequest> requests;
   std::vector<BatchAttempt> failed_attempts;
 };
 
@@ -124,30 +119,25 @@ class FleetScheduler {
  public:
   explicit FleetScheduler(SchedulerOptions options);
 
-  // Offers a request with the given standalone service time;
-  // `batch_saving_us` is the dispatch overhead this request sheds when it
-  // coalesces behind a same-model request. Batches whose simulated start is
-  // at or before `request.arrival_us` are appended to `*dispatched`.
-  // Returns false when admission control rejects the request (pending FIFO
-  // full). Arrivals must be offered in non-decreasing order.
-  bool Offer(const InferRequest& request, double service_us,
-             double batch_saving_us, std::vector<ScheduledBatch>* dispatched);
-
-  // Timing-table form: the request's per-SoC service times were registered
-  // up front with SetModelTiming (required — checked). This is what the
-  // model-aware placement policy keys on.
+  // Offers a request whose model was registered with SetModelTiming
+  // (checked). Batches whose simulated start is at or before
+  // `request.arrival_us` are appended to `*dispatched`. Returns false when
+  // admission control rejects the request (pending FIFO full). Arrivals
+  // must be offered in non-decreasing order.
   bool Offer(const InferRequest& request,
              std::vector<ScheduledBatch>* dispatched);
 
   // Registers the predicted timing of `model` on every fleet member of
-  // `soc_kind` (at least one must exist). Fleet members of kinds never
-  // registered for this model cannot run it and are skipped by placement.
-  // Must be called before the model's first Offer.
+  // `soc_kind` (at least one must exist): `service_us` is one request's
+  // standalone service time, `batch_saving_us` the dispatch overhead a
+  // request sheds when it coalesces behind a same-model request. Fleet
+  // members of kinds never registered for this model cannot run it and are
+  // skipped by placement. Must be called before the model's first Offer.
   void SetModelTiming(int model, const std::string& soc_kind,
                       double service_us, double batch_saving_us);
   bool HasModelTiming(int model) const;
-  // Predicted standalone service time of `model` on fleet index `soc`;
-  // negative when the model is unavailable there (or untimed). The
+  // Predicted standalone service time of a registered `model` on fleet
+  // index `soc`; negative when the model is unavailable there. The
   // placement property test recomputes the argmin from these.
   double PredictedServiceUs(int model, int soc) const;
   // Resolved per-index SoC kinds (fleet_size entries).
@@ -179,22 +169,14 @@ class FleetScheduler {
   const std::vector<SocHealthState>& soc_health() const { return health_; }
 
  private:
-  struct Pending {
-    InferRequest request;
-    double service_us = 0;
-    double batch_saving_us = 0;
-  };
-
   void DispatchUpTo(double now_us, std::vector<ScheduledBatch>* out);
   // Simulates the batch's attempts against the fault plan starting on
-  // `soc` at `start_us`; the batch's service time is recomputed per
-  // attempt from the timing table (a re-dispatch onto a different SoC kind
-  // changes it), falling back to `untimed_total_us` for untimed models.
+  // `soc` at `start_us`; the batch is re-priced from the timing table on
+  // every re-dispatch (a different SoC kind changes its service time).
   // Fills the batch's final soc/start/done and its failed-attempt log.
   // Returns false when no SoC that can run the batch survived (the batch's
   // requests are lost).
-  bool SimulateAttempts(ScheduledBatch* batch, int soc, double start_us,
-                        double untimed_total_us);
+  bool SimulateAttempts(ScheduledBatch* batch, int soc, double start_us);
   // Earliest-free SoC among the still-live ones; -1 when all are dead.
   int EarliestLiveSoc() const;
   // Placement for the batch headed by `model` arriving at `arrival_us`:
@@ -205,13 +187,10 @@ class FleetScheduler {
   // earliest-free otherwise (a retry never consumes the round-robin
   // rotation). Same return convention as ChooseSoc.
   int ChooseSocForRedispatch(int model, double not_before_us) const;
-  // Whether fleet index `soc`'s kind can run `model` (untimed models run
-  // anywhere).
+  // Whether fleet index `soc`'s kind can run `model`.
   bool AvailableOn(int model, int soc) const;
-  // Coalesced service time of an n-request batch of `model` on `soc`;
-  // `untimed_total_us` is the caller-accumulated total for untimed models.
-  double BatchTotalUs(int model, int soc, int n,
-                      double untimed_total_us) const;
+  // Coalesced service time of an n-request batch of `model` on `soc`.
+  double BatchTotalUs(int model, int soc, int n) const;
   bool Dead(int soc) const {
     return health_[static_cast<size_t>(soc)].health == SocHealth::kDead;
   }
@@ -228,14 +207,14 @@ class FleetScheduler {
 
   SchedulerOptions options_;
   std::vector<std::string> kinds_;  // per fleet index, resolved
-  // timing_[model] is empty (untimed, legacy uniform-service path) or has
-  // one entry per fleet index.
+  // timing_[model] has one entry per fleet index once SetModelTiming has
+  // registered the model, and is empty before.
   std::vector<std::vector<TimingEntry>> timing_;
   int rr_cursor_ = 0;  // next round-robin fleet index
   std::vector<double> soc_free_us_;
   std::vector<double> soc_busy_us_;
   std::vector<SocHealthState> health_;
-  std::deque<Pending> pending_;
+  std::deque<InferRequest> pending_;
   double last_arrival_us_ = 0;
   double makespan_us_ = 0;
   i64 offered_ = 0;

@@ -32,31 +32,18 @@ SchedulerOptions MakeSchedulerOptions(const ServerOptions& options,
   return so;
 }
 
-std::vector<std::string> ResolveKinds(const ServerOptions& options) {
-  if (options.soc_kinds.empty()) {
-    return std::vector<std::string>(static_cast<size_t>(options.fleet_size),
-                                    "diana");
-  }
-  HTVM_CHECK_MSG(
-      static_cast<int>(options.soc_kinds.size()) == options.fleet_size,
-      "soc_kinds must have one entry per fleet member");
-  return options.soc_kinds;
-}
-
 }  // namespace
 
 InferenceServer::InferenceServer(ServerOptions options)
     : options_(options),
-      kinds_(ResolveKinds(options)),
       faults_(MakeInjector(options)),
       scheduler_(MakeSchedulerOptions(options, &faults_)),
-      fleet_(kinds_),
+      soc_counters_(static_cast<size_t>(options.fleet_size)),
       // The exec queue throttles the (real-time) submitter against the
       // (real-time) workers; admission control happened already, so Push
       // blocks instead of dropping.
       exec_queue_(256) {
-  HTVM_CHECK(options_.fleet_size > 0);
-  for (const std::string& kind : kinds_) {
+  for (const std::string& kind : scheduler_.soc_kinds()) {
     if (std::find(distinct_kinds_.begin(), distinct_kinds_.end(), kind) ==
         distinct_kinds_.end()) {
       distinct_kinds_.push_back(kind);
@@ -66,7 +53,7 @@ InferenceServer::InferenceServer(ServerOptions options)
 
 const InferenceServer::KindExecution& InferenceServer::ExecutionFor(
     const ModelEntry& entry, int soc) const {
-  const std::string& kind = kinds_[static_cast<size_t>(soc)];
+  const std::string& kind = scheduler_.soc_kinds()[static_cast<size_t>(soc)];
   for (const KindExecution& ke : entry.kinds) {
     if (ke.kind == kind) return ke;
   }
@@ -226,8 +213,8 @@ Status InferenceServer::Submit(int model, double arrival_us) {
     const InferRequest request{next_id_++, model, arrival_us};
     admitted = scheduler_.Offer(request, &dispatched);
     for (const ScheduledBatch& batch : dispatched) {
-      for (const ScheduledRequest& r : batch.requests) {
-        latency_.Record(r.done_us - r.request.arrival_us);
+      for (const InferRequest& r : batch.requests) {
+        latency_.Record(batch.done_us - r.arrival_us);
       }
     }
   }
@@ -251,8 +238,8 @@ ServingMetrics InferenceServer::Drain(double duration_s) {
     std::lock_guard<std::mutex> lock(mu_);
     rest = scheduler_.Flush();
     for (const ScheduledBatch& batch : rest) {
-      for (const ScheduledRequest& r : batch.requests) {
-        latency_.Record(r.done_us - r.request.arrival_us);
+      for (const InferRequest& r : batch.requests) {
+        latency_.Record(batch.done_us - r.arrival_us);
       }
     }
   }
@@ -314,12 +301,13 @@ ServingMetrics InferenceServer::Drain(double duration_s) {
   const double makespan_us = scheduler_.makespan_us();
   const auto& busy = scheduler_.soc_busy_us();
   const auto& health = scheduler_.soc_health();
-  for (int s = 0; s < fleet_.size(); ++s) {
+  for (int s = 0; s < options_.fleet_size; ++s) {
+    const SocCounters& counters = soc_counters_[static_cast<size_t>(s)];
     SocStats stats;
     stats.soc = s;
-    stats.kind = fleet_.at(s).kind();
-    stats.inferences = fleet_.at(s).inferences();
-    stats.simulated_cycles = fleet_.at(s).simulated_cycles();
+    stats.kind = scheduler_.soc_kinds()[static_cast<size_t>(s)];
+    stats.inferences = counters.inferences.load();
+    stats.simulated_cycles = counters.cycles.load();
     stats.busy_us = busy[static_cast<size_t>(s)];
     stats.utilization = makespan_us > 0 ? stats.busy_us / makespan_us : 0.0;
     stats.health = SocHealthName(health[static_cast<size_t>(s)].health);
@@ -355,13 +343,13 @@ void InferenceServer::WorkerLoop() {
     }
     const runtime::RunContext final_ctx{&faults_, batch->soc, batch->start_us,
                                         batch->done_us};
-    SocInstance& soc = fleet_.at(batch->soc);
+    SocCounters& counters = soc_counters_[static_cast<size_t>(batch->soc)];
     const KindExecution& final_ke = ExecutionFor(model_entry, batch->soc);
     for (size_t i = 0; i < batch->requests.size(); ++i) {
       auto result = final_ke.executor->Run(model_entry.inputs,
                                            chaos ? &final_ctx : nullptr);
       if (!result.ok()) {
-        HTVM_ELOG << "serve: execution failed on soc " << soc.id() << ": "
+        HTVM_ELOG << "serve: execution failed on soc " << batch->soc << ": "
                   << result.status().ToString();
         exec_failures_.fetch_add(1);
         continue;
@@ -373,7 +361,8 @@ void InferenceServer::WorkerLoop() {
         }
         if (!match) output_mismatches_.fetch_add(1);
       }
-      soc.RecordRun(*final_ke.artifact);
+      counters.inferences.fetch_add(1);
+      counters.cycles.fetch_add(final_ke.artifact->TotalFullCycles());
       served_.fetch_add(1);
     }
   }

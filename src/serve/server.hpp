@@ -11,9 +11,9 @@
 // The scheduler decides *when* each request runs and on *which* SoC purely
 // on the simulated clock, so all serving metrics are deterministic for a
 // fixed trace. The worker pool then actually executes every dispatched
-// request on its assigned simulated SoC instance — real concurrent tensor
-// compute over one shared, immutable Artifact — accumulating per-instance
-// counters and (optionally) verifying bit-exactness against a
+// request on its assigned simulated SoC — real concurrent tensor compute
+// over one shared, immutable Artifact — counting inferences and simulated
+// cycles per SoC and (optionally) verifying bit-exactness against a
 // single-threaded reference run.
 #pragma once
 
@@ -30,7 +30,6 @@
 #include "runtime/executor.hpp"
 #include "serve/metrics.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/soc_fleet.hpp"
 #include "support/bounded_queue.hpp"
 #include "support/histogram.hpp"
 
@@ -117,9 +116,6 @@ class InferenceServer {
   ServingMetrics Drain(double duration_s);
 
   int num_models() const { return static_cast<int>(models_.size()); }
-  const std::string& model_name(int model) const {
-    return models_[static_cast<size_t>(model)].name;
-  }
   // Standalone simulated service time of one request of `model` on the
   // first fleet kind serving it.
   double ServiceUs(int model) const {
@@ -164,8 +160,14 @@ class InferenceServer {
 
   void WorkerLoop();
 
+  // Completed inferences and their simulated cycles on one fleet index,
+  // bumped by whichever worker ran the request.
+  struct SocCounters {
+    std::atomic<i64> inferences{0};
+    std::atomic<i64> cycles{0};
+  };
+
   ServerOptions options_;
-  std::vector<std::string> kinds_;  // resolved per-index fleet kinds
   std::vector<std::string> distinct_kinds_;  // fleet order, deduplicated
   std::vector<ModelEntry> models_;
   // Per-kind compile-cache deltas accumulated across RegisterModel calls
@@ -176,12 +178,14 @@ class InferenceServer {
   // declared before scheduler_ (which keeps a pointer to it).
   hw::FaultInjector faults_;
 
-  std::mutex mu_;  // guards scheduler_, latency_, offered id counter
+  // Guards scheduler_, latency_ and the offered id counter. Workers read
+  // scheduler_.soc_kinds(), which is fixed at construction, without it.
+  std::mutex mu_;
   FleetScheduler scheduler_;
   LatencyHistogram latency_;
   u64 next_id_ = 0;
 
-  SocFleet fleet_;
+  std::vector<SocCounters> soc_counters_;  // one per fleet index
   BoundedQueue<ScheduledBatch> exec_queue_;
   std::vector<std::thread> workers_;
   std::atomic<i64> served_{0};

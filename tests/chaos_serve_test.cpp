@@ -182,10 +182,11 @@ TEST(ChaosScheduler, CrashedSocWorkRedispatchesToSurvivor) {
   const FaultInjector fi(
       /*fleet_size=*/2, {FaultEvent{0, FaultKind::kCrash, 0.0, 0.0, 1.0}});
   FleetScheduler sched(ChaosSchedOptions(2, &fi));
+  sched.SetModelTiming(0, "diana", 100.0, 0.0);
   std::vector<ScheduledBatch> out;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(sched.Offer(InferRequest{static_cast<u64>(i), 0, i * 10.0},
-                            100.0, 0.0, &out));
+    EXPECT_TRUE(
+        sched.Offer(InferRequest{static_cast<u64>(i), 0, i * 10.0}, &out));
   }
   auto rest = sched.Flush();
   for (auto& b : rest) out.push_back(std::move(b));
@@ -203,8 +204,9 @@ TEST(ChaosScheduler, TransientWindowRetriesWithBackoffThenSucceeds) {
       /*fleet_size=*/1,
       {FaultEvent{0, FaultKind::kTransient, 0.0, 60.0, 1.0}});
   FleetScheduler sched(ChaosSchedOptions(1, &fi));
+  sched.SetModelTiming(0, "diana", 100.0, 0.0);
   std::vector<ScheduledBatch> out;
-  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 0.0, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, &out));
   auto rest = sched.Flush();
   for (auto& b : rest) out.push_back(std::move(b));
   ASSERT_EQ(out.size(), 1u);
@@ -228,10 +230,11 @@ TEST(ChaosScheduler, CircuitBreakerEvictsFlappingSoc) {
   SchedulerOptions opts = ChaosSchedOptions(2, &fi);
   opts.retry.breaker_threshold = 3;
   FleetScheduler sched(opts);
+  sched.SetModelTiming(0, "diana", 100.0, 0.0);
   std::vector<ScheduledBatch> out;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(sched.Offer(InferRequest{static_cast<u64>(i), 0, 0.0}, 100.0,
-                            0.0, &out));
+    EXPECT_TRUE(
+        sched.Offer(InferRequest{static_cast<u64>(i), 0, 0.0}, &out));
   }
   auto rest = sched.Flush();
   for (auto& b : rest) out.push_back(std::move(b));
@@ -248,8 +251,9 @@ TEST(ChaosScheduler, SlowdownStretchesServiceAndMarksDegraded) {
       /*fleet_size=*/1,
       {FaultEvent{0, FaultKind::kSlowdown, 0.0, 1e6, 3.0}});
   FleetScheduler sched(ChaosSchedOptions(1, &fi));
+  sched.SetModelTiming(0, "diana", 100.0, 0.0);
   std::vector<ScheduledBatch> out;
-  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 0.0, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, &out));
   auto rest = sched.Flush();
   for (auto& b : rest) out.push_back(std::move(b));
   ASSERT_EQ(out.size(), 1u);
@@ -261,9 +265,10 @@ TEST(ChaosScheduler, WholeFleetDeadCountsLostInsteadOfHanging) {
   const FaultInjector fi(
       /*fleet_size=*/1, {FaultEvent{0, FaultKind::kCrash, 50.0, 0.0, 1.0}});
   FleetScheduler sched(ChaosSchedOptions(1, &fi));
+  sched.SetModelTiming(0, "diana", 100.0, 0.0);
   std::vector<ScheduledBatch> out;
-  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 0.0, &out));
-  EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 10.0}, 100.0, 0.0, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 10.0}, &out));
   auto rest = sched.Flush();
   for (auto& b : rest) out.push_back(std::move(b));
   // The first request's attempt is interrupted by the crash at t=50 and no
@@ -328,10 +333,17 @@ TEST(ChaosServer, ThirtyPercentFleetFailureLosesNoAcceptedRequest) {
   // than runaway queueing (the healthy-run p99 is a few service times).
   EXPECT_LE(m.latency_p99_us, 100.0 * service_us);
   int dead = 0;
+  i64 inferences = 0;
   for (const auto& s : m.socs) {
     if (s.health == "dead") ++dead;
+    // Failed attempts add nothing to the per-SoC counters: only the final,
+    // successful run of each request is counted, at the artifact's cycles.
+    EXPECT_EQ(s.simulated_cycles, s.inferences * artifact->TotalFullCycles())
+        << "soc " << s.soc;
+    inferences += s.inferences;
   }
   EXPECT_EQ(dead, 3);
+  EXPECT_EQ(inferences, m.served);
 }
 
 TEST(ChaosServer, MetricsJsonIsByteIdenticalAcrossRuns) {

@@ -131,6 +131,26 @@ TEST(Dense, MatchesConv1x1) {
   }
 }
 
+TEST(Dense, ChecksDTypesLikeConv2d) {
+  Tensor data = Tensor::FromInt8(Shape{1, 3}, {10, 20, 30});
+  Tensor ternary(Shape{1, 3}, DType::kTernary);
+  ternary.SetFlat(0, 1);
+  ternary.SetFlat(2, -1);
+  auto out = Dense(data, ternary);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->GetFlat(0), -20);
+
+  const Tensor wide_data(Shape{1, 3}, DType::kInt32);
+  auto bad_data = Dense(wide_data, Tensor::FromInt8(Shape{1, 3}, {1, 1, 1}));
+  ASSERT_FALSE(bad_data.ok());
+  EXPECT_EQ(bad_data.status().code(), StatusCode::kInvalidArgument);
+
+  const Tensor wide_weight(Shape{2, 3}, DType::kInt16);
+  auto bad_weight = Dense(data, wide_weight);
+  ASSERT_FALSE(bad_weight.ok());
+  EXPECT_EQ(bad_weight.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(BiasAdd, PerChannelAxis1) {
   Tensor data = Tensor::FromInt32(Shape{1, 2, 1, 2}, {1, 2, 3, 4});
   Tensor bias = Tensor::FromInt32(Shape{2}, {10, 20});

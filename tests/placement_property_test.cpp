@@ -151,7 +151,7 @@ TEST(PlacementProperty, EveryDispatchIsTheArgminOfPredictedCompletion) {
     std::vector<double> free_us(static_cast<size_t>(fleet_size), 0.0);
     for (const ScheduledBatch& batch : batches) {
       ASSERT_EQ(batch.requests.size(), 1u);
-      const double ready = batch.requests[0].request.arrival_us;
+      const double ready = batch.requests[0].arrival_us;
       int best = -1;
       double best_done = 0;
       for (int s = 0; s < fleet_size; ++s) {
@@ -171,7 +171,7 @@ TEST(PlacementProperty, EveryDispatchIsTheArgminOfPredictedCompletion) {
       }
       ASSERT_GE(best, 0) << "seed " << seed;
       EXPECT_EQ(batch.soc, best)
-          << "seed " << seed << ": request " << batch.requests[0].request.id
+          << "seed " << seed << ": request " << batch.requests[0].id
           << " (model " << batch.model << ") placed on SoC " << batch.soc
           << " (" << sched.soc_kinds()[static_cast<size_t>(batch.soc)]
           << ") but the predicted-latency argmin is SoC " << best << " ("

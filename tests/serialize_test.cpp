@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <sstream>
+
+#include "compiler/pipeline.hpp"
 #include "ir/builder.hpp"
 #include "ir/serialize.hpp"
 #include "models/mlperf_tiny.hpp"
 #include "nn/interpreter.hpp"
+#include "runtime/executor.hpp"
 
 namespace htvm {
 namespace {
@@ -85,6 +90,20 @@ TEST(Serialize, RejectsTruncatedConstant) {
   EXPECT_FALSE(DeserializeGraph(text).ok());
 }
 
+TEST(Serialize, InputElementCountIsCapped) {
+  // Every dim is in range, but the product would overflow
+  // Shape::NumElements's check (an abort), so the loader caps it.
+  auto huge = DeserializeGraph(
+      "htvm-graph v1\ninput x int8 8 1048576 1048576 1048576 1 1 1 1 1\n"
+      "output 1 0\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  auto at_cap =
+      DeserializeGraph("htvm-graph v1\ninput x int8 2 8192 8192\noutput 1 0\n");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->node(0).type.shape.NumElements(), kMaxTensorElements);
+}
+
 TEST(Serialize, BadWindowAttrsAreTypedErrors) {
   // Zero or negative strides and pool sizes, windows that are not exactly
   // two values, bad padding and zero-size conv kernels must fail type
@@ -108,6 +127,101 @@ TEST(Serialize, BadWindowAttrsAreTypedErrors) {
     auto g = DeserializeGraph(conv_prefix + rest + "output 1 2\n");
     ASSERT_FALSE(g.ok()) << rest;
     EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument) << rest;
+  }
+}
+
+// Every copy of `text` with one value of a conv's `padding` or `strides`
+// attribute set to INT32_MAX, tagged with the attribute's name.
+std::vector<std::pair<std::string, std::string>> Int32MaxConvGeometryMutants(
+    const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::vector<std::pair<std::string, std::string>> mutants;
+  for (size_t l = 0; l < lines.size(); ++l) {
+    if (lines[l].rfind("op nn.conv2d ", 0) != 0) continue;
+    for (const std::string attr : {"padding", "strides"}) {
+      const size_t at = lines[l].find(" " + attr + " v:");
+      if (at == std::string::npos) continue;
+      // "v:<count>" is followed by the values, each as ":<int>".
+      size_t pos = lines[l].find(':', at + attr.size() + 4);
+      while (pos != std::string::npos && lines[l][pos] == ':') {
+        const size_t end = lines[l].find_first_of(": ", pos + 1);
+        std::vector<std::string> mutated = lines;
+        mutated[l].replace(pos + 1,
+                           end == std::string::npos ? end : end - pos - 1,
+                           "2147483647");
+        std::string joined;
+        for (const std::string& m : mutated) joined += m + "\n";
+        mutants.emplace_back(attr, std::move(joined));
+        pos = end;
+      }
+    }
+  }
+  return mutants;
+}
+
+TEST(Serialize, Int32MaxConvGeometryIsTypedErrorInBoundedTime) {
+  // An INT32_MAX conv padding describes an output no SoC can hold, whose
+  // tiling would exhaust memory in the compiler, so each such DS-CNN mutant
+  // must be a typed error at load. An INT32_MAX stride only shrinks the
+  // output to one row or column, so those mutants must load, compile and
+  // run (or fail typed) — all quickly, under every deployment configuration.
+  struct Config {
+    const char* name;
+    compiler::CompileOptions options;
+    models::PrecisionPolicy policy;
+  };
+  const Config configs[] = {
+      {"tvm", compiler::CompileOptions::PlainTvm(),
+       models::PrecisionPolicy::kInt8},
+      {"digital", compiler::CompileOptions::DigitalOnly(),
+       models::PrecisionPolicy::kInt8},
+      {"analog", compiler::CompileOptions::AnalogOnly(),
+       models::PrecisionPolicy::kTernary},
+      {"mixed", compiler::CompileOptions{}, models::PrecisionPolicy::kMixed},
+  };
+  for (const Config& config : configs) {
+    const auto mutants = Int32MaxConvGeometryMutants(
+        SerializeGraph(models::BuildDsCnn(config.policy)));
+    // Nine convs, each with four padding and two stride values.
+    ASSERT_EQ(mutants.size(), 9u * 6u) << config.name;
+    for (size_t i = 0; i < mutants.size(); ++i) {
+      const auto& [attr, text] = mutants[i];
+      SCOPED_TRACE(std::string(config.name) + " mutant " + std::to_string(i) +
+                   " (" + attr + ")");
+      const auto start = std::chrono::steady_clock::now();
+      auto graph = DeserializeGraph(text);
+      if (attr == "padding") {
+        ASSERT_FALSE(graph.ok());
+        EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(graph.status().message().find("exceeds"), std::string::npos)
+            << graph.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      auto artifact = compiler::HtvmCompiler{config.options}.Compile(*graph);
+      if (artifact.ok()) {
+        Rng rng(i);
+        std::vector<Tensor> inputs;
+        for (NodeId id : graph->inputs()) {
+          const TensorType& t = graph->node(id).type;
+          inputs.push_back(Tensor::Random(t.shape, t.dtype, rng));
+        }
+        for (const bool tiles : {false, true}) {
+          runtime::Executor executor(&*artifact, {.simulate_tiles = tiles});
+          auto run = executor.Run(inputs);
+          EXPECT_TRUE(run.ok()) << run.status().ToString();
+        }
+      } else {
+        EXPECT_NE(artifact.status().code(), StatusCode::kInternal)
+            << artifact.status().ToString();
+      }
+      EXPECT_LT(std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count(),
+                5.0);
+    }
   }
 }
 

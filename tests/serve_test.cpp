@@ -3,11 +3,13 @@
 // end-to-end serving run over a real compiled artifact.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
 
 #include "compiler/pipeline.hpp"
+#include "hw/soc.hpp"
 #include "ir/builder.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
@@ -137,12 +139,13 @@ SchedulerOptions FleetOptions(int fleet_size, int queue_capacity,
 TEST(FleetScheduler, RejectsWhenQueueBoundHit) {
   FleetScheduler sched(FleetOptions(/*fleet_size=*/1, /*queue_capacity=*/2,
                                     /*max_batch=*/1));
+  sched.SetModelTiming(0, "diana", 100.0, 0.0);
   std::vector<ScheduledBatch> out;
   // r0 dispatches immediately; r1 and r2 fill the pending queue; r3 bounces.
-  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 0.0, &out));
-  EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 0.0}, 100.0, 0.0, &out));
-  EXPECT_TRUE(sched.Offer(InferRequest{2, 0, 0.0}, 100.0, 0.0, &out));
-  EXPECT_FALSE(sched.Offer(InferRequest{3, 0, 0.0}, 100.0, 0.0, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 0.0}, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{2, 0, 0.0}, &out));
+  EXPECT_FALSE(sched.Offer(InferRequest{3, 0, 0.0}, &out));
   auto rest = sched.Flush();
   EXPECT_EQ(sched.admitted(), 3);
   EXPECT_EQ(sched.rejected(), 1);
@@ -155,11 +158,12 @@ TEST(FleetScheduler, RejectsWhenQueueBoundHit) {
 TEST(FleetScheduler, QueuedSameModelRequestsCoalesce) {
   FleetScheduler sched(FleetOptions(/*fleet_size=*/1, /*queue_capacity=*/16,
                                     /*max_batch=*/4));
+  sched.SetModelTiming(0, "diana", 100.0, 10.0);
   std::vector<ScheduledBatch> out;
   // r0 occupies the SoC until t=100; r1/r2 queue behind it and coalesce.
-  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 10.0, &out));
-  EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 1.0}, 100.0, 10.0, &out));
-  EXPECT_TRUE(sched.Offer(InferRequest{2, 0, 2.0}, 100.0, 10.0, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 1.0}, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{2, 0, 2.0}, &out));
   auto rest = sched.Flush();
   ASSERT_EQ(out.size() + rest.size(), 2u);  // singleton r0, then {r1, r2}
   const ScheduledBatch& batch = rest.empty() ? out.back() : rest.back();
@@ -173,9 +177,10 @@ TEST(FleetScheduler, QueuedSameModelRequestsCoalesce) {
 TEST(FleetScheduler, SpreadsLoadAcrossFleet) {
   FleetScheduler sched(FleetOptions(/*fleet_size=*/2, /*queue_capacity=*/16,
                                     /*max_batch=*/1));
+  sched.SetModelTiming(0, "diana", 100.0, 0.0);
   std::vector<ScheduledBatch> out;
-  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, 100.0, 0.0, &out));
-  EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 0.0}, 100.0, 0.0, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{0, 0, 0.0}, &out));
+  EXPECT_TRUE(sched.Offer(InferRequest{1, 0, 0.0}, &out));
   auto rest = sched.Flush();
   for (const auto& b : rest) out.push_back(b);
   ASSERT_EQ(out.size(), 2u);
@@ -207,7 +212,7 @@ TEST(PoissonTrace, DeterministicSortedAndPlausible) {
 
 // ------------------------------------------------------------- end to end
 
-std::shared_ptr<const compiler::Artifact> CompileSmallNet() {
+Graph SmallNet() {
   GraphBuilder b(3);
   NodeId x = b.Input("x", Shape{1, 8, 16, 16});
   ConvSpec spec;
@@ -215,8 +220,12 @@ std::shared_ptr<const compiler::Artifact> CompileSmallNet() {
   x = b.ConvBlock(x, WithSamePadding(spec, 16, 16), "c");
   x = b.Flatten(b.GlobalAvgPool(x));
   x = b.DenseBlock(x, 10, /*relu=*/false);
-  Graph net = b.Finish(x);
-  auto artifact = compiler::HtvmCompiler{compiler::CompileOptions{}}.Compile(net);
+  return b.Finish(x);
+}
+
+std::shared_ptr<const compiler::Artifact> CompileSmallNet() {
+  auto artifact =
+      compiler::HtvmCompiler{compiler::CompileOptions{}}.Compile(SmallNet());
   EXPECT_TRUE(artifact.ok()) << artifact.status().ToString();
   return std::make_shared<const compiler::Artifact>(std::move(*artifact));
 }
@@ -289,6 +298,56 @@ TEST(InferenceServer, OverloadHitsAdmissionControl) {
   EXPECT_EQ(m.max_queue_depth, 4);
   EXPECT_EQ(m.served, m.admitted);
   EXPECT_EQ(m.output_mismatches, 0);
+}
+
+TEST(InferenceServer, PerSocCountersMatchServedWorkOnMixedFleet) {
+  // Two SoC kinds with different cycle counts for the same network: every
+  // served request lands on exactly one SoC's counters, priced at the
+  // cycles of that SoC kind's artifact.
+  const Graph net = SmallNet();
+  std::map<std::string, i64> cycles_by_kind;
+  for (const std::string kind : {"diana", "diana-pe32"}) {
+    compiler::CompileOptions options;
+    auto soc = hw::FindSoc(kind);
+    ASSERT_TRUE(soc.ok()) << soc.status().ToString();
+    options.soc = *soc;
+    auto artifact = compiler::HtvmCompiler{options}.Compile(net);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    cycles_by_kind[kind] = artifact->TotalFullCycles();
+  }
+  ASSERT_NE(cycles_by_kind["diana"], cycles_by_kind["diana-pe32"]);
+
+  serve::ServerOptions options;
+  options.fleet_size = 3;
+  options.soc_kinds = {"diana", "diana", "diana-pe32"};
+  options.max_batch = 4;
+  options.verify_outputs = true;
+  serve::InferenceServer server(options);
+  auto handle =
+      server.RegisterModel("smallnet", net, compiler::CompileOptions{});
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  // Offered load at twice one SoC's capacity keeps every SoC busy.
+  const double qps = 2.0e6 / server.ServiceUs(*handle);
+  const auto trace = serve::PoissonTrace(qps, /*duration_s=*/0.05, 5, 1);
+  server.Start();
+  for (const auto& event : trace) {
+    (void)server.Submit(*handle, event.arrival_us);
+  }
+  const auto m = server.Drain(0.05);
+
+  EXPECT_GT(m.served, 0);
+  EXPECT_EQ(m.served, m.admitted);
+  EXPECT_EQ(m.exec_failures, 0);
+  EXPECT_EQ(m.output_mismatches, 0);
+  ASSERT_EQ(m.socs.size(), 3u);
+  i64 inferences = 0;
+  for (const auto& s : m.socs) {
+    EXPECT_GT(s.inferences, 0) << "soc " << s.soc;
+    EXPECT_EQ(s.simulated_cycles, s.inferences * cycles_by_kind.at(s.kind))
+        << "soc " << s.soc << " (" << s.kind << ")";
+    inferences += s.inferences;
+  }
+  EXPECT_EQ(inferences, m.served);
 }
 
 TEST(InferenceServer, RejectsNullArtifact) {

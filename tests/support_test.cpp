@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "hw/perf.hpp"
 #include "support/histogram.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -237,84 +236,6 @@ TEST(Histogram, MergeWithEmptySidesIsIdentity) {
   EXPECT_EQ(target.count(), 1);
   EXPECT_DOUBLE_EQ(target.min(), 7.0);
   EXPECT_DOUBLE_EQ(target.max(), 7.0);
-}
-
-// --------------------------------------------------- hw::RunProfile merging
-
-hw::KernelPerf MakeKernel(const std::string& name, i64 cycles, i64 tiles) {
-  hw::KernelPerf k;
-  k.name = name;
-  k.target = "digital";
-  k.macs = cycles * 8;
-  k.peak_cycles = cycles / 2;
-  k.full_cycles = cycles;
-  k.compute_cycles = cycles / 2;
-  k.act_dma_cycles = cycles / 4;
-  k.overhead_cycles = cycles - cycles / 2 - cycles / 4;
-  k.tiles = tiles;
-  return k;
-}
-
-TEST(RunProfile, AccumulateMatchesByNameAndSumsCounters) {
-  hw::RunProfile base;
-  base.kernels = {MakeKernel("conv#0", 1000, 4), MakeKernel("dense#1", 200, 1)};
-  hw::RunProfile other;
-  other.kernels = {MakeKernel("conv#0", 500, 2)};
-  base.Accumulate(other);
-  ASSERT_EQ(base.kernels.size(), 2u);
-  EXPECT_EQ(base.kernels[0].full_cycles, 1500);
-  EXPECT_EQ(base.kernels[0].macs, 1500 * 8);
-  EXPECT_EQ(base.kernels[0].tiles, 6);
-  EXPECT_EQ(base.kernels[1].full_cycles, 200);  // untouched
-  EXPECT_EQ(base.TotalFullCycles(), 1700);
-}
-
-TEST(RunProfile, AccumulateAppendsUnknownKernels) {
-  hw::RunProfile base;
-  base.kernels = {MakeKernel("conv#0", 1000, 4)};
-  hw::RunProfile other;
-  other.kernels = {MakeKernel("add#2", 50, 1)};
-  base.Accumulate(other);
-  ASSERT_EQ(base.kernels.size(), 2u);
-  EXPECT_EQ(base.kernels[1].name, "add#2");
-  EXPECT_EQ(base.kernels[1].full_cycles, 50);
-}
-
-TEST(RunProfile, AccumulateEmptyIsIdentityBothWays) {
-  hw::RunProfile base;
-  base.kernels = {MakeKernel("conv#0", 1000, 4)};
-  const i64 before = base.TotalFullCycles();
-  base.Accumulate(hw::RunProfile{});
-  EXPECT_EQ(base.TotalFullCycles(), before);
-  hw::RunProfile empty;
-  empty.Accumulate(base);
-  ASSERT_EQ(empty.kernels.size(), 1u);
-  EXPECT_EQ(empty.TotalFullCycles(), before);
-}
-
-TEST(RunProfile, AccumulateIsAssociativeAcrossInstances) {
-  // Fleet semantics: per-SoC profiles merged in any grouping give the same
-  // totals.
-  const hw::RunProfile a{{MakeKernel("conv#0", 100, 1)}};
-  const hw::RunProfile b{{MakeKernel("conv#0", 200, 2)}};
-  const hw::RunProfile c{{MakeKernel("dense#1", 300, 1)}};
-  hw::RunProfile left;
-  left.Accumulate(a);
-  left.Accumulate(b);
-  left.Accumulate(c);
-  hw::RunProfile right;
-  hw::RunProfile bc;
-  bc.Accumulate(b);
-  bc.Accumulate(c);
-  right.Accumulate(a);
-  right.Accumulate(bc);
-  EXPECT_EQ(left.TotalFullCycles(), right.TotalFullCycles());
-  EXPECT_EQ(left.TotalMacs(), right.TotalMacs());
-  ASSERT_EQ(left.kernels.size(), right.kernels.size());
-  for (size_t i = 0; i < left.kernels.size(); ++i) {
-    EXPECT_EQ(left.kernels[i].name, right.kernels[i].name);
-    EXPECT_EQ(left.kernels[i].full_cycles, right.kernels[i].full_cycles);
-  }
 }
 
 }  // namespace
