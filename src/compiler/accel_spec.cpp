@@ -1,6 +1,8 @@
 #include "compiler/accel_spec.hpp"
 
+#include "dory/weight_layout.hpp"
 #include "hw/analog_accel.hpp"
+#include "support/string_utils.hpp"
 
 namespace htvm::compiler {
 
@@ -53,6 +55,18 @@ bool AnalogSupports(const dory::AccelLayerSpec& spec,
       return false;
   }
   return false;
+}
+
+Status CheckL2Fits(const dory::AccelLayerSpec& spec, const hw::DianaConfig& cfg,
+                   dory::AccelTarget target) {
+  const i64 activations = spec.InputBytes() + spec.OutputBytes();
+  const i64 weights = dory::DeployedWeightBytes(spec, cfg, target);
+  if (activations <= cfg.l2_bytes && weights <= cfg.l2_bytes) {
+    return Status::Ok();
+  }
+  return Status::Unsupported(StrFormat(
+      "exceeds L2 (%lld B): activations %lld B, weights %lld B",
+      (long long)cfg.l2_bytes, (long long)activations, (long long)weights));
 }
 
 }  // namespace htvm::compiler

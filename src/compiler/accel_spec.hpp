@@ -9,7 +9,7 @@
 // digital, and ternary precision goes to analog."
 #pragma once
 
-#include "dory/layer_spec.hpp"
+#include "dory/tiler.hpp"
 #include "hw/config.hpp"
 
 namespace htvm::compiler {
@@ -26,5 +26,11 @@ bool DigitalSupports(const dory::AccelLayerSpec& spec,
 // slowdown on DS-CNN/MobileNet in Table I).
 bool AnalogSupports(const dory::AccelLayerSpec& spec,
                     const hw::DianaConfig& cfg);
+
+// A deployed layer keeps its input and output activations, and separately
+// its weights, in L2 (DORY step 3). Unsupported, with the dispatch reason,
+// when either exceeds cfg.l2_bytes: no tiling can deploy such a layer.
+Status CheckL2Fits(const dory::AccelLayerSpec& spec, const hw::DianaConfig& cfg,
+                   dory::AccelTarget target);
 
 }  // namespace htvm::compiler

@@ -60,9 +60,10 @@ MatchPredicate MakeDianaPredicate(const DispatchOptions& options,
       return false;
     }
 
-    // Weight bit-width selects the accelerator; a tiling feasibility probe
-    // guards against layers no schedule can fit into L1. The probe stops at
-    // the first shape that fits; CompileKernels solves the layer once.
+    // Weight bit-width selects the accelerator; an L2 bound and a tiling
+    // feasibility probe guard against layers no schedule can deploy. The
+    // probe stops at the first shape that fits; CompileKernels solves the
+    // layer once.
     dory::AccelTarget target;
     if (options.enable_analog && AnalogSupports(*spec, cfg)) {
       target = dory::AccelTarget::kAnalog;
@@ -73,8 +74,12 @@ MatchPredicate MakeDianaPredicate(const DispatchOptions& options,
                   "no enabled accelerator supports the layer parameters");
       return false;
     }
-    const Status fits =
-        dory::CheckTilingFits(*spec, cfg, target, tiler_options);
+    Status fits = CheckL2Fits(*spec, cfg, target);
+    if (!fits.ok()) {
+      LogDecision(log, graph, match, pattern, &*spec, "cpu", fits.message());
+      return false;
+    }
+    fits = dory::CheckTilingFits(*spec, cfg, target, tiler_options);
     if (!fits.ok()) {
       HTVM_ILOG << "dispatch: tiling infeasible for "
                 << dory::LayerKindName(spec->kind) << " -> CPU fallback";
@@ -93,8 +98,8 @@ MatchPredicate MakeDianaPredicate(const DispatchOptions& options,
 }
 
 // Whole-block MHSA acceptance: every head-projection / output-projection
-// matmul must be digitally supported and tileable into L1. Each projection
-// is read with the same AnalyzeAnchor that CompileMhsaKernel later
+// matmul must be digitally supported, fit L2 and be tileable into L1. Each
+// projection is read with the same AnalyzeAnchor that CompileMhsaKernel later
 // schedules, so acceptance here can never strand an uncompilable kernel.
 MatchPredicate MakeMhsaPredicate(const DispatchOptions& options,
                                  const hw::DianaConfig& cfg,
@@ -124,8 +129,14 @@ MatchPredicate MakeMhsaPredicate(const DispatchOptions& options,
                     StrFormat("%s not digitally supported", weight));
         return false;
       }
-      const Status fits = dory::CheckTilingFits(
-          *spec, cfg, dory::AccelTarget::kDigital, tiler_options);
+      Status fits = CheckL2Fits(*spec, cfg, dory::AccelTarget::kDigital);
+      if (!fits.ok()) {
+        LogDecision(log, graph, match, "diana.mhsa", &*spec, "cpu",
+                    StrFormat("%s %s", weight, fits.message().c_str()));
+        return false;
+      }
+      fits = dory::CheckTilingFits(*spec, cfg, dory::AccelTarget::kDigital,
+                                   tiler_options);
       if (!fits.ok()) {
         LogDecision(log, graph, match, "diana.mhsa", &*spec, "cpu",
                     StrFormat("%s tiling infeasible: %s", weight,

@@ -1,7 +1,6 @@
 #include "dory/weight_layout.hpp"
 
 #include "hw/analog_accel.hpp"
-#include "support/math_utils.hpp"
 
 namespace htvm::dory {
 
@@ -17,43 +16,6 @@ i64 DeployedWeightBytes(const AccelLayerSpec& spec,
     return hw::AnalogWeightStorageBytes(cfg.analog, g) + bias_bytes;
   }
   return spec.WeightElems() + bias_bytes;  // int8, 1 byte/element
-}
-
-namespace {
-Tensor Permute(const Tensor& weight, i64 k_block, bool inverse) {
-  HTVM_CHECK(weight.shape().rank() == 4);
-  const i64 K = weight.shape()[0];
-  const i64 inner = weight.NumElements() / K;
-  Tensor out(weight.shape(), weight.dtype());
-  // Lane-major blocked layout: [k-block][inner][lane]. Each group of
-  // `k_block` output channels is stored with the 16 PE lanes innermost so
-  // one DMA burst feeds all rows of the array simultaneously.
-  i64 base = 0;  // flat offset where the current block starts
-  for (i64 kb = 0; kb < K; kb += k_block) {
-    const i64 lanes = std::min(k_block, K - kb);
-    for (i64 k = kb; k < kb + lanes; ++k) {
-      for (i64 i = 0; i < inner; ++i) {
-        const i64 src = k * inner + i;
-        const i64 dst = base + i * lanes + (k - kb);
-        if (inverse) {
-          out.SetFlat(src, weight.GetFlat(dst));
-        } else {
-          out.SetFlat(dst, weight.GetFlat(src));
-        }
-      }
-    }
-    base += lanes * inner;
-  }
-  return out;
-}
-}  // namespace
-
-Tensor DigitalWeightLayout(const Tensor& weight, i64 k_block) {
-  return Permute(weight, k_block, /*inverse=*/false);
-}
-
-Tensor DigitalWeightLayoutInverse(const Tensor& blocked, i64 k_block) {
-  return Permute(blocked, k_block, /*inverse=*/true);
 }
 
 }  // namespace htvm::dory

@@ -1,9 +1,9 @@
-// Weight storage layout (DORY step 3: "stores the weights in the SoC's
+// Deployed weight storage (DORY step 3: "stores the weights in the SoC's
 // global memory (L2) in the most optimal data layout").
 //
-// Digital: int8 weights reordered into 16-output-channel blocks so a weight
-// tile streams to the accelerator as one contiguous DMA (the cost model's
-// DmaCost1d assumption). The reorder is a pure permutation.
+// Digital: int8 weights, 1 byte per element, serialized tile-major in the
+// schedule's fetch order (dory::TileMajorWeights, c_codegen.hpp) so each
+// weight tile streams to the accelerator as one contiguous DMA.
 //
 // Analog: ternary weights packed at 2 bits/cell, rows padded to the macro
 // row-group — the storage model behind the "ternary can still grow the
@@ -18,13 +18,5 @@ namespace htvm::dory {
 // Deployed L2 bytes for the layer's weights (+bias) under `target`.
 i64 DeployedWeightBytes(const AccelLayerSpec& spec,
                         const hw::DianaConfig& cfg, AccelTarget target);
-
-// Reorders conv weights [K, C, kh, kw] into K-blocks of 16 channels
-// (block-major), returning a tensor with identical elements. Exposed so
-// tests can verify the transform is a permutation.
-Tensor DigitalWeightLayout(const Tensor& weight, i64 k_block = 16);
-
-// Inverse of DigitalWeightLayout.
-Tensor DigitalWeightLayoutInverse(const Tensor& blocked, i64 k_block = 16);
 
 }  // namespace htvm::dory

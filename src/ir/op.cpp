@@ -26,7 +26,8 @@ const OpDef* OpRegistry::Find(const std::string& name) const {
 
 i64 ConvOutDim(i64 in, i64 kernel, i64 pad_begin, i64 pad_end, i64 stride) {
   HTVM_CHECK(stride > 0 && kernel > 0);
-  return (in + pad_begin + pad_end - kernel) / stride + 1;
+  const i64 span = in + pad_begin + pad_end - kernel;
+  return span < 0 ? 0 : span / stride + 1;
 }
 
 Result<std::array<i64, 4>> NormalizePadding(std::span<const i64> padding,

@@ -77,6 +77,8 @@ void RegisterCoreOps();
 // Shape arithmetic shared by inference, the DORY layer analyzer and the
 // accelerator cost models: output spatial size of a conv/pool window.
 //   out = (in + pad_begin + pad_end - kernel) / stride + 1
+// and 0 when the window is larger than the padded input (truncating the
+// negative quotient toward zero would give one window reading past it).
 i64 ConvOutDim(i64 in, i64 kernel, i64 pad_begin, i64 pad_end, i64 stride);
 
 // The [top, left, bottom, right] form of a conv/pool `padding` attribute

@@ -1,13 +1,12 @@
-// Transformer-workload reference kernels: matmul, transpose, layernorm,
-// gelu. Like the rest of src/nn these are the bit-exact ground truth the
-// compiled paths (CPU composites and DORY-tiled accelerator kernels) must
-// reproduce. Integer matmul keeps the low 32 bits of its sum; layernorm/gelu
-// follow the repo's fixed-activation-scale convention (int8 value v
-// represents v / kActScale) so the int8 results are deterministic across
-// platforms.
+// Transformer-workload reference kernels: transpose, layernorm, gelu
+// (matmul shares conv2d's and dense's GEMM core in conv.cpp). Like the rest
+// of src/nn these are the bit-exact ground truth the compiled paths (CPU
+// composites and DORY-tiled accelerator kernels) must reproduce.
+// Layernorm and gelu follow the repo's fixed-activation-scale convention
+// (int8 value v represents v / kActScale) so the int8 results are
+// deterministic across platforms.
 #include <array>
 #include <cmath>
-#include <type_traits>
 
 #include "nn/kernels.hpp"
 #include "support/math_utils.hpp"
@@ -36,80 +35,7 @@ i64 ISqrt64(i64 n) {
   return x;
 }
 
-// Round-half-away-from-zero division, q > 0.
-i64 RoundedDiv(i64 p, i64 q) {
-  return p >= 0 ? (p + q / 2) / q : -((-p + q / 2) / q);
-}
-
-// o[bi] = a[bi] x b[bi] (or the one shared b), with b [n, kk] when
-// transpose_b and [kk, n] otherwise. Elements pass through i64 as in the
-// elementwise kernels; an integer output keeps only the low bits of the
-// sum, so it accumulates in wrapping u32, a float output in i64.
-template <typename A, typename B, typename O>
-void MatMulTyped(const A* a, const B* b, O* o, i64 batch, bool shared_b,
-                 i64 m, i64 kk, i64 n, bool transpose_b) {
-  using Acc = std::conditional_t<std::is_integral_v<O>, u32, i64>;
-  // Strides of b's column c and reduction index x.
-  const i64 c_stride = transpose_b ? kk : 1;
-  const i64 x_stride = transpose_b ? 1 : n;
-  for (i64 bi = 0; bi < batch; ++bi) {
-    const B* bb = b + (shared_b ? 0 : bi) * n * kk;
-    for (i64 r = 0; r < m; ++r) {
-      const A* arow = a + (bi * m + r) * kk;
-      O* orow = o + (bi * m + r) * n;
-      for (i64 c = 0; c < n; ++c) {
-        const B* bcol = bb + c * c_stride;
-        Acc sum = 0;
-        for (i64 x = 0; x < kk; ++x) {
-          sum += static_cast<Acc>(static_cast<i64>(arow[x]) *
-                                  static_cast<i64>(bcol[x * x_stride]));
-        }
-        orow[c] = static_cast<O>(sum);
-      }
-    }
-  }
-}
-
 }  // namespace
-
-Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b) {
-  const Shape& as = a.shape();
-  const Shape& bs = b.shape();
-  if (as.rank() < 2 || bs.rank() < 2) {
-    return Status::InvalidArgument("matmul: rank >= 2 tensors required");
-  }
-  const i64 m = as[as.rank() - 2];
-  const i64 kk = as[as.rank() - 1];
-  const i64 n = transpose_b ? bs[bs.rank() - 2] : bs[bs.rank() - 1];
-  const i64 k2 = transpose_b ? bs[bs.rank() - 1] : bs[bs.rank() - 2];
-  if (kk != k2) {
-    return Status::InvalidArgument("matmul: reduction dims differ");
-  }
-  const i64 batch = a.NumElements() / (m * kk);
-  const i64 b_batch = b.NumElements() / (n * kk);
-  if (b_batch != 1 && b_batch != batch) {
-    return Status::InvalidArgument("matmul: batch dims differ");
-  }
-  std::vector<i64> out_dims;
-  for (i64 i = 0; i < as.rank() - 2; ++i) out_dims.push_back(as[i]);
-  out_dims.push_back(m);
-  out_dims.push_back(n);
-  const DType out_t = (a.dtype() == DType::kInt8 && b.dtype() == DType::kInt8)
-                          ? DType::kInt32
-                          : a.dtype();
-  Tensor out(Shape(out_dims), out_t);
-  VisitDType(a.dtype(), [&](auto ae) {
-    VisitDType(b.dtype(), [&](auto be) {
-      VisitDType(out_t, [&](auto oe) {
-        MatMulTyped(a.data<decltype(ae)>().data(),
-                    b.data<decltype(be)>().data(),
-                    out.data<decltype(oe)>().data(), batch, b_batch == 1, m,
-                    kk, n, transpose_b);
-      });
-    });
-  });
-  return out;
-}
 
 Result<Tensor> Transpose(const Tensor& data, const std::vector<i64>& axes) {
   const Shape& d = data.shape();

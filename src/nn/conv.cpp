@@ -1,6 +1,8 @@
 #include "nn/kernels.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 
 #include "ir/op.hpp"
 #include "support/math_utils.hpp"
@@ -61,6 +63,24 @@ std::vector<i16> WidenRows(const i8* src, i64 rows, i64 len) {
     std::copy_n(src + i * len, len, out.data() + i * n);
   }
   return out;
+}
+
+// i8 [len x cols] widened and transposed to cols i16 rows of
+// AlignUp(len, 8): the row layout WidenRows gives the same matrix stored
+// [cols x len].
+std::vector<i16> WidenColumns(const i8* src, i64 len, i64 cols) {
+  const i64 n = AlignUp(len, 8);
+  std::vector<i16> out(static_cast<size_t>(cols * n), 0);
+  for (i64 x = 0; x < len; ++x) {
+    for (i64 c = 0; c < cols; ++c) out[c * n + x] = src[x * cols + c];
+  }
+  return out;
+}
+
+// Product of the dims in front of the matrix dims.
+i64 BatchOf(const Shape& s) {
+  return std::accumulate(s.dims().begin(), s.dims().end() - 2, i64{1},
+                         std::multiplies<>());
 }
 
 struct ConvGeometry {
@@ -198,13 +218,13 @@ Result<Tensor> Conv2d(const Tensor& data, const Tensor& weight,
   }
   g.sy = strides.size() > 0 ? strides[0] : 1;
   g.sx = strides.size() > 1 ? strides[1] : 1;
-  if (g.sy <= 0 || g.sx <= 0) {
-    return Status::InvalidArgument("conv2d: non-positive stride");
+  if (g.kh <= 0 || g.kw <= 0 || g.sy <= 0 || g.sx <= 0) {
+    return Status::InvalidArgument("conv2d: non-positive kernel or stride");
   }
   HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(padding, "conv2d"));
   g.pad = pad;
-  g.oh = (g.H + pad[0] + pad[2] - g.kh) / g.sy + 1;
-  g.ow = (g.W + pad[1] + pad[3] - g.kw) / g.sx + 1;
+  g.oh = ConvOutDim(g.H, g.kh, pad[0], pad[2], g.sy);
+  g.ow = ConvOutDim(g.W, g.kw, pad[1], pad[3], g.sx);
   if (g.oh <= 0 || g.ow <= 0) {
     return Status::InvalidArgument("conv2d: empty output");
   }
@@ -245,6 +265,56 @@ Result<Tensor> Dense(const Tensor& data, const Tensor& weight) {
   Gemm(rows.data(), N, wide.data(), O, AlignUp(I, 8),
        reinterpret_cast<u32*>(out.data<i32>().data()), 1, O);
   return out;
+}
+
+Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b) {
+  const Shape& as = a.shape();
+  const Shape& bs = b.shape();
+  if (as.rank() < 2 || bs.rank() < 2) {
+    return Status::InvalidArgument("matmul: rank >= 2 tensors required");
+  }
+  if (a.dtype() != DType::kInt8) {
+    return Status::InvalidArgument("matmul: int8 lhs required");
+  }
+  if (b.dtype() != DType::kInt8 && b.dtype() != DType::kTernary) {
+    return Status::InvalidArgument("matmul: int8/ternary rhs required");
+  }
+  const i64 m = as[as.rank() - 2];
+  const i64 kk = as[as.rank() - 1];
+  const i64 n = transpose_b ? bs[bs.rank() - 2] : bs[bs.rank() - 1];
+  const i64 k2 = transpose_b ? bs[bs.rank() - 1] : bs[bs.rank() - 2];
+  if (kk != k2) {
+    return Status::InvalidArgument("matmul: reduction dims differ");
+  }
+  const i64 batch = BatchOf(as);
+  const i64 b_batch = BatchOf(bs);
+  if (b_batch != 1 && b_batch != batch) {
+    return Status::InvalidArgument("matmul: batch dims differ");
+  }
+  std::vector<i64> out_dims(as.dims().begin(), as.dims().end() - 1);
+  out_dims.push_back(n);
+  Tensor out(Shape(out_dims), DType::kInt32);
+  const i8* ad = a.data<i8>().data();
+  const i8* bd = b.data<i8>().data();
+  u32* o = reinterpret_cast<u32*>(out.data<i32>().data());
+  // The rhs as n rows of kk, widened once when every batch shares it.
+  std::vector<i16> wide;
+  for (i64 bi = 0; bi < batch; ++bi) {
+    if (bi == 0 || b_batch != 1) {
+      const i8* bb = bd + (b_batch == 1 ? 0 : bi) * n * kk;
+      wide = transpose_b ? WidenRows(bb, n, kk) : WidenColumns(bb, kk, n);
+    }
+    const std::vector<i16> rows = WidenRows(ad + bi * m * kk, m, kk);
+    Gemm(rows.data(), m, wide.data(), n, AlignUp(kk, 8), o + bi * m * n, 1,
+         n);
+  }
+  if (b.dtype() == DType::kInt8) return out;
+  // int8 x ternary keeps the lhs dtype (the IR type rule): the low 8 bits.
+  Tensor low(out.shape(), DType::kInt8);
+  std::transform(out.data<i32>().begin(), out.data<i32>().end(),
+                 low.data<i8>().begin(),
+                 [](i32 v) { return static_cast<i8>(v); });
+  return low;
 }
 
 }  // namespace htvm::nn

@@ -9,12 +9,12 @@
 // Each kernel resolves its dtypes and checks its extents once per call,
 // then loops over typed pointers (Tensor::data<T>()). Values follow the i64
 // semantics of Tensor::GetFlat/SetFlat: integers widen, float truncates
-// toward zero, and a store narrows with wrap-around. Integer accumulations
-// (conv2d, dense, matmul) yield exactly the low 32 bits of the exact sum,
-// i.e. what narrowing an i64 sum to int32 keeps. They get there by summing
-// in wrapping u32, or, in the int8 dot products of conv2d and dense, by
-// summing chunks of at most 2^16 terms in i32 (|i8 * i8| <= 2^14, so a
-// chunk cannot overflow) and adding the chunk sums in wrapping u32.
+// toward zero, and a store narrows with wrap-around. The integer
+// contractions (conv2d, dense, matmul) take int8 operands only and share
+// one GEMM core: i16-widened rows, dot products summed in chunks of at most
+// 2^16 terms in i32 (|i8 * i8| <= 2^14, so a chunk cannot overflow), and
+// chunk sums added in wrapping u32. Each output is exactly the low 32 bits
+// of the exact sum, i.e. what narrowing an i64 sum to int32 keeps.
 #pragma once
 
 #include <array>
@@ -71,6 +71,10 @@ Result<Tensor> Relu(const Tensor& data);
 // add with int8->int32 promotion (residual accumulator domain).
 Result<Tensor> Add(const Tensor& lhs, const Tensor& rhs);
 
+// Pooling: avg, max and global avg share one window walk, which clips each
+// window to the input once and reduces its in-bounds elements in i64. Avg
+// rounds sum / count half away from zero (0 for a window wholly in
+// padding); max starts at -128. Global avg is the H x W window at stride 1.
 Result<Tensor> AvgPool2d(const Tensor& data, const std::vector<i64>& pool,
                          const std::vector<i64>& strides,
                          const std::vector<i64>& padding);
@@ -79,12 +83,16 @@ Result<Tensor> MaxPool2d(const Tensor& data, const std::vector<i64>& pool,
                          const std::vector<i64>& padding);
 Result<Tensor> GlobalAvgPool2d(const Tensor& data);
 
-// nn.pad: zero padding of the spatial dims, pad_width = [t, l, b, r].
+// nn.pad: zero padding of the spatial dims, pad_width = [t, l, b, r] (each
+// >= 0). Rows are copied byte for byte, any dtype.
 Result<Tensor> Pad2d(const Tensor& data, const std::vector<i64>& pad_width);
 
 // matmul: a [..., M, K] x b [N, K] (transpose_b, the dense/weight layout)
-// or [K, N]; rank-2 b broadcasts over a's batch dims. int8 x int8
-// accumulates into int32 like nn.dense.
+// or [K, N]; rank-2 b broadcasts over a's batch dims. a must be int8 and b
+// int8 or ternary (otherwise InvalidArgument); it runs on conv2d's and
+// dense's GEMM core, with b widened once when every batch shares it.
+// int8 x int8 yields int32 like nn.dense; int8 x ternary keeps a's dtype,
+// the low 8 bits of each sum (the IR type rule).
 Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b);
 
 // transpose: permutes dims by `axes`.

@@ -1,5 +1,9 @@
 #include "nn/kernels.hpp"
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
+
 #include "ir/op.hpp"
 #include "support/math_utils.hpp"
 
@@ -26,15 +30,61 @@ Result<PoolGeometry> ResolvePool(const Tensor& data,
   g.pw = pool.size() > 1 ? pool[1] : g.ph;
   g.sy = strides.size() > 0 ? strides[0] : g.ph;
   g.sx = strides.size() > 1 ? strides[1] : g.pw;
+  if (g.ph <= 0 || g.pw <= 0 || g.sy <= 0 || g.sx <= 0) {
+    return Status::InvalidArgument("pool2d: non-positive window or stride");
+  }
   HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(padding, "pool2d"));
   g.pt = pad[0];
   g.pl = pad[1];
-  g.oh = (g.H + pad[0] + pad[2] - g.ph) / g.sy + 1;
-  g.ow = (g.W + pad[1] + pad[3] - g.pw) / g.sx + 1;
+  g.oh = ConvOutDim(g.H, g.ph, pad[0], pad[2], g.sy);
+  g.ow = ConvOutDim(g.W, g.pw, pad[1], pad[3], g.sx);
   if (g.oh <= 0 || g.ow <= 0) {
     return Status::InvalidArgument("pool2d: empty output");
   }
   return g;
+}
+
+// Quantized average pooling averages the in-bounds elements only (TFLite
+// style), rounding ties away from zero; a window wholly in padding is 0.
+i64 RoundedAverage(i64 sum, i64 count) {
+  return count == 0 ? 0 : RoundedDiv(sum, count);
+}
+
+// The one window walk of avg, max and global pooling. Per output it clips
+// the window to the input once, folds the in-bounds elements into `init`
+// with `reduce`, and stores finish(acc, in-bounds count). Elements pass
+// through i64 as in GetFlat/SetFlat.
+template <typename Reduce, typename Finish>
+Tensor WindowWalk(const Tensor& data, const PoolGeometry& g, i64 init,
+                  Reduce reduce, Finish finish) {
+  Tensor out(Shape{g.N, g.C, g.oh, g.ow}, data.dtype());
+  VisitDType(data.dtype(), [&](auto e) {
+    using T = decltype(e);
+    const T* plane = data.data<T>().data();
+    T* o = out.data<T>().data();
+    for (i64 nc = 0; nc < g.N * g.C; ++nc, plane += g.H * g.W) {
+      for (i64 oy = 0; oy < g.oh; ++oy) {
+        const i64 top = oy * g.sy - g.pt;
+        const i64 y0 = std::max<i64>(top, 0);
+        const i64 y1 = std::min(top + g.ph, g.H);
+        for (i64 ox = 0; ox < g.ow; ++ox) {
+          const i64 left = ox * g.sx - g.pl;
+          const i64 x0 = std::max<i64>(left, 0);
+          const i64 x1 = std::min(left + g.pw, g.W);
+          i64 acc = init;
+          for (i64 y = y0; y < y1; ++y) {
+            for (i64 x = x0; x < x1; ++x) {
+              acc = reduce(acc, static_cast<i64>(plane[y * g.W + x]));
+            }
+          }
+          const i64 count =
+              std::max<i64>(y1 - y0, 0) * std::max<i64>(x1 - x0, 0);
+          *o++ = static_cast<T>(finish(acc, count));
+        }
+      }
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -43,84 +93,26 @@ Result<Tensor> AvgPool2d(const Tensor& data, const std::vector<i64>& pool,
                          const std::vector<i64>& strides,
                          const std::vector<i64>& padding) {
   HTVM_ASSIGN_OR_RETURN(g, ResolvePool(data, pool, strides, padding));
-  Tensor out(Shape{g.N, g.C, g.oh, g.ow}, data.dtype());
-  for (i64 n = 0; n < g.N; ++n) {
-    for (i64 c = 0; c < g.C; ++c) {
-      for (i64 oy = 0; oy < g.oh; ++oy) {
-        for (i64 ox = 0; ox < g.ow; ++ox) {
-          i64 sum = 0;
-          i64 count = 0;  // average over in-bounds elements (TFLite style)
-          for (i64 fy = 0; fy < g.ph; ++fy) {
-            const i64 iy = oy * g.sy + fy - g.pt;
-            if (iy < 0 || iy >= g.H) continue;
-            for (i64 fx = 0; fx < g.pw; ++fx) {
-              const i64 ix = ox * g.sx + fx - g.pl;
-              if (ix < 0 || ix >= g.W) continue;
-              sum += data.At4(n, c, iy, ix);
-              ++count;
-            }
-          }
-          // Round to nearest, ties away from zero — the integer semantics of
-          // quantized average pooling.
-          i64 avg = 0;
-          if (count > 0) {
-            avg = sum >= 0 ? (sum + count / 2) / count
-                           : -((-sum + count / 2) / count);
-          }
-          out.Set4(n, c, oy, ox, avg);
-        }
-      }
-    }
-  }
-  return out;
+  return WindowWalk(data, g, 0, std::plus<i64>(), RoundedAverage);
 }
 
 Result<Tensor> MaxPool2d(const Tensor& data, const std::vector<i64>& pool,
                          const std::vector<i64>& strides,
                          const std::vector<i64>& padding) {
   HTVM_ASSIGN_OR_RETURN(g, ResolvePool(data, pool, strides, padding));
-  Tensor out(Shape{g.N, g.C, g.oh, g.ow}, data.dtype());
-  for (i64 n = 0; n < g.N; ++n) {
-    for (i64 c = 0; c < g.C; ++c) {
-      for (i64 oy = 0; oy < g.oh; ++oy) {
-        for (i64 ox = 0; ox < g.ow; ++ox) {
-          i64 best = -128;
-          for (i64 fy = 0; fy < g.ph; ++fy) {
-            const i64 iy = oy * g.sy + fy - g.pt;
-            if (iy < 0 || iy >= g.H) continue;
-            for (i64 fx = 0; fx < g.pw; ++fx) {
-              const i64 ix = ox * g.sx + fx - g.pl;
-              if (ix < 0 || ix >= g.W) continue;
-              best = std::max(best, data.At4(n, c, iy, ix));
-            }
-          }
-          out.Set4(n, c, oy, ox, best);
-        }
-      }
-    }
-  }
-  return out;
+  // The maximum starts at -128, which is also what a window wholly in
+  // padding yields.
+  return WindowWalk(
+      data, g, -128, [](i64 acc, i64 v) { return std::max(acc, v); },
+      [](i64 acc, i64) { return acc; });
 }
 
 Result<Tensor> GlobalAvgPool2d(const Tensor& data) {
   if (data.shape().rank() != 4) {
     return Status::InvalidArgument("global_avg_pool2d: rank-4 input");
   }
-  const i64 N = data.shape()[0], C = data.shape()[1];
-  const i64 H = data.shape()[2], W = data.shape()[3];
-  Tensor out(Shape{N, C, 1, 1}, data.dtype());
-  const i64 count = H * W;
-  for (i64 n = 0; n < N; ++n) {
-    for (i64 c = 0; c < C; ++c) {
-      i64 sum = 0;
-      for (i64 y = 0; y < H; ++y)
-        for (i64 x = 0; x < W; ++x) sum += data.At4(n, c, y, x);
-      const i64 avg = sum >= 0 ? (sum + count / 2) / count
-                               : -((-sum + count / 2) / count);
-      out.Set4(n, c, 0, 0, avg);
-    }
-  }
-  return out;
+  // The whole plane is one window.
+  return AvgPool2d(data, {data.shape()[2], data.shape()[3]}, {1, 1}, {});
 }
 
 Result<Tensor> Pad2d(const Tensor& data, const std::vector<i64>& pad_width) {
@@ -130,18 +122,19 @@ Result<Tensor> Pad2d(const Tensor& data, const std::vector<i64>& pad_width) {
   if (pad_width.size() != 4) {
     return Status::InvalidArgument("pad: pad_width must be [t, l, b, r]");
   }
+  HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(pad_width, "pad"));
   const i64 N = data.shape()[0], C = data.shape()[1];
   const i64 H = data.shape()[2], W = data.shape()[3];
-  const i64 pt = pad_width[0], pl = pad_width[1];
-  Tensor out(Shape{N, C, H + pt + pad_width[2], W + pl + pad_width[3]},
-             data.dtype());
-  for (i64 n = 0; n < N; ++n) {
-    for (i64 c = 0; c < C; ++c) {
-      for (i64 y = 0; y < H; ++y) {
-        for (i64 x = 0; x < W; ++x) {
-          out.Set4(n, c, y + pt, x + pl, data.At4(n, c, y, x));
-        }
-      }
+  const i64 OH = H + pad[0] + pad[2], OW = W + pad[1] + pad[3];
+  Tensor out(Shape{N, C, OH, OW}, data.dtype());
+  // Each input row is copied whole to its padded place; the border stays
+  // zero.
+  const i64 elem = DTypeSizeBytes(data.dtype());
+  for (i64 nc = 0; nc < N * C; ++nc) {
+    for (i64 y = 0; y < H; ++y) {
+      std::memcpy(out.raw() + ((nc * OH + y + pad[0]) * OW + pad[1]) * elem,
+                  data.raw() + (nc * H + y) * W * elem,
+                  static_cast<size_t>(W * elem));
     }
   }
   return out;

@@ -25,6 +25,11 @@ constexpr i64 Clamp(i64 v, i64 lo, i64 hi) {
   return v < lo ? lo : (v > hi ? hi : v);
 }
 
+// p / q rounded to nearest, ties away from zero, for q > 0.
+constexpr i64 RoundedDiv(i64 p, i64 q) {
+  return p >= 0 ? (p + q / 2) / q : -((-p + q / 2) / q);
+}
+
 // Arithmetic right shift with rounding (add half, then shift — ties round
 // toward +infinity). This is the add-round-then-shift idiom DORY-generated
 // kernels and the accelerator output stages implement in hardware.

@@ -20,7 +20,8 @@ bool Decoder::Take(void* dst, size_t size) {
         "%s truncated at byte %zu", context_.c_str(), pos_)));
     return false;
   }
-  std::memcpy(dst, data_.data() + pos_, size);
+  // An empty tensor's dst may be null, which memcpy must not see.
+  if (size > 0) std::memcpy(dst, data_.data() + pos_, size);
   pos_ += size;
   return true;
 }

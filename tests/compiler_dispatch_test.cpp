@@ -4,6 +4,7 @@
 #include "compiler/dispatch.hpp"
 #include "compiler/pipeline.hpp"
 #include "models/layer_zoo.hpp"
+#include "models/transformer.hpp"
 #include "pattern/rewriter.hpp"
 #include "pattern/std_patterns.hpp"
 #include "runtime/verify.hpp"
@@ -125,6 +126,19 @@ Graph BatchedConvGraph() {
   return b.Finish(b.ConvBlock(x, WithSamePadding(conv, 8, 8), "conv"));
 }
 
+// A 1x1 conv whose 2,000,000-row top padding gives an int32 output of
+// [1, 4, 2000008, 8]: under the graph's element cap, far over any L2.
+Graph HugePaddingConvGraph() {
+  GraphBuilder b;
+  ConvSpec conv;
+  conv.out_channels = 4;
+  conv.kernel_h = conv.kernel_w = 1;
+  conv.pad_t = 2000000;
+  conv.relu = false;
+  const NodeId x = b.Input("x", Shape{1, 4, 8, 8});
+  return b.Finish(b.ConvBlock(x, conv, "conv"));
+}
+
 Graph GroupedConvGraph() {
   GraphBuilder b;
   const NodeId x = b.Input("x", Shape{1, 8, 8, 8});
@@ -184,6 +198,9 @@ TEST(Dispatch, RejectReasonsAreStable) {
        "tiling infeasible: no feasible tiling for conv2d layer (C=16 K=16 "
        "in=16x16 kernel=3x3) on the digital target within 16 B L1 (weight "
        "memory 65536 B)"},
+      {"conv over L2", HugePaddingConvGraph(), -1, "diana.conv2d",
+       "conv2d C=4 K=4 8x8 k1x1 int8",
+       "exceeds L2 (524288 B): activations 64000512 B, weights 32 B"},
   };
   for (const RejectCase& c : cases) {
     SCOPED_TRACE(c.name);
@@ -202,6 +219,24 @@ TEST(Dispatch, RejectReasonsAreStable) {
       EXPECT_EQ(d.reason, c.reason);
     }
   }
+}
+
+// The diana.mhsa predicate applies the same L2 bound to each projection:
+// 4096 tokens of width 128 need 512 kB in and 512 kB out.
+TEST(Dispatch, MhsaOverL2StaysOnCpuWithReason) {
+  const DispatchLog log =
+      DispatchDecisions(models::TinyTransformer(1, 2, 128, 4096), -1);
+  int mhsa = 0;
+  for (const DispatchDecision& d : log) {
+    if (d.pattern != "diana.mhsa") continue;
+    ++mhsa;
+    EXPECT_EQ(d.target, "cpu");
+    EXPECT_EQ(d.layer, "matmul C=128 K=128 4096x1 k1x1 int8");
+    EXPECT_EQ(d.reason,
+              "q_weight exceeds L2 (524288 B): activations 1048576 B, "
+              "weights 16896 B");
+  }
+  EXPECT_EQ(mhsa, 1);
 }
 
 // Only the canonical requant chain reaches an accelerator, whose output

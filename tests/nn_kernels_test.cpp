@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 
+#include "ir/op.hpp"
 #include "nn/kernels.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -377,6 +379,23 @@ TEST(KernelDifferential, Conv2dShortPaddingFormsAndBadPadding) {
   }
 }
 
+TEST(KernelDifferential, WindowLargerThanPaddedInputLeavesNoOutput) {
+  // A 3-row window over a 1-row input padded to 2 rows has no output row
+  // at any stride. One row at stride >= 2 (the negative quotient truncated
+  // toward zero) would have the im2col GEMM read past its padded plane.
+  Rng rng(22);
+  const Tensor data = RandomOf(Shape{1, 4, 1, 8}, DType::kInt8, rng);
+  const Tensor w = RandomOf(Shape{8, 4, 3, 3}, DType::kInt8, rng);
+  for (const i64 stride : {2, 1000}) {
+    EXPECT_EQ(ConvOutDim(1, 3, 0, 1, stride), 0);
+    auto conv = Conv2d(data, w, {stride, 1}, {0, 1, 1, 1}, 1);
+    EXPECT_EQ(conv.status().code(), StatusCode::kInvalidArgument);
+    auto pool = MaxPool2d(data, {3, 3}, {stride, 1}, {0, 1, 1, 1});
+    EXPECT_EQ(pool.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ConvOutDim(2, 3, 0, 1, 2), 1);
+}
+
 // nn.dense's old loop: an i64 accumulator narrowed to int32.
 Tensor NaiveDense(const Tensor& data, const Tensor& weight) {
   const i64 N = data.shape()[0], I = data.shape()[1], O = weight.shape()[0];
@@ -594,7 +613,38 @@ TEST(KernelDifferential, RequantizeRowMatchesInterpreterChain) {
   }
 }
 
+// matmul through the flat accessors with an i64 accumulator: a [batch, m,
+// k] x b ([n, k] with transpose_b, [k, n] without; a rank-2 b is shared by
+// every batch), narrowed like SetFlat into `out_t`.
+Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool transpose_b,
+                   DType out_t) {
+  const Shape& as = a.shape();
+  const i64 m = as[as.rank() - 2], k = as[as.rank() - 1];
+  const i64 batch = a.NumElements() / (m * k);
+  const i64 n = b.NumElements() / k / (b.shape().rank() == 2 ? 1 : batch);
+  std::vector<i64> dims(as.dims().begin(), as.dims().end() - 1);
+  dims.push_back(n);
+  Tensor want{Shape(dims), out_t};
+  for (i64 bi = 0; bi < batch; ++bi) {
+    const i64 b0 = b.shape().rank() == 2 ? 0 : bi * n * k;
+    for (i64 r = 0; r < m; ++r) {
+      for (i64 c = 0; c < n; ++c) {
+        i64 acc = 0;
+        for (i64 x = 0; x < k; ++x) {
+          acc += a.GetFlat((bi * m + r) * k + x) *
+                 b.GetFlat(b0 + (transpose_b ? c * k + x : x * n + c));
+        }
+        want.SetFlat((bi * m + r) * n + c, acc);
+      }
+    }
+  }
+  return want;
+}
+
 TEST(KernelDifferential, MatMulMatchesFlatAccessors) {
+  // matmul runs on the int8 GEMM core: an int8 lhs by an int8 (-> int32) or
+  // ternary (-> int8, the lhs dtype) rhs. Any other operand dtype is
+  // InvalidArgument.
   Rng rng(5);
   const std::pair<DType, DType> dtypes[] = {{DType::kInt8, DType::kInt8},
                                             {DType::kInt8, DType::kTernary},
@@ -609,31 +659,188 @@ TEST(KernelDifferential, MatMulMatchesFlatAccessors) {
         const Tensor b = RandomOf(
             shared_b ? b_mat : Shape{batch, b_mat[0], b_mat[1]}, bt, rng);
         auto got = MatMul(a, b, transpose_b);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-
-        const DType out_t = at == DType::kInt8 && bt == DType::kInt8
-                                ? DType::kInt32
-                                : at;
-        Tensor want(Shape{batch, m, n}, out_t);
-        for (i64 bi = 0; bi < batch; ++bi) {
-          const i64 b0 = shared_b ? 0 : bi * n * k;
-          for (i64 r = 0; r < m; ++r) {
-            for (i64 c = 0; c < n; ++c) {
-              i64 acc = 0;
-              for (i64 x = 0; x < k; ++x) {
-                acc += a.GetFlat((bi * m + r) * k + x) *
-                       b.GetFlat(b0 + (transpose_b ? c * k + x : x * n + c));
-              }
-              want.SetFlat((bi * m + r) * n + c, acc);
-            }
-          }
+        if (at != DType::kInt8) {
+          ASSERT_FALSE(got.ok());
+          EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+          continue;
         }
-        EXPECT_TRUE(got->SameAs(want))
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const DType out_t = bt == DType::kInt8 ? DType::kInt32 : at;
+        EXPECT_TRUE(got->SameAs(NaiveMatMul(a, b, transpose_b, out_t)))
             << DTypeName(at) << " x " << DTypeName(bt) << " transpose_b "
             << transpose_b << " shared_b " << shared_b;
       }
     }
   }
+}
+
+TEST(KernelDifferential, MatMulGemmShapesMatchNaiveLoop) {
+  // Reduction lengths that are odd, not a multiple of the 8-lane vector,
+  // and past one 2^16-term i32 chunk; n = 5 runs the GEMM's 4-channel pass
+  // and its remainder row; shared and batched rhs in both layouts.
+  Rng rng(27);
+  int cases = 0;
+  for (const i64 k : {1, 7, 13, 16, 70001}) {
+    for (const bool transpose_b : {false, true}) {
+      for (const bool shared_b : {false, true}) {
+        for (const DType bt : {DType::kInt8, DType::kTernary}) {
+          const i64 batch = 2, m = k > 1000 ? 1 : 3;
+          const i64 n = k > 1000 ? 5 : 1 + k % 6;
+          const Tensor a = RandomOf(Shape{batch, m, k}, DType::kInt8, rng);
+          const Shape b_mat = transpose_b ? Shape{n, k} : Shape{k, n};
+          const Tensor b = RandomOf(
+              shared_b ? b_mat : Shape{batch, b_mat[0], b_mat[1]}, bt, rng);
+          auto got = MatMul(a, b, transpose_b);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const DType out_t =
+              bt == DType::kInt8 ? DType::kInt32 : DType::kInt8;
+          EXPECT_TRUE(got->SameAs(NaiveMatMul(a, b, transpose_b, out_t)))
+              << "k " << k << " n " << n << " transpose_b " << transpose_b
+              << " shared_b " << shared_b << " " << DTypeName(bt);
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 40);
+  // All -128 over 131073 terms: 2147500032 overflows int32, and the output
+  // keeps its low 32 bits like the narrowed i64 sum, in both layouts.
+  const i64 k = 131073;
+  const Tensor a = Tensor::FromInt8(
+      Shape{1, k}, std::vector<i8>(static_cast<size_t>(k), -128));
+  const Tensor b = Tensor::FromInt8(
+      Shape{5, k}, std::vector<i8>(static_cast<size_t>(5 * k), -128));
+  for (const bool transpose_b : {false, true}) {
+    auto got = MatMul(a, transpose_b ? b : b.Reshaped(Shape{k, 5}),
+                      transpose_b);
+    ASSERT_TRUE(got.ok());
+    for (i64 c = 0; c < 5; ++c) {
+      EXPECT_EQ(got->data<i32>()[static_cast<size_t>(c)],
+                static_cast<i32>(i64{2147500032}))
+          << "transpose_b " << transpose_b << " c " << c;
+    }
+  }
+}
+
+// Per-element pooling and pad loops through At4/Set4: the reference for
+// the window walk and the row copies.
+Tensor NaivePool(const Tensor& data, bool max, i64 ph, i64 pw, i64 sy, i64 sx,
+                 const std::vector<i64>& pad) {
+  const i64 N = data.shape()[0], C = data.shape()[1];
+  const i64 H = data.shape()[2], W = data.shape()[3];
+  const i64 oh = (H + pad[0] + pad[2] - ph) / sy + 1;
+  const i64 ow = (W + pad[1] + pad[3] - pw) / sx + 1;
+  Tensor out(Shape{N, C, oh, ow}, data.dtype());
+  for (i64 n = 0; n < N; ++n) {
+    for (i64 c = 0; c < C; ++c) {
+      for (i64 oy = 0; oy < oh; ++oy) {
+        for (i64 ox = 0; ox < ow; ++ox) {
+          i64 acc = max ? -128 : 0;
+          i64 count = 0;
+          for (i64 fy = 0; fy < ph; ++fy) {
+            const i64 iy = oy * sy + fy - pad[0];
+            if (iy < 0 || iy >= H) continue;
+            for (i64 fx = 0; fx < pw; ++fx) {
+              const i64 ix = ox * sx + fx - pad[1];
+              if (ix < 0 || ix >= W) continue;
+              const i64 v = data.At4(n, c, iy, ix);
+              acc = max ? std::max(acc, v) : acc + v;
+              ++count;
+            }
+          }
+          if (!max) {
+            acc = count == 0 ? 0
+                  : acc >= 0 ? (acc + count / 2) / count
+                             : -((-acc + count / 2) / count);
+          }
+          out.Set4(n, c, oy, ox, acc);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor NaivePad(const Tensor& data, const std::vector<i64>& pad) {
+  const i64 N = data.shape()[0], C = data.shape()[1];
+  const i64 H = data.shape()[2], W = data.shape()[3];
+  Tensor out(Shape{N, C, H + pad[0] + pad[2], W + pad[1] + pad[3]},
+             data.dtype());
+  for (i64 n = 0; n < N; ++n) {
+    for (i64 c = 0; c < C; ++c) {
+      for (i64 y = 0; y < H; ++y) {
+        for (i64 x = 0; x < W; ++x) {
+          out.Set4(n, c, y + pad[0], x + pad[1], data.At4(n, c, y, x));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(KernelDifferential, PoolingMatchesNaiveLoopOnRandomGeometry) {
+  Rng rng(31);
+  int cases = 0, padded_windows = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const i64 ph = rng.UniformInt(1, 4), pw = rng.UniformInt(1, 4);
+    const i64 sy = rng.UniformInt(1, 3), sx = rng.UniformInt(1, 3);
+    const std::vector<i64> pad = {rng.UniformInt(0, 3), rng.UniformInt(0, 3),
+                                  rng.UniformInt(0, 3), rng.UniformInt(0, 3)};
+    const i64 H = rng.UniformInt(1, 9), W = rng.UniformInt(1, 9);
+    const DType dt = trial % 2 ? DType::kInt32 : DType::kInt8;
+    const Tensor data = RandomOf(
+        Shape{rng.UniformInt(1, 2), rng.UniformInt(1, 3), H, W}, dt, rng);
+    // A window larger than the padded input leaves no output.
+    if (H + pad[0] + pad[2] < ph || W + pad[1] + pad[3] < pw) {
+      EXPECT_FALSE(AvgPool2d(data, {ph, pw}, {sy, sx}, pad).ok());
+      EXPECT_FALSE(MaxPool2d(data, {ph, pw}, {sy, sx}, pad).ok());
+      continue;
+    }
+    // The first window row or column lies wholly in the top/left padding.
+    if (pad[0] >= ph || pad[1] >= pw) ++padded_windows;
+    for (const bool max : {false, true}) {
+      auto got = max ? MaxPool2d(data, {ph, pw}, {sy, sx}, pad)
+                     : AvgPool2d(data, {ph, pw}, {sy, sx}, pad);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(got->SameAs(NaivePool(data, max, ph, pw, sy, sx, pad)))
+          << (max ? "max" : "avg") << " pool " << ph << "x" << pw
+          << " stride " << sy << "," << sx << " pad " << pad[0] << ","
+          << pad[1] << "," << pad[2] << "," << pad[3] << " in " << H << "x"
+          << W << " " << DTypeName(dt);
+      ++cases;
+    }
+  }
+  EXPECT_GT(cases, 1000);
+  EXPECT_GT(padded_windows, 50);
+}
+
+TEST(KernelDifferential, GlobalAvgPoolAndPadMatchNaiveLoop) {
+  Rng rng(33);
+  for (int trial = 0; trial < 200; ++trial) {
+    const DType dt = trial % 2 ? DType::kInt32 : DType::kInt8;
+    const Tensor data =
+        RandomOf(Shape{rng.UniformInt(1, 2), rng.UniformInt(1, 5),
+                       rng.UniformInt(1, 9), rng.UniformInt(1, 9)},
+                 dt, rng);
+    const i64 H = data.shape()[2], W = data.shape()[3];
+    auto pooled = GlobalAvgPool2d(data);
+    ASSERT_TRUE(pooled.ok());
+    EXPECT_TRUE(
+        pooled->SameAs(NaivePool(data, false, H, W, 1, 1, {0, 0, 0, 0})))
+        << "global " << H << "x" << W << " " << DTypeName(dt);
+    const std::vector<i64> pad = {rng.UniformInt(0, 3), rng.UniformInt(0, 3),
+                                  rng.UniformInt(0, 3), rng.UniformInt(0, 3)};
+    auto padded = Pad2d(data, pad);
+    ASSERT_TRUE(padded.ok());
+    EXPECT_TRUE(padded->SameAs(NaivePad(data, pad)))
+        << "pad " << pad[0] << "," << pad[1] << "," << pad[2] << ","
+        << pad[3] << " " << DTypeName(dt);
+  }
+  EXPECT_EQ(Pad2d(RandomOf(Shape{1, 1, 2, 2}, DType::kInt8, rng),
+                  {0, -1, 0, 0})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Pooling, MaxPool) {

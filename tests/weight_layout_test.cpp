@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "dory/weight_layout.hpp"
 #include "models/layer_zoo.hpp"
 
@@ -9,41 +7,6 @@ namespace htvm::dory {
 namespace {
 
 const hw::DianaConfig kCfg = hw::DianaConfig::Default();
-
-TEST(WeightLayout, RoundTripIsIdentity) {
-  Rng rng(1);
-  Tensor w = Tensor::Random(Shape{48, 16, 3, 3}, DType::kInt8, rng);
-  Tensor blocked = DigitalWeightLayout(w);
-  Tensor back = DigitalWeightLayoutInverse(blocked);
-  EXPECT_TRUE(back.SameAs(w));
-}
-
-TEST(WeightLayout, IsAPermutation) {
-  // Same multiset of bytes before and after.
-  Rng rng(2);
-  Tensor w = Tensor::Random(Shape{20, 4, 3, 3}, DType::kInt8, rng);
-  Tensor blocked = DigitalWeightLayout(w);
-  std::vector<i8> a(w.data<i8>().begin(), w.data<i8>().end());
-  std::vector<i8> b(blocked.data<i8>().begin(), blocked.data<i8>().end());
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
-}
-
-TEST(WeightLayout, ActuallyReorders) {
-  // With >1 lane the lane-major layout must differ from OIHW.
-  Rng rng(3);
-  Tensor w = Tensor::Random(Shape{16, 2, 3, 3}, DType::kInt8, rng);
-  Tensor blocked = DigitalWeightLayout(w);
-  EXPECT_FALSE(blocked.SameAs(w));
-}
-
-TEST(WeightLayout, PartialLastBlockHandled) {
-  Rng rng(4);
-  Tensor w = Tensor::Random(Shape{19, 3, 1, 1}, DType::kInt8, rng);  // 16+3
-  Tensor back = DigitalWeightLayoutInverse(DigitalWeightLayout(w));
-  EXPECT_TRUE(back.SameAs(w));
-}
 
 TEST(DeployedBytes, DigitalIsInt8PlusBias) {
   models::ConvLayerParams p;
