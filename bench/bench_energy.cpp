@@ -33,7 +33,7 @@ int main() {
       const i64 macs = art.Profile().TotalMacs();
       std::printf("%-10s %-9s %12.2f %12.3f %10.2f %12.3f\n", model.name,
                   cfg.name, energy.TotalUj(), art.LatencyMs(),
-                  energy.TopsPerWatt(macs, art.hw_config.freq_mhz),
+                  energy.TopsPerWatt(macs),
                   energy.TotalUj() * art.LatencyMs());
     }
     bench::PrintRule(70);

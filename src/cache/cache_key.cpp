@@ -1,5 +1,7 @@
 #include "cache/cache_key.hpp"
 
+#include "tvmgen/binary_size.hpp"
+
 namespace htvm::cache {
 namespace {
 
@@ -25,7 +27,7 @@ void HashScheduleSearch(ir::Hasher& h, const dory::ScheduleSearchOptions& s) {
   // argmin over a fixed finalist list).
 }
 
-void HashSizeModel(ir::Hasher& h, const tvmgen::SizeModelConfig& s) {
+void HashSizeModel(ir::Hasher& h, const tvmgen::SizeModel& s) {
   h.Add(s.tvm_runtime_bytes)
       .Add(s.htvm_runtime_bytes)
       .Add(s.cpu_conv_code)
@@ -52,7 +54,9 @@ ir::Hash128 OptionsFingerprint(const compiler::CompileOptions& options) {
   ir::HashFields fields{h};
   VisitFields(fields, options.tiler);
   HashScheduleSearch(h, options.schedule_search);
-  HashSizeModel(h, options.size_model);
+  // The size-model constants are not options, but they shape the artifact:
+  // folding them in makes editing one invalidate cached entries.
+  HashSizeModel(h, tvmgen::kSizeModel);
   // SoC identity first (name + presence flags + SIMD class), then the full
   // geometry/cost model. Identity alone distinguishes same-geometry twins;
   // geometry alone distinguishes a re-registered name with new parameters.

@@ -6,8 +6,7 @@
 
 namespace htvm::compiler {
 
-bool DigitalSupports(const dory::AccelLayerSpec& spec,
-                     const hw::DianaConfig& cfg) {
+bool DigitalSupports(const dory::AccelLayerSpec& spec) {
   using dory::LayerKind;
   if (spec.weight_dtype != DType::kInt8 && spec.kind != LayerKind::kAdd) {
     return false;  // the digital path has no ternary kernels
@@ -25,7 +24,6 @@ bool DigitalSupports(const dory::AccelLayerSpec& spec,
     case LayerKind::kMatmul:
       return true;
   }
-  (void)cfg;
   return false;
 }
 
@@ -60,7 +58,7 @@ bool AnalogSupports(const dory::AccelLayerSpec& spec,
 Status CheckL2Fits(const dory::AccelLayerSpec& spec, const hw::DianaConfig& cfg,
                    dory::AccelTarget target) {
   const i64 activations = spec.InputBytes() + spec.OutputBytes();
-  const i64 weights = dory::DeployedWeightBytes(spec, cfg, target);
+  const i64 weights = dory::DeployedWeightBytes(spec, target);
   if (activations <= cfg.l2_bytes && weights <= cfg.l2_bytes) {
     return Status::Ok();
   }

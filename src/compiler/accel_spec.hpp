@@ -16,8 +16,7 @@ namespace htvm::compiler {
 
 // Digital accelerator: int8 (DW)Conv2D / FC / elementwise Add, strides 1-4,
 // kernels up to 11x11.
-bool DigitalSupports(const dory::AccelLayerSpec& spec,
-                     const hw::DianaConfig& cfg);
+bool DigitalSupports(const dory::AccelLayerSpec& spec);
 
 // Analog IMC: ternary-weight Conv2D (FC deployed as a 1x1 conv); the full
 // input patch C*kh*kw must fit the macro's 1152 rows (no partial sums in

@@ -15,6 +15,7 @@
 #include "support/logging.hpp"
 #include "support/string_utils.hpp"
 #include "support/thread_pool.hpp"
+#include "tvmgen/binary_size.hpp"
 #include "tvmgen/cost_model.hpp"
 #include "tvmgen/fusion.hpp"
 
@@ -128,7 +129,7 @@ Status CompileMhsaKernel(const Node& n, const CompileOptions& options,
   hw::KernelPerf& perf = kernel->perf;
   perf.name = kernel->name;
   perf.target = kernel->target;
-  kernel->code_bytes = tvmgen::CpuKernelCodeBytes(options.size_model, n);
+  kernel->code_bytes = tvmgen::CpuKernelCodeBytes(n);
   kernel->weight_bytes = 0;
   for (const Node& op : body.nodes()) {
     if (op.kind != NodeKind::kOp) continue;
@@ -154,10 +155,10 @@ Status CompileMhsaKernel(const Node& n, const CompileOptions& options,
       perf.peak_cycles = std::max(perf.peak_cycles, sched.peak_cycles);
       perf.full_cycles += sched.full_cycles;
       perf.tiles += static_cast<i64>(sched.steps.size());
-      kernel->code_bytes += tvmgen::AccelKernelCodeBytes(
-          options.size_model, sched.solution.needs_tiling);
+      kernel->code_bytes +=
+          tvmgen::AccelKernelCodeBytes(sched.solution.needs_tiling);
       kernel->weight_bytes +=
-          dory::DeployedWeightBytes(spec, cfg, dory::AccelTarget::kDigital);
+          dory::DeployedWeightBytes(spec, dory::AccelTarget::kDigital);
     } else {
       // Score / context matmul on activations: closed-form whole-tile
       // estimate, batched heads folded onto the row axis.
@@ -211,12 +212,11 @@ Status CompileFusedKernel(const Node& n, const CompileOptions& options,
   perf.full_cycles = sched.full_cycles;
   perf.peak_cycles = sched.full_cycles;
   perf.tiles = sched.solution.n_y * sched.solution.n_x;
-  kernel->code_bytes = tvmgen::AccelKernelCodeBytes(
-      options.size_model, sched.solution.needs_tiling);
+  kernel->code_bytes =
+      tvmgen::AccelKernelCodeBytes(sched.solution.needs_tiling);
   kernel->weight_bytes =
-      dory::DeployedWeightBytes(pair.first, cfg, dory::AccelTarget::kDigital) +
-      dory::DeployedWeightBytes(pair.second, cfg,
-                                dory::AccelTarget::kDigital);
+      dory::DeployedWeightBytes(pair.first, dory::AccelTarget::kDigital) +
+      dory::DeployedWeightBytes(pair.second, dory::AccelTarget::kDigital);
   return Status::Ok();
 }
 
@@ -259,7 +259,7 @@ class CompileKernelsPass final : public Pass {
       CompiledKernel& kernel = kernels[static_cast<size_t>(i)];
       if (kernel.target == "cpu") {
         kernel.perf = tvmgen::CpuCompositePerf(options.soc.config, n, kernel.name);
-        kernel.code_bytes = tvmgen::CpuKernelCodeBytes(options.size_model, n);
+        kernel.code_bytes = tvmgen::CpuKernelCodeBytes(n);
         kernel.weight_bytes = tvmgen::CpuKernelWeightBytes(n);
       } else if (n.op == "diana.mhsa") {
         HTVM_RETURN_IF_ERROR(CompileMhsaKernel(n, options, &kernel));
@@ -275,10 +275,9 @@ class CompileKernelsPass final : public Pass {
             dory::SearchSchedule(spec, options.soc.config, accel_target,
                                  options.tiler, options.schedule_search));
         kernel.perf = dory::SchedulePerf(sched, kernel.name);
-        kernel.code_bytes = tvmgen::AccelKernelCodeBytes(
-            options.size_model, sched.solution.needs_tiling);
-        kernel.weight_bytes =
-            dory::DeployedWeightBytes(spec, options.soc.config, accel_target);
+        kernel.code_bytes =
+            tvmgen::AccelKernelCodeBytes(sched.solution.needs_tiling);
+        kernel.weight_bytes = dory::DeployedWeightBytes(spec, accel_target);
         kernel.schedule = std::move(sched);
       }
       return Status::Ok();
@@ -317,9 +316,8 @@ class ComputeBinarySizePass final : public Pass {
   bool mutates_graph() const override { return false; }
   Status Run(CompileState& state) const override {
     state.artifact.size.runtime_bytes =
-        state.options.plain_tvm
-            ? state.options.size_model.tvm_runtime_bytes
-            : state.options.size_model.htvm_runtime_bytes;
+        state.options.plain_tvm ? tvmgen::kSizeModel.tvm_runtime_bytes
+                                : tvmgen::kSizeModel.htvm_runtime_bytes;
     return Status::Ok();
   }
 };

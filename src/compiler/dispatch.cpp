@@ -34,7 +34,7 @@ std::string LayerSummary(const dory::AccelLayerSpec& s) {
                    DTypeName(s.weight_dtype));
 }
 
-void LogDecision(DispatchLog* log, const Graph&, const MatchResult& match,
+void LogDecision(DispatchLog* log, const MatchResult& match,
                  const char* pattern, const dory::AccelLayerSpec* spec,
                  const std::string& target, const std::string& reason) {
   if (log == nullptr) return;
@@ -55,8 +55,7 @@ MatchPredicate MakeDianaPredicate(const DispatchOptions& options,
              const Graph& graph, const MatchResult& match, AttrMap* attrs) {
     auto spec = SpecFromMatch(graph, match);
     if (!spec.ok()) {
-      LogDecision(log, graph, match, pattern, nullptr, "cpu",
-                  spec.status().message());
+      LogDecision(log, match, pattern, nullptr, "cpu", spec.status().message());
       return false;
     }
 
@@ -67,28 +66,28 @@ MatchPredicate MakeDianaPredicate(const DispatchOptions& options,
     dory::AccelTarget target;
     if (options.enable_analog && AnalogSupports(*spec, cfg)) {
       target = dory::AccelTarget::kAnalog;
-    } else if (options.enable_digital && DigitalSupports(*spec, cfg)) {
+    } else if (options.enable_digital && DigitalSupports(*spec)) {
       target = dory::AccelTarget::kDigital;
     } else {
-      LogDecision(log, graph, match, pattern, &*spec, "cpu",
+      LogDecision(log, match, pattern, &*spec, "cpu",
                   "no enabled accelerator supports the layer parameters");
       return false;
     }
     Status fits = CheckL2Fits(*spec, cfg, target);
     if (!fits.ok()) {
-      LogDecision(log, graph, match, pattern, &*spec, "cpu", fits.message());
+      LogDecision(log, match, pattern, &*spec, "cpu", fits.message());
       return false;
     }
     fits = dory::CheckTilingFits(*spec, cfg, target, tiler_options);
     if (!fits.ok()) {
       HTVM_ILOG << "dispatch: tiling infeasible for "
                 << dory::LayerKindName(spec->kind) << " -> CPU fallback";
-      LogDecision(log, graph, match, pattern, &*spec, "cpu",
+      LogDecision(log, match, pattern, &*spec, "cpu",
                   "tiling infeasible: " + fits.message());
       return false;
     }
     attrs->Set("target", std::string(dory::AccelTargetName(target)));
-    LogDecision(log, graph, match, pattern, &*spec,
+    LogDecision(log, match, pattern, &*spec,
                 dory::AccelTargetName(target),
                 spec->weight_dtype == DType::kTernary
                     ? "ternary weights -> analog IMC"
@@ -119,33 +118,33 @@ MatchPredicate MakeMhsaPredicate(const DispatchOptions& options,
       if (it == match.bindings.end()) return false;
       auto spec = dory::AnalyzeAnchor(graph, graph.node(it->second));
       if (!spec.ok()) {
-        LogDecision(log, graph, match, "diana.mhsa", nullptr, "cpu",
+        LogDecision(log, match, "diana.mhsa", nullptr, "cpu",
                     StrFormat("%s: %s", weight,
                               spec.status().message().c_str()));
         return false;
       }
-      if (!DigitalSupports(*spec, cfg)) {
-        LogDecision(log, graph, match, "diana.mhsa", &*spec, "cpu",
+      if (!DigitalSupports(*spec)) {
+        LogDecision(log, match, "diana.mhsa", &*spec, "cpu",
                     StrFormat("%s not digitally supported", weight));
         return false;
       }
       Status fits = CheckL2Fits(*spec, cfg, dory::AccelTarget::kDigital);
       if (!fits.ok()) {
-        LogDecision(log, graph, match, "diana.mhsa", &*spec, "cpu",
+        LogDecision(log, match, "diana.mhsa", &*spec, "cpu",
                     StrFormat("%s %s", weight, fits.message().c_str()));
         return false;
       }
       fits = dory::CheckTilingFits(*spec, cfg, dory::AccelTarget::kDigital,
                                    tiler_options);
       if (!fits.ok()) {
-        LogDecision(log, graph, match, "diana.mhsa", &*spec, "cpu",
+        LogDecision(log, match, "diana.mhsa", &*spec, "cpu",
                     StrFormat("%s tiling infeasible: %s", weight,
                               fits.message().c_str()));
         return false;
       }
     }
     attrs->Set("target", std::string("digital"));
-    LogDecision(log, graph, match, "diana.mhsa", nullptr, "digital",
+    LogDecision(log, match, "diana.mhsa", nullptr, "digital",
                 "whole attention block -> digital array");
     return true;
   };

@@ -152,7 +152,7 @@ Status PassManager::Run(const Graph& network, CompileState& state,
     const bool skipped = stat.skipped;
     state.artifact.pass_timeline.push_back(std::move(stat));
     if (!pass->mutates_graph()) continue;
-    if (!skipped && instrument.verify) {
+    if (!skipped) {
       if (const Status valid = state.graph.Validate(); !valid.ok()) {
         return Status::Internal(
             StrFormat("pass %s produced an invalid graph: %s",

@@ -4,9 +4,9 @@
 // CompileState (the graph being rewritten + the artifact under
 // construction). The PassManager runs the registered sequence and, for each
 // pass, records wall-clock time and the top-level node-count delta into
-// Artifact::pass_timeline; after every graph-rewriting pass it optionally
-// re-validates the graph (catching a rewrite bug at the pass that
-// introduced it, not at emission) and dumps the IR as text + Graphviz DOT.
+// Artifact::pass_timeline; after every graph-rewriting pass it re-validates
+// the graph (catching a rewrite bug at the pass that introduced it, not at
+// emission) and optionally dumps the IR as text + Graphviz DOT.
 //
 // The standard HTVM pipeline is registered in compiler/compile_passes.hpp;
 // docs/compiler_passes.md describes how to add a pass.

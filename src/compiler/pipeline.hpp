@@ -26,11 +26,10 @@ namespace htvm::compiler {
 class ArtifactCacheHook;
 
 // Pass-level introspection knobs (htvmc --dump-ir / --print-pass-times;
-// consumed by the PassManager, see compiler/pass_manager.hpp).
+// consumed by the PassManager, see compiler/pass_manager.hpp). The manager
+// always re-runs Graph::Validate() after every graph-rewriting pass; a
+// failure aborts compilation with the offending pass's name.
 struct PassInstrumentation {
-  // Re-run Graph::Validate() after every graph-rewriting pass; a failure
-  // aborts compilation with the offending pass's name.
-  bool verify = true;
   // When non-empty, write post-pass IR dumps (<NN>_<pass>.txt + .dot) into
   // this directory (created if missing).
   std::string dump_ir_dir;
@@ -57,7 +56,6 @@ struct CompileOptions {
   // tuned and heuristic artifacts never share a cache entry, and a repeat
   // compile served by the artifact cache performs zero evaluations.
   dory::ScheduleSearchOptions schedule_search;
-  tvmgen::SizeModelConfig size_model;
   // Which SoC family member to compile for (hw/soc.hpp). The default is
   // the paper's DIANA chip; other registered variants change the tiler
   // bounds, dispatch cost model, L2 planner, and artifact identity.

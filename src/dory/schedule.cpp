@@ -34,7 +34,7 @@ i64 StepComputeCycles(const AccelLayerSpec& spec, const hw::DianaConfig& cfg,
     g.oy = s.oy_t;
     g.ox = s.ox_t;
     i64 cycles = hw::AnalogComputeCycles(cfg.analog, g);
-    if (s.last_c) cycles += hw::AnalogPostCycles(cfg.analog, out_elems);
+    if (s.last_c) cycles += hw::AnalogPostCycles(out_elems);
     return cycles;
   }
   hw::ConvTileGeom g;

@@ -64,8 +64,8 @@ std::optional<TileSolution> UntiledSolution(const AccelLayerSpec& spec,
   const i64 budget = EffectiveL1Budget(cfg, options);
   TilerOptions single = options;
   single.double_buffer = false;  // a single pass needs one buffer set
-  const i64 whole = TileL1Bytes(spec, target, single, spec.c, spec.k, spec.oy,
-                                spec.ox, /*psum=*/false);
+  const i64 whole = TileL1Bytes(spec, single, spec.c, spec.k, spec.oy, spec.ox,
+                                /*psum=*/false);
   const i64 wbytes = WeightTileBytes(spec, target, spec.c, spec.k);
   if (whole >= budget || wbytes > AccelWeightMemBytes(cfg, target)) {
     return std::nullopt;
@@ -115,9 +115,8 @@ i64 EffectiveL1Budget(const hw::DianaConfig& cfg, const TilerOptions& options) {
   return options.l1_budget_bytes > 0 ? options.l1_budget_bytes : cfg.l1_bytes;
 }
 
-i64 TileL1Bytes(const AccelLayerSpec& spec, AccelTarget target,
-                const TilerOptions& options, i64 c_t, i64 k_t, i64 oy_t,
-                i64 ox_t, bool psum) {
+i64 TileL1Bytes(const AccelLayerSpec& spec, const TilerOptions& options,
+                i64 c_t, i64 k_t, i64 oy_t, i64 ox_t, bool psum) {
   const i64 db = options.double_buffer ? 2 : 1;
   switch (spec.kind) {
     case LayerKind::kConv2d: {
@@ -145,7 +144,6 @@ i64 TileL1Bytes(const AccelLayerSpec& spec, AccelTarget target,
       return in * db + out * (psum ? 1 : db);
     }
   }
-  (void)target;
   return 0;
 }
 
@@ -221,7 +219,7 @@ void ForEachTileCandidate(
         bool row_fits = false;
         for (const i64 ox_t : ox_cands) {
           const i64 bytes =
-              TileL1Bytes(spec, target, options, c_t, k_t, oy_t, ox_t, psum);
+              TileL1Bytes(spec, options, c_t, k_t, oy_t, ox_t, psum);
           if (bytes >= budget) break;
           row_fits = true;
 

@@ -136,8 +136,7 @@ i64 EffectiveL1Budget(const hw::DianaConfig& cfg, const TilerOptions& options);
 
 // L1 bytes of one buffer set for the given tile sizes (the Eq. 2 LHS the
 // solver uses). Exposed for tests.
-i64 TileL1Bytes(const AccelLayerSpec& spec, AccelTarget target,
-                const TilerOptions& options, i64 c_t, i64 k_t, i64 oy_t,
-                i64 ox_t, bool psum);
+i64 TileL1Bytes(const AccelLayerSpec& spec, const TilerOptions& options,
+                i64 c_t, i64 k_t, i64 oy_t, i64 ox_t, bool psum);
 
 }  // namespace htvm::dory

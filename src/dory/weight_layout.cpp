@@ -4,8 +4,7 @@
 
 namespace htvm::dory {
 
-i64 DeployedWeightBytes(const AccelLayerSpec& spec,
-                        const hw::DianaConfig& cfg, AccelTarget target) {
+i64 DeployedWeightBytes(const AccelLayerSpec& spec, AccelTarget target) {
   const i64 bias_bytes = spec.kind == LayerKind::kAdd ? 0 : spec.k * 4;
   if (target == AccelTarget::kAnalog) {
     hw::AnalogLayerGeom g;
@@ -13,7 +12,7 @@ i64 DeployedWeightBytes(const AccelLayerSpec& spec,
     g.c = spec.c;
     g.kh = spec.kh;
     g.kw = spec.kw;
-    return hw::AnalogWeightStorageBytes(cfg.analog, g) + bias_bytes;
+    return hw::AnalogWeightStorageBytes(g) + bias_bytes;
   }
   return spec.WeightElems() + bias_bytes;  // int8, 1 byte/element
 }

@@ -11,12 +11,10 @@
 #pragma once
 
 #include "dory/tiler.hpp"
-#include "hw/config.hpp"
 
 namespace htvm::dory {
 
 // Deployed L2 bytes for the layer's weights (+bias) under `target`.
-i64 DeployedWeightBytes(const AccelLayerSpec& spec,
-                        const hw::DianaConfig& cfg, AccelTarget target);
+i64 DeployedWeightBytes(const AccelLayerSpec& spec, AccelTarget target);
 
 }  // namespace htvm::dory

@@ -26,16 +26,14 @@ i64 AnalogComputeCycles(const AnalogConfig& cfg, const AnalogLayerGeom& g) {
   return g.oy * g.ox * cfg.cycles_per_pixel * row_tiles * col_tiles;
 }
 
-i64 AnalogPostCycles(const AnalogConfig&, i64 out_elems) {
+i64 AnalogPostCycles(i64 out_elems) {
   return CeilDiv(out_elems, 16);
 }
 
-i64 AnalogWeightStorageBytes(const AnalogConfig& cfg,
-                             const AnalogLayerGeom& g) {
+i64 AnalogWeightStorageBytes(const AnalogLayerGeom& g) {
   const i64 rows_padded = AlignUp(AnalogRowsNeeded(g), kAnalogRowGroup);
   const i64 cols = g.k;  // only used columns are stored
   const i64 bits = rows_padded * cols * 2;
-  (void)cfg;
   return CeilDiv(bits, 8);
 }
 

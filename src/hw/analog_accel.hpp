@@ -44,13 +44,12 @@ i64 AnalogComputeCycles(const AnalogConfig& cfg, const AnalogLayerGeom& g);
 
 // Output-stage cycles (requant / residual add / pooling in the digital
 // periphery of the macro).
-i64 AnalogPostCycles(const AnalogConfig& cfg, i64 out_elems);
+i64 AnalogPostCycles(i64 out_elems);
 
 // Deployed storage for the layer's ternary weights: 2 bits per cell, rows
 // padded to the macro's row-group granularity (zero-fill in L2 — the
 // binary-size effect called out for ResNet/DS-CNN in Sec. IV-C).
-i64 AnalogWeightStorageBytes(const AnalogConfig& cfg,
-                             const AnalogLayerGeom& g);
+i64 AnalogWeightStorageBytes(const AnalogLayerGeom& g);
 
 // Row-group granularity of macro programming (rows are written in groups;
 // partial groups are zero-padded in L2).

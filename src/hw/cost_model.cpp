@@ -71,7 +71,7 @@ i64 CostModel::EstimateAccelFullCycles(AccelEngine engine,
     ag.ox = g.ox_t;
     const i64 out_elems = g.k * g.oy_t * g.ox_t;
     compute = spatial * (AnalogComputeCycles(cfg_.analog, ag) +
-                         AnalogPostCycles(cfg_.analog, out_elems));
+                         AnalogPostCycles(out_elems));
     AnalogLayerGeom whole = ag;
     whole.oy = g.oy;
     whole.ox = g.ox;
@@ -183,14 +183,6 @@ i64 CostModel::EstimateAccelFullCycles(AccelEngine engine,
 i64 CostModel::L2TransferCycles(i64 bytes) const {
   if (bytes <= 0) return 0;
   return DmaCost1d(cfg_.dma, bytes);
-}
-
-i64 CostModel::CompositeChainCycles(std::span<const i64> unit_cycles,
-                                    std::span<const i64> boundary_bytes) const {
-  i64 total = 0;
-  for (const i64 c : unit_cycles) total += c;
-  for (const i64 b : boundary_bytes) total += L2TransferCycles(b);
-  return total;
 }
 
 }  // namespace htvm::hw

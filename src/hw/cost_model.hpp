@@ -23,7 +23,6 @@
 // dependency arrow dory -> hw.
 #pragma once
 
-#include <span>
 
 #include "hw/soc.hpp"
 
@@ -89,14 +88,6 @@ class CostModel {
   // plan search charges between consecutive composites — a depth-first
   // fused pair keeps its intermediate in L1 and skips this entirely.
   i64 L2TransferCycles(i64 bytes) const;
-
-  // End-to-end cost of a kernel chain: each unit at its full
-  // (call-to-return) cycles plus the L2 transfer of every inter-unit
-  // boundary buffer. `boundary_bytes` has one entry per adjacent pair
-  // (unit_cycles.size() - 1, or empty for a single unit); a zero entry is
-  // an in-L1 (fused) boundary.
-  i64 CompositeChainCycles(std::span<const i64> unit_cycles,
-                           std::span<const i64> boundary_bytes) const;
 
   const DianaConfig& config() const { return cfg_; }
 

@@ -60,10 +60,8 @@ i64 CpuOpCycles(const CpuConfig& cfg, const Graph& graph, const Node& node) {
                 cfg.elemwise_cycles_per_elem);
 }
 
-i64 CpuFusedEpilogueCycles(const CpuConfig& cfg, const Graph& graph,
-                           const Node& node) {
+i64 CpuFusedEpilogueCycles(const CpuConfig& cfg, const Node& node) {
   if (node.op == "reshape" || node.op == "nn.flatten") return 0;
-  (void)graph;
   const i64 elems = node.type.shape.NumElements();
   return static_cast<i64>(static_cast<double>(elems) *
                               cfg.requant_cycles_per_elem +

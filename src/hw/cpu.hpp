@@ -26,7 +26,6 @@ i64 CpuOpCycles(const CpuConfig& cfg, const Graph& graph, const Node& node);
 
 // Cycles for `node` when fused as an epilogue into a preceding accumulating
 // kernel (elementwise/requant chains).
-i64 CpuFusedEpilogueCycles(const CpuConfig& cfg, const Graph& graph,
-                           const Node& node);
+i64 CpuFusedEpilogueCycles(const CpuConfig& cfg, const Node& node);
 
 }  // namespace htvm::hw

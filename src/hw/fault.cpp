@@ -7,18 +7,13 @@
 #include "support/string_utils.hpp"
 
 namespace htvm::hw {
+namespace {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kTransient:
-      return "transient";
-    case FaultKind::kSlowdown:
-      return "slowdown";
-  }
-  return "?";
-}
+constexpr double kTransientWindowUs = 200.0;
+constexpr double kSlowdownFactor = 4.0;
+constexpr double kSlowWindowFrac = 0.25;  // spike length / horizon
+
+}  // namespace
 
 FaultInjector::FaultInjector(int fleet_size, std::vector<FaultEvent> events)
     : events_(std::move(events)) {
@@ -87,7 +82,7 @@ FaultInjector FaultInjector::Generate(const FaultPlanOptions& opt, u64 seed) {
         e.soc = soc;
         e.kind = FaultKind::kTransient;
         e.at_us = t;
-        e.duration_us = opt.transient_window_us;
+        e.duration_us = kTransientWindowUs;
         events.push_back(e);
       }
     }
@@ -105,9 +100,9 @@ FaultInjector FaultInjector::Generate(const FaultPlanOptions& opt, u64 seed) {
     FaultEvent e;
     e.soc = order[static_cast<size_t>(i)];
     e.kind = FaultKind::kSlowdown;
-    e.duration_us = opt.slow_window_frac * opt.horizon_us;
+    e.duration_us = kSlowWindowFrac * opt.horizon_us;
     e.at_us = rng.UniformDouble() * (opt.horizon_us - e.duration_us);
-    e.magnitude = opt.slowdown_factor;
+    e.magnitude = kSlowdownFactor;
     events.push_back(e);
   }
 

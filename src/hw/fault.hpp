@@ -30,8 +30,6 @@ namespace htvm::hw {
 
 enum class FaultKind : u8 { kCrash, kTransient, kSlowdown };
 
-const char* FaultKindName(FaultKind kind);
-
 struct FaultEvent {
   int soc = 0;
   FaultKind kind = FaultKind::kTransient;
@@ -41,16 +39,15 @@ struct FaultEvent {
 };
 
 // Knobs for generating a plan from a seed. Fractions are of the fleet;
-// rates are per SoC-second of simulated time.
+// rates are per SoC-second of simulated time. Every transient window lasts
+// 200 us; every slowdown multiplies service time by 4 for a quarter of the
+// horizon (constants in fault.cpp).
 struct FaultPlanOptions {
   int fleet_size = 1;
   double horizon_us = 1e6;         // trace horizon faults are placed in
   double crash_fraction = 0.0;     // SoCs that fail-stop mid-run
   double transient_rate_hz = 0.0;  // mean transient windows per SoC-second
-  double transient_window_us = 200.0;
   double slow_fraction = 0.0;      // SoCs that get one latency-spike window
-  double slowdown_factor = 4.0;
-  double slow_window_frac = 0.25;  // spike length as a fraction of horizon
 };
 
 class FaultInjector {

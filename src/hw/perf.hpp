@@ -29,16 +29,6 @@ struct KernelPerf {
   i64 tiles = 1;
 
   bool operator==(const KernelPerf&) const = default;
-  double PeakMacsPerCycle() const {
-    return peak_cycles > 0
-               ? static_cast<double>(macs) / static_cast<double>(peak_cycles)
-               : 0.0;
-  }
-  double FullMacsPerCycle() const {
-    return full_cycles > 0
-               ? static_cast<double>(macs) / static_cast<double>(full_cycles)
-               : 0.0;
-  }
 };
 
 struct RunProfile {

@@ -56,16 +56,6 @@ SocDescription MakeScalar() {
 
 }  // namespace
 
-const char* CpuSimdClassName(CpuSimdClass simd) {
-  switch (simd) {
-    case CpuSimdClass::kScalar:
-      return "scalar";
-    case CpuSimdClass::kXpulpV2:
-      return "xpulpv2";
-  }
-  return "?";
-}
-
 SocRegistry::SocRegistry() {
   socs_.push_back(SocDescription::Diana());
   socs_.push_back(MakeL1Half());

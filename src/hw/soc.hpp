@@ -36,7 +36,6 @@ namespace htvm::hw {
 // kScalar host pays plain RV32IMC loop nests (and a hand-tuned "SIMD"
 // library buys it nothing).
 enum class CpuSimdClass : u8 { kScalar = 0, kXpulpV2 = 1 };
-const char* CpuSimdClassName(CpuSimdClass simd);
 
 struct SocDescription {
   std::string name = "diana";

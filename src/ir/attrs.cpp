@@ -31,16 +31,6 @@ i64 AttrMap::GetInt(const std::string& key, i64 def) const {
   return v ? *v : def;
 }
 
-bool AttrMap::GetBool(const std::string& key, bool def) const {
-  const bool* v = GetAs<bool>(values_, key);
-  return v ? *v : def;
-}
-
-double AttrMap::GetDouble(const std::string& key, double def) const {
-  const double* v = GetAs<double>(values_, key);
-  return v ? *v : def;
-}
-
 std::string AttrMap::GetString(const std::string& key,
                                const std::string& def) const {
   const std::string* v = GetAs<std::string>(values_, key);

@@ -35,8 +35,6 @@ class AttrMap {
   // with the wrong variant alternative is a hard error (graph construction
   // bug, not input data).
   i64 GetInt(const std::string& key, i64 def = 0) const;
-  bool GetBool(const std::string& key, bool def = false) const;
-  double GetDouble(const std::string& key, double def = 0.0) const;
   std::string GetString(const std::string& key,
                         const std::string& def = "") const;
   std::vector<i64> GetIntVec(const std::string& key,

@@ -132,14 +132,6 @@ NodeId GraphBuilder::GlobalAvgPool(NodeId data) {
   return graph_.AddOp("nn.global_avg_pool2d", {data});
 }
 
-NodeId GraphBuilder::AvgPool(NodeId data, i64 pool, i64 stride, i64 pad) {
-  return graph_.AddOp(
-      "nn.avg_pool2d", {data},
-      AttrMap{{"pool_size", std::vector<i64>{pool, pool}},
-              {"strides", std::vector<i64>{stride, stride}},
-              {"padding", std::vector<i64>{pad, pad, pad, pad}}});
-}
-
 NodeId GraphBuilder::MaxPool(NodeId data, i64 pool, i64 stride, i64 pad) {
   return graph_.AddOp(
       "nn.max_pool2d", {data},

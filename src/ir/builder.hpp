@@ -54,7 +54,6 @@ class GraphBuilder {
   NodeId RequantPerChannel(NodeId acc, std::vector<i64> shifts, bool relu);
 
   NodeId GlobalAvgPool(NodeId data);
-  NodeId AvgPool(NodeId data, i64 pool, i64 stride, i64 pad = 0);
   NodeId MaxPool(NodeId data, i64 pool, i64 stride, i64 pad = 0);
   NodeId Flatten(NodeId data);
   NodeId Softmax(NodeId data);

@@ -22,7 +22,7 @@ std::string EscapeLabel(const std::string& s) {
 
 }  // namespace
 
-std::string GraphToDot(const Graph& graph, const DotOptions& options) {
+std::string GraphToDot(const Graph& graph) {
   std::string out = "digraph htvm {\n  rankdir=TB;\n  node [fontsize=10];\n";
   for (const Node& n : graph.nodes()) {
     std::string label;
@@ -33,10 +33,7 @@ std::string GraphToDot(const Graph& graph, const DotOptions& options) {
         style = "shape=ellipse, style=filled, fillcolor=lightblue";
         break;
       case NodeKind::kConstant:
-        if (!options.show_constants) continue;
-        label = "const " + n.name;
-        style = "shape=box, style=dashed";
-        break;
+        continue;
       case NodeKind::kOp:
         label = n.op;
         style = "shape=box";
@@ -49,16 +46,11 @@ std::string GraphToDot(const Graph& graph, const DotOptions& options) {
         break;
       }
     }
-    if (options.show_types) {
-      label += "\\n" + n.type.ToString();
-    }
+    label += "\\n" + n.type.ToString();
     out += StrFormat("  n%d [label=\"%s\", %s];\n", n.id,
                      EscapeLabel(label).c_str(), style.c_str());
     for (NodeId in : n.inputs) {
-      const Node& src = graph.node(in);
-      if (src.kind == NodeKind::kConstant && !options.show_constants) {
-        continue;
-      }
+      if (graph.node(in).kind == NodeKind::kConstant) continue;
       out += StrFormat("  n%d -> n%d;\n", in, n.id);
     }
   }

@@ -1,6 +1,8 @@
 // Graphviz DOT export for network graphs — pre- or post-partitioning.
 // Composite nodes are colored by dispatch target (digital green, analog
-// orange, cpu gray), reproducing the Fig. 1 coloring convention.
+// orange, cpu gray), reproducing the Fig. 1 coloring convention. Every
+// label carries its tensor type; constants (weights) are left out, since
+// they clutter large graphs.
 #pragma once
 
 #include <string>
@@ -9,11 +11,6 @@
 
 namespace htvm {
 
-struct DotOptions {
-  bool show_constants = false;  // weights clutter large graphs
-  bool show_types = true;
-};
-
-std::string GraphToDot(const Graph& graph, const DotOptions& options = {});
+std::string GraphToDot(const Graph& graph);
 
 }  // namespace htvm

@@ -148,10 +148,12 @@ Result<TensorType> InferMatmul(std::span<const TensorType> in,
   }
   out_dims.push_back(m);
   out_dims.push_back(n);
-  const DType out =
-      (in[0].dtype == DType::kInt8 && in[1].dtype == DType::kInt8)
-          ? DType::kInt32
-          : in[0].dtype;
+  // int8 x int8 or int8 x ternary accumulates in int32, like nn.dense.
+  const DType out = in[0].dtype == DType::kInt8 &&
+                            (in[1].dtype == DType::kInt8 ||
+                             in[1].dtype == DType::kTernary)
+                        ? DType::kInt32
+                        : in[0].dtype;
   return TensorType{Shape(out_dims), out};
 }
 

@@ -308,13 +308,7 @@ Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b) {
     Gemm(rows.data(), m, wide.data(), n, AlignUp(kk, 8), o + bi * m * n, 1,
          n);
   }
-  if (b.dtype() == DType::kInt8) return out;
-  // int8 x ternary keeps the lhs dtype (the IR type rule): the low 8 bits.
-  Tensor low(out.shape(), DType::kInt8);
-  std::transform(out.data<i32>().begin(), out.data<i32>().end(),
-                 low.data<i8>().begin(),
-                 [](i32 v) { return static_cast<i8>(v); });
-  return low;
+  return out;
 }
 
 }  // namespace htvm::nn

@@ -90,9 +90,8 @@ Result<Tensor> Pad2d(const Tensor& data, const std::vector<i64>& pad_width);
 // matmul: a [..., M, K] x b [N, K] (transpose_b, the dense/weight layout)
 // or [K, N]; rank-2 b broadcasts over a's batch dims. a must be int8 and b
 // int8 or ternary (otherwise InvalidArgument); it runs on conv2d's and
-// dense's GEMM core, with b widened once when every batch shares it.
-// int8 x int8 yields int32 like nn.dense; int8 x ternary keeps a's dtype,
-// the low 8 bits of each sum (the IR type rule).
+// dense's GEMM core, with b widened once when every batch shares it. The
+// output is int32, like nn.dense.
 Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b);
 
 // transpose: permutes dims by `axes`.

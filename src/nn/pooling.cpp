@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <type_traits>
 
 #include "ir/op.hpp"
 #include "support/math_utils.hpp"
@@ -100,10 +102,20 @@ Result<Tensor> MaxPool2d(const Tensor& data, const std::vector<i64>& pool,
                          const std::vector<i64>& strides,
                          const std::vector<i64>& padding) {
   HTVM_ASSIGN_OR_RETURN(g, ResolvePool(data, pool, strides, padding));
-  // The maximum starts at -128, which is also what a window wholly in
-  // padding yields.
+  // The maximum starts at the element type's minimum (-128 for int8),
+  // which is also what a window wholly in padding yields. Float elements
+  // pass through i64, so their floor is i64's.
+  i64 lowest = 0;
+  VisitDType(data.dtype(), [&](auto e) {
+    using T = decltype(e);
+    if constexpr (std::is_integral_v<T>) {
+      lowest = std::numeric_limits<T>::min();
+    } else {
+      lowest = std::numeric_limits<i64>::min();
+    }
+  });
   return WindowWalk(
-      data, g, -128, [](i64 acc, i64 v) { return std::max(acc, v); },
+      data, g, lowest, [](i64 acc, i64 v) { return std::max(acc, v); },
       [](i64 acc, i64) { return acc; });
 }
 

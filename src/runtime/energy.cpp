@@ -3,11 +3,23 @@
 #include "support/string_utils.hpp"
 
 namespace htvm::runtime {
+namespace {
 
-double EnergyReport::TopsPerWatt(i64 total_macs, double freq_mhz) const {
+// pJ per active cycle of each component at 260 MHz.
+constexpr double kCpuPjPerCycle = 38.0;       // RISC-V host core (~10 mW)
+constexpr double kDigitalPjPerCycle = 115.0;  // PE array (0.45 pJ/MAC)
+constexpr double kAnalogPjPerCycle = 55.0;    // IMC macro (incl. ADC/DAC)
+constexpr double kDmaPjPerCycle = 20.0;       // L2 <-> L1 traffic
+constexpr double kIdlePjPerCycle = 5.0;       // host waiting on an accel
+static_assert(kIdlePjPerCycle < kCpuPjPerCycle,
+              "a host waiting on an accelerator must cost less than a busy "
+              "one");
+
+}  // namespace
+
+double EnergyReport::TopsPerWatt(i64 total_macs) const {
   if (total_pj <= 0.0) return 0.0;
   // 2 ops per MAC; energy in pJ -> ops/pJ == TOPS/W.
-  (void)freq_mhz;
   return 2.0 * static_cast<double>(total_macs) / total_pj;
 }
 
@@ -19,8 +31,7 @@ std::string EnergyReport::ToString() const {
       dma_pj * 1e-6, idle_pj * 1e-6);
 }
 
-EnergyReport EstimateEnergy(const compiler::Artifact& artifact,
-                            const EnergyConfig& cfg) {
+EnergyReport EstimateEnergy(const compiler::Artifact& artifact) {
   EnergyReport report;
   for (const auto& kernel : artifact.kernels) {
     const auto& p = kernel.perf;
@@ -29,28 +40,27 @@ EnergyReport EstimateEnergy(const compiler::Artifact& artifact,
     e.target = kernel.target;
     double pj = 0.0;
     if (kernel.target == "cpu") {
-      pj += static_cast<double>(p.full_cycles) * cfg.cpu_pj_per_cycle;
-      report.cpu_pj += static_cast<double>(p.full_cycles) * cfg.cpu_pj_per_cycle;
+      pj += static_cast<double>(p.full_cycles) * kCpuPjPerCycle;
+      report.cpu_pj += static_cast<double>(p.full_cycles) * kCpuPjPerCycle;
     } else {
-      const double accel_rate = kernel.target == "digital"
-                                    ? cfg.digital_pj_per_cycle
-                                    : cfg.analog_pj_per_cycle;
+      const double accel_rate =
+          kernel.target == "digital" ? kDigitalPjPerCycle : kAnalogPjPerCycle;
       const double busy =
           static_cast<double>(p.compute_cycles + p.weight_dma_cycles);
       const double dma = static_cast<double>(p.act_dma_cycles);
       const double host = static_cast<double>(p.overhead_cycles);
       const double idle =
           std::max(0.0, static_cast<double>(p.full_cycles) - host);
-      pj += busy * accel_rate + dma * cfg.dma_pj_per_cycle +
-            host * cfg.cpu_pj_per_cycle + idle * cfg.idle_pj_per_cycle;
+      pj += busy * accel_rate + dma * kDmaPjPerCycle +
+            host * kCpuPjPerCycle + idle * kIdlePjPerCycle;
       if (kernel.target == "digital") {
         report.digital_pj += busy * accel_rate;
       } else {
         report.analog_pj += busy * accel_rate;
       }
-      report.dma_pj += dma * cfg.dma_pj_per_cycle;
-      report.cpu_pj += host * cfg.cpu_pj_per_cycle;
-      report.idle_pj += idle * cfg.idle_pj_per_cycle;
+      report.dma_pj += dma * kDmaPjPerCycle;
+      report.cpu_pj += host * kCpuPjPerCycle;
+      report.idle_pj += idle * kIdlePjPerCycle;
     }
     e.pj = pj;
     report.total_pj += pj;

@@ -6,7 +6,7 @@
 // the natural extension. The model charges component power per active
 // cycle, with constants grounded in the DIANA ISSCC'22 numbers (digital
 // array ~4 TOPS/W class, analog IMC one to two orders better per MAC, host
-// core tens of mW at 260 MHz).
+// core tens of mW at 260 MHz); they are constants in energy.cpp.
 #pragma once
 
 #include <string>
@@ -15,15 +15,6 @@
 #include "compiler/artifact.hpp"
 
 namespace htvm::runtime {
-
-struct EnergyConfig {
-  // pJ per active cycle of each component at 260 MHz.
-  double cpu_pj_per_cycle = 38.0;      // RISC-V host core (~10 mW)
-  double digital_pj_per_cycle = 115.0; // PE array busy (~30 mW; 0.45 pJ/MAC)
-  double analog_pj_per_cycle = 55.0;   // IMC macro busy (incl. ADC/DAC)
-  double dma_pj_per_cycle = 20.0;      // L2 <-> L1 traffic
-  double idle_pj_per_cycle = 5.0;      // host waiting on an accelerator
-};
 
 struct KernelEnergy {
   std::string name;
@@ -42,11 +33,10 @@ struct EnergyReport {
 
   double TotalUj() const { return total_pj * 1e-6; }
   // Effective efficiency over the whole inference.
-  double TopsPerWatt(i64 total_macs, double freq_mhz) const;
+  double TopsPerWatt(i64 total_macs) const;
   std::string ToString() const;
 };
 
-EnergyReport EstimateEnergy(const compiler::Artifact& artifact,
-                            const EnergyConfig& config = {});
+EnergyReport EstimateEnergy(const compiler::Artifact& artifact);
 
 }  // namespace htvm::runtime

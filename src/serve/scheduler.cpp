@@ -4,6 +4,17 @@
 #include <limits>
 
 namespace htvm::serve {
+namespace {
+
+// Graceful degradation of faulted attempts. Every delay is positive, so the
+// attempt loop always advances the simulated clock.
+constexpr int kMaxAttemptsPerSoc = 3;       // transient tries, then re-dispatch
+constexpr double kDetectUs = 20.0;          // fault detection (DMA timeout)
+constexpr double kBackoffBaseUs = 50.0;     // first retry delay
+constexpr double kBackoffMultiplier = 2.0;  // exponential backoff growth
+constexpr int kBreakerThreshold = 4;        // consecutive failures, then evict
+
+}  // namespace
 
 const char* SocHealthName(SocHealth health) {
   switch (health) {
@@ -41,27 +52,6 @@ FleetScheduler::FleetScheduler(SchedulerOptions options)
   }
   HTVM_CHECK_MSG(static_cast<int>(kinds_.size()) == options_.fleet_size,
                  "soc_kinds must have one entry per fleet member");
-  if (options_.faults != nullptr) {
-    // Retry timing must advance the simulated clock, or the attempt loop
-    // could revisit the same instant forever.
-    HTVM_CHECK(options_.retry.detect_us > 0);
-    HTVM_CHECK(options_.retry.backoff_base_us > 0);
-    HTVM_CHECK(options_.retry.backoff_multiplier >= 1.0);
-    HTVM_CHECK(options_.retry.max_attempts_per_soc > 0);
-    HTVM_CHECK(options_.retry.breaker_threshold > 0);
-  }
-}
-
-int FleetScheduler::EarliestLiveSoc() const {
-  int best = -1;
-  for (int s = 0; s < options_.fleet_size; ++s) {
-    if (Dead(s)) continue;
-    if (best < 0 || soc_free_us_[static_cast<size_t>(s)] <
-                        soc_free_us_[static_cast<size_t>(best)]) {
-      best = s;
-    }
-  }
-  return best;
 }
 
 void FleetScheduler::SetModelTiming(int model, const std::string& soc_kind,
@@ -188,7 +178,7 @@ void FleetScheduler::RecordFailure(int soc, double t_us) {
   ++h.failures;
   ++h.consecutive_failures;
   MarkDegraded(soc);
-  if (h.consecutive_failures >= options_.retry.breaker_threshold &&
+  if (h.consecutive_failures >= kBreakerThreshold &&
       h.health != SocHealth::kDead) {
     h.health = SocHealth::kDead;
     h.evicted = true;
@@ -200,10 +190,9 @@ void FleetScheduler::RecordFailure(int soc, double t_us) {
 bool FleetScheduler::SimulateAttempts(ScheduledBatch* batch, int soc,
                                       double start_us) {
   const hw::FaultInjector* fi = options_.faults;
-  const RetryPolicy& rp = options_.retry;
   const int n = static_cast<int>(batch->requests.size());
   int attempts_on_soc = 0;
-  double backoff = rp.backoff_base_us;
+  double backoff = kBackoffBaseUs;
   double service_us = BatchTotalUs(batch->model, soc, n);
 
   // Moves the batch to a surviving SoC picked by the placement policy, not
@@ -215,7 +204,7 @@ bool FleetScheduler::SimulateAttempts(ScheduledBatch* batch, int soc,
     if (next != soc) ++redispatches_;
     soc = next;
     attempts_on_soc = 0;
-    backoff = rp.backoff_base_us;
+    backoff = kBackoffBaseUs;
     start_us = std::max(soc_free_us_[static_cast<size_t>(soc)], not_before_us);
     service_us = BatchTotalUs(batch->model, soc, n);
     return true;
@@ -223,12 +212,12 @@ bool FleetScheduler::SimulateAttempts(ScheduledBatch* batch, int soc,
 
   for (;;) {
     if (fi != nullptr && fi->CrashedBy(soc, start_us)) {
-      // Dead at dispatch: the runtime call times out after detect_us.
+      // Dead at dispatch: the runtime call times out after kDetectUs.
       MarkCrashed(soc, std::min(start_us, fi->CrashTimeUs(soc)));
       batch->failed_attempts.push_back(BatchAttempt{
-          soc, start_us, start_us + rp.detect_us, hw::FaultKind::kCrash});
+          soc, start_us, start_us + kDetectUs, hw::FaultKind::kCrash});
       ++retries_;
-      if (!redispatch(start_us + rp.detect_us)) return false;
+      if (!redispatch(start_us + kDetectUs)) return false;
       continue;
     }
     const double factor = fi != nullptr ? fi->SlowdownAt(soc, start_us) : 1.0;
@@ -242,25 +231,25 @@ bool FleetScheduler::SimulateAttempts(ScheduledBatch* batch, int soc,
       batch->failed_attempts.push_back(BatchAttempt{
           soc, start_us, start_us + service, hw::FaultKind::kCrash});
       ++retries_;
-      if (!redispatch(crash_us + rp.detect_us)) return false;
+      if (!redispatch(crash_us + kDetectUs)) return false;
       continue;
     }
     if (fi != nullptr && fi->TransientAt(soc, start_us)) {
-      const double fail_us = start_us + rp.detect_us;
+      const double fail_us = start_us + kDetectUs;
       Occupy(soc, start_us, fail_us);
       batch->failed_attempts.push_back(
           BatchAttempt{soc, start_us, fail_us, hw::FaultKind::kTransient});
       ++retries_;
       RecordFailure(soc, fail_us);
       ++attempts_on_soc;
-      if (Dead(soc) || attempts_on_soc >= rp.max_attempts_per_soc) {
+      if (Dead(soc) || attempts_on_soc >= kMaxAttemptsPerSoc) {
         if (!redispatch(fail_us)) return false;
       } else {
         // Exponential backoff on the same SoC walks the retry past the
         // transient window deterministically.
         start_us =
             std::max(soc_free_us_[static_cast<size_t>(soc)], fail_us + backoff);
-        backoff *= rp.backoff_multiplier;
+        backoff *= kBackoffMultiplier;
       }
       continue;
     }

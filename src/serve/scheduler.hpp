@@ -27,11 +27,14 @@
 // transient-error window fails; the batch then retries with exponential
 // backoff on the same SoC and re-dispatches to a surviving SoC after the
 // per-SoC retry budget is exhausted (or immediately, on a crash). A
-// circuit breaker evicts a SoC after `breaker_threshold` consecutive
-// failures so a flapping instance stops absorbing retries. Every failed
-// attempt is recorded on the batch so the worker pool can replay it
-// through Executor::Run and observe the same injected fault as a typed
-// Status. A request is lost only when no SoC that can run it survives.
+// circuit breaker evicts a SoC after 4 consecutive failures so a flapping
+// instance stops absorbing retries. The retry constants (scheduler.cpp): a
+// fault is detected 20 us after it strikes, the first backoff is 50 us and
+// doubles per retry, and a batch re-dispatches after 3 failed attempts on
+// one SoC. Every failed attempt is recorded on the batch so the worker pool
+// can replay it through Executor::Run and observe the same injected fault
+// as a typed Status. A request is lost only when no SoC that can run it
+// survives.
 //
 // Because all decisions happen at Offer/Flush time on the simulated clock,
 // request latencies (batch done_us - arrival_us), rejections, retries,
@@ -48,15 +51,6 @@
 #include "serve/request.hpp"
 
 namespace htvm::serve {
-
-// Graceful-degradation knobs for retrying faulted attempts.
-struct RetryPolicy {
-  int max_attempts_per_soc = 3;    // transient retries before re-dispatch
-  double detect_us = 20.0;         // fault detection latency (DMA timeout)
-  double backoff_base_us = 50.0;   // first retry delay
-  double backoff_multiplier = 2.0; // exponential backoff growth
-  int breaker_threshold = 4;       // consecutive failures before eviction
-};
 
 enum class SocHealth : u8 { kHealthy, kDegraded, kDead };
 const char* SocHealthName(SocHealth health);
@@ -89,7 +83,6 @@ struct SchedulerOptions {
   int queue_capacity = 64;  // admitted-but-undispatched bound
   int max_batch = 1;        // 1 = micro-batching off
   const hw::FaultInjector* faults = nullptr;  // nullptr = no injection
-  RetryPolicy retry;
   // SoC kind (SocDescription name) per fleet index. Empty = homogeneous
   // "diana" fleet; otherwise must have exactly fleet_size entries.
   std::vector<std::string> soc_kinds;
@@ -177,8 +170,6 @@ class FleetScheduler {
   // Returns false when no SoC that can run the batch survived (the batch's
   // requests are lost).
   bool SimulateAttempts(ScheduledBatch* batch, int soc, double start_us);
-  // Earliest-free SoC among the still-live ones; -1 when all are dead.
-  int EarliestLiveSoc() const;
   // Placement for the batch headed by `model` arriving at `arrival_us`:
   // fleet index, or -1 when the whole fleet is dead, or -2 when live SoCs
   // exist but none of their kinds has the model.

@@ -26,7 +26,6 @@ SchedulerOptions MakeSchedulerOptions(const ServerOptions& options,
   so.queue_capacity = options.queue_capacity;
   so.max_batch = options.max_batch;
   so.faults = options.chaos.enabled ? faults : nullptr;
-  so.retry = options.chaos.retry;
   so.soc_kinds = options.soc_kinds;
   so.placement = options.placement;
   return so;
@@ -93,7 +92,7 @@ Result<int> InferenceServer::RegisterKinds(
 
   const int model = static_cast<int>(models_.size());
   for (auto& [kind, artifact] : per_kind) {
-    if (options_.executor.enforce_memory && !artifact->memory_plan.fits) {
+    if (!artifact->memory_plan.fits) {
       return Status::ResourceExhausted("RegisterModel: artifact '" +
                                        entry.name + "' does not fit in L2 on " +
                                        kind);
@@ -101,8 +100,7 @@ Result<int> InferenceServer::RegisterKinds(
     KindExecution ke;
     ke.kind = kind;
     ke.artifact = std::move(artifact);
-    ke.executor = std::make_unique<runtime::Executor>(ke.artifact.get(),
-                                                      options_.executor);
+    ke.executor = std::make_unique<runtime::Executor>(ke.artifact.get());
     // Placement timing comes from the shared hw::CostModel — the same
     // oracle the compiler's schedule search optimizes against, so the
     // scheduler's service(model, kind) estimate and the tuner agree.

@@ -43,7 +43,6 @@ struct ChaosOptions {
   bool enabled = false;
   u64 seed = 7;
   hw::FaultPlanOptions plan;
-  RetryPolicy retry;
 };
 
 struct ServerOptions {
@@ -55,7 +54,6 @@ struct ServerOptions {
   // concurrency tests switch this on to prove shared-artifact execution is
   // race-free and bit-exact.
   bool verify_outputs = false;
-  runtime::ExecutorOptions executor;
   ChaosOptions chaos;
   // SoC kind (SocDescription name) per fleet index. Empty = homogeneous
   // "diana" fleet of fleet_size; otherwise must have exactly fleet_size

@@ -54,16 +54,6 @@ void LatencyHistogram::Record(double value) {
   ++count_;
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  if (other.count_ > 0) {
-    if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-    if (count_ == 0 || other.max_ > max_) max_ = other.max_;
-  }
-  sum_ += other.sum_;
-  count_ += other.count_;
-}
-
 double LatencyHistogram::Mean() const {
   return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
 }

@@ -23,7 +23,6 @@ class LatencyHistogram {
   LatencyHistogram();
 
   void Record(double value);
-  void Merge(const LatencyHistogram& other);
 
   i64 count() const { return count_; }
   double min() const { return count_ > 0 ? min_ : 0.0; }

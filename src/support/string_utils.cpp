@@ -41,11 +41,6 @@ std::string IntVecToString(const std::vector<i64>& values) {
   return out;
 }
 
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string HumanBytes(i64 bytes) {
   if (bytes < 1024) return StrFormat("%lld B", static_cast<long long>(bytes));
   if (bytes < 1024 * 1024)

@@ -24,8 +24,6 @@ std::string Join(const std::vector<std::string>& items,
 // Renders a vector of integers as "[a, b, c]" — shapes in diagnostics.
 std::string IntVecToString(const std::vector<i64>& values);
 
-bool StartsWith(const std::string& s, const std::string& prefix);
-
 // Human-readable byte count: "256.0 kB", "1.5 MB".
 std::string HumanBytes(i64 bytes);
 

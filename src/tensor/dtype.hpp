@@ -38,11 +38,6 @@ const char* DTypeName(DType t);
 // Parses "int8", "int32", "ternary", ... Returns false on unknown names.
 bool ParseDType(const std::string& name, DType* out);
 
-inline bool IsIntegral(DType t) {
-  return t == DType::kInt8 || t == DType::kInt16 || t == DType::kInt32 ||
-         t == DType::kTernary;
-}
-
 // Calls `f` with a value of t's in-memory element type (i8 for kInt8 and
 // kTernary, i16, i32, float), so a kernel resolves its dtype once per call
 // and then loops over typed pointers.

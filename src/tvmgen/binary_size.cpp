@@ -12,7 +12,8 @@ std::string BinarySizeReport::ToString() const {
                    HumanBytes(Total()).c_str());
 }
 
-i64 CpuKernelCodeBytes(const SizeModelConfig& cfg, const Node& composite) {
+i64 CpuKernelCodeBytes(const Node& composite) {
+  const SizeModel& cfg = kSizeModel;
   HTVM_CHECK(composite.kind == NodeKind::kComposite);
   const bool tuned = composite.attrs.GetString("kernel_lib") == "tuned";
   i64 bytes = 0;
@@ -55,8 +56,9 @@ i64 CpuKernelWeightBytes(const Node& composite) {
   return bytes;
 }
 
-i64 AccelKernelCodeBytes(const SizeModelConfig& cfg, bool tiled) {
-  return cfg.accel_kernel_code + (tiled ? cfg.accel_tile_loop_code : 0);
+i64 AccelKernelCodeBytes(bool tiled) {
+  return kSizeModel.accel_kernel_code +
+         (tiled ? kSizeModel.accel_tile_loop_code : 0);
 }
 
 }  // namespace htvm::tvmgen

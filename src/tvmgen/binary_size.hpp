@@ -8,8 +8,10 @@
 //   - analog ternary weights are 2-bit but padded to the IMC macro row
 //     groups, so the binary can grow or shrink depending on layer geometry.
 //
-// Code-size constants approximate -O3 RISC-V GCC output for TVM-style
-// kernels; they are inputs to the model, not measurements.
+// Code-size constants (kSizeModel) approximate -O3 RISC-V GCC output for
+// TVM-style kernels; they are inputs to the model, not measurements.
+// cache::OptionsFingerprint folds every one of them, so editing a constant
+// invalidates cached artifacts.
 #pragma once
 
 #include <string>
@@ -19,7 +21,7 @@
 
 namespace htvm::tvmgen {
 
-struct SizeModelConfig {
+struct SizeModel {
   // Fixed image overhead: crt0, runtime, graph executor, main.
   i64 tvm_runtime_bytes = 22 * 1024;   // plain TVM C runtime
   i64 htvm_runtime_bytes = 20 * 1024;  // HTVM's lower-overhead runtime
@@ -37,6 +39,7 @@ struct SizeModelConfig {
   // bodies); applied to anchors of kernel_lib="tuned" composites.
   double tuned_kernel_code_factor = 1.4;
 };
+inline constexpr SizeModel kSizeModel{};
 
 struct BinarySizeReport {
   i64 runtime_bytes = 0;
@@ -47,13 +50,13 @@ struct BinarySizeReport {
 };
 
 // Code bytes for one cpu composite kernel (anchor + fused epilogue ops).
-i64 CpuKernelCodeBytes(const SizeModelConfig& cfg, const Node& composite);
+i64 CpuKernelCodeBytes(const Node& composite);
 
 // Constant bytes (weights + biases + shift scalars) embedded in a cpu
 // composite.
 i64 CpuKernelWeightBytes(const Node& composite);
 
 // Code bytes for one accelerator kernel (driver + tile loop when tiled).
-i64 AccelKernelCodeBytes(const SizeModelConfig& cfg, bool tiled);
+i64 AccelKernelCodeBytes(bool tiled);
 
 }  // namespace htvm::tvmgen

@@ -34,7 +34,7 @@ i64 CpuCompositeCycles(const hw::CpuConfig& cfg, const Node& composite) {
       cycles += anchor_cycles;
       anchor_seen = true;
     } else if (anchor_seen) {
-      cycles += hw::CpuFusedEpilogueCycles(cfg, body, n);
+      cycles += hw::CpuFusedEpilogueCycles(cfg, n);
     } else {
       cycles += hw::CpuOpCycles(cfg, body, n);
     }

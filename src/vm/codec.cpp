@@ -13,13 +13,18 @@ constexpr i64 kMaxElements = i64{1} << 26;
 
 }  // namespace
 
-bool Decoder::Take(void* dst, size_t size) {
+bool Decoder::Has(size_t size) {
   if (!ok()) return false;
   if (size > data_.size() - pos_) {
     Fail(Status::InvalidArgument(StrFormat(
         "%s truncated at byte %zu", context_.c_str(), pos_)));
     return false;
   }
+  return true;
+}
+
+bool Decoder::Take(void* dst, size_t size) {
+  if (!Has(size)) return false;
   // An empty tensor's dst may be null, which memcpy must not see.
   if (size > 0) std::memcpy(dst, data_.data() + pos_, size);
   pos_ += size;

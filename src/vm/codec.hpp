@@ -153,6 +153,9 @@ class Decoder {
   // The u64 length must equal `expect`, the size of `dst`.
   void Bytes(u8* dst, i64 expect);
   void Raw(void* dst, size_t size) { Take(dst, size); }
+  // False, with the truncation error latched, unless `size` bytes are left:
+  // lets a caller check a declared payload before allocating room for it.
+  bool Has(size_t size);
 
   bool ok() const { return status_.ok(); }
   // Latches "<context>: <what>" unless an error is already latched.

@@ -60,9 +60,12 @@ Result<std::vector<Tensor>> LoadTensors(const std::string& path) {
   std::vector<Tensor> tensors;
   for (i64 i = 0; i < count && d.ok(); ++i) {
     const TensorType type = DecodeTensorType(d);
-    if (!d.ok()) break;
+    // A header may declare up to 2^26 elements: allocate only once the
+    // file is known to hold the payload.
+    const i64 size = type.shape.NumElements() * DTypeSizeBytes(type.dtype);
+    if (!d.Has(static_cast<size_t>(size))) break;
     Tensor t(type.shape, type.dtype);
-    d.Raw(t.raw(), static_cast<size_t>(t.SizeBytes()));
+    d.Raw(t.raw(), static_cast<size_t>(size));
     tensors.push_back(std::move(t));
   }
   HTVM_RETURN_IF_ERROR(d.Finish());

@@ -35,7 +35,6 @@ using hw::FaultPlanOptions;
 using serve::BatchAttempt;
 using serve::FleetScheduler;
 using serve::InferRequest;
-using serve::RetryPolicy;
 using serve::ScheduledBatch;
 using serve::SchedulerOptions;
 using serve::SocHealth;
@@ -222,14 +221,14 @@ TEST(ChaosScheduler, TransientWindowRetriesWithBackoffThenSucceeds) {
 }
 
 TEST(ChaosScheduler, CircuitBreakerEvictsFlappingSoc) {
-  // SoC 0 has a transient window so long that the breaker must trip before
-  // the backoff can escape it; SoC 1 is healthy but slower to free up.
+  // SoC 0 has a transient window so long that the backoff never escapes
+  // it. The first request spends its 3 attempts there and re-dispatches to
+  // SoC 1; the next request placed on SoC 0 fails once more, which is the
+  // 4th consecutive failure and trips the breaker.
   const FaultInjector fi(
       /*fleet_size=*/2,
       {FaultEvent{0, FaultKind::kTransient, 0.0, 1e9, 1.0}});
-  SchedulerOptions opts = ChaosSchedOptions(2, &fi);
-  opts.retry.breaker_threshold = 3;
-  FleetScheduler sched(opts);
+  FleetScheduler sched(ChaosSchedOptions(2, &fi));
   sched.SetModelTiming(0, "diana", 100.0, 0.0);
   std::vector<ScheduledBatch> out;
   for (int i = 0; i < 4; ++i) {
@@ -242,6 +241,7 @@ TEST(ChaosScheduler, CircuitBreakerEvictsFlappingSoc) {
   EXPECT_EQ(sched.lost(), 0);
   EXPECT_EQ(sched.evictions(), 1);
   EXPECT_TRUE(sched.soc_health()[0].evicted);
+  EXPECT_EQ(sched.soc_health()[0].failures, 4);
   EXPECT_EQ(sched.soc_health()[0].health, SocHealth::kDead);
   for (const auto& b : out) EXPECT_EQ(b.soc, 1);
 }

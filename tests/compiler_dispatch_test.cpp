@@ -25,8 +25,8 @@ dory::AccelLayerSpec ConvSpecOf(i64 c, i64 k, DType wdtype,
 }
 
 TEST(AccelRules, DigitalTakesInt8NotTernary) {
-  EXPECT_TRUE(DigitalSupports(ConvSpecOf(16, 16, DType::kInt8), kCfg));
-  EXPECT_FALSE(DigitalSupports(ConvSpecOf(16, 16, DType::kTernary), kCfg));
+  EXPECT_TRUE(DigitalSupports(ConvSpecOf(16, 16, DType::kInt8)));
+  EXPECT_FALSE(DigitalSupports(ConvSpecOf(16, 16, DType::kTernary)));
 }
 
 TEST(AccelRules, AnalogTakesTernaryNotInt8) {
@@ -38,7 +38,7 @@ TEST(AccelRules, AnalogRejectsDepthwise) {
   EXPECT_FALSE(AnalogSupports(
       ConvSpecOf(16, 16, DType::kTernary, /*dw=*/true), kCfg));
   EXPECT_TRUE(DigitalSupports(
-      ConvSpecOf(16, 16, DType::kInt8, /*dw=*/true), kCfg));
+      ConvSpecOf(16, 16, DType::kInt8, /*dw=*/true)));
 }
 
 TEST(AccelRules, AnalogRejectsPatchOverMacroRows) {
@@ -51,7 +51,7 @@ TEST(AccelRules, AnalogRejectsPatchOverMacroRows) {
 TEST(AccelRules, DigitalRejectsHugeStrides) {
   auto spec = ConvSpecOf(16, 16, DType::kInt8);
   spec.sy = spec.sx = 5;
-  EXPECT_FALSE(DigitalSupports(spec, kCfg));
+  EXPECT_FALSE(DigitalSupports(spec));
 }
 
 TEST(AnalyzeAnchor, ReadsConvGeometry) {

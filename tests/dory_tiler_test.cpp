@@ -167,10 +167,8 @@ TEST(Tiler, TileL1BytesAccountsDoubleBuffering) {
   db.double_buffer = true;
   TilerOptions sb;
   sb.double_buffer = false;
-  const i64 with_db = TileL1Bytes(spec, AccelTarget::kDigital, db, 16, 16, 8,
-                                  8, false);
-  const i64 without = TileL1Bytes(spec, AccelTarget::kDigital, sb, 16, 16, 8,
-                                  8, false);
+  const i64 with_db = TileL1Bytes(spec, db, 16, 16, 8, 8, false);
+  const i64 without = TileL1Bytes(spec, sb, 16, 16, 8, 8, false);
   EXPECT_EQ(with_db, 2 * without);
 }
 

@@ -29,14 +29,6 @@ TEST(Dot, PartitionedGraphColorsTargets) {
   EXPECT_NE(dot.find("[digital]"), std::string::npos);
 }
 
-TEST(Dot, ConstantsShownWhenRequested) {
-  models::ConvLayerParams p;
-  Graph g = models::MakeConvLayerGraph(p);
-  DotOptions opt;
-  opt.show_constants = true;
-  EXPECT_NE(GraphToDot(g, opt).find("const "), std::string::npos);
-}
-
 TEST(DispatchLog, RecordsAcceptsWithRationale) {
   Graph net = models::BuildResNet8(models::PrecisionPolicy::kMixed);
   auto art = compiler::HtvmCompiler{compiler::CompileOptions{}}.Compile(net);

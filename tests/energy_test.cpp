@@ -52,17 +52,12 @@ TEST(Energy, AnalogMoreEfficientPerMacOnConvLayer) {
   const auto dig = MustCompile(int8net, CompileOptions::DigitalOnly());
   const auto ana = MustCompile(ternary, CompileOptions::AnalogOnly());
   const i64 macs = dig.Profile().TotalMacs();
-  const double dig_tw = EstimateEnergy(dig).TopsPerWatt(macs, 260.0);
-  const double ana_tw = EstimateEnergy(ana).TopsPerWatt(macs, 260.0);
+  const double dig_tw = EstimateEnergy(dig).TopsPerWatt(macs);
+  const double ana_tw = EstimateEnergy(ana).TopsPerWatt(macs);
   EXPECT_GT(ana_tw, dig_tw);
   // Digital sits in the TOPS/W class DIANA reports.
   EXPECT_GT(dig_tw, 0.5);
   EXPECT_LT(dig_tw, 20.0);
-}
-
-TEST(Energy, IdleHostCheaperThanActiveHost) {
-  EnergyConfig cfg;
-  EXPECT_LT(cfg.idle_pj_per_cycle, cfg.cpu_pj_per_cycle);
 }
 
 TEST(Energy, ReportRenders) {

@@ -141,20 +141,20 @@ TEST(AnalogAccel, StoragePadsToRowGroups) {
   g.c = 3;
   g.kh = g.kw = 3;  // 27 rows -> 64 padded
   g.oy = g.ox = 32;
-  const i64 bytes = AnalogWeightStorageBytes(kAnalog, g);
+  const i64 bytes = AnalogWeightStorageBytes(g);
   EXPECT_EQ(bytes, 64 * 16 * 2 / 8);
   // Packed ternary is smaller than int8 when rows align...
   AnalogLayerGeom aligned;
   aligned.k = 64;
   aligned.c = 64;
   aligned.kh = aligned.kw = 1;  // 64 rows exactly
-  EXPECT_LT(AnalogWeightStorageBytes(kAnalog, aligned), 64 * 64);
+  EXPECT_LT(AnalogWeightStorageBytes(aligned), 64 * 64);
   // ...but padding can overtake int8 for tiny-patch layers.
   AnalogLayerGeom tiny;
   tiny.k = 512;
   tiny.c = 2;
   tiny.kh = tiny.kw = 1;  // 2 rows -> 64 padded: 32x blowup
-  EXPECT_GT(AnalogWeightStorageBytes(kAnalog, tiny), 512 * 2);
+  EXPECT_GT(AnalogWeightStorageBytes(tiny), 512 * 2);
 }
 
 TEST(CpuModel, ConvWorkAndCycles) {

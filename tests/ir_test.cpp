@@ -73,6 +73,18 @@ TEST(Op, DenseInference) {
   EXPECT_EQ(g.node(d).type.dtype, DType::kInt32);
 }
 
+TEST(Op, MatmulAccumulatesInInt32ForInt8AndTernaryWeights) {
+  for (const DType wt : {DType::kInt8, DType::kTernary}) {
+    Graph g;
+    NodeId in = g.AddInput("x", {Shape{2, 3, 8}, DType::kInt8});
+    Rng rng(1);
+    NodeId w = g.AddConstant(Tensor::Random(Shape{5, 8}, wt, rng));
+    NodeId mm = g.AddOp("matmul", {in, w}, AttrMap{{"transpose_b", i64{1}}});
+    EXPECT_EQ(g.node(mm).type.shape, (Shape{2, 3, 5}));
+    EXPECT_EQ(g.node(mm).type.dtype, DType::kInt32) << DTypeName(wt);
+  }
+}
+
 TEST(Op, AddPromotesInt8ToInt32) {
   Graph g;
   NodeId a = g.AddInput("a", {Shape{1, 4}, DType::kInt8});

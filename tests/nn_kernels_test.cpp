@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <limits>
 
 #include "ir/op.hpp"
 #include "nn/kernels.hpp"
@@ -615,16 +616,15 @@ TEST(KernelDifferential, RequantizeRowMatchesInterpreterChain) {
 
 // matmul through the flat accessors with an i64 accumulator: a [batch, m,
 // k] x b ([n, k] with transpose_b, [k, n] without; a rank-2 b is shared by
-// every batch), narrowed like SetFlat into `out_t`.
-Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool transpose_b,
-                   DType out_t) {
+// every batch), narrowed like SetFlat into int32.
+Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool transpose_b) {
   const Shape& as = a.shape();
   const i64 m = as[as.rank() - 2], k = as[as.rank() - 1];
   const i64 batch = a.NumElements() / (m * k);
   const i64 n = b.NumElements() / k / (b.shape().rank() == 2 ? 1 : batch);
   std::vector<i64> dims(as.dims().begin(), as.dims().end() - 1);
   dims.push_back(n);
-  Tensor want{Shape(dims), out_t};
+  Tensor want{Shape(dims), DType::kInt32};
   for (i64 bi = 0; bi < batch; ++bi) {
     const i64 b0 = b.shape().rank() == 2 ? 0 : bi * n * k;
     for (i64 r = 0; r < m; ++r) {
@@ -642,9 +642,8 @@ Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool transpose_b,
 }
 
 TEST(KernelDifferential, MatMulMatchesFlatAccessors) {
-  // matmul runs on the int8 GEMM core: an int8 lhs by an int8 (-> int32) or
-  // ternary (-> int8, the lhs dtype) rhs. Any other operand dtype is
-  // InvalidArgument.
+  // matmul runs on the int8 GEMM core: an int8 lhs by an int8 or ternary
+  // rhs, both to int32. Any other operand dtype is InvalidArgument.
   Rng rng(5);
   const std::pair<DType, DType> dtypes[] = {{DType::kInt8, DType::kInt8},
                                             {DType::kInt8, DType::kTernary},
@@ -665,8 +664,7 @@ TEST(KernelDifferential, MatMulMatchesFlatAccessors) {
           continue;
         }
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const DType out_t = bt == DType::kInt8 ? DType::kInt32 : at;
-        EXPECT_TRUE(got->SameAs(NaiveMatMul(a, b, transpose_b, out_t)))
+        EXPECT_TRUE(got->SameAs(NaiveMatMul(a, b, transpose_b)))
             << DTypeName(at) << " x " << DTypeName(bt) << " transpose_b "
             << transpose_b << " shared_b " << shared_b;
       }
@@ -692,9 +690,7 @@ TEST(KernelDifferential, MatMulGemmShapesMatchNaiveLoop) {
               shared_b ? b_mat : Shape{batch, b_mat[0], b_mat[1]}, bt, rng);
           auto got = MatMul(a, b, transpose_b);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
-          const DType out_t =
-              bt == DType::kInt8 ? DType::kInt32 : DType::kInt8;
-          EXPECT_TRUE(got->SameAs(NaiveMatMul(a, b, transpose_b, out_t)))
+          EXPECT_TRUE(got->SameAs(NaiveMatMul(a, b, transpose_b)))
               << "k " << k << " n " << n << " transpose_b " << transpose_b
               << " shared_b " << shared_b << " " << DTypeName(bt);
           ++cases;
@@ -731,11 +727,15 @@ Tensor NaivePool(const Tensor& data, bool max, i64 ph, i64 pw, i64 sy, i64 sx,
   const i64 oh = (H + pad[0] + pad[2] - ph) / sy + 1;
   const i64 ow = (W + pad[1] + pad[3] - pw) / sx + 1;
   Tensor out(Shape{N, C, oh, ow}, data.dtype());
+  // Max pooling starts at the element type's minimum.
+  const i64 lowest = data.dtype() == DType::kInt32
+                         ? i64{std::numeric_limits<i32>::min()}
+                         : -128;
   for (i64 n = 0; n < N; ++n) {
     for (i64 c = 0; c < C; ++c) {
       for (i64 oy = 0; oy < oh; ++oy) {
         for (i64 ox = 0; ox < ow; ++ox) {
-          i64 acc = max ? -128 : 0;
+          i64 acc = max ? lowest : 0;
           i64 count = 0;
           for (i64 fy = 0; fy < ph; ++fy) {
             const i64 iy = oy * sy + fy - pad[0];
@@ -851,6 +851,14 @@ TEST(Pooling, MaxPool) {
   EXPECT_EQ(out->shape(), (Shape{1, 1, 1, 2}));
   EXPECT_EQ(out->At4(0, 0, 0, 0), 7);
   EXPECT_EQ(out->At4(0, 0, 0, 1), 8);
+}
+
+TEST(Pooling, MaxPoolInt32BelowInt8Range) {
+  Tensor data(Shape{1, 1, 2, 2}, DType::kInt32);
+  for (i64 i = 0; i < 4; ++i) data.SetFlat(i, -1000 - i);
+  auto out = MaxPool2d(data, {2, 2}, {2, 2}, {});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->At4(0, 0, 0, 0), -1000);
 }
 
 TEST(Pooling, AvgPoolRounds) {

@@ -47,16 +47,6 @@ TEST(LatencyHistogram, PercentilesAreMonotoneAndBounded) {
   EXPECT_DOUBLE_EQ(h.Mean(), 500.5);
 }
 
-TEST(LatencyHistogram, MergeCombinesCounts) {
-  LatencyHistogram a, b;
-  a.Record(10);
-  b.Record(1000);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.min(), 10.0);
-  EXPECT_DOUBLE_EQ(a.max(), 1000.0);
-}
-
 TEST(LatencyHistogram, HugeValuesDoNotOverflowBuckets) {
   LatencyHistogram h;
   h.Record(9.0e18);  // near the top of the u64 bucket range

@@ -205,7 +205,6 @@ TEST(StructuralHash, SuiteModelsAllDistinct) {
 TEST(OptionsFingerprint, InstrumentationKnobsAreExcluded) {
   compiler::CompileOptions a;
   compiler::CompileOptions b;
-  b.instrument.verify = false;
   b.instrument.dump_ir_dir = "/tmp/somewhere";
   b.instrument.dump_ir_filter = "PartitionGraph";
   b.cache = reinterpret_cast<compiler::ArtifactCacheHook*>(0x1);

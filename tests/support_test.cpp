@@ -207,36 +207,5 @@ TEST(Histogram, NegativeAndNanClampToZero) {
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
 }
 
-TEST(Histogram, MergeMatchesSequentialRecording) {
-  LatencyHistogram a, b, all;
-  Rng rng(17);
-  for (int i = 0; i < 500; ++i) {
-    const double v = static_cast<double>(rng.UniformInt(1, 10000));
-    (i % 2 == 0 ? a : b).Record(v);
-    all.Record(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
-  for (double p : {50.0, 95.0, 99.0}) {
-    EXPECT_DOUBLE_EQ(a.Percentile(p), all.Percentile(p)) << "p" << p;
-  }
-}
-
-TEST(Histogram, MergeWithEmptySidesIsIdentity) {
-  LatencyHistogram h, empty;
-  h.Record(7.0);
-  h.Merge(empty);  // right identity
-  EXPECT_EQ(h.count(), 1);
-  EXPECT_DOUBLE_EQ(h.min(), 7.0);
-  LatencyHistogram target;
-  target.Merge(h);  // left identity
-  EXPECT_EQ(target.count(), 1);
-  EXPECT_DOUBLE_EQ(target.min(), 7.0);
-  EXPECT_DOUBLE_EQ(target.max(), 7.0);
-}
-
 }  // namespace
 }  // namespace htvm

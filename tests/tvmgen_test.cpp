@@ -97,12 +97,11 @@ TEST(CostModel, PerfCountsMacs) {
 
 TEST(BinarySize, ConvKernelBiggerThanElemwise) {
   Graph lowered = LowerToKernels(SmallNet());
-  const SizeModelConfig cfg;
   i64 conv_code = 0, softmax_code = 0;
   for (const Node& n : lowered.nodes()) {
     if (n.kind != NodeKind::kComposite) continue;
-    if (n.op == "tvm.conv2d") conv_code = CpuKernelCodeBytes(cfg, n);
-    if (n.op == "tvm.nn.softmax") softmax_code = CpuKernelCodeBytes(cfg, n);
+    if (n.op == "tvm.conv2d") conv_code = CpuKernelCodeBytes(n);
+    if (n.op == "tvm.nn.softmax") softmax_code = CpuKernelCodeBytes(n);
   }
   EXPECT_GT(conv_code, 0);
   EXPECT_GT(softmax_code, 0);
@@ -120,10 +119,8 @@ TEST(BinarySize, WeightBytesMatchConstants) {
 }
 
 TEST(BinarySize, AccelKernelsAreSmall) {
-  const SizeModelConfig cfg;
-  EXPECT_LT(AccelKernelCodeBytes(cfg, /*tiled=*/true), cfg.cpu_conv_code);
-  EXPECT_LT(AccelKernelCodeBytes(cfg, false),
-            AccelKernelCodeBytes(cfg, true));
+  EXPECT_LT(AccelKernelCodeBytes(/*tiled=*/true), kSizeModel.cpu_conv_code);
+  EXPECT_LT(AccelKernelCodeBytes(false), AccelKernelCodeBytes(true));
 }
 
 TEST(BinarySize, ReportTotals) {

@@ -1,6 +1,8 @@
 // HAB (htvm-artifact v2) round-trip and end-to-end VM tests.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -15,6 +17,7 @@
 #include "hw/soc.hpp"
 #include "models/mlperf_tiny.hpp"
 #include "runtime/executor.hpp"
+#include "vm/codec.hpp"
 #include "vm/hab.hpp"
 #include "vm/loaded_artifact.hpp"
 #include "vm/vm_executor.hpp"
@@ -51,6 +54,51 @@ compiler::Artifact CompileDsCnn() {
   auto artifact = compiler::HtvmCompiler{{}}.Compile(g);
   HTVM_CHECK(artifact.ok());
   return std::move(*artifact);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// First in the file: the forked child starts with the parent's resident
+// pages, which are fewest before any other test has run.
+TEST(TensorFile, HugeHeaderWithoutPayloadFailsInBoundedMemory) {
+  TempDir dir;
+  const std::string path = dir.file("forged.tensors");
+  // 46 bytes declaring int32 [1, 1, 8192, 8192]: 2^26 elements, 256 MB.
+  Encoder e;
+  e.Raw("HTVMTEN1", 8);
+  e.U32(1);
+  EncodeTensorType(e, DType::kInt32, Shape{1, 1, 8192, 8192});
+  ASSERT_EQ(e.bytes().size(), 46u);
+  std::ofstream(path, std::ios::binary) << e.bytes();
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const auto loaded = LoadTensors(path);
+    const bool typed = !loaded.ok() &&
+                       loaded.status().code() == StatusCode::kInvalidArgument;
+    _exit(typed ? 0 : 1);
+  }
+  int status = 0;
+  rusage usage{};
+  ASSERT_EQ(wait4(pid, &status, 0, &usage), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "not an InvalidArgument";
+  // Sanitizer shadow memory and allocator quarantine inflate RSS, so the
+  // bound only holds in plain builds.
+  if (!kSanitized) {
+    EXPECT_LT(usage.ru_maxrss, 32 * 1024) << "peak RSS in KiB";
+  }
 }
 
 TEST(Hab, RoundTripIsBitIdentical) {

@@ -323,8 +323,7 @@ int main(int argc, char** argv) {
     }
     // Sorted for deterministic model handles (directory order is not).
     std::vector<std::string> paths;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(opt.preload_dir)) {
+    for (const auto& entry : it) {
       const std::string ext = entry.path().extension().string();
       if (entry.is_regular_file() && (ext == ".hab" || ext == ".htvmart")) {
         paths.push_back(entry.path().string());
@@ -345,9 +344,8 @@ int main(int argc, char** argv) {
       if (name.empty()) {
         name = std::filesystem::path(path).stem().string();
       }
-      auto artifact = std::make_shared<const compiler::Artifact>(
-          loaded->artifact());
-      auto handle = server.RegisterModel(name, std::move(artifact), opt.seed);
+      auto handle =
+          server.RegisterModel(name, loaded->shared_artifact(), opt.seed);
       if (!handle.ok()) {
         std::fprintf(stderr, "htvm-serve: %s\n",
                      handle.status().ToString().c_str());

@@ -365,8 +365,7 @@ int main(int argc, char** argv) {
     const auto energy = runtime::EstimateEnergy(*artifact);
     std::printf("\n%s\n", energy.ToString().c_str());
     std::printf("effective efficiency: %.2f TOPS/W\n",
-                energy.TopsPerWatt(artifact->Profile().TotalMacs(),
-                                   artifact->hw_config.freq_mhz));
+                energy.TopsPerWatt(artifact->Profile().TotalMacs()));
   }
   if (!opt.dot_path.empty()) {
     std::ofstream out(opt.dot_path);
