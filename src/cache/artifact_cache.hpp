@@ -28,7 +28,7 @@
 #include <unordered_set>
 
 #include "cache/cache_key.hpp"
-#include "compiler/pass_manager.hpp"
+#include "compiler/pipeline.hpp"
 
 namespace htvm::cache {
 

@@ -24,33 +24,23 @@ namespace {
 
 // Front-end optimization (Fig. 1 "initial optimizations"): fold explicit
 // TFLite-style PAD ops into conv attributes.
-class AbsorbPaddingPass final : public Pass {
- public:
-  std::string_view name() const override { return "AbsorbPadding"; }
-  Status Run(CompileState& state) const override {
-    const i64 before = state.graph.NumNodes();
-    i64 rewrites = 0;
-    state.graph = AbsorbPadding(state.graph, &rewrites);
-    // No absorbed pads and no DCE shrinkage => MapGraph cloned the graph
-    // verbatim; tell the manager so it can skip re-validation and dumps.
-    state.pass_changed_graph =
-        rewrites > 0 || state.graph.NumNodes() != before;
-    return Status::Ok();
-  }
-};
+Status AbsorbPaddingPass(CompileState& state) {
+  const i64 before = state.graph.NumNodes();
+  i64 rewrites = 0;
+  state.graph = AbsorbPadding(state.graph, &rewrites);
+  // No absorbed pads and no DCE shrinkage => MapGraph cloned the graph
+  // verbatim; tell the manager so it can skip re-validation and dumps.
+  state.pass_changed_graph = rewrites > 0 || state.graph.NumNodes() != before;
+  return Status::Ok();
+}
 
-class ConstantFoldPass final : public Pass {
- public:
-  std::string_view name() const override { return "ConstantFold"; }
-  Status Run(CompileState& state) const override {
-    const i64 before = state.graph.NumNodes();
-    i64 rewrites = 0;
-    state.graph = ConstantFold(state.graph, nn::StandardEvaluator(), &rewrites);
-    state.pass_changed_graph =
-        rewrites > 0 || state.graph.NumNodes() != before;
-    return Status::Ok();
-  }
-};
+Status ConstantFoldPass(CompileState& state) {
+  const i64 before = state.graph.NumNodes();
+  i64 rewrites = 0;
+  state.graph = ConstantFold(state.graph, nn::StandardEvaluator(), &rewrites);
+  state.pass_changed_graph = rewrites > 0 || state.graph.NumNodes() != before;
+  return Status::Ok();
+}
 
 // Accelerator-aware dispatch (Sec. III-A): matched chains become composite
 // nodes annotated with their target; decisions land in the dispatch log.
@@ -61,56 +51,42 @@ class ConstantFoldPass final : public Pass {
 // htvm-run replay the same mapping. The default heuristic path does not
 // enter the branch at all — its output is byte-identical to the pinned
 // goldens.
-class PartitionGraphPass final : public Pass {
- public:
-  std::string_view name() const override { return "PartitionGraph"; }
-  Status Run(CompileState& state) const override {
-    if (state.options.plain_tvm) {  // CPU-only baseline
-      state.pass_changed_graph = false;
-      return Status::Ok();
-    }
-    const auto rules = MakeDianaDispatchRules(
-        state.options.dispatch, state.options.soc, state.options.tiler,
-        &state.artifact.dispatch_log);
-    state.graph = PartitionGraph(state.graph, rules);
-    if (state.options.schedule_search.kind !=
-        dory::ScheduleSearchKind::kGraphBeam) {
-      return Status::Ok();
-    }
-
-    HTVM_ASSIGN_OR_RETURN(units,
-                          ExtractPlanUnits(state.graph, state.options));
-    HTVM_ASSIGN_OR_RETURN(plan, SearchGraphPlan(units, state.options));
-    HTVM_ASSIGN_OR_RETURN(planned,
-                          ApplyGraphPlan(state.graph, units, plan));
-    state.graph = std::move(planned);
-    state.artifact.plan = std::move(plan);
+Status PartitionGraphPass(CompileState& state) {
+  if (state.options.plain_tvm) {  // CPU-only baseline
+    state.pass_changed_graph = false;
     return Status::Ok();
   }
-};
-
-class InsertAnalogInputClampsPass final : public Pass {
- public:
-  std::string_view name() const override { return "InsertAnalogInputClamps"; }
-  Status Run(CompileState& state) const override {
-    if (state.options.plain_tvm) {
-      state.pass_changed_graph = false;
-      return Status::Ok();
-    }
-    state.graph = InsertAnalogInputClamps(state.graph);
+  const auto rules = MakeDianaDispatchRules(
+      state.options.dispatch, state.options.soc, state.options.tiler,
+      &state.artifact.dispatch_log);
+  state.graph = PartitionGraph(state.graph, rules);
+  if (state.options.schedule_search.kind !=
+      dory::ScheduleSearchKind::kGraphBeam) {
     return Status::Ok();
   }
-};
+
+  HTVM_ASSIGN_OR_RETURN(units, ExtractPlanUnits(state.graph, state.options));
+  HTVM_ASSIGN_OR_RETURN(plan, SearchGraphPlan(units, state.options));
+  HTVM_ASSIGN_OR_RETURN(planned, ApplyGraphPlan(state.graph, units, plan));
+  state.graph = std::move(planned);
+  state.artifact.plan = std::move(plan);
+  return Status::Ok();
+}
+
+Status InsertAnalogInputClampsPass(CompileState& state) {
+  if (state.options.plain_tvm) {
+    state.pass_changed_graph = false;
+    return Status::Ok();
+  }
+  state.graph = InsertAnalogInputClamps(state.graph);
+  return Status::Ok();
+}
 
 // TVM-native lowering of everything the dispatcher left on the CPU.
-class LowerToKernelsPass final : public Pass {
- public:
-  std::string_view name() const override { return "LowerToKernels"; }
-  Status Run(CompileState& state) const override {
-    state.graph = tvmgen::LowerToKernels(state.graph);
-    return Status::Ok();
-  }
-};
+Status LowerToKernelsPass(CompileState& state) {
+  state.graph = tvmgen::LowerToKernels(state.graph);
+  return Status::Ok();
+}
 
 // Whole-block MHSA kernel (diana.mhsa): the digital array executes the
 // four projection matmuls (heuristic DORY schedules), the closed-form cost
@@ -231,148 +207,124 @@ Status CompileFusedKernel(const Node& n, const CompileOptions& options,
 // the slots are spliced back in node order — so the artifact is
 // byte-identical to the sequential pass, and ParallelFor's
 // first-error-wins makes a failing compile report the same error too.
-class CompileKernelsPass final : public Pass {
- public:
-  std::string_view name() const override { return "CompileKernels"; }
-  bool mutates_graph() const override { return false; }
-  Status Run(CompileState& state) const override {
-    Artifact& artifact = state.artifact;
-    const CompileOptions& options = state.options;
-    std::vector<NodeId> composites;
-    for (const Node& n : state.graph.nodes()) {
-      if (n.kind == NodeKind::kComposite) composites.push_back(n.id);
-    }
-    const i64 count = static_cast<i64>(composites.size());
-    std::vector<CompiledKernel> kernels(composites.size());
-    for (i64 i = 0; i < count; ++i) {
-      const Node& n = state.graph.node(composites[i]);
-      kernels[i].node = n.id;
-      kernels[i].name =
-          StrFormat("%s#%lld", n.op.c_str(), static_cast<long long>(i));
-      kernels[i].target = n.attrs.GetString("target", "cpu");
-    }
-
-    // One lane: compiles composite i into its pre-named slot. Reads only
-    // the shared graph and options (both const for the whole pass).
-    const auto compile_one = [&](i64 i) -> Status {
-      const Node& n = state.graph.node(composites[static_cast<size_t>(i)]);
-      CompiledKernel& kernel = kernels[static_cast<size_t>(i)];
-      if (kernel.target == "cpu") {
-        kernel.perf = tvmgen::CpuCompositePerf(options.soc.config, n, kernel.name);
-        kernel.code_bytes = tvmgen::CpuKernelCodeBytes(n);
-        kernel.weight_bytes = tvmgen::CpuKernelWeightBytes(n);
-      } else if (n.op == "diana.mhsa") {
-        HTVM_RETURN_IF_ERROR(CompileMhsaKernel(n, options, &kernel));
-      } else if (n.op == "diana.fused2") {
-        HTVM_RETURN_IF_ERROR(CompileFusedKernel(n, options, &kernel));
-      } else {
-        const dory::AccelTarget accel_target =
-            kernel.target == "analog" ? dory::AccelTarget::kAnalog
-                                      : dory::AccelTarget::kDigital;
-        HTVM_ASSIGN_OR_RETURN(spec, dory::AnalyzeCompositeBody(*n.body));
-        HTVM_ASSIGN_OR_RETURN(
-            sched,
-            dory::SearchSchedule(spec, options.soc.config, accel_target,
-                                 options.tiler, options.schedule_search));
-        kernel.perf = dory::SchedulePerf(sched, kernel.name);
-        kernel.code_bytes =
-            tvmgen::AccelKernelCodeBytes(sched.solution.needs_tiling);
-        kernel.weight_bytes = dory::DeployedWeightBytes(spec, accel_target);
-        kernel.schedule = std::move(sched);
-      }
-      return Status::Ok();
-    };
-
-    const i64 lanes = options.compile_threads > 0
-                          ? options.compile_threads
-                          : ThreadPool::HardwareThreads();
-    if (lanes <= 1 || count <= 1) {
-      for (i64 i = 0; i < count; ++i) {
-        HTVM_RETURN_IF_ERROR(compile_one(i));
-      }
-    } else {
-      HTVM_RETURN_IF_ERROR(
-          ParallelFor(SharedCompilePool(), count, lanes, compile_one));
-    }
-
-    i64 code_bytes = 0;
-    i64 weight_bytes = 0;
-    for (CompiledKernel& kernel : kernels) {
-      code_bytes += kernel.code_bytes;
-      weight_bytes += kernel.weight_bytes;
-      artifact.kernels.push_back(std::move(kernel));
-    }
-    artifact.size.code_bytes = code_bytes;
-    artifact.size.weight_bytes = weight_bytes;
-    return Status::Ok();
+Status CompileKernelsPass(CompileState& state) {
+  Artifact& artifact = state.artifact;
+  const CompileOptions& options = state.options;
+  std::vector<NodeId> composites;
+  for (const Node& n : state.graph.nodes()) {
+    if (n.kind == NodeKind::kComposite) composites.push_back(n.id);
   }
-};
+  const i64 count = static_cast<i64>(composites.size());
+  std::vector<CompiledKernel> kernels(composites.size());
+  for (i64 i = 0; i < count; ++i) {
+    const Node& n = state.graph.node(composites[i]);
+    kernels[i].node = n.id;
+    kernels[i].name =
+        StrFormat("%s#%lld", n.op.c_str(), static_cast<long long>(i));
+    kernels[i].target = n.attrs.GetString("target", "cpu");
+  }
+
+  // One lane: compiles composite i into its pre-named slot. Reads only
+  // the shared graph and options (both const for the whole pass).
+  const auto compile_one = [&](i64 i) -> Status {
+    const Node& n = state.graph.node(composites[static_cast<size_t>(i)]);
+    CompiledKernel& kernel = kernels[static_cast<size_t>(i)];
+    if (kernel.target == "cpu") {
+      kernel.perf = tvmgen::CpuCompositePerf(options.soc.config, n, kernel.name);
+      kernel.code_bytes = tvmgen::CpuKernelCodeBytes(n);
+      kernel.weight_bytes = tvmgen::CpuKernelWeightBytes(n);
+    } else if (n.op == "diana.mhsa") {
+      HTVM_RETURN_IF_ERROR(CompileMhsaKernel(n, options, &kernel));
+    } else if (n.op == "diana.fused2") {
+      HTVM_RETURN_IF_ERROR(CompileFusedKernel(n, options, &kernel));
+    } else {
+      const dory::AccelTarget accel_target =
+          kernel.target == "analog" ? dory::AccelTarget::kAnalog
+                                    : dory::AccelTarget::kDigital;
+      HTVM_ASSIGN_OR_RETURN(spec, dory::AnalyzeCompositeBody(*n.body));
+      HTVM_ASSIGN_OR_RETURN(
+          sched,
+          dory::SearchSchedule(spec, options.soc.config, accel_target,
+                               options.tiler, options.schedule_search));
+      kernel.perf = dory::SchedulePerf(sched, kernel.name);
+      kernel.code_bytes =
+          tvmgen::AccelKernelCodeBytes(sched.solution.needs_tiling);
+      kernel.weight_bytes = dory::DeployedWeightBytes(spec, accel_target);
+      kernel.schedule = std::move(sched);
+    }
+    return Status::Ok();
+  };
+
+  const i64 lanes = options.compile_threads > 0
+                        ? options.compile_threads
+                        : ThreadPool::HardwareThreads();
+  if (lanes <= 1 || count <= 1) {
+    for (i64 i = 0; i < count; ++i) {
+      HTVM_RETURN_IF_ERROR(compile_one(i));
+    }
+  } else {
+    HTVM_RETURN_IF_ERROR(
+        ParallelFor(SharedCompilePool(), count, lanes, compile_one));
+  }
+
+  i64 code_bytes = 0;
+  i64 weight_bytes = 0;
+  for (CompiledKernel& kernel : kernels) {
+    code_bytes += kernel.code_bytes;
+    weight_bytes += kernel.weight_bytes;
+    artifact.kernels.push_back(std::move(kernel));
+  }
+  artifact.size.code_bytes = code_bytes;
+  artifact.size.weight_bytes = weight_bytes;
+  return Status::Ok();
+}
 
 // Binary image: code and weight bytes were accumulated per kernel; pick
 // the runtime flavor.
-class ComputeBinarySizePass final : public Pass {
- public:
-  std::string_view name() const override { return "ComputeBinarySize"; }
-  bool mutates_graph() const override { return false; }
-  Status Run(CompileState& state) const override {
-    state.artifact.size.runtime_bytes =
-        state.options.plain_tvm ? tvmgen::kSizeModel.tvm_runtime_bytes
-                                : tvmgen::kSizeModel.htvm_runtime_bytes;
-    return Status::Ok();
-  }
-};
+Status ComputeBinarySizePass(CompileState& state) {
+  state.artifact.size.runtime_bytes =
+      state.options.plain_tvm ? tvmgen::kSizeModel.tvm_runtime_bytes
+                              : tvmgen::kSizeModel.htvm_runtime_bytes;
+  return Status::Ok();
+}
 
 // Ahead-of-time L2 schedule. Plain TVM's executor keeps every intermediate
 // alive (no liveness reuse).
-class PlanL2MemoryPass final : public Pass {
- public:
-  std::string_view name() const override { return "PlanL2Memory"; }
-  bool mutates_graph() const override { return false; }
-  Status Run(CompileState& state) const override {
-    state.artifact.memory_plan =
-        PlanL2Memory(state.graph, state.artifact.size.Total(),
-                     state.options.soc.config.l2_bytes,
-                     /*reuse=*/!state.options.plain_tvm);
-    return Status::Ok();
-  }
-};
+Status PlanL2MemoryPass(CompileState& state) {
+  state.artifact.memory_plan =
+      PlanL2Memory(state.graph, state.artifact.size.Total(),
+                   state.options.soc.config.l2_bytes,
+                   /*reuse=*/!state.options.plain_tvm);
+  return Status::Ok();
+}
 
-class FinalizeArtifactPass final : public Pass {
- public:
-  std::string_view name() const override { return "FinalizeArtifact"; }
-  bool mutates_graph() const override { return false; }
-  Status Run(CompileState& state) const override {
-    // Copy (not move) so post-pipeline instrumentation still sees the
-    // lowered graph in state.graph; composite bodies are shared pointers,
-    // so this duplicates node metadata only.
-    state.artifact.kernel_graph = state.graph;
-    state.artifact.hw_config = state.options.soc.config;
-    state.artifact.soc_name = state.options.soc.name;
-    HTVM_ILOG << "compiled " << state.artifact.kernels.size() << " kernels, "
-              << state.artifact.size.ToString()
-              << ", arena=" << state.artifact.memory_plan.arena_bytes;
-    return Status::Ok();
-  }
-};
+Status FinalizeArtifactPass(CompileState& state) {
+  // Copy (not move) so post-pipeline instrumentation still sees the
+  // lowered graph in state.graph; composite bodies are shared pointers,
+  // so this duplicates node metadata only.
+  state.artifact.kernel_graph = state.graph;
+  state.artifact.hw_config = state.options.soc.config;
+  state.artifact.soc_name = state.options.soc.name;
+  HTVM_ILOG << "compiled " << state.artifact.kernels.size() << " kernels, "
+            << state.artifact.size.ToString()
+            << ", arena=" << state.artifact.memory_plan.arena_bytes;
+  return Status::Ok();
+}
 
 }  // namespace
 
 PassManager BuildHtvmPassPipeline() {
   PassManager pm;
-  pm.Add(std::make_unique<AbsorbPaddingPass>())
-      .Add(std::make_unique<ConstantFoldPass>())
-      .Add(std::make_unique<PartitionGraphPass>())
-      .Add(std::make_unique<InsertAnalogInputClampsPass>())
-      .Add(std::make_unique<LowerToKernelsPass>())
-      .Add(std::make_unique<CompileKernelsPass>())
-      .Add(std::make_unique<ComputeBinarySizePass>())
-      .Add(std::make_unique<PlanL2MemoryPass>())
-      .Add(std::make_unique<FinalizeArtifactPass>());
+  pm.Add("AbsorbPadding", AbsorbPaddingPass)
+      .Add("ConstantFold", ConstantFoldPass)
+      .Add("PartitionGraph", PartitionGraphPass)
+      .Add("InsertAnalogInputClamps", InsertAnalogInputClampsPass)
+      .Add("LowerToKernels", LowerToKernelsPass)
+      .Add("CompileKernels", CompileKernelsPass, /*mutates_graph=*/false)
+      .Add("ComputeBinarySize", ComputeBinarySizePass, /*mutates_graph=*/false)
+      .Add("PlanL2Memory", PlanL2MemoryPass, /*mutates_graph=*/false)
+      .Add("FinalizeArtifact", FinalizeArtifactPass, /*mutates_graph=*/false);
   return pm;
-}
-
-std::vector<std::string> HtvmPassNames() {
-  return BuildHtvmPassPipeline().PassNames();
 }
 
 }  // namespace htvm::compiler

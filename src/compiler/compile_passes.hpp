@@ -1,5 +1,5 @@
-// The standard HTVM pass pipeline: the Fig. 1 stages registered as named
-// passes on a PassManager.
+// The standard HTVM pass pipeline: the Fig. 1 stages, each a file-local
+// function listed once, by name, in BuildHtvmPassPipeline().
 //
 //   AbsorbPadding            fold explicit nn.pad into conv attributes
 //   ConstantFold             evaluate all-constant subgraphs
@@ -21,10 +21,8 @@
 
 namespace htvm::compiler {
 
-// Builds the standard pipeline above.
+// Builds the standard pipeline above; PassNames() on it is the pipeline
+// snapshot tests and docs pin.
 PassManager BuildHtvmPassPipeline();
-
-// Its pass names, in execution order (pipeline snapshot for tests/docs).
-std::vector<std::string> HtvmPassNames();
 
 }  // namespace htvm::compiler

@@ -11,32 +11,14 @@
 namespace htvm::compiler {
 namespace {
 
-class LambdaPass final : public Pass {
- public:
-  LambdaPass(std::string name, std::function<Status(CompileState&)> run,
-             bool mutates_graph)
-      : name_(std::move(name)),
-        run_(std::move(run)),
-        mutates_graph_(mutates_graph) {}
-
-  std::string_view name() const override { return name_; }
-  Status Run(CompileState& state) const override { return run_(state); }
-  bool mutates_graph() const override { return mutates_graph_; }
-
- private:
-  std::string name_;
-  std::function<Status(CompileState&)> run_;
-  bool mutates_graph_;
-};
-
 // Writes <dir>/<NN>_<stage>.txt (GraphToString) and .dot (GraphToDot).
 // Both renderings are deterministic functions of the graph, so dump
 // directories are byte-identical across runs of the same compile.
 Status WriteIrDump(const std::string& dir, int index,
-                   std::string_view stage, const Graph& graph) {
+                   const std::string& stage, const Graph& graph) {
   ::mkdir(dir.c_str(), 0755);  // best effort; open failures caught below
   const std::string base = StrFormat("%s/%02d_%s", dir.c_str(), index,
-                                     std::string(stage).c_str());
+                                     stage.c_str());
   {
     std::ofstream txt(base + ".txt");
     txt << GraphToString(graph);
@@ -55,32 +37,22 @@ Status WriteIrDump(const std::string& dir, int index,
 
 }  // namespace
 
-PassManager& PassManager::Add(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
-  return *this;
-}
-
 PassManager& PassManager::Add(std::string name,
-                              std::function<Status(CompileState&)> run,
+                              Status (*run)(CompileState&),
                               bool mutates_graph) {
-  return Add(std::make_unique<LambdaPass>(std::move(name), std::move(run),
-                                          mutates_graph));
+  passes_.push_back(Pass{std::move(name), run, mutates_graph});
+  return *this;
 }
 
 std::vector<std::string> PassManager::PassNames() const {
   std::vector<std::string> names;
   names.reserve(passes_.size());
-  for (const auto& pass : passes_) names.emplace_back(pass->name());
+  for (const Pass& pass : passes_) names.push_back(pass.name);
   return names;
 }
 
-Status PassManager::Run(CompileState& state,
-                        const PassInstrumentation& instrument) const {
-  return Run(state.graph, state, instrument);
-}
-
-Status PassManager::Run(const Graph& network, CompileState& state,
-                        const PassInstrumentation& instrument) const {
+Status PassManager::Run(const Graph& network, CompileState& state) const {
+  const PassInstrumentation& instrument = state.options.instrument;
   // Artifact cache interception: a hit replaces the whole pipeline with the
   // stored artifact (its pass_timeline is the original compile's, so every
   // downstream report is byte-identical to the cold compile). IR dumping
@@ -103,7 +75,7 @@ Status PassManager::Run(const Graph& network, CompileState& state,
   if (const Status valid = network.Validate(); !valid.ok()) {
     return Status(valid.code(), "input graph: " + valid.message());
   }
-  if (&state.graph != &network) state.graph = network;
+  state.graph = network;
 
   state.artifact.pass_timeline.clear();
   // With --dump-ir-filter only the graphs around the named pass are
@@ -113,9 +85,9 @@ Status PassManager::Run(const Graph& network, CompileState& state,
     if (instrument.dump_ir_filter.empty()) return false;
     const size_t i = static_cast<size_t>(idx);
     const bool self = i < passes_.size() &&
-                      passes_[i]->name() == instrument.dump_ir_filter;
+                      passes_[i].name == instrument.dump_ir_filter;
     const bool feeds_next = i + 1 < passes_.size() &&
-                            passes_[i + 1]->name() == instrument.dump_ir_filter;
+                            passes_[i + 1].name == instrument.dump_ir_filter;
     return !self && !feeds_next;
   };
   // The pipeline input is dumped when unfiltered, or when the first pass is
@@ -123,19 +95,19 @@ Status PassManager::Run(const Graph& network, CompileState& state,
   if (!instrument.dump_ir_dir.empty() &&
       (instrument.dump_ir_filter.empty() ||
        (!passes_.empty() &&
-        passes_[0]->name() == instrument.dump_ir_filter))) {
+        passes_[0].name == instrument.dump_ir_filter))) {
     HTVM_RETURN_IF_ERROR(
         WriteIrDump(instrument.dump_ir_dir, 0, "input", state.graph));
   }
   int index = 0;
-  for (const auto& pass : passes_) {
+  for (const Pass& pass : passes_) {
     ++index;
     PassStat stat;
-    stat.name = std::string(pass->name());
+    stat.name = pass.name;
     stat.nodes_before = state.graph.NumNodes();
     state.pass_changed_graph = true;
     const auto start = std::chrono::steady_clock::now();
-    const Status status = pass->Run(state);
+    const Status status = pass.run(state);
     stat.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();
@@ -147,17 +119,16 @@ Status PassManager::Run(const Graph& network, CompileState& state,
     // Pass-level early-exit: a rewriting pass that reported no change (and
     // whose node count agrees) needs no re-validation and no IR dump — the
     // graph is the one the previous pass already validated/dumped.
-    stat.skipped = pass->mutates_graph() && !state.pass_changed_graph &&
+    stat.skipped = pass.mutates_graph && !state.pass_changed_graph &&
                    stat.nodes_before == stat.nodes_after;
     const bool skipped = stat.skipped;
     state.artifact.pass_timeline.push_back(std::move(stat));
-    if (!pass->mutates_graph()) continue;
+    if (!pass.mutates_graph) continue;
     if (!skipped) {
       if (const Status valid = state.graph.Validate(); !valid.ok()) {
         return Status::Internal(
             StrFormat("pass %s produced an invalid graph: %s",
-                      std::string(pass->name()).c_str(),
-                      valid.ToString().c_str()));
+                      pass.name.c_str(), valid.ToString().c_str()));
       }
     }
     // Skipped passes write no dump — except under a filter, where the
@@ -165,7 +136,7 @@ Status PassManager::Run(const Graph& network, CompileState& state,
     if (!instrument.dump_ir_dir.empty() && !filtered_out(index - 1) &&
         (!skipped || !instrument.dump_ir_filter.empty())) {
       HTVM_RETURN_IF_ERROR(WriteIrDump(instrument.dump_ir_dir, index,
-                                       pass->name(), state.graph));
+                                       pass.name, state.graph));
     }
   }
   if (cache != nullptr) cache->Store(cache_key, state.artifact);

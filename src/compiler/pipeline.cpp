@@ -50,7 +50,7 @@ Result<Artifact> HtvmCompiler::Compile(const Graph& network) const {
   // the network into the state).
   CompileState state(options_);
   const PassManager pipeline = BuildHtvmPassPipeline();
-  HTVM_RETURN_IF_ERROR(pipeline.Run(network, state, options_.instrument));
+  HTVM_RETURN_IF_ERROR(pipeline.Run(network, state));
   return std::move(state.artifact);
 }
 

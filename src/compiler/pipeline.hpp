@@ -12,6 +12,9 @@
 // breakdown lands in Artifact::pass_timeline.
 #pragma once
 
+#include <memory>
+#include <string>
+
 #include "compiler/artifact.hpp"
 #include "compiler/dispatch.hpp"
 #include "dory/schedule_search.hpp"
@@ -20,9 +23,9 @@
 
 namespace htvm::compiler {
 
-// Artifact-cache interception point (htvmc/htvm-serve --cache-dir); the
-// interface lives in compiler/pass_manager.hpp, the production
-// implementation in src/cache (content-addressed LRU + disk persistence).
+// Artifact-cache interception point (htvmc/htvm-serve --cache-dir),
+// defined below CompileOptions; the production implementation lives in
+// src/cache (content-addressed LRU + disk persistence).
 class ArtifactCacheHook;
 
 // Pass-level introspection knobs (htvmc --dump-ir / --print-pass-times;
@@ -101,6 +104,30 @@ struct CompileOptions {
     o.dispatch.enable_tuned_cpu_library = true;
     return o;
   }
+};
+
+// Compiled-artifact cache interception (ROADMAP "serve-layer artifact
+// caching"). PassManager::Run calls Key() once on the *input* network, asks
+// Lookup() before executing any pass (a hit replaces the whole pipeline),
+// and hands the finished artifact to Store() after the last pass. The
+// production implementation — content-addressed keys via
+// ir::StructuralHash, byte-budgeted LRU, on-disk persistence — lives in
+// src/cache; the compiler only sees this interface, keeping the dependency
+// arrow cache -> compiler.
+//
+// Implementations must be thread-safe: concurrent compiles (the serving
+// fleet) share one process-wide cache.
+class ArtifactCacheHook {
+ public:
+  virtual ~ArtifactCacheHook() = default;
+  // Canonical cache key for (network, options). Must not depend on NodeId
+  // numbering, insertion order, or instrumentation knobs.
+  virtual std::string Key(const Graph& network,
+                          const CompileOptions& options) = 0;
+  // Returns the cached artifact for `key`, or nullptr on a miss.
+  virtual std::shared_ptr<const Artifact> Lookup(const std::string& key) = 0;
+  // Called with the freshly compiled artifact after a miss.
+  virtual void Store(const std::string& key, const Artifact& artifact) = 0;
 };
 
 class HtvmCompiler {

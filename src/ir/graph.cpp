@@ -5,6 +5,51 @@
 #include "support/string_utils.hpp"
 
 namespace htvm {
+namespace {
+
+// The one type rule of an op node, shared by construction and validation:
+// look `op` up in the table, check its arity and input ids, infer the
+// output type and cap it at kMaxTensorElements.
+Result<TensorType> InferOpType(const Graph& graph, const std::string& op,
+                               const std::vector<NodeId>& inputs,
+                               const AttrMap& attrs) {
+  const OpDef* def = FindOp(op);
+  if (def == nullptr) {
+    return Status::NotFound("unknown op: " + op);
+  }
+  if (inputs.size() != static_cast<size_t>(def->arity)) {
+    return Status::InvalidArgument(
+        StrFormat("op %s expects %d inputs, got %zu", op.c_str(), def->arity,
+                  inputs.size()));
+  }
+  std::vector<TensorType> in_types;
+  in_types.reserve(inputs.size());
+  for (NodeId in : inputs) {
+    if (in < 0 || in >= graph.NumNodes()) {
+      return Status::InvalidArgument("input node id out of range");
+    }
+    in_types.push_back(graph.node(in).type);
+  }
+  auto out_type = def->infer(in_types, attrs);
+  if (!out_type.ok()) {
+    return Status(out_type.status().code(),
+                  op + ": " + out_type.status().message());
+  }
+  i64 elems = 1;
+  for (i64 d : out_type->shape.dims()) {
+    const i64 extent = std::max<i64>(d, 1);
+    if (extent > kMaxTensorElements / elems) {
+      return Status::InvalidArgument(
+          StrFormat("%s: output shape %s exceeds %lld elements", op.c_str(),
+                    out_type->shape.ToString().c_str(),
+                    static_cast<long long>(kMaxTensorElements)));
+    }
+    elems *= extent;
+  }
+  return out_type;
+}
+
+}  // namespace
 
 NodeId Graph::Append(Node node) {
   node.id = static_cast<NodeId>(nodes_.size());
@@ -34,47 +79,14 @@ NodeId Graph::AddConstant(Tensor value, const std::string& name) {
 Result<NodeId> Graph::TryAddOp(const std::string& op,
                                std::vector<NodeId> inputs, AttrMap attrs,
                                const std::string& name) {
-  RegisterCoreOps();
-  const OpDef* def = OpRegistry::Global().Find(op);
-  if (def == nullptr) {
-    return Status::NotFound("unknown op: " + op);
-  }
-  if (def->arity >= 0 && static_cast<int>(inputs.size()) != def->arity) {
-    return Status::InvalidArgument(
-        StrFormat("op %s expects %d inputs, got %zu", op.c_str(), def->arity,
-                  inputs.size()));
-  }
-  std::vector<TensorType> in_types;
-  in_types.reserve(inputs.size());
-  for (NodeId in : inputs) {
-    if (in < 0 || in >= NumNodes()) {
-      return Status::InvalidArgument("input node id out of range");
-    }
-    in_types.push_back(node(in).type);
-  }
-  auto out_type = def->infer(in_types, attrs);
-  if (!out_type.ok()) {
-    return Status(out_type.status().code(),
-                  op + ": " + out_type.status().message());
-  }
-  i64 elems = 1;
-  for (i64 d : out_type->shape.dims()) {
-    const i64 extent = std::max<i64>(d, 1);
-    if (extent > kMaxTensorElements / elems) {
-      return Status::InvalidArgument(
-          StrFormat("%s: output shape %s exceeds %lld elements", op.c_str(),
-                    out_type->shape.ToString().c_str(),
-                    static_cast<long long>(kMaxTensorElements)));
-    }
-    elems *= extent;
-  }
+  HTVM_ASSIGN_OR_RETURN(out_type, InferOpType(*this, op, inputs, attrs));
   Node n;
   n.kind = NodeKind::kOp;
   n.op = op;
   n.name = name;
   n.inputs = std::move(inputs);
   n.attrs = std::move(attrs);
-  n.type = std::move(out_type.value());
+  n.type = std::move(out_type);
   return Append(std::move(n));
 }
 
@@ -135,7 +147,6 @@ Status Graph::Validate() const {
   if (output_ids_.empty()) {
     return Status::InvalidArgument("graph has no outputs");
   }
-  RegisterCoreOps();
   for (const Node& n : nodes_) {
     for (NodeId in : n.inputs) {
       if (in < 0 || in >= n.id) {
@@ -144,17 +155,13 @@ Status Graph::Validate() const {
       }
     }
     if (n.kind == NodeKind::kOp) {
-      const OpDef* def = OpRegistry::Global().Find(n.op);
-      if (def == nullptr) return Status::NotFound("unknown op: " + n.op);
-      std::vector<TensorType> in_types;
-      for (NodeId in : n.inputs) in_types.push_back(node(in).type);
-      auto inferred = def->infer(in_types, n.attrs);
-      if (!inferred.ok()) return inferred.status();
-      if (!(inferred.value() == n.type)) {
+      HTVM_ASSIGN_OR_RETURN(inferred,
+                            InferOpType(*this, n.op, n.inputs, n.attrs));
+      if (!(inferred == n.type)) {
         return Status::Internal(
             StrFormat("node %d type mismatch: stored %s vs inferred %s", n.id,
                       n.type.ToString().c_str(),
-                      inferred.value().ToString().c_str()));
+                      inferred.ToString().c_str()));
       }
     } else if (n.kind == NodeKind::kComposite) {
       if (n.body == nullptr) {

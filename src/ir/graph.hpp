@@ -6,7 +6,7 @@
 //
 //   kInput      graph parameter (activation entering the network)
 //   kConstant   weights/bias/shift constants embedded in the graph
-//   kOp         a registered operator (see ir/op.hpp)
+//   kOp         an operator of the op table (see ir/op.hpp)
 //   kComposite  a fused accelerator pattern produced by the BYOC rewriter;
 //               holds the original op subgraph as its body plus dispatch
 //               attributes ("composite", "target")
@@ -64,7 +64,7 @@ class Graph {
   // --- construction ------------------------------------------------------
   NodeId AddInput(const std::string& name, TensorType type);
   NodeId AddConstant(Tensor value, const std::string& name = "");
-  // Infers the output type via the op registry; fatal on inference failure
+  // Infers the output type via the op table; fatal on inference failure
   // (model-builder bug). Use TryAddOp for fallible construction; it also
   // rejects an output type over kMaxTensorElements as InvalidArgument.
   NodeId AddOp(const std::string& op, std::vector<NodeId> inputs,

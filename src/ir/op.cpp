@@ -8,22 +8,6 @@ std::string TensorType::ToString() const {
   return std::string(DTypeName(dtype)) + shape.ToString();
 }
 
-OpRegistry& OpRegistry::Global() {
-  static OpRegistry registry;
-  return registry;
-}
-
-void OpRegistry::Register(OpDef def) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ops_[def.name] = std::move(def);
-}
-
-const OpDef* OpRegistry::Find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = ops_.find(name);
-  return it == ops_.end() ? nullptr : &it->second;
-}
-
 i64 ConvOutDim(i64 in, i64 kernel, i64 pad_begin, i64 pad_end, i64 stride) {
   HTVM_CHECK(stride > 0 && kernel > 0);
   const i64 span = in + pad_begin + pad_end - kernel;
@@ -229,9 +213,17 @@ Result<TensorType> InferAdd(std::span<const TensorType> in, const AttrMap&) {
   return TensorType{in[0].shape, out};
 }
 
+// The pool kernels reduce in i64, which would truncate float elements.
+Status ExpectIntegerPoolData(const TensorType& t) {
+  if (t.dtype == DType::kFloat32) {
+    return Status::InvalidArgument("pool2d: float32 data is not supported");
+  }
+  return ExpectRank(t, 4, "pool data");
+}
+
 Result<TensorType> InferPool2d(std::span<const TensorType> in,
                                const AttrMap& attrs) {
-  HTVM_RETURN_IF_ERROR(ExpectRank(in[0], 4, "pool data"));
+  HTVM_RETURN_IF_ERROR(ExpectIntegerPoolData(in[0]));
   const Shape& d = in[0].shape;
   HTVM_ASSIGN_OR_RETURN(pool,
                         WindowPair(attrs, "pool_size", {2, 2}, "pool2d"));
@@ -248,7 +240,7 @@ Result<TensorType> InferPool2d(std::span<const TensorType> in,
 
 Result<TensorType> InferGlobalAvgPool(std::span<const TensorType> in,
                                       const AttrMap&) {
-  HTVM_RETURN_IF_ERROR(ExpectRank(in[0], 4, "global pool data"));
+  HTVM_RETURN_IF_ERROR(ExpectIntegerPoolData(in[0]));
   const Shape& d = in[0].shape;
   return TensorType{Shape{d[0], d[1], 1, 1}, in[0].dtype};
 }
@@ -302,36 +294,35 @@ Result<TensorType> InferFlatten(std::span<const TensorType> in,
   return TensorType{Shape{d[0], rest}, in[0].dtype};
 }
 
+constexpr OpDef kOps[] = {
+    {"nn.conv2d", 2, InferConv2d},
+    {"nn.dense", 2, InferDense},
+    {"nn.bias_add", 2, InferBiasAdd},
+    {"right_shift", 2, InferRightShift},
+    {"clip", 1, InferSameType},
+    {"cast", 1, InferCast},
+    {"nn.relu", 1, InferSameType},
+    {"add", 2, InferAdd},
+    {"nn.avg_pool2d", 1, InferPool2d},
+    {"nn.max_pool2d", 1, InferPool2d},
+    {"nn.global_avg_pool2d", 1, InferGlobalAvgPool},
+    {"nn.softmax", 1, InferSameType},
+    {"matmul", 2, InferMatmul},
+    {"transpose", 1, InferTranspose},
+    {"nn.layernorm", 1, InferSameType},
+    {"nn.gelu", 1, InferSameType},
+    {"reshape", 1, InferReshape},
+    {"nn.flatten", 1, InferFlatten},
+    {"nn.pad", 1, InferPad},
+};
+
 }  // namespace
 
-void RegisterCoreOps() {
-  // Magic-static initialization is thread-safe (C++11 [stmt.dcl]p4), unlike
-  // the naive `static bool done` flag this replaces: two threads building
-  // their first graph concurrently raced on the flag and on the registry map.
-  static const bool once = [] {
-    auto& r = OpRegistry::Global();
-    r.Register({"nn.conv2d", 2, InferConv2d});
-    r.Register({"nn.dense", 2, InferDense});
-    r.Register({"nn.bias_add", 2, InferBiasAdd});
-    r.Register({"right_shift", 2, InferRightShift});
-    r.Register({"clip", 1, InferSameType});
-    r.Register({"cast", 1, InferCast});
-    r.Register({"nn.relu", 1, InferSameType});
-    r.Register({"add", 2, InferAdd});
-    r.Register({"nn.avg_pool2d", 1, InferPool2d});
-    r.Register({"nn.max_pool2d", 1, InferPool2d});
-    r.Register({"nn.global_avg_pool2d", 1, InferGlobalAvgPool});
-    r.Register({"nn.softmax", 1, InferSameType});
-    r.Register({"matmul", 2, InferMatmul});
-    r.Register({"transpose", 1, InferTranspose});
-    r.Register({"nn.layernorm", 1, InferSameType});
-    r.Register({"nn.gelu", 1, InferSameType});
-    r.Register({"reshape", 1, InferReshape});
-    r.Register({"nn.flatten", 1, InferFlatten});
-    r.Register({"nn.pad", 1, InferPad});
-    return true;
-  }();
-  (void)once;
+const OpDef* FindOp(std::string_view name) {
+  for (const OpDef& def : kOps) {
+    if (def.name == name) return &def;
+  }
+  return nullptr;
 }
 
 }  // namespace htvm

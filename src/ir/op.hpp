@@ -1,32 +1,44 @@
-// Operator registry with shape/type inference — the IR's op vocabulary.
+// The IR's op vocabulary: one constant table of ops with shape/type
+// inference.
 //
 // The vocabulary mirrors the Relay ops that appear in quantized MLPerf Tiny
-// graphs and in the paper's Listing 1 pattern:
+// graphs and in the paper's Listing 1 pattern, plus the transformer block's
+// ops. Arity in brackets:
 //
-//   nn.conv2d      int8 x int8/ternary -> int32, attrs strides/padding/groups
-//   nn.dense       int8 x int8/ternary -> int32 (FC)
-//   nn.bias_add    int32 + int32 bias (per output channel) -> int32
-//   right_shift    int32 x scalar const -> int32 (requant shift, rounding)
-//   clip           saturation bounds (a_min, a_max)
-//   cast           dtype change (requant narrows to int8)
-//   nn.relu        int8 -> int8
-//   add            int8+int8 -> int32 (residual; promoted accumulator)
-//   nn.avg_pool2d / nn.max_pool2d / nn.global_avg_pool2d  int8 -> int8
-//   nn.softmax     int8 -> int8 (CPU-only epilogue)
-//   reshape / flatten
-//   nn.pad         explicit zero padding (TFLite imports carry these;
+//   nn.conv2d      [2] int8 x int8/ternary -> int32, attrs
+//                  strides/padding/groups
+//   nn.dense       [2] int8 x int8/ternary -> int32 (FC)
+//   nn.bias_add    [2] int32 + int32 bias (per output channel) -> int32
+//   right_shift    [2] int32 x scalar or per-channel const -> int32
+//                  (requant shift, rounding)
+//   clip           [1] saturation bounds (a_min, a_max)
+//   cast           [1] dtype change (requant narrows to int8)
+//   nn.relu        [1] int8 -> int8
+//   add            [2] int8 + int8 -> int32 (residual; promoted
+//                  accumulator)
+//   nn.avg_pool2d / nn.max_pool2d / nn.global_avg_pool2d
+//                  [1] integer -> same dtype; float32 is InvalidArgument
+//   nn.softmax     [1] int8 -> int8 (CPU-only epilogue)
+//   matmul         [2] [..., M, K] x [N, K] (transpose_b=1) or [K, N]
+//                  -> int32 for int8 x int8/ternary
+//   transpose      [1] permutes dims by `axes`
+//   nn.layernorm   [1] int8 -> int8 over the last axis
+//   nn.gelu        [1] int8 -> int8
+//   reshape        [1] `new_shape`, one -1 dim may be inferred
+//   nn.flatten     [1] [N, ...] -> [N, rest]
+//   nn.pad         [1] explicit zero padding (TFLite imports carry these;
 //                  the AbsorbPadding pass folds them into conv attrs)
 //
-// Each op registers an inference function mapping input types + attrs to the
-// output type; graph construction runs inference eagerly so malformed graphs
-// fail at the point of the mistake.
+// Each op's inference function maps input types + attrs to the output
+// type; graph construction runs inference eagerly so malformed graphs fail
+// at the point of the mistake. The table is constant, so lookups need no
+// lock from concurrent graph builders.
 #pragma once
 
 #include <array>
-#include <functional>
-#include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "ir/attrs.hpp"
 #include "support/status.hpp"
@@ -45,34 +57,15 @@ struct TensorType {
   std::string ToString() const;
 };
 
-using InferFn = std::function<Result<TensorType>(
-    std::span<const TensorType> inputs, const AttrMap& attrs)>;
-
 struct OpDef {
-  std::string name;
-  int arity = 1;  // -1 = variadic
-  InferFn infer;
+  std::string_view name;
+  int arity;  // number of inputs: 1 or 2
+  Result<TensorType> (*infer)(std::span<const TensorType> inputs,
+                              const AttrMap& attrs);
 };
 
-// Global registry. Ops are registered once at startup (RegisterCoreOps) and
-// looked up by name during graph construction and pattern matching. Both
-// operations are mutex-guarded so graphs can be built from concurrent
-// serving threads; returned OpDef pointers stay valid (std::map nodes are
-// stable under later insertions).
-class OpRegistry {
- public:
-  static OpRegistry& Global();
-
-  void Register(OpDef def);
-  const OpDef* Find(const std::string& name) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, OpDef> ops_;
-};
-
-// Registers the op vocabulary above. Idempotent.
-void RegisterCoreOps();
+// The table entry for `name`, or nullptr for a name outside the vocabulary.
+const OpDef* FindOp(std::string_view name);
 
 // Shape arithmetic shared by inference, the DORY layer analyzer and the
 // accelerator cost models: output spatial size of a conv/pool window.

@@ -72,9 +72,10 @@ Result<Tensor> Relu(const Tensor& data);
 Result<Tensor> Add(const Tensor& lhs, const Tensor& rhs);
 
 // Pooling: avg, max and global avg share one window walk, which clips each
-// window to the input once and reduces its in-bounds elements in i64. Avg
-// rounds sum / count half away from zero (0 for a window wholly in
-// padding); max starts at -128. Global avg is the H x W window at stride 1.
+// window to the input once and reduces its in-bounds elements in i64, so
+// float32 data is InvalidArgument. Avg rounds sum / count half away from
+// zero (0 for a window wholly in padding); max starts at the element
+// type's minimum. Global avg is the H x W window at stride 1.
 Result<Tensor> AvgPool2d(const Tensor& data, const std::vector<i64>& pool,
                          const std::vector<i64>& strides,
                          const std::vector<i64>& padding);

@@ -23,6 +23,10 @@ Result<PoolGeometry> ResolvePool(const Tensor& data,
   if (data.shape().rank() != 4) {
     return Status::InvalidArgument("pool2d: rank-4 input required");
   }
+  // The window walk reduces in i64, which would truncate float elements.
+  if (data.dtype() == DType::kFloat32) {
+    return Status::InvalidArgument("pool2d: integer data required");
+  }
   PoolGeometry g{};
   g.N = data.shape()[0];
   g.C = data.shape()[1];
@@ -55,7 +59,7 @@ i64 RoundedAverage(i64 sum, i64 count) {
 // The one window walk of avg, max and global pooling. Per output it clips
 // the window to the input once, folds the in-bounds elements into `init`
 // with `reduce`, and stores finish(acc, in-bounds count). Elements pass
-// through i64 as in GetFlat/SetFlat.
+// through i64 as in GetFlat/SetFlat; ResolvePool has rejected float data.
 template <typename Reduce, typename Finish>
 Tensor WindowWalk(const Tensor& data, const PoolGeometry& g, i64 init,
                   Reduce reduce, Finish finish) {
@@ -103,16 +107,11 @@ Result<Tensor> MaxPool2d(const Tensor& data, const std::vector<i64>& pool,
                          const std::vector<i64>& padding) {
   HTVM_ASSIGN_OR_RETURN(g, ResolvePool(data, pool, strides, padding));
   // The maximum starts at the element type's minimum (-128 for int8),
-  // which is also what a window wholly in padding yields. Float elements
-  // pass through i64, so their floor is i64's.
+  // which is also what a window wholly in padding yields.
   i64 lowest = 0;
   VisitDType(data.dtype(), [&](auto e) {
     using T = decltype(e);
-    if constexpr (std::is_integral_v<T>) {
-      lowest = std::numeric_limits<T>::min();
-    } else {
-      lowest = std::numeric_limits<i64>::min();
-    }
+    if constexpr (std::is_integral_v<T>) lowest = std::numeric_limits<T>::min();
   });
   return WindowWalk(
       data, g, lowest, [](i64 acc, i64 v) { return std::max(acc, v); },

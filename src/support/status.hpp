@@ -19,7 +19,7 @@ enum class StatusCode {
   kInvalidArgument,   // malformed input (bad shapes, bad attrs)
   kUnsupported,       // operator/pattern not supported by a target
   kResourceExhausted, // memory budget exceeded (L1 tiling, L2 planning)
-  kNotFound,          // lookup misses (op registry, node ids)
+  kNotFound,          // lookup misses (op table, node ids)
   kInternal,          // invariant violation surfaced as recoverable error
   kUnavailable,       // hardware fault: SoC crash, DMA/accelerator error
 };

@@ -114,8 +114,8 @@ TEST(ConcurrentExecutor, DistinctExecutorsOneArtifact) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Concurrent graph construction exercises the op registry (lazy
-// registration + lookup) from many threads at once.
+// Concurrent graph construction reads the constant op table from many
+// threads at once.
 TEST(ConcurrentExecutor, ConcurrentGraphConstruction) {
   std::vector<std::thread> pool;
   std::atomic<int> bad{0};

@@ -119,6 +119,53 @@ TEST(Op, PoolingInference) {
   EXPECT_EQ(g.node(gp).type.shape, (Shape{1, 8, 1, 1}));
 }
 
+// The pool kernels reduce in i64, so float32 pooling is a type error that
+// names the op rather than a silently truncated result.
+TEST(Op, PoolingRejectsFloat32) {
+  Graph g;
+  const NodeId a = g.AddInput("a", {Shape{1, 2, 4, 4}, DType::kFloat32});
+  for (const std::string op :
+       {"nn.avg_pool2d", "nn.max_pool2d", "nn.global_avg_pool2d"}) {
+    auto r = g.TryAddOp(op, {a});
+    ASSERT_FALSE(r.ok()) << op;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << op;
+    EXPECT_NE(r.status().message().find(op), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+// Walks the vocabulary ir/op.hpp lists: every op resolves with its arity,
+// the wrong input count is InvalidArgument, and a name outside the table
+// is NotFound.
+TEST(Op, TableHoldsTheListedVocabulary) {
+  const std::pair<std::string, int> listed[] = {
+      {"nn.conv2d", 2},      {"nn.dense", 2},         {"nn.bias_add", 2},
+      {"right_shift", 2},    {"clip", 1},             {"cast", 1},
+      {"nn.relu", 1},        {"add", 2},              {"nn.avg_pool2d", 1},
+      {"nn.max_pool2d", 1},  {"nn.global_avg_pool2d", 1},
+      {"nn.softmax", 1},     {"matmul", 2},           {"transpose", 1},
+      {"nn.layernorm", 1},   {"nn.gelu", 1},          {"reshape", 1},
+      {"nn.flatten", 1},     {"nn.pad", 1}};
+  Graph g;
+  const NodeId a = g.AddInput("a", {Shape{1, 4}, DType::kInt8});
+  for (const auto& [name, arity] : listed) {
+    const OpDef* def = FindOp(name);
+    ASSERT_NE(def, nullptr) << name;
+    EXPECT_EQ(def->name, name);
+    EXPECT_EQ(def->arity, arity) << name;
+    // One input too many for a unary op, one too few for a binary one.
+    const std::vector<NodeId> wrong(static_cast<size_t>(3 - arity), a);
+    auto r = g.TryAddOp(name, wrong);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(r.status().message().find("expects"), std::string::npos)
+        << r.status().ToString();
+  }
+  EXPECT_EQ(FindOp("nn.made_up"), nullptr);
+  EXPECT_EQ(g.TryAddOp("nn.made_up", {a}).status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST(Graph, ValidatePassesOnWellFormed) {
   Graph g = MakeConvGraph();
   EXPECT_TRUE(g.Validate().ok());

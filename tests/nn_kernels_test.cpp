@@ -861,6 +861,21 @@ TEST(Pooling, MaxPoolInt32BelowInt8Range) {
   EXPECT_EQ(out->At4(0, 0, 0, 0), -1000);
 }
 
+// The window walk reduces in i64, so float data is refused instead of
+// truncated.
+TEST(Pooling, RejectsFloat32) {
+  Tensor data(Shape{1, 1, 2, 2}, DType::kFloat32);
+  for (size_t i = 0; i < 4; ++i) {
+    data.data<float>()[i] = 0.5f + static_cast<float>(i);
+  }
+  EXPECT_EQ(AvgPool2d(data, {2, 2}, {2, 2}, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MaxPool2d(data, {2, 2}, {2, 2}, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(GlobalAvgPool2d(data).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(Pooling, AvgPoolRounds) {
   Tensor data = Tensor::FromInt8(Shape{1, 1, 2, 2}, {1, 2, 3, 5});
   auto out = AvgPool2d(data, {2, 2}, {2, 2}, {});

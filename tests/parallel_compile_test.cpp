@@ -288,8 +288,8 @@ TEST(ParallelCompile, StressSharedPassManagerAndCache) {
     opt.compile_threads = lanes;
     opt.cache = &shared_cache;
     compiler::CompileState state(opt);
-    const Status status = pipeline.Run(nets[static_cast<size_t>(model)],
-                                       state, opt.instrument);
+    const Status status =
+        pipeline.Run(nets[static_cast<size_t>(model)], state);
     if (!status.ok()) {
       failures.fetch_add(1);
       return;

@@ -38,14 +38,15 @@ TEST(PassManager, PipelineSnapshot) {
       "AbsorbPadding",  "ConstantFold",      "PartitionGraph",
       "InsertAnalogInputClamps", "LowerToKernels", "CompileKernels",
       "ComputeBinarySize", "PlanL2Memory",   "FinalizeArtifact"};
-  EXPECT_EQ(HtvmPassNames(), expected);
+  EXPECT_EQ(BuildHtvmPassPipeline().PassNames(), expected);
 }
 
 TEST(PassManager, TimelineRecordsEveryPassWithNodeDeltas) {
   const Graph net = models::BuildResNet8(models::PrecisionPolicy::kMixed);
   auto art = HtvmCompiler{CompileOptions{}}.Compile(net);
   ASSERT_TRUE(art.ok()) << art.status().ToString();
-  EXPECT_EQ(TimelineNames(art->pass_timeline), HtvmPassNames());
+  EXPECT_EQ(TimelineNames(art->pass_timeline),
+            BuildHtvmPassPipeline().PassNames());
 
   i64 total_ns = 0;
   for (const PassStat& stat : art->pass_timeline) {
@@ -75,7 +76,7 @@ TEST(PassManager, TimelineRecordsEveryPassWithNodeDeltas) {
 TEST(PassManager, InterPassValidationCatchesCorruptedGraph) {
   CompileOptions options;
   CompileState state(options);
-  state.graph = models::MakeConvLayerGraph(models::ConvLayerParams{});
+  const Graph net = models::MakeConvLayerGraph(models::ConvLayerParams{});
 
   PassManager pm;
   pm.Add("CorruptTypes", [](CompileState& s) {
@@ -89,21 +90,50 @@ TEST(PassManager, InterPassValidationCatchesCorruptedGraph) {
     return Status::Ok();
   });
 
-  const Status status = pm.Run(state);
+  const Status status = pm.Run(net, state);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("CorruptTypes"), std::string::npos);
 }
 
+// A rewrite that leaves a binary op with one input is caught by the
+// arity check of re-validation, before type inference reads the missing
+// input.
+TEST(PassManager, InterPassValidationCatchesDroppedInput) {
+  CompileOptions options;
+  CompileState state(options);
+  const Graph net = models::MakeConvLayerGraph(models::ConvLayerParams{});
+
+  PassManager pm;
+  pm.Add("DropInput", [](CompileState& s) {
+    for (const Node& n : s.graph.nodes()) {
+      if (n.kind != NodeKind::kOp || n.inputs.size() != 2) continue;
+      s.graph.mutable_node(n.id).inputs.pop_back();
+      break;
+    }
+    return Status::Ok();
+  });
+
+  const Status status = pm.Run(net, state);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("pass DropInput produced an invalid graph"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("expects 2 inputs, got 1"),
+            std::string::npos)
+      << status.ToString();
+}
+
 TEST(PassManager, FailingPassIsNamedInStatus) {
   CompileOptions options;
   CompileState state(options);
-  state.graph = models::MakeConvLayerGraph(models::ConvLayerParams{});
 
   PassManager pm;
   pm.Add("Explode",
          [](CompileState&) { return Status::Unsupported("boom"); });
-  const Status status = pm.Run(state);
+  const Status status = pm.Run(
+      models::MakeConvLayerGraph(models::ConvLayerParams{}), state);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kUnsupported);
   EXPECT_NE(status.message().find("pass Explode: boom"), std::string::npos);
