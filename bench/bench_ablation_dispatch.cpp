@@ -6,6 +6,7 @@
 //      quantify CPU-kernel dispatch counts instead, the paper's "fewer
 //      kernels dispatched to the CPU" claim).
 #include "bench_common.hpp"
+#include "models/registry.hpp"
 
 namespace htvm {
 namespace {
@@ -19,19 +20,8 @@ void PlacementCensus() {
   std::printf("%-10s %-9s %8s %8s %8s %8s\n", "network", "config", "cpu",
               "digital", "analog", "total");
   for (const auto& model : models::MlperfTinySuite()) {
-    struct Cfg {
-      const char* name;
-      PrecisionPolicy policy;
-      CompileOptions opt;
-    };
-    const Cfg cfgs[] = {
-        {"tvm", PrecisionPolicy::kInt8, CompileOptions::PlainTvm()},
-        {"digital", PrecisionPolicy::kInt8, CompileOptions::DigitalOnly()},
-        {"analog", PrecisionPolicy::kTernary, CompileOptions::AnalogOnly()},
-        {"mixed", PrecisionPolicy::kMixed, CompileOptions{}},
-    };
-    for (const auto& cfg : cfgs) {
-      const auto art = Compile(model.build(cfg.policy), cfg.opt);
+    for (const models::DeployConfig& cfg : models::DeployConfigs()) {
+      const auto art = Compile(model.build(cfg.policy), cfg.options());
       i64 cpu = 0, dig = 0, ana = 0;
       for (const auto& k : art.kernels) {
         cpu += k.target == "cpu";

@@ -68,7 +68,7 @@ StrategyRun CompileWith(const Graph& net, const hw::SocDescription& soc,
 }
 
 int Run(bool check) {
-  const std::vector<std::string> socs = hw::SocRegistry::Global().Names();
+  const std::vector<std::string> socs = hw::SocNames();
   std::vector<std::pair<std::string, Graph>> nets;
   for (const auto& model : models::MlperfTinySuite()) {
     nets.emplace_back(model.name,

@@ -3,32 +3,19 @@
 // Per-network, per-configuration energy and effective efficiency on the
 // DIANA simulator.
 #include "bench_common.hpp"
+#include "models/registry.hpp"
 #include "runtime/energy.hpp"
 
 int main() {
   using namespace htvm;
-  using models::PrecisionPolicy;
   bench::PrintHeader(
       "Energy per inference (model extension; DIANA-class constants)");
   std::printf("%-10s %-9s %12s %12s %10s %12s\n", "network", "config",
               "energy [uJ]", "lat [ms]", "TOPS/W", "EDP [uJ*ms]");
 
   for (const auto& model : models::MlperfTinySuite()) {
-    struct Cfg {
-      const char* name;
-      PrecisionPolicy policy;
-      compiler::CompileOptions opt;
-    };
-    const Cfg cfgs[] = {
-        {"tvm", PrecisionPolicy::kInt8, compiler::CompileOptions::PlainTvm()},
-        {"digital", PrecisionPolicy::kInt8,
-         compiler::CompileOptions::DigitalOnly()},
-        {"analog", PrecisionPolicy::kTernary,
-         compiler::CompileOptions::AnalogOnly()},
-        {"mixed", PrecisionPolicy::kMixed, compiler::CompileOptions{}},
-    };
-    for (const auto& cfg : cfgs) {
-      const auto art = bench::Compile(model.build(cfg.policy), cfg.opt);
+    for (const models::DeployConfig& cfg : models::DeployConfigs()) {
+      const auto art = bench::Compile(model.build(cfg.policy), cfg.options());
       const auto energy = runtime::EstimateEnergy(art);
       const i64 macs = art.Profile().TotalMacs();
       std::printf("%-10s %-9s %12.2f %12.3f %10.2f %12.3f\n", model.name,

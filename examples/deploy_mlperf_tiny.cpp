@@ -8,6 +8,7 @@
 
 #include "compiler/pipeline.hpp"
 #include "models/mlperf_tiny.hpp"
+#include "models/registry.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/timeline.hpp"
 #include "support/string_utils.hpp"
@@ -37,21 +38,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  compiler::CompileOptions options;
-  models::PrecisionPolicy policy = models::PrecisionPolicy::kInt8;
-  if (!std::strcmp(config_name, "tvm")) {
-    options = compiler::CompileOptions::PlainTvm();
-  } else if (!std::strcmp(config_name, "digital")) {
-    options = compiler::CompileOptions::DigitalOnly();
-  } else if (!std::strcmp(config_name, "analog")) {
-    options = compiler::CompileOptions::AnalogOnly();
-    policy = models::PrecisionPolicy::kTernary;
-  } else if (!std::strcmp(config_name, "mixed")) {
-    policy = models::PrecisionPolicy::kMixed;
-  } else {
+  const models::DeployConfig* config = models::FindDeployConfig(config_name);
+  if (config == nullptr) {
     std::fprintf(stderr, "unknown config '%s'\n", config_name);
     return 1;
   }
+  const compiler::CompileOptions options = config->options();
+  const models::PrecisionPolicy policy = config->policy;
 
   const Graph net = build(policy);
   auto artifact = compiler::HtvmCompiler{options}.Compile(net);

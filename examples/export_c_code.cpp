@@ -14,6 +14,7 @@
 #include "compiler/emit.hpp"
 #include "compiler/pipeline.hpp"
 #include "models/mlperf_tiny.hpp"
+#include "models/registry.hpp"
 
 using namespace htvm;
 
@@ -27,18 +28,11 @@ int main(int argc, char** argv) {
   if (!std::strcmp(model_name, "mobilenet")) build = &models::BuildMobileNetV1;
   if (!std::strcmp(model_name, "toyadmos")) build = &models::BuildToyAdmosDae;
 
-  compiler::CompileOptions options;
-  models::PrecisionPolicy policy = models::PrecisionPolicy::kMixed;
-  if (!std::strcmp(config_name, "tvm")) {
-    options = compiler::CompileOptions::PlainTvm();
-    policy = models::PrecisionPolicy::kInt8;
-  } else if (!std::strcmp(config_name, "digital")) {
-    options = compiler::CompileOptions::DigitalOnly();
-    policy = models::PrecisionPolicy::kInt8;
-  } else if (!std::strcmp(config_name, "analog")) {
-    options = compiler::CompileOptions::AnalogOnly();
-    policy = models::PrecisionPolicy::kTernary;
-  }
+  // An unknown config name falls back to mixed.
+  const models::DeployConfig* config = models::FindDeployConfig(config_name);
+  if (config == nullptr) config = models::FindDeployConfig("mixed");
+  const compiler::CompileOptions options = config->options();
+  const models::PrecisionPolicy policy = config->policy;
 
   auto artifact = compiler::HtvmCompiler{options}.Compile(build(policy));
   if (!artifact.ok()) {

@@ -37,7 +37,7 @@ Status AbsorbPaddingPass(CompileState& state) {
 Status ConstantFoldPass(CompileState& state) {
   const i64 before = state.graph.NumNodes();
   i64 rewrites = 0;
-  state.graph = ConstantFold(state.graph, nn::StandardEvaluator(), &rewrites);
+  state.graph = nn::ConstantFold(state.graph, &rewrites);
   state.pass_changed_graph = rewrites > 0 || state.graph.NumNodes() != before;
   return Status::Ok();
 }
@@ -110,7 +110,7 @@ Status CompileMhsaKernel(const Node& n, const CompileOptions& options,
   for (const Node& op : body.nodes()) {
     if (op.kind != NodeKind::kOp) continue;
     perf.macs += hw::ComputeOpWork(body, op).macs;
-    if (op.op != "matmul") {
+    if (!op.Is(OpId::kMatmul)) {
       const i64 cycles = hw::CpuOpCycles(cfg.cpu, body, op);
       perf.compute_cycles += cycles;
       perf.full_cycles += cycles;

@@ -342,7 +342,7 @@ Result<dory::GraphPlan> HeuristicGraphPlan(const Graph& network,
                                            const CompileOptions& options) {
   i64 rewrites = 0;
   Graph g = AbsorbPadding(network, &rewrites);
-  g = ConstantFold(g, nn::StandardEvaluator(), &rewrites);
+  g = nn::ConstantFold(g, &rewrites);
   const auto rules = MakeDianaDispatchRules(options.dispatch, options.soc,
                                             options.tiler, nullptr);
   g = PartitionGraph(g, rules);

@@ -44,8 +44,8 @@ Result<FusedPairSpec> AnalyzeFusedPairBody(const Graph& body) {
   // first anchor found feeds the second.
   std::vector<const Node*> anchors;
   for (const Node& n : body.nodes()) {
-    if (n.IsOp("nn.conv2d")) anchors.push_back(&n);
-    if (n.IsOp("nn.dense") || n.IsOp("add") || n.IsOp("matmul")) {
+    if (n.Is(OpId::kConv2d)) anchors.push_back(&n);
+    if (n.Is(OpId::kDense) || n.Is(OpId::kAdd) || n.Is(OpId::kMatmul)) {
       return Status::Unsupported("fused pair: non-conv anchor in body");
     }
   }

@@ -38,11 +38,11 @@ i64 AccelLayerSpec::Macs() const {
 WeightBias FindWeightBias(const Graph& body) {
   WeightBias found;
   for (const Node& n : body.nodes()) {
-    if (n.IsOp("nn.conv2d") || n.IsOp("nn.dense") || n.IsOp("matmul")) {
+    if (n.Is(OpId::kConv2d) || n.Is(OpId::kDense) || n.Is(OpId::kMatmul)) {
       const Node& w = body.node(n.inputs[1]);
       if (w.kind == NodeKind::kConstant) found.weight = &w.value;
     }
-    if (n.IsOp("nn.bias_add")) {
+    if (n.Is(OpId::kBiasAdd)) {
       const Node& b = body.node(n.inputs[1]);
       if (b.kind == NodeKind::kConstant) found.bias = &b.value;
     }
@@ -52,7 +52,7 @@ WeightBias FindWeightBias(const Graph& body) {
 
 Result<AccelLayerSpec> AnalyzeAnchor(const Graph& g, const Node& anchor) {
   AccelLayerSpec spec;
-  if (anchor.op == "nn.conv2d") {
+  if (anchor.Is(OpId::kConv2d)) {
     const TensorType& data = g.node(anchor.inputs[0]).type;
     const TensorType& weight = g.node(anchor.inputs[1]).type;
     if (data.shape.rank() != 4 || data.shape[0] != 1) {
@@ -82,7 +82,7 @@ Result<AccelLayerSpec> AnalyzeAnchor(const Graph& g, const Node& anchor) {
     spec.oy = anchor.type.shape[2];
     spec.ox = anchor.type.shape[3];
     spec.weight_dtype = weight.dtype;
-  } else if (anchor.op == "nn.dense") {
+  } else if (anchor.Is(OpId::kDense)) {
     const TensorType& data = g.node(anchor.inputs[0]).type;
     const TensorType& weight = g.node(anchor.inputs[1]).type;
     if (data.shape[0] != 1) return Status::Unsupported("dense: batch 1 only");
@@ -90,7 +90,7 @@ Result<AccelLayerSpec> AnalyzeAnchor(const Graph& g, const Node& anchor) {
     spec.c = data.shape[1];
     spec.k = weight.shape[0];
     spec.weight_dtype = weight.dtype;
-  } else if (anchor.op == "matmul") {
+  } else if (anchor.Is(OpId::kMatmul)) {
     const TensorType& data = g.node(anchor.inputs[0]).type;
     const Node& weight = g.node(anchor.inputs[1]);
     if (weight.kind != NodeKind::kConstant) {
@@ -107,7 +107,7 @@ Result<AccelLayerSpec> AnalyzeAnchor(const Graph& g, const Node& anchor) {
     spec.k = weight.type.shape[0];      // output features N
     spec.oy = spec.iy = data.shape[0];  // rows M on the spatial axis
     spec.weight_dtype = weight.type.dtype;
-  } else if (anchor.op == "add") {
+  } else if (anchor.Is(OpId::kAdd)) {
     const TensorType& lhs = g.node(anchor.inputs[0]).type;
     spec.kind = LayerKind::kAdd;
     if (lhs.shape.rank() == 4) {
@@ -127,8 +127,8 @@ Result<AccelLayerSpec> AnalyzeCompositeBody(const Graph& body) {
   // Locate the accumulating anchor op.
   const Node* anchor = nullptr;
   for (const Node& n : body.nodes()) {
-    if (n.IsOp("nn.conv2d") || n.IsOp("nn.dense") || n.IsOp("add") ||
-        n.IsOp("matmul")) {
+    if (n.Is(OpId::kConv2d) || n.Is(OpId::kDense) || n.Is(OpId::kAdd) ||
+        n.Is(OpId::kMatmul)) {
       if (anchor != nullptr) {
         return Status::Unsupported("composite body has multiple anchors");
       }
@@ -153,20 +153,20 @@ Status AnalyzeRequantChain(const Graph& graph, NodeId root, NodeId anchor,
     return n->inputs.empty() ? nullptr : &graph.node(n->inputs[0]);
   };
   const auto is_clip = [](const Node* n, i64 lo, i64 hi) {
-    return n != nullptr && n->IsOp("clip") &&
+    return n != nullptr && n->Is(OpId::kClip) &&
            n->attrs.GetInt("a_min", -128) == lo &&
            n->attrs.GetInt("a_max", 127) == hi;
   };
   RequantParams rq;
   const Node* n = &graph.node(root);
-  if (n->IsOp("clip")) {
+  if (n->Is(OpId::kClip)) {
     if (!is_clip(n, 0, 127)) {
       return Status::Unsupported("requant: activation clip must be [0, 127]");
     }
     rq.relu = true;
     n = producer(n);
   }
-  if (n == nullptr || !n->IsOp("cast") ||
+  if (n == nullptr || !n->Is(OpId::kCast) ||
       n->attrs.GetString("dtype", "int8") != "int8") {
     return Status::Unsupported("requant: cast to int8 required");
   }
@@ -175,7 +175,7 @@ Status AnalyzeRequantChain(const Graph& graph, NodeId root, NodeId anchor,
     return Status::Unsupported("requant: saturating clip must be [-128, 127]");
   }
   n = producer(n);
-  if (n == nullptr || !n->IsOp("right_shift") || n->inputs.size() != 2) {
+  if (n == nullptr || !n->Is(OpId::kRightShift) || n->inputs.size() != 2) {
     return Status::Unsupported("requant: right_shift required");
   }
   const Node& shift = graph.node(n->inputs[1]);
@@ -197,7 +197,7 @@ Status AnalyzeRequantChain(const Graph& graph, NodeId root, NodeId anchor,
     rq.channel_shifts = std::move(shifts);
   }
   n = producer(n);
-  if (n != nullptr && n->IsOp("nn.bias_add")) n = producer(n);
+  if (n != nullptr && n->Is(OpId::kBiasAdd)) n = producer(n);
   if (n == nullptr || n->id != anchor) {
     return Status::Unsupported("requant chain does not end at the anchor");
   }

@@ -6,12 +6,13 @@
 // plus the identity facts the geometry alone cannot express — which
 // accelerators exist at all, and what CPU SIMD class the host core has.
 //
-// The process-wide SocRegistry maps names to descriptions. "diana" is the
-// default and must reproduce the original single-SoC artifacts
-// byte-identically (enforced by tests/soc_family_test.cpp against
-// pre-refactor golden reports). The built-in variants model plausible
-// hardware generations around the paper's chip: halved L1, doubled L2, a
-// 32x32 PE array, an analog-less cost-down part, and a scalar host core.
+// The family is one constant table in soc.cpp (one row per member) read by
+// FindSoc and SocNames. "diana" is the default and must reproduce the
+// original single-SoC artifacts byte-identically (enforced by
+// tests/soc_family_test.cpp against pre-refactor golden reports). The
+// variants model plausible hardware generations around the paper's chip:
+// halved L1, doubled L2, a 32x32 PE array, an analog-less cost-down part,
+// and a scalar host core.
 //
 // Everything downstream keys on the description: the compiler threads it
 // through dispatch/tiling/planning (CompileOptions::soc), the artifact
@@ -22,7 +23,6 @@
 // placement.
 #pragma once
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,38 +49,18 @@ struct SocDescription {
   static SocDescription Diana() { return SocDescription{}; }
 };
 
-// Thread-safe name -> description registry. Global() comes pre-populated
-// with the built-in family (docs/soc_families.md):
-//
-//   diana          the paper's chip (the default; byte-identical artifacts)
-//   diana-l1half   128 kB L1 — every DORY tile bound tightens
-//   diana-l2x2     1 MB L2 — bigger models fit without spilling
-//   diana-pe32     32x32 PE array + 128 kB digital weight memory
-//   diana-noanalog analog IMC absent (cost-down part)
-//   diana-scalar   plain RV32IMC host, no XpulpV2 SIMD
-class SocRegistry {
- public:
-  static SocRegistry& Global();
-
-  // Registers a new SoC. InvalidArgument on an empty name or a duplicate.
-  Status Register(SocDescription desc);
-  // NotFound (listing the registered names) for unknown names.
-  Result<SocDescription> Find(const std::string& name) const;
-  bool Has(const std::string& name) const;
-  // Registered names, sorted (stable for error messages and sweeps).
-  std::vector<std::string> Names() const;
-
-  SocRegistry(const SocRegistry&) = delete;
-  SocRegistry& operator=(const SocRegistry&) = delete;
-
- private:
-  SocRegistry();
-
-  mutable std::mutex mu_;
-  std::vector<SocDescription> socs_;  // registration order
-};
-
-// Convenience: SocRegistry::Global().Find(name).
+// The description of member `name` of the built-in family (the kFamily
+// table in soc.cpp: diana, the paper's chip and the default, and five
+// variants; docs/soc_families.md), or NotFound listing the family.
 Result<SocDescription> FindSoc(const std::string& name);
+
+// The family's names, sorted (stable for error messages and sweeps).
+std::vector<std::string> SocNames();
+
+// SocNames() under its older spelling, SocRegistry::Global().Names().
+struct SocRegistry {
+  static const SocRegistry& Global();
+  std::vector<std::string> Names() const { return SocNames(); }
+};
 
 }  // namespace htvm::hw

@@ -8,11 +8,12 @@ namespace htvm {
 namespace {
 
 // The one type rule of an op node, shared by construction and validation:
-// look `op` up in the table, check its arity and input ids, infer the
-// output type and cap it at kMaxTensorElements.
+// look `op` up in the table, check its arity, input ids and extents, infer
+// the output type and cap it at kMaxTensorElements. `id` (when non-null)
+// receives the table row.
 Result<TensorType> InferOpType(const Graph& graph, const std::string& op,
                                const std::vector<NodeId>& inputs,
-                               const AttrMap& attrs) {
+                               const AttrMap& attrs, OpId* id = nullptr) {
   const OpDef* def = FindOp(op);
   if (def == nullptr) {
     return Status::NotFound("unknown op: " + op);
@@ -22,6 +23,16 @@ Result<TensorType> InferOpType(const Graph& graph, const std::string& op,
         StrFormat("op %s expects %d inputs, got %zu", op.c_str(), def->arity,
                   inputs.size()));
   }
+  // The kernels divide by and loop over extents: one <= 0 is a typed error
+  // here rather than a SIGFPE at run time.
+  const auto check_extents = [&](const Shape& shape, const char* what) {
+    const auto& d = shape.dims();
+    return std::all_of(d.begin(), d.end(), [](i64 e) { return e > 0; })
+               ? Status::Ok()
+               : Status::InvalidArgument(
+                     StrFormat("%s: %s shape %s has an extent <= 0", op.c_str(),
+                               what, shape.ToString().c_str()));
+  };
   std::vector<TensorType> in_types;
   in_types.reserve(inputs.size());
   for (NodeId in : inputs) {
@@ -29,23 +40,25 @@ Result<TensorType> InferOpType(const Graph& graph, const std::string& op,
       return Status::InvalidArgument("input node id out of range");
     }
     in_types.push_back(graph.node(in).type);
+    HTVM_RETURN_IF_ERROR(check_extents(in_types.back().shape, "input"));
   }
   auto out_type = def->infer(in_types, attrs);
   if (!out_type.ok()) {
     return Status(out_type.status().code(),
                   op + ": " + out_type.status().message());
   }
+  HTVM_RETURN_IF_ERROR(check_extents(out_type->shape, "output"));
   i64 elems = 1;
   for (i64 d : out_type->shape.dims()) {
-    const i64 extent = std::max<i64>(d, 1);
-    if (extent > kMaxTensorElements / elems) {
+    if (d > kMaxTensorElements / elems) {
       return Status::InvalidArgument(
           StrFormat("%s: output shape %s exceeds %lld elements", op.c_str(),
                     out_type->shape.ToString().c_str(),
                     static_cast<long long>(kMaxTensorElements)));
     }
-    elems *= extent;
+    elems *= d;
   }
+  if (id != nullptr) *id = def->id;
   return out_type;
 }
 
@@ -79,8 +92,9 @@ NodeId Graph::AddConstant(Tensor value, const std::string& name) {
 Result<NodeId> Graph::TryAddOp(const std::string& op,
                                std::vector<NodeId> inputs, AttrMap attrs,
                                const std::string& name) {
-  HTVM_ASSIGN_OR_RETURN(out_type, InferOpType(*this, op, inputs, attrs));
   Node n;
+  HTVM_ASSIGN_OR_RETURN(out_type,
+                        InferOpType(*this, op, inputs, attrs, &n.op_id));
   n.kind = NodeKind::kOp;
   n.op = op;
   n.name = name;

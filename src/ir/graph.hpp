@@ -30,11 +30,10 @@ namespace htvm {
 using NodeId = i32;
 inline constexpr NodeId kInvalidNode = -1;
 
-// Largest tensor a graph may describe, in elements (dims of 0 count as 1):
-// the text loader caps constants at it, and TryAddOp rejects any op whose
-// inferred output exceeds it, so geometry no SoC can hold (an INT32_MAX
-// padding) is a typed error at load instead of an allocation failure deep
-// in the compiler.
+// Largest tensor a graph may describe, in elements: the text loader caps
+// constants at it, and TryAddOp rejects any op whose inferred output
+// exceeds it, so geometry no SoC can hold (an INT32_MAX padding) is a typed
+// error at load instead of an allocation failure deep in the compiler.
 inline constexpr i64 kMaxTensorElements = i64{1} << 26;
 
 enum class NodeKind : u8 { kInput, kConstant, kOp, kComposite };
@@ -45,6 +44,7 @@ struct Node {
   NodeId id = kInvalidNode;
   NodeKind kind = NodeKind::kOp;
   std::string op;      // op name (kOp) or composite kind (kComposite)
+  OpId op_id = OpId::kConv2d;  // the table row of `op` (kOp only)
   std::string name;    // diagnostic label
   std::vector<NodeId> inputs;
   AttrMap attrs;
@@ -52,6 +52,7 @@ struct Node {
   Tensor value;        // payload for kConstant
   std::shared_ptr<const Graph> body;  // composite body (kComposite)
 
+  bool Is(OpId id) const { return kind == NodeKind::kOp && op_id == id; }
   bool IsOp(const std::string& op_name) const {
     return kind == NodeKind::kOp && op == op_name;
   }
@@ -66,7 +67,8 @@ class Graph {
   NodeId AddConstant(Tensor value, const std::string& name = "");
   // Infers the output type via the op table; fatal on inference failure
   // (model-builder bug). Use TryAddOp for fallible construction; it also
-  // rejects an output type over kMaxTensorElements as InvalidArgument.
+  // rejects as InvalidArgument an input or output extent <= 0 and an output
+  // type over kMaxTensorElements.
   NodeId AddOp(const std::string& op, std::vector<NodeId> inputs,
                AttrMap attrs = {}, const std::string& name = "");
   Result<NodeId> TryAddOp(const std::string& op, std::vector<NodeId> inputs,

@@ -1,5 +1,7 @@
 #include "ir/op.hpp"
 
+#include <cstdint>
+
 #include "support/string_utils.hpp"
 
 namespace htvm {
@@ -14,11 +16,17 @@ i64 ConvOutDim(i64 in, i64 kernel, i64 pad_begin, i64 pad_end, i64 stride) {
   return span < 0 ? 0 : span / stride + 1;
 }
 
+// Wider than any tensor, and in + pad + pad must not overflow.
+constexpr i64 kMaxPadding = INT32_MAX;
+
 Result<std::array<i64, 4>> NormalizePadding(std::span<const i64> padding,
                                             const char* op) {
   for (i64 v : padding) {
     if (v < 0) {
       return Status::InvalidArgument(StrFormat("%s: negative padding", op));
+    }
+    if (v > kMaxPadding) {
+      return Status::InvalidArgument(StrFormat("%s: padding too wide", op));
     }
   }
   const size_t n = padding.size();
@@ -192,6 +200,15 @@ Result<TensorType> InferSameType(std::span<const TensorType> in,
   return TensorType{in[0].shape, in[0].dtype};
 }
 
+// softmax and layernorm normalize over the last axis, which a scalar lacks.
+Result<TensorType> InferLastAxisOp(std::span<const TensorType> in,
+                                   const AttrMap&) {
+  if (in[0].shape.rank() < 1) {
+    return Status::InvalidArgument("expected rank >= 1, got a scalar");
+  }
+  return TensorType{in[0].shape, in[0].dtype};
+}
+
 Result<TensorType> InferCast(std::span<const TensorType> in,
                              const AttrMap& attrs) {
   DType dtype;
@@ -248,19 +265,22 @@ Result<TensorType> InferGlobalAvgPool(std::span<const TensorType> in,
 Result<TensorType> InferReshape(std::span<const TensorType> in,
                                 const AttrMap& attrs) {
   std::vector<i64> dims = attrs.GetIntVec("new_shape");
+  const i64 total = in[0].shape.NumElements();
   i64 known = 1;
   i64 infer_at = -1;
   for (size_t i = 0; i < dims.size(); ++i) {
     if (dims[i] == -1) {
       if (infer_at >= 0) return Status::InvalidArgument("reshape: two -1 dims");
       infer_at = static_cast<i64>(i);
+    } else if (dims[i] <= 0 || dims[i] > total / known) {
+      // known * dims[i] would exceed the element count (or not be one).
+      return Status::InvalidArgument("reshape: element count mismatch");
     } else {
       known *= dims[i];
     }
   }
-  const i64 total = in[0].shape.NumElements();
   if (infer_at >= 0) {
-    if (known == 0 || total % known != 0) {
+    if (total % known != 0) {
       return Status::InvalidArgument("reshape: cannot infer -1 dim");
     }
     dims[static_cast<size_t>(infer_at)] = total / known;
@@ -278,9 +298,7 @@ Result<TensorType> InferPad(std::span<const TensorType> in,
   if (p.size() != 4) {
     return Status::InvalidArgument("pad: pad_width must be [t, l, b, r]");
   }
-  if (p[0] < 0 || p[1] < 0 || p[2] < 0 || p[3] < 0) {
-    return Status::InvalidArgument("pad: negative padding");
-  }
+  HTVM_RETURN_IF_ERROR(NormalizePadding(p, "pad").status());
   return TensorType{Shape{d[0], d[1], d[2] + p[0] + p[2], d[3] + p[1] + p[3]},
                     in[0].dtype};
 }
@@ -295,26 +313,34 @@ Result<TensorType> InferFlatten(std::span<const TensorType> in,
 }
 
 constexpr OpDef kOps[] = {
-    {"nn.conv2d", 2, InferConv2d},
-    {"nn.dense", 2, InferDense},
-    {"nn.bias_add", 2, InferBiasAdd},
-    {"right_shift", 2, InferRightShift},
-    {"clip", 1, InferSameType},
-    {"cast", 1, InferCast},
-    {"nn.relu", 1, InferSameType},
-    {"add", 2, InferAdd},
-    {"nn.avg_pool2d", 1, InferPool2d},
-    {"nn.max_pool2d", 1, InferPool2d},
-    {"nn.global_avg_pool2d", 1, InferGlobalAvgPool},
-    {"nn.softmax", 1, InferSameType},
-    {"matmul", 2, InferMatmul},
-    {"transpose", 1, InferTranspose},
-    {"nn.layernorm", 1, InferSameType},
-    {"nn.gelu", 1, InferSameType},
-    {"reshape", 1, InferReshape},
-    {"nn.flatten", 1, InferFlatten},
-    {"nn.pad", 1, InferPad},
+    {OpId::kConv2d, "nn.conv2d", 2, InferConv2d},
+    {OpId::kDense, "nn.dense", 2, InferDense},
+    {OpId::kBiasAdd, "nn.bias_add", 2, InferBiasAdd},
+    {OpId::kRightShift, "right_shift", 2, InferRightShift},
+    {OpId::kClip, "clip", 1, InferSameType},
+    {OpId::kCast, "cast", 1, InferCast},
+    {OpId::kRelu, "nn.relu", 1, InferSameType},
+    {OpId::kAdd, "add", 2, InferAdd},
+    {OpId::kAvgPool2d, "nn.avg_pool2d", 1, InferPool2d},
+    {OpId::kMaxPool2d, "nn.max_pool2d", 1, InferPool2d},
+    {OpId::kGlobalAvgPool2d, "nn.global_avg_pool2d", 1, InferGlobalAvgPool},
+    {OpId::kSoftmax, "nn.softmax", 1, InferLastAxisOp},
+    {OpId::kMatmul, "matmul", 2, InferMatmul},
+    {OpId::kTranspose, "transpose", 1, InferTranspose},
+    {OpId::kLayerNorm, "nn.layernorm", 1, InferLastAxisOp},
+    {OpId::kGelu, "nn.gelu", 1, InferSameType},
+    {OpId::kReshape, "reshape", 1, InferReshape},
+    {OpId::kFlatten, "nn.flatten", 1, InferFlatten},
+    {OpId::kPad, "nn.pad", 1, InferPad},
 };
+
+constexpr bool InIdOrder() {
+  for (size_t i = 0; i < std::size(kOps); ++i) {
+    if (static_cast<size_t>(kOps[i].id) != i) return false;
+  }
+  return std::size(kOps) == kNumOps;
+}
+static_assert(InIdOrder(), "kOps rows must be in OpId order, one per id");
 
 }  // namespace
 
@@ -323,6 +349,10 @@ const OpDef* FindOp(std::string_view name) {
     if (def.name == name) return &def;
   }
   return nullptr;
+}
+
+std::string_view OpName(OpId id) {
+  return kOps[static_cast<size_t>(id)].name;
 }
 
 }  // namespace htvm

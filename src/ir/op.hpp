@@ -1,5 +1,5 @@
 // The IR's op vocabulary: one constant table of ops with shape/type
-// inference.
+// inference, one OpId per row.
 //
 // The vocabulary mirrors the Relay ops that appear in quantized MLPerf Tiny
 // graphs and in the paper's Listing 1 pattern, plus the transformer block's
@@ -33,6 +33,12 @@
 // type; graph construction runs inference eagerly so malformed graphs fail
 // at the point of the mistake. The table is constant, so lookups need no
 // lock from concurrent graph builders.
+//
+// Graph::TryAddOp looks the name up once and stores the row's OpId on the
+// node; consumers compare ids (Node::Is). nn::EvalOp and hw::CpuOpCycles
+// switch on the id with no `default`, so a new op without a case there
+// fails the build (-Werror=switch). Node::op keeps the name for the text
+// and HAB formats and for dumps.
 #pragma once
 
 #include <array>
@@ -57,7 +63,16 @@ struct TensorType {
   std::string ToString() const;
 };
 
+// One id per row of the op table, in table order.
+enum class OpId : u8 {
+  kConv2d, kDense, kBiasAdd, kRightShift, kClip, kCast, kRelu, kAdd,
+  kAvgPool2d, kMaxPool2d, kGlobalAvgPool2d, kSoftmax, kMatmul, kTranspose,
+  kLayerNorm, kGelu, kReshape, kFlatten, kPad,
+};
+inline constexpr int kNumOps = static_cast<int>(OpId::kPad) + 1;
+
 struct OpDef {
+  OpId id;
   std::string_view name;
   int arity;  // number of inputs: 1 or 2
   Result<TensorType> (*infer)(std::span<const TensorType> inputs,
@@ -66,6 +81,8 @@ struct OpDef {
 
 // The table entry for `name`, or nullptr for a name outside the vocabulary.
 const OpDef* FindOp(std::string_view name);
+// The table name of `id` ("nn.conv2d" for OpId::kConv2d).
+std::string_view OpName(OpId id);
 
 // Shape arithmetic shared by inference, the DORY layer analyzer and the
 // accelerator cost models: output spatial size of a conv/pool window.
@@ -77,8 +94,8 @@ i64 ConvOutDim(i64 in, i64 kernel, i64 pad_begin, i64 pad_end, i64 stride);
 // The [top, left, bottom, right] form of a conv/pool `padding` attribute
 // given as [p], [py, px] or [pt, pl, pb, pr]; an empty list is no padding.
 // Every reader of `padding` (type inference, the nn kernels, the DORY layer
-// specs, the C emitter, AbsorbPadding) goes through this one rule. A
-// negative entry or any other length is InvalidArgument naming `op`.
+// specs, the C emitter, AbsorbPadding, nn.pad) goes through this one rule.
+// An entry < 0 or > INT32_MAX, or any other length, is InvalidArgument.
 Result<std::array<i64, 4>> NormalizePadding(std::span<const i64> padding,
                                             const char* op);
 

@@ -1,7 +1,6 @@
 #include "ir/passes.hpp"
 
 #include "ir/map_graph.hpp"
-#include "support/logging.hpp"
 
 namespace htvm {
 
@@ -36,9 +35,9 @@ Graph AbsorbPadding(const Graph& graph, i64* rewrites) {
   i64 absorbed = 0;
   Graph out = ir::MapGraph(graph, [&](ir::GraphMapper& m,
                                       const Node& n) -> NodeId {
-    if (n.IsOp("nn.conv2d")) {
+    if (n.Is(OpId::kConv2d)) {
       const Node& producer = graph.node(n.inputs[0]);
-      if (producer.IsOp("nn.pad") &&
+      if (producer.Is(OpId::kPad) &&
           uses[static_cast<size_t>(producer.id)] == 1) {
         ++absorbed;
         // Merge the explicit pad into the conv's padding attribute.
@@ -57,39 +56,6 @@ Graph AbsorbPadding(const Graph& graph, i64* rewrites) {
     return m.Clone(n);
   });
   if (rewrites != nullptr) *rewrites = absorbed;
-  return DeadCodeElimination(out);
-}
-
-Graph ConstantFold(const Graph& graph, const NodeEvaluator& eval,
-                   i64* rewrites) {
-  i64 folded = 0;
-  Graph out = ir::MapGraph(graph, [&](ir::GraphMapper& m,
-                                      const Node& n) -> NodeId {
-    if (n.kind != NodeKind::kOp) return m.Clone(n);
-    std::vector<NodeId> ins = m.MappedInputs(n);
-    bool all_const = !ins.empty();
-    for (NodeId in : ins) {
-      if (m.out().node(in).kind != NodeKind::kConstant) {
-        all_const = false;
-        break;
-      }
-    }
-    if (all_const) {
-      std::vector<Tensor> in_values;
-      in_values.reserve(ins.size());
-      for (NodeId in : ins) in_values.push_back(m.out().node(in).value);
-      auto value = eval(n, in_values);
-      if (value.ok()) {
-        ++folded;
-        return m.out().AddConstant(std::move(value.value()), n.name);
-      }
-    }
-    return m.CloneWithInputs(n, std::move(ins));
-  });
-  if (folded > 0) {
-    HTVM_DLOG << "constant folding replaced " << folded << " nodes";
-  }
-  if (rewrites != nullptr) *rewrites = folded;
   return DeadCodeElimination(out);
 }
 

@@ -1,38 +1,23 @@
 // Graph-rewriting passes run by the pipeline before partitioning:
 //   - dead-code elimination (drop nodes unreachable from the outputs)
-//   - constant folding (evaluate op nodes whose inputs are all constants)
+//   - pad absorption (fold explicit nn.pad ops into conv padding)
 //
-// Constant folding needs an operator evaluator; the IR stays independent of
-// the kernel library by taking it as a callback (the compiler wires in the
-// nn/ interpreter's evaluator).
+// Constant folding evaluates ops, so it lives next to the evaluator:
+// nn::ConstantFold in nn/interpreter.hpp.
 #pragma once
-
-#include <functional>
 
 #include "ir/graph.hpp"
 
 namespace htvm {
 
-// Evaluates one op node given materialized input tensors.
-using NodeEvaluator = std::function<Result<Tensor>(
-    const Node& node, std::span<const Tensor> inputs)>;
-
 // Removes nodes not reachable from graph outputs. Ids are compacted.
 Graph DeadCodeElimination(const Graph& graph);
-
-// Folds op nodes with all-constant inputs into constants, then runs DCE.
-// Nodes the evaluator rejects (Unsupported) are left in place. When
-// `rewrites` is non-null it receives the number of folded nodes — zero
-// rewrites with an unchanged node count means the graph is untouched, which
-// lets the PassManager skip post-pass re-validation and IR dumps.
-Graph ConstantFold(const Graph& graph, const NodeEvaluator& eval,
-                   i64* rewrites = nullptr);
 
 // Folds explicit nn.pad ops into the padding attribute of the conv2d that
 // consumes them (TFLite imports materialize SAME padding as separate PAD
 // ops; the accelerator patterns expect it on the conv). Pads with other
 // consumers or non-conv consumers stay. Runs DCE afterwards. `rewrites`
-// (optional) receives the number of absorbed pads, as for ConstantFold.
+// (optional) receives the number of absorbed pads, as for nn::ConstantFold.
 Graph AbsorbPadding(const Graph& graph, i64* rewrites = nullptr);
 
 // Rebuilds `graph` keeping only nodes where keep[id] is true; consumers of

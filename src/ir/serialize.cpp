@@ -1,6 +1,5 @@
 #include "ir/serialize.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -158,10 +157,9 @@ Result<Graph> DeserializeGraph(const std::string& text) {
 namespace detail_serialize {
 namespace {
 
-// Reads the `<rank> <dims...>` of an input or const record. Each dim is
-// bounded, and so is their product (kMaxTensorElements, zero dims counting
-// as one), so no record can describe a tensor whose element count
-// overflows.
+// Reads the `<rank> <dims...>` of an input or const record. Each dim is in
+// [1, 2^20], and their product is at most kMaxTensorElements, so no record
+// can describe an empty tensor or one whose element count overflows.
 Result<Shape> ReadShape(std::istringstream& ls, const std::string& what) {
   i64 rank = -1;
   ls >> rank;
@@ -172,10 +170,10 @@ Result<Shape> ReadShape(std::istringstream& ls, const std::string& what) {
   i64 elems = 1;
   for (i64& d : dims) {
     ls >> d;
-    if (d < 0 || d > (i64{1} << 20)) {
+    if (d <= 0 || d > (i64{1} << 20)) {
       return Status::InvalidArgument(what + " dim out of range");
     }
-    elems *= std::max<i64>(d, 1);
+    elems *= d;
     if (elems > kMaxTensorElements) {
       return Status::InvalidArgument(what + " too large");
     }

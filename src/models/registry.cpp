@@ -56,4 +56,23 @@ std::string DescribeRegistry() {
   return out;
 }
 
+namespace {
+using compiler::CompileOptions;
+constexpr DeployConfig kDeployConfigs[] = {
+    {"tvm", PrecisionPolicy::kInt8, &CompileOptions::PlainTvm},
+    {"digital", PrecisionPolicy::kInt8, &CompileOptions::DigitalOnly},
+    {"analog", PrecisionPolicy::kTernary, &CompileOptions::AnalogOnly},
+    {"mixed", PrecisionPolicy::kMixed, [] { return CompileOptions{}; }},
+};
+}  // namespace
+
+std::span<const DeployConfig> DeployConfigs() { return kDeployConfigs; }
+
+const DeployConfig* FindDeployConfig(std::string_view name) {
+  for (const DeployConfig& config : kDeployConfigs) {
+    if (name == config.name) return &config;
+  }
+  return nullptr;
+}
+
 }  // namespace htvm::models

@@ -1,56 +1,52 @@
 #include "nn/interpreter.hpp"
 
+#include "ir/map_graph.hpp"
+#include "ir/passes.hpp"
+#include "support/logging.hpp"
 #include "support/string_utils.hpp"
 
 namespace htvm::nn {
 
 Result<Tensor> EvalOp(const Node& node, std::span<const Tensor> inputs) {
-  const std::string& op = node.op;
   const AttrMap& a = node.attrs;
-  if (op == "nn.conv2d") {
-    return Conv2d(inputs[0], inputs[1], a.GetIntVec("strides", {1, 1}),
-                  a.GetIntVec("padding", {0, 0, 0, 0}), a.GetInt("groups", 1));
-  }
-  if (op == "nn.dense") return Dense(inputs[0], inputs[1]);
-  if (op == "nn.bias_add") {
-    return BiasAdd(inputs[0], inputs[1], a.GetInt("axis", 1));
-  }
-  if (op == "right_shift") return RightShift(inputs[0], inputs[1]);
-  if (op == "clip") {
-    return Clip(inputs[0], a.GetInt("a_min", -128), a.GetInt("a_max", 127));
-  }
-  if (op == "cast") {
-    DType dtype;
-    if (!ParseDType(a.GetString("dtype", "int8"), &dtype)) {
-      return Status::InvalidArgument("cast: bad dtype");
+  const Tensor& x = inputs[0];
+  switch (node.op_id) {
+    case OpId::kConv2d:
+      return Conv2d(x, inputs[1], a.GetIntVec("strides", {1, 1}),
+                    a.GetIntVec("padding", {0, 0, 0, 0}),
+                    a.GetInt("groups", 1));
+    case OpId::kDense: return Dense(x, inputs[1]);
+    case OpId::kBiasAdd: return BiasAdd(x, inputs[1], a.GetInt("axis", 1));
+    case OpId::kRightShift: return RightShift(x, inputs[1]);
+    case OpId::kClip:
+      return Clip(x, a.GetInt("a_min", -128), a.GetInt("a_max", 127));
+    case OpId::kCast: {
+      DType dtype;
+      if (!ParseDType(a.GetString("dtype", "int8"), &dtype)) {
+        return Status::InvalidArgument("cast: bad dtype");
+      }
+      return Cast(x, dtype);
     }
-    return Cast(inputs[0], dtype);
+    case OpId::kRelu: return Relu(x);
+    case OpId::kAdd: return Add(x, inputs[1]);
+    case OpId::kAvgPool2d:
+      return AvgPool2d(x, a.GetIntVec("pool_size", {2, 2}),
+                       a.GetIntVec("strides", {}), a.GetIntVec("padding", {}));
+    case OpId::kMaxPool2d:
+      return MaxPool2d(x, a.GetIntVec("pool_size", {2, 2}),
+                       a.GetIntVec("strides", {}), a.GetIntVec("padding", {}));
+    case OpId::kGlobalAvgPool2d: return GlobalAvgPool2d(x);
+    case OpId::kSoftmax: return Softmax(x);
+    case OpId::kMatmul:
+      return MatMul(x, inputs[1], a.GetInt("transpose_b", 1) != 0);
+    case OpId::kTranspose: return Transpose(x, a.GetIntVec("axes"));
+    case OpId::kLayerNorm: return LayerNorm(x);
+    case OpId::kGelu: return Gelu(x);
+    case OpId::kReshape:
+    case OpId::kFlatten: return x.Reshaped(node.type.shape);
+    case OpId::kPad: return Pad2d(x, a.GetIntVec("pad_width", {0, 0, 0, 0}));
   }
-  if (op == "nn.relu") return Relu(inputs[0]);
-  if (op == "add") return Add(inputs[0], inputs[1]);
-  if (op == "nn.avg_pool2d") {
-    return AvgPool2d(inputs[0], a.GetIntVec("pool_size", {2, 2}),
-                     a.GetIntVec("strides", {}), a.GetIntVec("padding", {}));
-  }
-  if (op == "nn.max_pool2d") {
-    return MaxPool2d(inputs[0], a.GetIntVec("pool_size", {2, 2}),
-                     a.GetIntVec("strides", {}), a.GetIntVec("padding", {}));
-  }
-  if (op == "nn.global_avg_pool2d") return GlobalAvgPool2d(inputs[0]);
-  if (op == "nn.softmax") return Softmax(inputs[0]);
-  if (op == "matmul") {
-    return MatMul(inputs[0], inputs[1], a.GetInt("transpose_b", 1) != 0);
-  }
-  if (op == "transpose") return Transpose(inputs[0], a.GetIntVec("axes"));
-  if (op == "nn.layernorm") return LayerNorm(inputs[0]);
-  if (op == "nn.gelu") return Gelu(inputs[0]);
-  if (op == "nn.pad") {
-    return Pad2d(inputs[0], a.GetIntVec("pad_width", {0, 0, 0, 0}));
-  }
-  if (op == "reshape" || op == "nn.flatten") {
-    return inputs[0].Reshaped(node.type.shape);
-  }
-  return Status::Unsupported("no evaluator for op " + op);
+  HTVM_UNREACHABLE("bad op id");
 }
 
 Status CheckInputs(const Graph& graph, std::span<const Tensor> inputs) {
@@ -91,8 +87,7 @@ Result<std::vector<Tensor>> RunGraph(const Graph& graph,
         in.reserve(n.inputs.size());
         for (NodeId id : n.inputs) in.push_back(values[static_cast<size_t>(id)]);
         // A reshape adopts the storage of its (already copied) input.
-        const bool reshape =
-            (n.IsOp("reshape") || n.IsOp("nn.flatten")) && in.size() == 1;
+        const bool reshape = n.Is(OpId::kReshape) || n.Is(OpId::kFlatten);
         auto out = reshape ? Result<Tensor>(
                                  std::move(in[0]).Reshaped(n.type.shape))
                            : EvalOp(n, in);
@@ -124,10 +119,36 @@ Result<std::vector<Tensor>> RunGraph(const Graph& graph,
   return outputs;
 }
 
-NodeEvaluator StandardEvaluator() {
-  return [](const Node& node, std::span<const Tensor> inputs) {
-    return EvalOp(node, inputs);
-  };
+Graph ConstantFold(const Graph& graph, i64* rewrites) {
+  i64 folded = 0;
+  Graph out = ir::MapGraph(graph, [&](ir::GraphMapper& m,
+                                      const Node& n) -> NodeId {
+    if (n.kind != NodeKind::kOp) return m.Clone(n);
+    std::vector<NodeId> ins = m.MappedInputs(n);
+    bool all_const = !ins.empty();
+    for (NodeId in : ins) {
+      if (m.out().node(in).kind != NodeKind::kConstant) {
+        all_const = false;
+        break;
+      }
+    }
+    if (all_const) {
+      std::vector<Tensor> in_values;
+      in_values.reserve(ins.size());
+      for (NodeId in : ins) in_values.push_back(m.out().node(in).value);
+      auto value = EvalOp(n, in_values);
+      if (value.ok()) {
+        ++folded;
+        return m.out().AddConstant(std::move(value.value()), n.name);
+      }
+    }
+    return m.CloneWithInputs(n, std::move(ins));
+  });
+  if (folded > 0) {
+    HTVM_DLOG << "constant folding replaced " << folded << " nodes";
+  }
+  if (rewrites != nullptr) *rewrites = folded;
+  return DeadCodeElimination(out);
 }
 
 }  // namespace htvm::nn

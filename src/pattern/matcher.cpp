@@ -47,7 +47,7 @@ bool MatchRec(const Graph& graph, NodeId id, const PatternPtr& pattern,
       return true;
     }
     case PatternKind::kOp: {
-      if (node.kind != NodeKind::kOp || node.op != pattern->op) return false;
+      if (!node.Is(pattern->op)) return false;
       if (node.inputs.size() != pattern->inputs.size()) return false;
       if (!check_attrs(node)) return false;
       for (size_t i = 0; i < pattern->inputs.size(); ++i) {
@@ -60,7 +60,7 @@ bool MatchRec(const Graph& graph, NodeId id, const PatternPtr& pattern,
       return true;
     }
     case PatternKind::kOptional: {
-      if (node.kind == NodeKind::kOp && node.op == pattern->op &&
+      if (node.Is(pattern->op) &&
           node.inputs.size() == 1 && check_attrs(node)) {
         // Try with the optional op present; if its input matches the base,
         // absorb it. Use a scratch result so a failed inner match does not

@@ -22,7 +22,7 @@ PatternPtr IsConstant() {
   return Make(std::move(n));
 }
 
-PatternPtr IsOp(const std::string& op, std::vector<PatternPtr> inputs) {
+PatternPtr IsOp(OpId op, std::vector<PatternPtr> inputs) {
   PatternNode n;
   n.kind = PatternKind::kOp;
   n.op = op;
@@ -30,7 +30,7 @@ PatternPtr IsOp(const std::string& op, std::vector<PatternPtr> inputs) {
   return Make(std::move(n));
 }
 
-PatternPtr Optional(PatternPtr base, const std::string& op) {
+PatternPtr Optional(PatternPtr base, OpId op) {
   PatternNode n;
   n.kind = PatternKind::kOptional;
   n.op = op;
@@ -58,14 +58,16 @@ std::string PatternToString(const PatternPtr& p) {
     case PatternKind::kOp: {
       std::vector<std::string> parts;
       for (const auto& in : p->inputs) parts.push_back(PatternToString(in));
-      std::string s = p->op + "(" + Join(parts, ", ") + ")";
+      std::string s =
+          std::string(OpName(p->op)) + "(" + Join(parts, ", ") + ")";
       for (const auto& [k, v] : p->attr_constraints) {
         s += StrFormat("{%s=%s}", k.c_str(), AttrValueToString(v).c_str());
       }
       return s;
     }
     case PatternKind::kOptional:
-      return p->op + "?(" + PatternToString(p->inputs[0]) + ")";
+      return std::string(OpName(p->op)) + "?(" + PatternToString(p->inputs[0]) +
+             ")";
   }
   HTVM_UNREACHABLE("bad pattern kind");
 }

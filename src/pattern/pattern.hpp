@@ -2,12 +2,15 @@
 //
 // Patterns are immutable trees built with combinators:
 //
-//   auto conv = IsOp("nn.conv2d", {Wildcard(), Wildcard()});
-//   auto bias = IsOp("nn.bias_add", {conv, Wildcard()});
-//   auto shft = IsOp("right_shift", {bias, IsConstant()});
-//   auto clip = IsOp("clip", {shft});
-//   auto cast = HasAttr(IsOp("cast", {clip}), "dtype", std::string("int8"));
-//   auto act  = Optional(cast, "clip");   // optional ReLU clip on top
+//   auto conv = IsOp(OpId::kConv2d, {Wildcard(), Wildcard()});
+//   auto bias = IsOp(OpId::kBiasAdd, {conv, Wildcard()});
+//   auto shft = IsOp(OpId::kRightShift, {bias, IsConstant()});
+//   auto clip = IsOp(OpId::kClip, {shft});
+//   auto cast = HasAttr(IsOp(OpId::kCast, {clip}), "dtype",
+//                       std::string("int8"));
+//   auto act  = Optional(cast, OpId::kClip);  // optional ReLU clip on top
+//
+// Ops are OpIds, so a misspelled op is a compile error.
 //
 // A match binds each pattern node to a graph node; the rewriter then
 // collapses the matched set into a composite node (BYOC partitioning).
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "ir/attrs.hpp"
+#include "ir/op.hpp"
 
 namespace htvm {
 
@@ -35,7 +39,7 @@ using PatternPtr = std::shared_ptr<const PatternNode>;
 
 struct PatternNode {
   PatternKind kind = PatternKind::kWildcard;
-  std::string op;                      // for kOp / kOptional
+  OpId op = OpId::kConv2d;             // for kOp / kOptional
   std::vector<PatternPtr> inputs;      // for kOp (and base for kOptional)
   // Attribute constraints: every (key, value) must be present and equal.
   std::vector<std::pair<std::string, AttrValue>> attr_constraints;
@@ -46,10 +50,10 @@ struct PatternNode {
 
 PatternPtr Wildcard();
 PatternPtr IsConstant();
-PatternPtr IsOp(const std::string& op, std::vector<PatternPtr> inputs);
+PatternPtr IsOp(OpId op, std::vector<PatternPtr> inputs);
 // Wraps `base` with an optional single-input `op` on top (Listing 1's
 // `cast.optional(is_op("clip"))`).
-PatternPtr Optional(PatternPtr base, const std::string& op);
+PatternPtr Optional(PatternPtr base, OpId op);
 PatternPtr HasAttr(PatternPtr p, const std::string& key, AttrValue value);
 PatternPtr Labeled(PatternPtr p, const std::string& label);
 

@@ -21,17 +21,17 @@ i64 CpuKernelCodeBytes(const Node& composite) {
   for (const Node& n : composite.body->nodes()) {
     if (n.kind != NodeKind::kOp) continue;
     i64 op_bytes = cfg.cpu_elemwise_code;
-    if (n.op == "nn.conv2d") {
+    if (n.Is(OpId::kConv2d)) {
       const bool dw = n.attrs.GetInt("groups", 1) > 1;
       op_bytes = dw ? cfg.cpu_dwconv_code : cfg.cpu_conv_code;
-    } else if (n.op == "nn.dense") {
+    } else if (n.Is(OpId::kDense)) {
       op_bytes = cfg.cpu_dense_code;
-    } else if (n.op == "nn.avg_pool2d" || n.op == "nn.max_pool2d" ||
-               n.op == "nn.global_avg_pool2d") {
+    } else if (n.Is(OpId::kAvgPool2d) || n.Is(OpId::kMaxPool2d) ||
+               n.Is(OpId::kGlobalAvgPool2d)) {
       op_bytes = cfg.cpu_pool_code;
-    } else if (n.op == "nn.softmax") {
+    } else if (n.Is(OpId::kSoftmax)) {
       op_bytes = cfg.cpu_softmax_code;
-    } else if (n.op == "reshape" || n.op == "nn.flatten") {
+    } else if (n.Is(OpId::kReshape) || n.Is(OpId::kFlatten)) {
       op_bytes = 0;  // pointer rebinding only
     }
     if (anchor_seen) {

@@ -238,35 +238,35 @@ Result<std::string> EmitLoneOp(const Graph& body, const Node& op,
   c += StrFormat("// %s: %s on the RISC-V core\n", fn.c_str(), op.op.c_str());
   c += StrFormat("void %s(const int8_t* in, int8_t* out) {\n", fn.c_str());
 
-  if (op.op == "nn.avg_pool2d" || op.op == "nn.max_pool2d") {
+  if (op.Is(OpId::kAvgPool2d) || op.Is(OpId::kMaxPool2d)) {
     const auto pool = op.attrs.GetIntVec("pool_size", {2, 2});
     const auto strides = op.attrs.GetIntVec("strides", pool);
     HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(op.attrs, "pool2d"));
     c += StrFormat(
         "  htvm_%s_pool2d(in, out, %lld, %lld, %lld, %lld, %lld, %lld, "
         "%lld, %lld, %lld, %lld, %lld);\n",
-        op.op == "nn.avg_pool2d" ? "avg" : "max", (long long)in.shape[1],
+        op.Is(OpId::kAvgPool2d) ? "avg" : "max", (long long)in.shape[1],
         (long long)in.shape[2], (long long)in.shape[3], (long long)pool[0],
         (long long)pool[1], (long long)strides[0], (long long)strides[1],
         (long long)pad[0], (long long)pad[1], (long long)out_t.shape[2],
         (long long)out_t.shape[3]);
-  } else if (op.op == "nn.global_avg_pool2d") {
+  } else if (op.Is(OpId::kGlobalAvgPool2d)) {
     c += StrFormat("  htvm_global_avg_pool2d(in, out, %lld, %lld);\n",
                    (long long)in.shape[1],
                    (long long)(in.shape[2] * in.shape[3]));
-  } else if (op.op == "nn.softmax") {
+  } else if (op.Is(OpId::kSoftmax)) {
     const i64 cols = in.shape[in.shape.rank() - 1];
     c += StrFormat("  htvm_softmax_int8(in, out, %lld, %lld);\n",
                    (long long)(in.shape.NumElements() / cols),
                    (long long)cols);
-  } else if (op.op == "reshape" || op.op == "nn.flatten") {
+  } else if (op.Is(OpId::kReshape) || op.Is(OpId::kFlatten)) {
     c += StrFormat("  memcpy(out, in, %lld);\n",
                    (long long)in.shape.NumElements());
-  } else if (op.op == "nn.relu") {
+  } else if (op.Is(OpId::kRelu)) {
     c += StrFormat("  for (int i = 0; i < %lld; ++i) ",
                    (long long)in.shape.NumElements());
     c += "out[i] = in[i] < 0 ? 0 : in[i];\n";
-  } else if (op.op == "clip") {
+  } else if (op.Is(OpId::kClip)) {
     c += StrFormat(
         "  for (int i = 0; i < %lld; ++i) {\n    int v = in[i];\n"
         "    if (v < %lld) v = %lld;\n    if (v > %lld) v = %lld;\n"
@@ -276,20 +276,20 @@ Result<std::string> EmitLoneOp(const Graph& body, const Node& op,
         (long long)op.attrs.GetInt("a_min", -128),
         (long long)op.attrs.GetInt("a_max", 127),
         (long long)op.attrs.GetInt("a_max", 127));
-  } else if (op.op == "cast") {
+  } else if (op.Is(OpId::kCast)) {
     c += StrFormat("  memcpy(out, in, %lld);  // int8 -> int8 cast\n",
                    (long long)in.shape.NumElements());
-  } else if (op.op == "nn.layernorm") {
+  } else if (op.Is(OpId::kLayerNorm)) {
     const i64 cols = in.shape[in.shape.rank() - 1];
     c += StrFormat("  htvm_layernorm_int8(in, out, %lld, %lld);\n",
                    (long long)(in.shape.NumElements() / cols),
                    (long long)cols);
-  } else if (op.op == "nn.gelu") {
+  } else if (op.Is(OpId::kGelu)) {
     c += EmitGeluTable(fn + "_lut");
     c += StrFormat("  for (int i = 0; i < %lld; ++i) ",
                    (long long)in.shape.NumElements());
     c += StrFormat("out[i] = %s_lut[in[i] + 128];\n", fn.c_str());
-  } else if (op.op == "transpose") {
+  } else if (op.Is(OpId::kTranspose)) {
     c += EmitTransposeLoop(in.shape, op.attrs.GetIntVec("axes"), "in", "out");
   } else {
     return Status::Unsupported("no CPU C emitter for op " + op.op);
@@ -349,7 +349,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
   for (const Node& n : body.nodes()) {
     if (n.kind != NodeKind::kOp) continue;
     const i64 count = n.type.shape.NumElements();
-    if (n.op == "reshape" || n.op == "nn.flatten") {
+    if (n.Is(OpId::kReshape) || n.Is(OpId::kFlatten)) {
       HTVM_ASSIGN_OR_RETURN(a, operand(n.inputs[0]));
       sym[n.id] = a;  // layout-free: alias the producer's buffer
       continue;
@@ -365,7 +365,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
     HTVM_ASSIGN_OR_RETURN(a, operand(n.inputs[0]));
     const TensorType& at = body.node(n.inputs[0]).type;
 
-    if (n.op == "nn.conv2d") {
+    if (n.Is(OpId::kConv2d)) {
       HTVM_ASSIGN_OR_RETURN(w, operand(n.inputs[1]));
       const TensorType& wt = body.node(n.inputs[1]).type;
       const auto strides = n.attrs.GetIntVec("strides", {1, 1});
@@ -410,7 +410,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
           "(int32_t)acc;\n",
           t.c_str());
       code += "      }\n    }\n  }\n";
-    } else if (n.op == "matmul") {
+    } else if (n.Is(OpId::kMatmul)) {
       HTVM_ASSIGN_OR_RETURN(b, operand(n.inputs[1]));
       const TensorType& bt = body.node(n.inputs[1]).type;
       const bool tb = n.attrs.GetInt("transpose_b", 1) != 0;
@@ -443,7 +443,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
                         "(int32_t)acc;\n",
                         t.c_str(), (long long)m, (long long)nn);
       code += "    }\n  }\n";
-    } else if (n.op == "nn.bias_add") {
+    } else if (n.Is(OpId::kBiasAdd)) {
       HTVM_ASSIGN_OR_RETURN(b, operand(n.inputs[1]));
       const i64 axis = n.attrs.GetInt("axis", 1);
       i64 inner = 1;
@@ -455,7 +455,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
           "+ (uint32_t)%s[(i / %lld) %% %lld]);\n",
           (long long)count, t.c_str(), a.c_str(), b.c_str(), (long long)inner,
           (long long)n.type.shape[axis]);
-    } else if (n.op == "right_shift") {
+    } else if (n.Is(OpId::kRightShift)) {
       const Node& sh = body.node(n.inputs[1]);
       if (sh.kind != NodeKind::kConstant || sh.value.NumElements() != 1) {
         return Status::Unsupported("generic CPU body: non-scalar shift");
@@ -471,7 +471,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
         code += StrFormat("  for (long i = 0; i < %lld; ++i) %s[i] = %s[i];\n",
                           (long long)count, t.c_str(), a.c_str());
       }
-    } else if (n.op == "clip") {
+    } else if (n.Is(OpId::kClip)) {
       code += StrFormat(
           "  for (long i = 0; i < %lld; ++i) {\n    int32_t v = %s[i];\n"
           "    if (v < %lld) v = %lld;\n    if (v > %lld) v = %lld;\n"
@@ -480,7 +480,7 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
           (long long)n.attrs.GetInt("a_min", -128),
           (long long)n.attrs.GetInt("a_max", 127),
           (long long)n.attrs.GetInt("a_max", 127), t.c_str());
-    } else if (n.op == "cast") {
+    } else if (n.Is(OpId::kCast)) {
       const i64 lo = n.type.dtype == DType::kInt8 ? -128 : INT32_MIN;
       const i64 hi = n.type.dtype == DType::kInt8 ? 127 : INT32_MAX;
       code += StrFormat(
@@ -489,32 +489,32 @@ Result<std::string> EmitGenericBody(const Graph& body, const std::string& fn) {
           "    %s[i] = (%s)v;\n  }\n",
           (long long)count, a.c_str(), (long long)lo, (long long)lo,
           (long long)hi, (long long)hi, t.c_str(), ct);
-    } else if (n.op == "nn.relu") {
+    } else if (n.Is(OpId::kRelu)) {
       code += StrFormat(
           "  for (long i = 0; i < %lld; ++i) %s[i] = %s[i] < 0 ? 0 : "
           "%s[i];\n",
           (long long)count, t.c_str(), a.c_str(), a.c_str());
-    } else if (n.op == "add") {
+    } else if (n.Is(OpId::kAdd)) {
       HTVM_ASSIGN_OR_RETURN(b, operand(n.inputs[1]));
       code += StrFormat(
           "  for (long i = 0; i < %lld; ++i) %s[i] = (int32_t)%s[i] + "
           "(int32_t)%s[i];\n",
           (long long)count, t.c_str(), a.c_str(), b.c_str());
-    } else if (n.op == "transpose") {
+    } else if (n.Is(OpId::kTranspose)) {
       code += EmitTransposeLoop(at.shape, n.attrs.GetIntVec("axes"), a, t);
-    } else if (n.op == "nn.softmax") {
+    } else if (n.Is(OpId::kSoftmax)) {
       const i64 cols = at.shape[at.shape.rank() - 1];
       code += StrFormat("  htvm_softmax_int8(%s, %s, %lld, %lld);\n",
                         a.c_str(), t.c_str(),
                         (long long)(at.shape.NumElements() / cols),
                         (long long)cols);
-    } else if (n.op == "nn.layernorm") {
+    } else if (n.Is(OpId::kLayerNorm)) {
       const i64 cols = at.shape[at.shape.rank() - 1];
       code += StrFormat("  htvm_layernorm_int8(%s, %s, %lld, %lld);\n",
                         a.c_str(), t.c_str(),
                         (long long)(at.shape.NumElements() / cols),
                         (long long)cols);
-    } else if (n.op == "nn.gelu") {
+    } else if (n.Is(OpId::kGelu)) {
       decls += EmitGeluTable(t + "_lut");
       code += StrFormat(
           "  for (long i = 0; i < %lld; ++i) %s[i] = %s_lut[%s[i] + 128];\n",

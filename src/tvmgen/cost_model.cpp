@@ -8,11 +8,13 @@ namespace {
 
 // Anchor = the op that dominates the kernel's cost; everything downstream
 // of it in the fused body is charged as a fused epilogue.
-bool IsAnchorOp(const std::string& op) {
-  return op == "nn.conv2d" || op == "nn.dense" || op == "matmul" ||
-         op == "nn.softmax" || op == "nn.layernorm" || op == "nn.gelu" ||
-         op == "nn.avg_pool2d" || op == "nn.max_pool2d" ||
-         op == "nn.global_avg_pool2d" || op == "add";
+bool IsAnchorOp(const Node& n) {
+  for (OpId id : {OpId::kConv2d, OpId::kDense, OpId::kMatmul, OpId::kSoftmax,
+                  OpId::kLayerNorm, OpId::kGelu, OpId::kAvgPool2d,
+                  OpId::kMaxPool2d, OpId::kGlobalAvgPool2d, OpId::kAdd}) {
+    if (n.Is(id)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -25,7 +27,7 @@ i64 CpuCompositeCycles(const hw::CpuConfig& cfg, const Node& composite) {
   bool anchor_seen = false;
   for (const Node& n : body.nodes()) {
     if (n.kind != NodeKind::kOp) continue;
-    if (!anchor_seen && IsAnchorOp(n.op)) {
+    if (!anchor_seen && IsAnchorOp(n)) {
       i64 anchor_cycles = hw::CpuOpCycles(cfg, body, n);
       if (tuned) {
         anchor_cycles = static_cast<i64>(

@@ -1,6 +1,5 @@
 #include "vm/codec.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 namespace htvm::vm {
@@ -97,13 +96,15 @@ TensorType DecodeTensorType(Decoder& d) {
   i64 elems = 1;
   for (i64& dim : dims) {
     d.I64(dim);
-    if (dim < 0 || dim > kMaxDim) {
+    // No kernel accepts an empty extent (graphs reject them at
+    // construction), so a 0 dim is as malformed as a negative one.
+    if (dim <= 0 || dim > kMaxDim) {
       d.Fail("dim out of range");
       return type;
     }
     // Guard the product too: eight 2^24 dims would overflow i64 in
     // NumElements and demand an absurd allocation.
-    elems *= std::max<i64>(dim, 1);
+    elems *= dim;
     if (elems > kMaxElements) {
       d.Fail("tensor element count out of range");
       return type;

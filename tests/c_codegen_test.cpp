@@ -218,6 +218,13 @@ TEST(Codegen, EmittedCpuDeploymentMatchesInterpreter) {
     }
   }
   ExpectEmittedCpuMatchesInterpreter(wrap, "wrapnet");
+
+  // A softmax row wider than the 1024 entries the emitted helper once kept
+  // on its stack.
+  GraphBuilder wide(3);
+  const NodeId logits = wide.Input("x", Shape{1, 2048});
+  ExpectEmittedCpuMatchesInterpreter(wide.Finish(wide.Softmax(logits)),
+                                     "widesoftmax");
 }
 
 TEST(Codegen, EmittedAccelDeploymentCompiles) {

@@ -161,29 +161,31 @@ static inline void htvm_global_avg_pool2d(const int8_t* in, int8_t* out,
   }
 }
 
-static inline void htvm_softmax_int8(const int8_t* in, int8_t* out, int rows,
-                                     int cols) {
+// 2^(-e/16) in Q16 for the row-max distance e >= 0 (nn::Softmax's table).
+static inline int32_t htvm_softmax_q(int32_t e) {
   static const int32_t kFrac[16] = {65536, 68438, 71468,  74632,  77936,
                                     81386, 84990, 88752,  92682,  96785,
                                     101070, 105545, 110218, 115098, 120194,
                                     125515};
+  const int32_t ip = e / 16, fp = e % 16;
+  return ip >= 32 ? 0 : (kFrac[15 - fp] >> (ip + (fp ? 1 : 0)));
+}
+
+// Each q is recomputed in the second pass, so no row buffer bounds cols.
+static inline void htvm_softmax_int8(const int8_t* in, int8_t* out, int rows,
+                                     int cols) {
   for (int r = 0; r < rows; ++r) {
     int32_t maxv = -128;
     for (int cidx = 0; cidx < cols; ++cidx) {
       if (in[r * cols + cidx] > maxv) maxv = in[r * cols + cidx];
     }
     int64_t total = 0;
-    int32_t q[1024];
     for (int cidx = 0; cidx < cols; ++cidx) {
-      const int32_t e = maxv - in[r * cols + cidx];
-      const int32_t ip = e / 16, fp = e % 16;
-      const int32_t val =
-          ip >= 32 ? 0 : (kFrac[15 - fp] >> (ip + (fp ? 1 : 0)));
-      q[cidx] = val;
-      total += val;
+      total += htvm_softmax_q(maxv - in[r * cols + cidx]);
     }
     for (int cidx = 0; cidx < cols; ++cidx) {
-      int32_t s = total == 0 ? 0 : (int32_t)(((int64_t)q[cidx] * 127 + total / 2) / total);
+      const int32_t q = htvm_softmax_q(maxv - in[r * cols + cidx]);
+      int32_t s = total == 0 ? 0 : (int32_t)(((int64_t)q * 127 + total / 2) / total);
       if (s < 0) s = 0;
       if (s > 127) s = 127;
       out[r * cols + cidx] = (int8_t)s;

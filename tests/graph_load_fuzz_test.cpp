@@ -1,12 +1,12 @@
 // Graph-file and tensor-file fuzz (runs under ASan/UBSan in CI).
 //
-// Numeric tokens of the registry graphs' text form (ir/serialize.hpp), and
-// the numeric header fields of a tensor file (vm::SaveTensors), are
-// overwritten with edge values under fixed seeds. Each mutant runs in a
-// forked child under an alarm. It must end as a typed Status at load,
-// compile or run, or as a completed run on the interpreter and on the
-// tiles. A signal, a sanitizer report or the alarm counts as a kill or a
-// timeout, and the battery expects none.
+// Numeric tokens of the registry graphs' text form (ir/serialize.hpp), of
+// a one-op graph per OpId, and the numeric header fields of a tensor file
+// (vm::SaveTensors), are overwritten with edge values under fixed seeds.
+// Each mutant runs in a forked child under an alarm. It must end as a typed
+// Status at load, compile or run, or as a completed run on the interpreter
+// and on the tiles. A signal, a sanitizer report or the alarm counts as a
+// kill or a timeout, and the battery expects none.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -234,6 +234,150 @@ TEST(GraphLoadFuzz, MutatedRegistryGraphsAreTypedErrorsOrRuns) {
   EXPECT_GT(tally.typed, 0);
   EXPECT_EQ(tally.ran + tally.typed + tally.killed + tally.timed_out,
             static_cast<int>(jobs.size()));
+}
+
+// A one-op graph of `id` in the text form: a small valid geometry for the
+// op, its second operand a constant (or, for add, a second input), and
+// every attr it reads written out so the mutator can reach it.
+std::string OneOpGraph(OpId id) {
+  std::string data = "input x int8 4 1 2 4 4\n";
+  std::string operand;  // the second input's record, for binary ops
+  std::string attrs = "0";
+  switch (id) {
+    case OpId::kConv2d:
+      operand = "const w int8 4 2 2 1 1 1 -1 2 0\n";
+      attrs = "3 strides v:2:1:1 padding v:4:1:1:1:1 groups i:1";
+      break;
+    case OpId::kDense:
+      data = "input x int8 2 1 4\n";
+      operand = "const w int8 2 3 4 1 2 3 4 5 6 7 8 9 10 11 12\n";
+      break;
+    case OpId::kMatmul:
+      data = "input x int8 2 2 4\n";
+      operand = "const w int8 2 3 4 1 2 3 4 5 6 7 8 9 10 11 12\n";
+      attrs = "1 transpose_b i:1";
+      break;
+    case OpId::kBiasAdd:
+      operand = "const b int32 1 2 5 -5\n";
+      attrs = "1 axis i:1";
+      break;
+    case OpId::kRightShift:
+      operand = "const s int32 1 1 2\n";
+      break;
+    case OpId::kAdd:
+      operand = "input y int8 4 1 2 4 4\n";
+      break;
+    case OpId::kClip:
+      attrs = "2 a_min i:-3 a_max i:3";
+      break;
+    case OpId::kCast:
+      attrs = "1 dtype s:int32";
+      break;
+    case OpId::kAvgPool2d:
+    case OpId::kMaxPool2d:
+      attrs = "3 pool_size v:2:2:2 strides v:2:2:2 padding v:4:0:0:1:1";
+      break;
+    case OpId::kTranspose:
+      attrs = "1 axes v:4:0:1:3:2";
+      break;
+    case OpId::kReshape:
+      attrs = "1 new_shape v:3:1:-1:4";
+      break;
+    case OpId::kPad:
+      attrs = "1 pad_width v:4:1:0:0:1";
+      break;
+    case OpId::kRelu:
+    case OpId::kGlobalAvgPool2d:
+    case OpId::kSoftmax:
+    case OpId::kLayerNorm:
+    case OpId::kGelu:
+    case OpId::kFlatten:
+      break;
+  }
+  const std::string ins = operand.empty() ? "1 0" : "2 0 1";
+  const int out = operand.empty() ? 1 : 2;
+  return "htvm-graph v1\n" + data + operand + "op " +
+         std::string(OpName(id)) + " " + ins + " " + attrs + "\n" +
+         StrFormat("output 1 %d\n", out);
+}
+
+// Every op of the table on edge geometry: extents and integer attrs of its
+// one-op graph are overwritten with EdgeValue draws (0, 1, negatives,
+// INT32_MAX ...) and with extents at the text loader's 2^20 dim cap and
+// the 2^26 element cap (8192 x 8192), then loaded, compiled and run on the
+// interpreter and on the tiles in forked children.
+TEST(GraphLoadFuzz, EveryOpOnEdgeGeometryIsATypedErrorOrRuns) {
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path;
+  std::vector<Job> jobs;
+  Rng rng(0x0B1Du);
+  const i64 near_cap[] = {8192, i64{1} << 20, (i64{1} << 20) + 1};
+  for (int i = 0; i < kNumOps; ++i) {
+    const OpId id = static_cast<OpId>(i);
+    const std::string text = OneOpGraph(id);
+    const std::vector<Span> tokens = NumericTokens(text);
+    // The input records' rank and dims, each also zeroed on its own.
+    std::vector<Span> input_tokens;
+    for (const Span& t : tokens) {
+      if (t.begin < text.find("\nop ")) input_tokens.push_back(t);
+    }
+    const int random_mutants = 16;
+    const int count =
+        1 + random_mutants + static_cast<int>(input_tokens.size());
+    for (int m = 0; m < count; ++m) {
+      // Mutant 0 is the valid graph itself, then random rewrites of one to
+      // three tokens, then one zeroed input extent each. Rewrites go back to
+      // front so spans stay valid.
+      std::vector<Span> picked;
+      const bool zeroed = m > random_mutants;
+      if (zeroed) {
+        picked.push_back(
+            input_tokens[static_cast<size_t>(m - random_mutants - 1)]);
+      }
+      for (int k = 0; m > 0 && !zeroed &&
+                      k < 1 + static_cast<int>(rng.NextU64() % 3);
+           ++k) {
+        picked.push_back(tokens[rng.NextU64() % tokens.size()]);
+      }
+      std::sort(picked.begin(), picked.end(),
+                [](Span a, Span b) { return a.begin > b.begin; });
+      picked.erase(std::unique(picked.begin(), picked.end(),
+                               [](Span a, Span b) {
+                                 return a.begin == b.begin;
+                               }),
+                   picked.end());
+      std::string mutant = text;
+      std::string what(OpName(id));
+      for (const Span& s : picked) {
+        const std::string old = text.substr(s.begin, s.end - s.begin);
+        const i64 value =
+            zeroed                 ? 0
+            : rng.NextU64() % 4 == 0 ? near_cap[rng.NextU64() %
+                                                std::size(near_cap)]
+                                     : EdgeValue(std::stoll(old), rng);
+        mutant.replace(s.begin, s.end - s.begin, std::to_string(value));
+        what += " @" + std::to_string(s.begin) + " " + old + "->" +
+                std::to_string(value);
+      }
+      const std::string path =
+          dir + "/op" + std::to_string(jobs.size()) + ".htvm";
+      WriteFile(path, mutant);
+      jobs.push_back({what, [path] {
+                        auto graph = LoadGraph(path);
+                        if (!graph.ok()) return kLoadError;
+                        auto art = compiler::HtvmCompiler{ChildOptions()}
+                                       .Compile(*graph);
+                        if (!art.ok()) return kCompileError;
+                        return RunBoth(*art, vm::SyntheticInputs(*art, 1));
+                      }});
+    }
+  }
+  const Tally tally = RunForked(jobs);
+  EXPECT_EQ(tally.killed, 0) << tally.failures;
+  EXPECT_EQ(tally.timed_out, 0) << tally.failures;
+  // Each op's unmutated graph runs, so at least kNumOps jobs do.
+  EXPECT_GE(tally.ran, kNumOps);
+  EXPECT_GT(tally.typed, 0);
 }
 
 TEST(GraphLoadFuzz, MutatedTensorFilesAreTypedErrorsOrRuns) {

@@ -76,19 +76,6 @@ TEST(Interpreter, ReshapeAndFlattenAreViews) {
   }
 }
 
-TEST(Interpreter, EvalOpUnsupportedOpReported) {
-  Graph g;
-  NodeId x = g.AddInput("x", {Shape{1}, DType::kInt8});
-  g.SetOutputs({x});
-  Node fake;
-  fake.kind = NodeKind::kOp;
-  fake.op = "nn.nonexistent";
-  const Tensor t = Tensor::Zeros(Shape{1}, DType::kInt8);
-  auto r = nn::EvalOp(fake, std::vector<Tensor>{t});
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
-}
-
 TEST(Interpreter, ResidualAddGraph) {
   GraphBuilder b(5);
   NodeId x = b.Input("x", Shape{1, 4, 4, 4});

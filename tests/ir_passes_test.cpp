@@ -40,7 +40,7 @@ TEST(ConstantFold, FoldsConstantChain) {
   NodeId sum = g.AddOp("add", {in, shifted});
   g.SetOutputs({sum});
 
-  Graph folded = ConstantFold(g, nn::StandardEvaluator());
+  Graph folded = nn::ConstantFold(g);
   // The right_shift collapses into one constant: input + const + add = 3.
   EXPECT_EQ(folded.NumNodes(), 3);
   i64 const_val = -1;
@@ -61,7 +61,7 @@ TEST(ConstantFold, PreservesSemantics) {
   NodeId y = b.ConvBlock(x, spec, "c");
   Graph g = b.Finish(y);
 
-  Graph folded = ConstantFold(g, nn::StandardEvaluator());
+  Graph folded = nn::ConstantFold(g);
   Rng rng(5);
   const Tensor input = Tensor::Random(Shape{1, 4, 6, 6}, DType::kInt8, rng);
   auto ref = nn::RunGraph(g, std::vector<Tensor>{input});
@@ -76,7 +76,7 @@ TEST(ConstantFold, LeavesNonConstOpsAlone) {
   NodeId a = g.AddInput("a", {Shape{1, 4}, DType::kInt8});
   NodeId r = g.AddOp("nn.relu", {a});
   g.SetOutputs({r});
-  Graph folded = ConstantFold(g, nn::StandardEvaluator());
+  Graph folded = nn::ConstantFold(g);
   EXPECT_EQ(folded.NumNodes(), 2);
 }
 

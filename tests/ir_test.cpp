@@ -152,6 +152,7 @@ TEST(Op, TableHoldsTheListedVocabulary) {
     const OpDef* def = FindOp(name);
     ASSERT_NE(def, nullptr) << name;
     EXPECT_EQ(def->name, name);
+    EXPECT_EQ(OpName(def->id), name);
     EXPECT_EQ(def->arity, arity) << name;
     // One input too many for a unary op, one too few for a binary one.
     const std::vector<NodeId> wrong(static_cast<size_t>(3 - arity), a);
@@ -164,6 +165,19 @@ TEST(Op, TableHoldsTheListedVocabulary) {
   EXPECT_EQ(FindOp("nn.made_up"), nullptr);
   EXPECT_EQ(g.TryAddOp("nn.made_up", {a}).status().code(),
             StatusCode::kNotFound);
+  // Every id names one row, and the name leads back to the id.
+  EXPECT_EQ(static_cast<size_t>(kNumOps), std::size(listed));
+  for (int i = 0; i < kNumOps; ++i) {
+    const OpId id = static_cast<OpId>(i);
+    const OpDef* def = FindOp(OpName(id));
+    ASSERT_NE(def, nullptr) << i;
+    EXPECT_EQ(def->id, id) << OpName(id);
+  }
+  // TryAddOp records the row on the node.
+  auto relu = g.TryAddOp("nn.relu", {a});
+  ASSERT_TRUE(relu.ok());
+  EXPECT_TRUE(g.node(*relu).Is(OpId::kRelu));
+  EXPECT_FALSE(g.node(a).Is(OpId::kConv2d));
 }
 
 TEST(Graph, ValidatePassesOnWellFormed) {

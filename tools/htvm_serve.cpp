@@ -240,11 +240,6 @@ Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
   return opt;
 }
 
-Result<Graph> BuildModel(const std::string& name,
-                         models::PrecisionPolicy policy) {
-  return models::BuildByName(name, policy);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -260,24 +255,14 @@ int main(int argc, char** argv) {
     return opt.help ? 0 : 2;
   }
 
-  compiler::CompileOptions options;
-  models::PrecisionPolicy policy = models::PrecisionPolicy::kMixed;
-  if (opt.config == "tvm") {
-    options = compiler::CompileOptions::PlainTvm();
-    policy = models::PrecisionPolicy::kInt8;
-  } else if (opt.config == "digital") {
-    options = compiler::CompileOptions::DigitalOnly();
-    policy = models::PrecisionPolicy::kInt8;
-  } else if (opt.config == "analog") {
-    options = compiler::CompileOptions::AnalogOnly();
-    policy = models::PrecisionPolicy::kTernary;
-  } else if (opt.config == "mixed") {
-    policy = models::PrecisionPolicy::kMixed;
-  } else {
+  const models::DeployConfig* config = models::FindDeployConfig(opt.config);
+  if (config == nullptr) {
     std::fprintf(stderr, "htvm-serve: unknown --config '%s'\n",
                  opt.config.c_str());
     return 2;
   }
+  compiler::CompileOptions options = config->options();
+  const models::PrecisionPolicy policy = config->policy;
   options.compile_threads = opt.compile_threads;
   if (!opt.schedule_search.empty()) {
     // Validated at parse time.
@@ -364,7 +349,7 @@ int main(int argc, char** argv) {
   }
 
   for (const std::string& name : opt.models) {
-    auto network = BuildModel(name, policy);
+    auto network = models::BuildByName(name, policy);
     if (!network.ok()) {
       std::fprintf(stderr, "htvm-serve: %s\n",
                    network.status().ToString().c_str());

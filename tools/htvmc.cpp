@@ -228,24 +228,14 @@ int main(int argc, char** argv) {
     return opt.help ? 0 : 2;
   }
 
-  compiler::CompileOptions options;
-  models::PrecisionPolicy policy = models::PrecisionPolicy::kMixed;
-  if (opt.config == "tvm") {
-    options = compiler::CompileOptions::PlainTvm();
-    policy = models::PrecisionPolicy::kInt8;
-  } else if (opt.config == "digital") {
-    options = compiler::CompileOptions::DigitalOnly();
-    policy = models::PrecisionPolicy::kInt8;
-  } else if (opt.config == "analog") {
-    options = compiler::CompileOptions::AnalogOnly();
-    policy = models::PrecisionPolicy::kTernary;
-  } else if (opt.config == "mixed") {
-    policy = models::PrecisionPolicy::kMixed;
-  } else {
+  const models::DeployConfig* config = models::FindDeployConfig(opt.config);
+  if (config == nullptr) {
     std::fprintf(stderr, "htvmc: unknown --config '%s'\n",
                  opt.config.c_str());
     return 2;
   }
+  compiler::CompileOptions options = config->options();
+  const models::PrecisionPolicy policy = config->policy;
   if (!opt.soc.empty()) {
     // Validated at parse time; Find again to fetch the full description.
     options.soc = *hw::FindSoc(opt.soc);
