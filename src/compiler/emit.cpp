@@ -20,33 +20,10 @@ std::string Sanitize(const std::string& name) {
   return out;
 }
 
-template <typename T, typename Get>
-std::string EmitArray(const std::string& ctype, const std::string& name,
-                      i64 count, Get get) {
-  std::string out =
-      StrFormat("static const %s %s[%lld] = {\n    ", ctype.c_str(),
-                name.c_str(), static_cast<long long>(count));
-  for (i64 i = 0; i < count; ++i) {
-    out += std::to_string(static_cast<T>(get(i)));
-    if (i + 1 < count) out += (i % 20 == 19) ? ",\n    " : ", ";
-  }
-  out += "};\n";
-  return out;
-}
-
-std::string EmitTensorI8(const std::string& name, const Tensor& t) {
-  return EmitArray<int>("int8_t", name, t.NumElements(),
-                        [&](i64 i) { return t.GetFlat(i); });
-}
-
-std::string EmitTensorI32(const std::string& name, const Tensor& t) {
-  return EmitArray<long long>("int32_t", name, t.NumElements(),
-                              [&](i64 i) { return t.GetFlat(i); });
-}
-
-std::string EmitBytes(const std::string& name, const std::vector<u8>& data) {
-  return EmitArray<unsigned>("uint8_t", name, static_cast<i64>(data.size()),
-                             [&](i64 i) { return data[static_cast<size_t>(i)]; });
+std::string EmitTensor(const char* ctype, const std::string& name,
+                       const Tensor& t) {
+  return tvmgen::EmitCArray(ctype, name, t.NumElements(),
+                            [&](i64 i) { return t.GetFlat(i); });
 }
 
 }  // namespace
@@ -83,35 +60,32 @@ Result<EmittedArtifact> EmitArtifactC(const Artifact& artifact,
     const Node& node = g.node(kernel.node);
     const std::string fn = Sanitize(kernel.name);
     fn_names.push_back(fn);
+    if (!kernel.schedule.has_value()) {
+      // A CPU kernel prints the constants its body reads itself.
+      HTVM_ASSIGN_OR_RETURN(code, tvmgen::EmitCpuKernelC(node, fn));
+      c += code + "\n";
+      continue;
+    }
+    const dory::AccelSchedule& sched = *kernel.schedule;
     const auto [weight, bias] = dory::FindWeightBias(*node.body);
     std::string wsym, bsym;
-
     if (bias != nullptr) {
       bsym = fn + "_b";
-      c += EmitTensorI32(bsym, *bias);
+      c += EmitTensor("int32_t", bsym, *bias);
     }
-    if (kernel.schedule.has_value()) {
-      const dory::AccelSchedule& sched = *kernel.schedule;
-      if (weight != nullptr) {
-        wsym = fn + "_w";
-        if (sched.target == dory::AccelTarget::kAnalog) {
-          c += EmitBytes(wsym, PackTernary(*weight));
-        } else {
-          c += EmitTensorI8(wsym, dory::TileMajorWeights(sched, *weight));
-        }
+    if (weight != nullptr) {
+      wsym = fn + "_w";
+      if (sched.target == dory::AccelTarget::kAnalog) {
+        const std::vector<u8> packed = PackTernary(*weight);
+        c += tvmgen::EmitCArray(
+            "uint8_t", wsym, static_cast<i64>(packed.size()),
+            [&](i64 i) { return packed[static_cast<size_t>(i)]; });
+      } else {
+        c += EmitTensor("int8_t", wsym, dory::TileMajorWeights(sched, *weight));
       }
-      HTVM_ASSIGN_OR_RETURN(
-          code, dory::EmitAccelKernelC(sched, fn, wsym, bsym));
-      c += code + "\n";
-    } else {
-      if (weight != nullptr) {
-        wsym = fn + "_w";
-        c += EmitTensorI8(wsym, *weight);
-      }
-      HTVM_ASSIGN_OR_RETURN(code,
-                            tvmgen::EmitCpuKernelC(node, fn, wsym, bsym));
-      c += code + "\n";
     }
+    HTVM_ASSIGN_OR_RETURN(code, dory::EmitAccelKernelC(sched, fn, wsym, bsym));
+    c += code + "\n";
   }
 
   // --- buffer map from the ahead-of-time L2 schedule ----------------------

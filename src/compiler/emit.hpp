@@ -4,7 +4,8 @@
 //
 // Emitted files for a network `net`:
 //   htvm_runtime.h   fixed runtime/driver call surface (portable stubs)
-//   net.c            weight arrays, one function per kernel, and
+//   net.c            accelerator weight arrays, one function per kernel
+//                    (a CPU kernel's constants precede it), and
 //                    net_run(...) executing the kernel sequence against a
 //                    statically scheduled L2 arena
 //   net.h            public entry point declaration

@@ -395,7 +395,7 @@ TEST(GraphPlan, HabWithCrossSocPlanIsRefused) {
 }
 
 // A planned artifact is still deployable as C: the diana.fused2 pair lowers
-// through the generic straight-line body emitter (conv2d loops included),
+// through the CPU body lowering (conv2d loops with fused requant included),
 // and the whole emitted tree compiles with the host C compiler.
 TEST(GraphPlan, EmittedFusedDeploymentCompiles) {
   const Graph net = models::BuildDsCnn(models::PrecisionPolicy::kMixed);
@@ -407,7 +407,7 @@ TEST(GraphPlan, EmittedFusedDeploymentCompiles) {
   ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
   const std::string& c = emitted->files.at("dscnn.c");
   EXPECT_NE(c.find("diana_fused2"), std::string::npos);
-  EXPECT_NE(c.find("= conv2d("), std::string::npos);
+  EXPECT_NE(c.find("= nn.conv2d -> nn.bias_add"), std::string::npos);
   const std::string check = "command -v cc > /dev/null";
   if (std::system(check.c_str()) != 0) GTEST_SKIP() << "no host C compiler";
   const std::string dir = ::testing::TempDir() + "/htvm_plan_emit";

@@ -23,6 +23,7 @@
 
 #include "compiler/emit.hpp"
 #include "compiler/pipeline.hpp"
+#include "emit_harness.hpp"
 #include "hab_diff.hpp"
 #include "hw/soc.hpp"
 #include "models/transformer.hpp"
@@ -244,13 +245,8 @@ TEST(TransformerNumerics, MatmulTilingExhaustsPathologicalL1) {
 
 // --- 5. emitted-C deployment ------------------------------------------------
 
-bool ToolAvailable(const char* cmd) {
-  const std::string check = std::string("command -v ") + cmd + " > /dev/null";
-  return std::system(check.c_str()) == 0;
-}
-
 TEST(TransformerDeployment, EmittedCpuCMatchesInterpreter) {
-  if (!ToolAvailable("cc")) GTEST_SKIP() << "no host C compiler";
+  if (!emit_harness::HostCcAvailable()) GTEST_SKIP() << "no host C compiler";
   const Graph net = models::BuildTinyTransformerDefault();
   const auto art = MustCompile(net, compiler::CompileOptions::PlainTvm());
   auto emitted = compiler::EmitArtifactC(art, "tfnet");
@@ -259,44 +255,12 @@ TEST(TransformerDeployment, EmittedCpuCMatchesInterpreter) {
   const Tensor input = TransformerInput(17);
   auto ref = nn::RunGraph(net, std::vector<Tensor>{input});
   ASSERT_TRUE(ref.ok());
-  const Tensor& expected = ref.value()[0];
-
-  const std::string dir = ::testing::TempDir() + "/htvm_emit_transformer";
-  std::system(("mkdir -p " + dir).c_str());
-  ASSERT_TRUE(emitted->WriteTo(dir).ok());
-  {
-    std::ofstream main_c(dir + "/main.c");
-    main_c << "#include <stdio.h>\n#include \"tfnet.h\"\n";
-    main_c << "static const signed char input[] = {";
-    for (i64 i = 0; i < input.NumElements(); ++i) {
-      main_c << input.GetFlat(i) << (i + 1 < input.NumElements() ? "," : "");
-    }
-    main_c << "};\nint main(void) {\n";
-    main_c << "  signed char out[" << expected.NumElements() << "];\n";
-    main_c << "  tfnet_run((const void*)input, out);\n";
-    main_c << "  for (int i = 0; i < " << expected.NumElements()
-           << "; ++i) printf(\"%d\\n\", (int)out[i]);\n  return 0;\n}\n";
-  }
-  const std::string bin = dir + "/tfnet_bin";
-  // No -lm: the emitted helpers (layernorm, GELU LUT, softmax) must be
-  // integer-only.
-  const std::string compile_cmd = "cc -std=c11 -O1 -o " + bin + " " + dir +
-                                  "/tfnet.c " + dir + "/main.c 2> " + dir +
-                                  "/cc.log";
-  ASSERT_EQ(std::system(compile_cmd.c_str()), 0)
-      << "emitted C failed to compile; see " << dir << "/cc.log";
-  const std::string out_file = dir + "/out.txt";
-  ASSERT_EQ(std::system((bin + " > " + out_file).c_str()), 0);
-  std::ifstream out_stream(out_file);
-  for (i64 i = 0; i < expected.NumElements(); ++i) {
-    int value = 9999;
-    out_stream >> value;
-    EXPECT_EQ(value, expected.GetFlat(i)) << "output element " << i;
-  }
+  emit_harness::ExpectEmittedRunMatches(*emitted, "tfnet", input,
+                                        ref.value()[0]);
 }
 
 TEST(TransformerDeployment, EmittedAccelCCompiles) {
-  if (!ToolAvailable("cc")) GTEST_SKIP() << "no host C compiler";
+  if (!emit_harness::HostCcAvailable()) GTEST_SKIP() << "no host C compiler";
   const Graph net = models::BuildTinyTransformerDefault();
   const auto art = MustCompile(net, compiler::CompileOptions{});
   auto emitted = compiler::EmitArtifactC(art, "tfaccel");
