@@ -40,6 +40,7 @@ static inline void htvm_dma_2d(void* dst, const void* src, uint32_t rows,
 typedef struct {
   uint16_t k_t, c_t, oy_t, ox_t, iy_t, ix_t;
   uint8_t kh, kw, sy, sx;
+  uint8_t pad_t, pad_l;      // padding rows/columns atop/left of the window
   uint8_t first_c, last_c;   // partial-sum start / requant-and-store
   int32_t shift;
   uint8_t relu;

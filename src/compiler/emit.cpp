@@ -98,6 +98,13 @@ Result<EmittedArtifact> EmitArtifactC(const Artifact& artifact,
     return StrFormat("(l2_arena + %lld)",
                      static_cast<long long>(offset_of[id]));
   };
+  // A kernel argument, typed as the kernel's parameter for a non-int8 value.
+  const auto argument = [&](NodeId id, const char* qualifier) {
+    const DType dtype = g.node(id).type.dtype;
+    if (dtype == DType::kInt8) return buffer_expr(id);
+    return StrFormat("(%s%s*)%s", qualifier, tvmgen::CTypeName(dtype),
+                     buffer_expr(id).c_str());
+  };
 
   // --- the network function (Fig. 2's sequential kernel program) ----------
   std::string sig = StrFormat("void %s_run(", net_name.c_str());
@@ -111,7 +118,9 @@ Result<EmittedArtifact> EmitArtifactC(const Artifact& artifact,
                 net_name.c_str(), net_name.c_str(), sig.c_str());
 
   c += sig + " {\n";
-  c += StrFormat("  static int8_t l2_arena[%lld];\n",
+  // The planner aligns every buffer to 8 bytes, so the arena must be too
+  // for the int32 operands of a kernel.
+  c += StrFormat("  static _Alignas(8) int8_t l2_arena[%lld];\n",
                  static_cast<long long>(
                      std::max<i64>(artifact.memory_plan.arena_bytes, 1)));
   for (size_t i = 0; i < g.inputs().size(); ++i) {
@@ -126,9 +135,9 @@ Result<EmittedArtifact> EmitArtifactC(const Artifact& artifact,
     const Node& node = g.node(kernel.node);
     std::string args;
     for (NodeId in : node.inputs) {
-      args += buffer_expr(in) + ", ";
+      args += argument(in, "const ") + ", ";
     }
-    args += buffer_expr(node.id);
+    args += argument(node.id, "");
     c += StrFormat("  %s(%s);\n", fn_names[i].c_str(), args.c_str());
   }
   const Node& out_node = g.node(g.outputs()[0]);

@@ -6,11 +6,12 @@
 // performs weight allocation and memory management and drives the
 // platform's accelerators"). This emitter produces that function from an
 // AccelSchedule, against the call surface of the generated
-// "htvm_runtime.h" (compiler/c_runtime_header).
+// "htvm_runtime.h" (compiler/c_runtime_header): one loop nest for every
+// layer kind that visits the tiles of AccelSchedule::steps in their order.
 //
 // Calling convention of an emitted kernel:
-//   void <name>(const int8_t* l2_in, int8_t* l2_out);          // conv/dense
-//   void <name>(const int8_t* a, const int8_t* b, int8_t* out); // add
+//   void <name>(const int8_t* l2_in, int8_t* l2_out);  // all but add
+//   void <name>(const int8_t* l2_a, const int8_t* l2_b, int8_t* l2_out);
 // Weights/bias live in const arrays named <name>_w / <name>_b emitted by
 // the artifact emitter; conv weights are stored tile-major (each (k, c)
 // weight tile contiguous, in fetch order) — DORY's "most optimal layout".

@@ -9,15 +9,6 @@
 namespace htvm::tvmgen {
 namespace {
 
-const char* CTypeName(DType t) {
-  switch (t) {
-    case DType::kInt8:
-    case DType::kTernary: return "int8_t";
-    case DType::kInt32: return "int32_t";
-    default: return nullptr;
-  }
-}
-
 // The elementwise ops that fold into the loop of the op producing them.
 bool IsEpilogue(const Node& n) {
   return n.Is(OpId::kBiasAdd) || n.Is(OpId::kRightShift) ||
@@ -419,16 +410,14 @@ Result<std::string> BodyLowering::Run(const std::string& what) {
   std::string params;
   for (size_t i = 0; i < body.inputs().size(); ++i) {
     const Node& in = body.node(body.inputs()[i]);
-    if (in.type.dtype != DType::kInt8) {
-      return Status::Unsupported("CPU kernel: non-int8 input");
-    }
+    const char* ct = CTypeName(in.type.dtype);
+    if (ct == nullptr) return Status::Unsupported("CPU kernel: input dtype");
     sym_[in.id] = StrFormat("in%zu", i);
-    params += StrFormat("const int8_t* in%zu, ", i);
+    params += StrFormat("const %s* in%zu, ", ct, i);
   }
   const Node& out_node = body.node(body.outputs()[0]);
-  if (out_node.type.dtype != DType::kInt8) {
-    return Status::Unsupported("CPU kernel: non-int8 output");
-  }
+  const char* out_ct = CTypeName(out_node.type.dtype);
+  if (out_ct == nullptr) return Status::Unsupported("CPU kernel: output dtype");
 
   // An epilogue folds into the loop op producing its input when it is that
   // value's only reader (the body output counts as one).
@@ -489,17 +478,28 @@ Result<std::string> BodyLowering::Run(const std::string& what) {
   HTVM_ASSIGN_OR_RETURN(result, Operand(out_node.id));
   if (result != "out") {
     code_ += StrFormat("  memcpy(out, %s, %lld);\n", result.c_str(),
-                       (long long)out_node.type.shape.NumElements());
+                       (long long)(out_node.type.shape.NumElements() *
+                                   DTypeSizeBytes(out_node.type.dtype)));
   }
 
   std::string c = consts_;
   c += StrFormat("// %s: %s on the RISC-V core\n", fn_.c_str(), what.c_str());
-  c += StrFormat("void %s(%sint8_t* out) {\n", fn_.c_str(), params.c_str());
+  c += StrFormat("void %s(%s%s* out) {\n", fn_.c_str(), params.c_str(),
+                 out_ct);
   c += decls_ + code_ + "}\n";
   return c;
 }
 
 }  // namespace
+
+const char* CTypeName(DType t) {
+  switch (t) {
+    case DType::kInt8:
+    case DType::kTernary: return "int8_t";
+    case DType::kInt32: return "int32_t";
+    default: return nullptr;
+  }
+}
 
 std::string EmitCArray(const char* ctype, const std::string& name, i64 count,
                        const std::function<i64(i64)>& value) {

@@ -16,8 +16,9 @@
 // A value gets a static int8/int32 buffer only where a non-elementwise op
 // reads it, and the body's output is written straight into `out`.
 //
-// Calling convention (same as the accelerator kernels):
-//   void <name>(const int8_t* in0 [, const int8_t* in1 ...], int8_t* out);
+// Calling convention (the accelerator kernels' one, with each parameter
+// typed by its tensor's dtype):
+//   void <name>(const int8_t* in0 [, const int32_t* in1 ...], int8_t* out);
 // The kernel owns the constants it reads: each is printed once, at file
 // scope before the function, as <name>_k<i> (the GELU table as
 // <name>_gelu).
@@ -32,10 +33,14 @@
 namespace htvm::tvmgen {
 
 // Emits a C function for a cpu composite node. A kernel whose inputs or
-// output are not int8, or that holds an op with no lowering, is
-// Unsupported.
+// output are neither int8 nor int32, or that holds an op with no lowering,
+// is Unsupported.
 Result<std::string> EmitCpuKernelC(const Node& composite,
                                    const std::string& fn_name);
+
+// The C element type of a tensor of dtype `t`, or nullptr when the emitted
+// C has none.
+const char* CTypeName(DType t);
 
 // `static const <ctype> <name>[count] = {...};` at file scope, 20 values to
 // a line: the one printer of every constant array in the emitted C.

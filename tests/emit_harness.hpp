@@ -68,22 +68,27 @@ inline Result<std::string> BuildAndRun(
 }
 
 // Builds an emitted network next to a main() that runs `<name>_run` on
-// `input`, and expects its output bytes to equal `expected`'s.
+// `inputs`, and expects its output bytes to equal `expected`'s.
 inline void ExpectEmittedRunMatches(const compiler::EmittedArtifact& emitted,
                                     const std::string& name,
-                                    const Tensor& input,
+                                    const std::vector<Tensor>& inputs,
                                     const Tensor& expected) {
   std::map<std::string, std::string> files = emitted.files;
   std::string main_c = "#include <stdio.h>\n#include \"" + name + ".h\"\n";
-  main_c += "static const int8_t input[] = {";
-  for (i64 i = 0; i < input.NumElements(); ++i) {
-    if (i) main_c += ",";
-    main_c += std::to_string(input.GetFlat(i));
+  std::string args;
+  for (size_t n = 0; n < inputs.size(); ++n) {
+    main_c += "static const int8_t input" + std::to_string(n) + "[] = {";
+    for (i64 i = 0; i < inputs[n].NumElements(); ++i) {
+      if (i) main_c += ",";
+      main_c += std::to_string(inputs[n].GetFlat(i));
+    }
+    main_c += "};\n";
+    args += "input" + std::to_string(n) + ", ";
   }
-  main_c += "};\nint main(void) {\n";
+  main_c += "int main(void) {\n";
   main_c += "  static int8_t out[" + std::to_string(expected.NumElements()) +
             "];\n";
-  main_c += "  " + name + "_run(input, out);\n";
+  main_c += "  " + name + "_run(" + args + "out);\n";
   main_c += "  fwrite(out, 1, sizeof out, stdout);\n  return 0;\n}\n";
   files["main.c"] = main_c;
   // No -lm: the emitted helpers are integer-only.

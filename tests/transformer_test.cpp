@@ -252,10 +252,10 @@ TEST(TransformerDeployment, EmittedCpuCMatchesInterpreter) {
   auto emitted = compiler::EmitArtifactC(art, "tfnet");
   ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
 
-  const Tensor input = TransformerInput(17);
-  auto ref = nn::RunGraph(net, std::vector<Tensor>{input});
+  const std::vector<Tensor> inputs = {TransformerInput(17)};
+  auto ref = nn::RunGraph(net, inputs);
   ASSERT_TRUE(ref.ok());
-  emit_harness::ExpectEmittedRunMatches(*emitted, "tfnet", input,
+  emit_harness::ExpectEmittedRunMatches(*emitted, "tfnet", inputs,
                                         ref.value()[0]);
 }
 
